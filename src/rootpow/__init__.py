@@ -3,7 +3,8 @@
 One shape parameter ranging over the extended reals drives everything:
 
 - ``transform`` / ``inverse`` / ``derivative``: the stable core evaluators
-  (flipping the parameter's sign inverts the transform exactly).
+  (flipping the parameter's sign inverts the transform exactly).  These,
+  ``loss``, ``kernel`` and ``irls_weight`` take a float or an ndarray.
 - ``loss`` and ``kernel``: robust penalties and the matching stationary
   kernels, which double as IRLS weights.
 - ``pdf`` / ``partition_function`` / ``ZTable``: the normalized density
@@ -36,10 +37,8 @@ from .boxcox import (
 )
 from .bump import bump, bump_classic
 from .core import (
-    DOUBLE,
     Branch,
     BranchPlan,
-    NumericPolicy,
     UnsupportedBranchError,
     branch_plan,
     classify,
@@ -81,12 +80,10 @@ __all__ = [
     "BranchPlan",
     "DEFAULT_GRID_SIZE",
     "DEFAULT_NUM_POINTS",
-    "DOUBLE",
     "IrlsProblem",
     "IrlsResult",
     "KERNEL_REFERENCE_LAMBDAS",
     "LOSS_REFERENCE_LAMBDAS",
-    "NumericPolicy",
     "UnsupportedBranchError",
     "ZTable",
     "boxcox",

@@ -17,9 +17,9 @@ import mpmath
 import numpy as np
 
 from .core import (
-    DOUBLE,
+    EPS,
+    TINY,
     Branch,
-    NumericPolicy,
     classify,
     max_domain,
     transform,
@@ -56,9 +56,7 @@ class AccuracyReport:
     samples: int
 
 
-def oracle_transform(
-    x: float, lam: float, dps: int = ORACLE_DPS, policy: NumericPolicy = DOUBLE
-) -> float:
+def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:
     """Ground-truth transform value, correctly rounded to binary64.
 
     Evaluates the closed form of the branch that the working-precision
@@ -69,7 +67,7 @@ def oracle_transform(
     x = float(x)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
-    branch = classify(lam, policy)
+    branch = classify(lam)
     x = min(x, max_domain(lam))
     if branch is Branch.ZERO:
         return x
@@ -96,10 +94,9 @@ def default_lambda_grid() -> list[float]:
     """The default sweep: neighborhoods of +/-1 at eps scales, decade
     magnitudes, the +/-1 +/- 1e-8 probe points, and a dense pass over
     [-3, 3] that avoids the exactly singular lam in {-1, 0, 1}."""
-    eps = DOUBLE.eps
     lams: set[float] = set()
     for k in range(7):
-        step = (10.0**k) * eps
+        step = (10.0**k) * EPS
         for base in (1.0, -1.0):
             lams.add(base + step)
             lams.add(base - step)
@@ -139,7 +136,7 @@ def error_sweep(
     if lams is None:
         lams = default_lambda_grid()
     xs = _log_spaced(float(x_lo), float(x_hi), int(n))
-    floor = DOUBLE.tiny
+    floor = TINY
     rows = []
     for lam in sorted(lams):
         truth = [oracle_transform(x, lam, dps) for x in xs]

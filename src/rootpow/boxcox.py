@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 
 from .core import (
-    DOUBLE,
+    EPS,
+    TINY,
     UnsupportedBranchError,
+    _expm1,
     _require_lambda,
     transform,
 )
@@ -34,13 +36,6 @@ def _require_boxcox_lambda(lam: float) -> float:
     return lam
 
 
-def _expm1(t: float) -> float:
-    try:
-        return math.expm1(t)
-    except OverflowError:
-        return math.inf
-
-
 def boxcox(x: float, lam: float) -> float:
     """Box-Cox value ((x+1)**lam - 1)/lam, log1p(x) at lam = 0; needs x > -1."""
     lam = _require_boxcox_lambda(lam)
@@ -49,7 +44,7 @@ def boxcox(x: float, lam: float) -> float:
         raise ValueError("x must not be NaN")
     if x <= -1.0:
         raise ValueError(f"Box-Cox domain requires x > -1, got {x!r}")
-    if abs(lam) < DOUBLE.tiny:
+    if abs(lam) < TINY:
         return math.log1p(x)
     return _expm1(lam * math.log1p(x)) / lam
 
@@ -61,9 +56,9 @@ def boxcox_normalized(x: float, lam: float) -> float:
     x = float(x)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
-    if abs(lam - 1.0) < DOUBLE.eps:
+    if abs(lam - 1.0) < EPS:
         return x
-    if abs(lam) < DOUBLE.tiny:
+    if abs(lam) < TINY:
         if x <= -1.0:
             raise ValueError(f"out of domain at lam = 0: need x > -1, got {x!r}")
         return math.log1p(x)
@@ -87,9 +82,9 @@ def transform_via_boxcox(x: float, lam: float) -> float:
     lam = _require_lambda(lam)
     if math.isinf(lam):
         raise UnsupportedBranchError("no Box-Cox image for extended lam")
-    if abs(lam - 1.0) < DOUBLE.eps:
+    if abs(lam - 1.0) < EPS:
         raise UnsupportedBranchError("bridge is singular at lam = 1")
-    if abs(lam) < DOUBLE.tiny:
+    if abs(lam) < TINY:
         return boxcox(x, 1.0)
     if lam < 0.0:
         return -lam * boxcox(-float(x) / lam, lam + 1.0)
@@ -106,7 +101,7 @@ def boxcox_via_transform(x: float, lam: float) -> float:
     """
     lam = _require_boxcox_lambda(lam)
     x = float(x)
-    if abs(lam - 1.0) < DOUBLE.eps:
+    if abs(lam - 1.0) < EPS:
         return transform(x, 0.0)
     if lam < 1.0:
         return transform((1.0 - lam) * x, lam - 1.0) / (1.0 - lam)

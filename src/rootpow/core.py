@@ -13,24 +13,26 @@ Every branch is evaluated as
 
 so the whole family costs at most one log1p and one expm1 per call.  The
 branch constants live in :class:`BranchPlan`; :func:`classify` picks the
-branch from windows derived from the working precision.
+branch from windows derived from binary64 precision.
+
+:func:`transform`, :func:`inverse` and :func:`derivative` take a float or
+an ndarray.  Each has one body, run with libm ops for a float (giving a
+float) or with numpy ufuncs for an array (giving an array of its shape).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Branch",
     "BranchPlan",
-    "NumericPolicy",
-    "DOUBLE",
     "UnsupportedBranchError",
     "classify",
     "branch_plan",
@@ -54,32 +56,11 @@ class UnsupportedBranchError(ValueError):
     """Raised when the naive closed form has no defined branch for lam."""
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Working-precision constants that drive branch classification.
-
-    ``eps`` is the machine epsilon of the working format and ``tiny`` its
-    smallest positive normal.  lam counts as infinite beyond ``1/eps``, as
-    +/-1 within ``eps`` of those points, and as zero within ``tiny``.
-    """
-
-    eps: float
-    tiny: float
-
-    @property
-    def pinf_threshold(self) -> float:
-        return 1.0 / self.eps
-
-    @property
-    def one_window(self) -> float:
-        return self.eps
-
-    @property
-    def zero_window(self) -> float:
-        return self.tiny
-
-
-DOUBLE = NumericPolicy(eps=sys.float_info.epsilon, tiny=sys.float_info.min)
+# Branch windows: lam counts as infinite beyond 1/EPS, as +/-1 within EPS
+# of those points, and as zero within TINY (the smallest positive normal).
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
+_PINF_THRESHOLD = 1.0 / EPS
 
 
 class Branch(Enum):
@@ -134,32 +115,32 @@ def render_lambda(lam: float) -> str:
     return repr(lam)
 
 
-def classify(lam: float, policy: NumericPolicy = DOUBLE) -> Branch:
+def classify(lam: float) -> Branch:
     """Assign lam to exactly one of the seven branches."""
     lam = _require_lambda(lam)
-    if lam > policy.pinf_threshold:
+    if lam > _PINF_THRESHOLD:
         return Branch.POS_INF
-    if abs(lam - 1.0) < policy.one_window:
+    if abs(lam - 1.0) < EPS:
         return Branch.ONE
-    if abs(lam) < policy.zero_window:
+    if abs(lam) < TINY:
         return Branch.ZERO
-    if abs(lam + 1.0) < policy.one_window:
+    if abs(lam + 1.0) < EPS:
         return Branch.NEG_ONE
-    if lam < -policy.pinf_threshold:
+    if lam < -_PINF_THRESHOLD:
         return Branch.NEG_INF
     return Branch.POS if lam > 0.0 else Branch.NEG
 
 
-def _nozero(value: float, policy: NumericPolicy) -> float:
+def _nozero(value: float) -> float:
     # Division guard; unreachable after classification but kept so the plan
-    # constants are total functions of (lam, policy).
-    return policy.tiny if abs(value) < policy.tiny else value
+    # constants are total functions of lam.
+    return TINY if abs(value) < TINY else value
 
 
 @lru_cache(maxsize=4096)
-def branch_plan(lam: float, policy: NumericPolicy = DOUBLE) -> BranchPlan:
+def branch_plan(lam: float) -> BranchPlan:
     """Build the scale/skip table row for lam."""
-    branch = classify(lam, policy)
+    branch = classify(lam)
     if branch is Branch.POS_INF:
         return BranchPlan(-1.0, False, 1.0, True, -1.0)
     if branch is Branch.ONE:
@@ -172,18 +153,18 @@ def branch_plan(lam: float, policy: NumericPolicy = DOUBLE) -> BranchPlan:
         return BranchPlan(-1.0, True, 1.0, False, -1.0)
     if branch is Branch.POS:
         return BranchPlan(
-            (1.0 - lam) / _nozero(lam, policy),
+            (1.0 - lam) / _nozero(lam),
             False,
-            1.0 / _nozero(1.0 - lam, policy),
+            1.0 / _nozero(1.0 - lam),
             False,
             lam,
         )
     return BranchPlan(
-        -1.0 / _nozero(lam, policy),
+        -1.0 / _nozero(lam),
         False,
         lam + 1.0,
         False,
-        -lam / _nozero(lam + 1.0, policy),
+        -lam / _nozero(lam + 1.0),
     )
 
 
@@ -216,35 +197,95 @@ def _exp(t: float) -> float:
         return math.inf
 
 
-def transform(x: float, lam: float, policy: NumericPolicy = DOUBLE) -> float:
-    """Stable evaluation of the transform at x.
+class _Ops(NamedTuple):
+    """The primitives a branch plan is composed from, for one operand kind."""
+
+    log1p: Callable
+    expm1: Callable
+    exp: Callable
+    minimum: Callable
+    maximum: Callable
+    ones: Callable
+
+
+# Two-argument min/max as conditionals: the builtins cost ~150 ns a call.
+_FLOAT_OPS = _Ops(
+    math.log1p,
+    _expm1,
+    _exp,
+    lambda a, b: b if b < a else a,
+    lambda a, b: b if b > a else a,
+    lambda x: 1.0,
+)
+_ARRAY_OPS = _Ops(np.log1p, np.expm1, np.exp, np.minimum, np.maximum, np.ones_like)
+
+
+def _elementwise(body, x, *params):
+    """Evaluate ``body(x, ops, *params)`` for a float or an ndarray x.
+
+    A float runs through libm and gives a float; an ndarray runs through
+    numpy ufuncs, with overflow to inf expected, and gives a float64 array
+    of its shape.  A NaN anywhere in x raises ValueError.
+    """
+    if isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise ValueError("x must not be NaN")
+        with np.errstate(over="ignore"):
+            return np.asarray(body(x, _ARRAY_OPS, *params))
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
+    return body(x, _FLOAT_OPS, *params)
+
+
+def _transform(x, ops: _Ops, lam: float):
+    plan = branch_plan(lam)
+    t = plan.pre_scale * ops.minimum(x, max_domain(lam))
+    if not plan.skip_log:
+        t = ops.log1p(ops.maximum(t, _ABOVE_MINUS_ONE))
+    t = plan.mid_scale * t
+    if not plan.skip_exp:
+        t = ops.expm1(t)
+    return plan.post_scale * t
+
+
+def _derivative(x, ops: _Ops, lam: float):
+    plan = branch_plan(lam)
+    t = plan.pre_scale * ops.minimum(x, max_domain(lam))
+    if not plan.skip_log:
+        inner = ops.log1p(ops.maximum(t, _ABOVE_MINUS_ONE))
+        if plan.skip_exp:
+            return ops.exp(-inner)
+        dmid = plan.mid_scale - 1.0
+        if dmid == 0.0:
+            # |lam| below ~eps/2 underflows the exponent entirely; the
+            # power this plan evaluates is 1, and 0 * inf must not leak
+            # NaN when pre_scale * x overflows.
+            return ops.ones(t)
+        return ops.exp(dmid * inner)
+    if plan.skip_exp:
+        return ops.ones(t)
+    return ops.exp(plan.mid_scale * t)
+
+
+def transform(x: float | np.ndarray, lam: float) -> float | np.ndarray:
+    """Stable evaluation of the transform at x (a float or an ndarray).
 
     x is clamped from above to :func:`max_domain` first, so the result is
     finite or +inf but never NaN for x >= 0 and any non-NaN lam.  Negative
     x is evaluated through the same branch formulas; inputs beyond the
     negative-side pole saturate the same way the clamped upper edge does.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    lam = _require_lambda(lam)
-    x = min(x, max_domain(lam))
-    plan = branch_plan(lam, policy)
-    t = plan.pre_scale * x
-    if not plan.skip_log:
-        t = math.log1p(max(t, _ABOVE_MINUS_ONE))
-    t = plan.mid_scale * t
-    if not plan.skip_exp:
-        t = _expm1(t)
-    return plan.post_scale * t
+    return _elementwise(_transform, x, _require_lambda(lam))
 
 
-def inverse(x: float, lam: float, policy: NumericPolicy = DOUBLE) -> float:
+def inverse(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     """Inverse transform; identical to evaluating at -lam."""
-    return transform(x, -_require_lambda(lam), policy)
+    return transform(x, -_require_lambda(lam))
 
 
-def derivative(x: float, lam: float, policy: NumericPolicy = DOUBLE) -> float:
+def derivative(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     """Analytic d/dx of :func:`transform`, strictly positive, 1 at x = 0.
 
     Shares the branch plan with :func:`transform`: for log-using branches
@@ -252,30 +293,10 @@ def derivative(x: float, lam: float, policy: NumericPolicy = DOUBLE) -> float:
     expm1 stage is active and exp(-log1p(pre_scale * x)) when it is
     skipped; the accumulated scale factors always cancel to 1.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    lam = _require_lambda(lam)
-    x = min(x, max_domain(lam))
-    plan = branch_plan(lam, policy)
-    t = plan.pre_scale * x
-    if not plan.skip_log:
-        inner = math.log1p(max(t, _ABOVE_MINUS_ONE))
-        if plan.skip_exp:
-            return _exp(-inner)
-        dmid = plan.mid_scale - 1.0
-        if dmid == 0.0:
-            # |lam| below ~eps/2 underflows the exponent entirely; the
-            # power this plan evaluates is 1, and 0 * inf must not leak
-            # NaN when pre_scale * x overflows.
-            return 1.0
-        return _exp(dmid * inner)
-    if plan.skip_exp:
-        return 1.0
-    return _exp(plan.mid_scale * t)
+    return _elementwise(_derivative, x, _require_lambda(lam))
 
 
-def transform_naive(x: float, lam: float, policy: NumericPolicy = DOUBLE) -> float:
+def transform_naive(x: float, lam: float) -> float:
     """Literal closed-form evaluation through pow, with no expm1/log1p.
 
     Exists as the comparison subject for the accuracy harness.  The closed
@@ -287,7 +308,7 @@ def transform_naive(x: float, lam: float, policy: NumericPolicy = DOUBLE) -> flo
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     lam = _require_lambda(lam)
-    if math.isinf(lam) or abs(lam) < policy.tiny:
+    if math.isinf(lam) or abs(lam) < TINY:
         raise UnsupportedBranchError(
             f"naive closed form undefined at lam = {render_lambda(lam)}"
         )
@@ -297,20 +318,3 @@ def transform_naive(x: float, lam: float, policy: NumericPolicy = DOUBLE) -> flo
     expo = (1.0 - s) ** (-1.0 if lam > 0.0 else 1.0)
     return scale * ((1.0 + inner * x) ** expo - 1.0)
 
-
-def _transform_array(x: np.ndarray, lam: float, policy: NumericPolicy = DOUBLE) -> np.ndarray:
-    """Vectorized :func:`transform` for a fixed lam (internal).
-
-    Same plan, clamp, and -1 guard as the scalar path; used where whole
-    grids are evaluated at one lam (quadrature, sweeps, test oracles).
-    """
-    lam = _require_lambda(lam)
-    plan = branch_plan(lam, policy)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.minimum(np.asarray(x, dtype=float), max_domain(lam)) * plan.pre_scale
-        if not plan.skip_log:
-            t = np.log1p(np.maximum(t, _ABOVE_MINUS_ONE))
-        t = plan.mid_scale * t
-        if not plan.skip_exp:
-            t = np.expm1(t)
-        return plan.post_scale * t

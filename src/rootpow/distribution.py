@@ -22,8 +22,8 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import PchipInterpolator
 
-from .core import DOUBLE, _require_lambda, transform
-from .loss import _loss_array, _require_scale, loss
+from .core import EPS, _require_lambda, transform
+from .loss import _require_scale, loss
 
 __all__ = [
     "partition_function",
@@ -82,11 +82,11 @@ def partition_function(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> floa
     if num_points % 2 == 0:
         num_points += 1
     # Where exp(-loss) drops to eps**2: loss = -log(eps**2), so invert.
-    cutoff = -math.log(DOUBLE.eps**2)
+    cutoff = -math.log(EPS**2)
     x_max = math.sqrt(2.0 * transform(cutoff, -lam))
     u = np.linspace(0.0, math.log1p(x_max), num_points)
     x = np.expm1(u)
-    y = np.exp(-_loss_array(x, lam))
+    y = np.exp(-loss(x, lam))
     return 2.0 * float(simpson(y, x=x))
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .core import _require_lambda
 from .kernel import irls_weight
@@ -40,6 +42,9 @@ class IrlsProblem:
     c: float = 1.0
     max_iters: int = 100
     tol: float = 1e-12
+    # The observations once more, as a read-only float64 array for the
+    # vectorized sweeps.
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         obs = tuple(float(v) for v in self.observations)
@@ -48,6 +53,9 @@ class IrlsProblem:
         if not all(map(math.isfinite, obs)):
             raise ValueError("observations must all be finite")
         object.__setattr__(self, "observations", obs)
+        values = np.array(obs, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "_values", values)
         lam = _require_lambda(self.lam)
         if lam > 0.0:
             raise ValueError(f"IRLS requires lam <= 0, got {lam!r}")
@@ -72,26 +80,25 @@ class IrlsResult:
 def irls_step(mu: float, problem: IrlsProblem) -> float:
     """One reweighting sweep: kernel weights at current residuals, then
     the weighted mean."""
-    weights = [irls_weight(x - mu, problem.lam, problem.c) for x in problem.observations]
-    total = math.fsum(weights)
+    values = problem._values
+    weights = irls_weight(values - mu, problem.lam, problem.c)
+    total = math.fsum(weights.tolist())
     if not (total > 0.0) or math.isinf(total):
         return mu
-    return math.fsum(w * x for w, x in zip(weights, problem.observations)) / total
+    return math.fsum((weights * values).tolist()) / total
 
 
 def loss_objective(mu: float, problem: IrlsProblem) -> float:
     """Summed robust loss at location mu."""
-    return math.fsum(loss(x - mu, problem.lam, problem.c) for x in problem.observations)
+    return math.fsum(loss(problem._values - mu, problem.lam, problem.c).tolist())
 
 
 def objective_gradient(mu: float, problem: IrlsProblem) -> float:
     """d/dmu of the objective, through the analytic kernel identity
     rho'(r) = r * kernel(r) / c**2."""
+    r = problem._values - mu
     c2 = problem.c * problem.c
-    return -math.fsum(
-        (x - mu) * irls_weight(x - mu, problem.lam, problem.c) / c2
-        for x in problem.observations
-    )
+    return -math.fsum((r * irls_weight(r, problem.lam, problem.c) / c2).tolist())
 
 
 def fit_location(problem: IrlsProblem) -> IrlsResult:

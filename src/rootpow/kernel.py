@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _require_lambda, derivative
+from .core import _derivative, _elementwise, _require_lambda
 from .loss import _require_scale
 
 __all__ = ["kernel", "kernel_reference", "irls_weight", "KERNEL_REFERENCE_LAMBDAS"]
@@ -25,17 +25,18 @@ KERNEL_REFERENCE_LAMBDAS = {
 }
 
 
-def kernel(x: float, lam: float, c: float = 1.0) -> float:
-    """Kernel value at distance x; 1 at the origin, strictly positive, even."""
-    lam = _require_lambda(lam)
-    c = _require_scale(c)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    return derivative(0.5 * (x / c) ** 2, lam)
+def _kernel(x, ops, lam: float, c: float):
+    r = x / c  # squared as in loss._loss
+    return _derivative(0.5 * r * r, ops, lam)
 
 
-def irls_weight(residual: float, lam: float, c: float = 1.0) -> float:
+def kernel(x, lam: float, c: float = 1.0):
+    """Kernel value at distance x (a float or an ndarray); 1 at the
+    origin, strictly positive, even."""
+    return _elementwise(_kernel, x, _require_lambda(lam), _require_scale(c))
+
+
+def irls_weight(residual, lam: float, c: float = 1.0):
     """IRLS weight of a residual: the kernel evaluated at it.
 
     The c**2 factor that relates kernel and loss gradient is dropped; the

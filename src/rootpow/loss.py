@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .core import _require_lambda, _transform_array, transform
+from .core import _elementwise, _require_lambda, _transform
 
 __all__ = ["loss", "loss_reference", "LOSS_REFERENCE_LAMBDAS"]
 
@@ -34,19 +32,24 @@ def _require_scale(c: float) -> float:
     return c
 
 
-def loss(x: float, lam: float, c: float = 1.0) -> float:
-    """Robust penalty of residual x at shape lam and scale c.
+def _loss(x, ops, lam: float, c: float):
+    # r * r, not r ** 2: past the binary64 range a float product gives inf,
+    # which the transform maps to its limit, where ** raises OverflowError;
+    # and the product is correctly rounded, which libm's pow(r, 2.0) is not
+    # on about 1 input in 1000.
+    r = x / c
+    return _transform(0.5 * r * r, ops, lam)
+
+
+def loss(x, lam: float, c: float = 1.0):
+    """Robust penalty of residual x (a float or an ndarray) at shape lam
+    and scale c.
 
     Even in x, zero at x = 0, non-negative, and non-decreasing in lam.
     For lam > 1 the squared argument can pass the transform's pole; the
     core clamp makes the loss saturate at a large finite value there.
     """
-    lam = _require_lambda(lam)
-    c = _require_scale(c)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    return transform(0.5 * (x / c) ** 2, lam)
+    return _elementwise(_loss, x, _require_lambda(lam), _require_scale(c))
 
 
 def loss_reference(x: float, name: str, c: float = 1.0) -> float:
@@ -71,9 +74,3 @@ def loss_reference(x: float, name: str, c: float = 1.0) -> float:
         return 2.0 * x * x / (4.0 * c * c + x * x)
     raise ValueError(f"unknown loss name {name!r}")
 
-
-def _loss_array(x: np.ndarray, lam: float, c: float = 1.0) -> np.ndarray:
-    """Vectorized `loss` for a fixed lam (internal)."""
-    c = _require_scale(c)
-    r = np.asarray(x, dtype=float) / c
-    return _transform_array(0.5 * r * r, lam)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from rootpow.core import max_domain
-from rootpow.loss import _loss_array
+from rootpow.loss import loss
 
 
 def ulps_apart(a: float, b: float) -> float:
@@ -83,7 +83,7 @@ def minimize_objective(obs, lam: float, c: float = 1.0) -> float:
     obs = np.asarray(obs, dtype=float)
     lo, hi = obs.min() - 1.0, obs.max() + 1.0
     grid = np.linspace(lo, hi, 200001)
-    vals = _loss_array(obs[None, :] - grid[:, None], lam, c).sum(axis=1)
+    vals = loss(obs[None, :] - grid[:, None], lam, c).sum(axis=1)
     med = float(np.median(obs))
     i = int(np.argmin(np.abs(grid - med)))
     while 0 < i < len(grid) - 1:
@@ -96,7 +96,7 @@ def minimize_objective(obs, lam: float, c: float = 1.0) -> float:
     a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
 
     def f(mu: float) -> float:
-        return float(_loss_array(obs - mu, lam, c).sum())
+        return float(loss(obs - mu, lam, c).sum())
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = b - invphi * (b - a), a + invphi * (b - a)

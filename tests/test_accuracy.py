@@ -1,6 +1,7 @@
 """Accuracy harness: wide-float oracle, error sweep, CSV rendering."""
 
 import math
+import sys
 
 import pytest
 
@@ -12,7 +13,7 @@ from rootpow.accuracy import (
     oracle_transform,
     report_to_csv,
 )
-from rootpow.core import DOUBLE, max_domain, transform, transform_naive
+from rootpow.core import max_domain, transform, transform_naive
 
 from conftest import stable_ulp_budget, ulps_apart
 
@@ -82,13 +83,13 @@ class TestSweep:
         assert by_lam[1.0].err_naive is None  # ZeroDivision in scaffolding
         assert by_lam[0.0].err_naive is None  # unsupported branch
         for row in report.rows:
-            assert row.err_stable >= DOUBLE.tiny
+            assert row.err_stable >= sys.float_info.min
 
     def test_zero_error_floor(self):
         # Near-one shapes round to the truth at every sample, so the
         # stable column sits exactly on the floor.
         report = error_sweep([1.0 + 1e-8], n=16)
-        assert report.rows[0].err_stable == pytest.approx(DOUBLE.tiny, rel=1e-12)
+        assert report.rows[0].err_stable == pytest.approx(sys.float_info.min, rel=1e-12)
 
     def test_friendly_region_is_tiny(self):
         # Closed-form-friendly shape: stable path errors stay far below

@@ -2,12 +2,22 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import rootpow
 from rootpow.cli import main
+
+# Child interpreters import rootpow from where this process found it, so
+# the console tests also run from a checkout without an install.
+_SRC = os.path.dirname(os.path.dirname(rootpow.__file__))
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 @pytest.fixture
@@ -97,6 +107,12 @@ class TestEval:
         code, _, err = run(["eval", "--fn", "h", "--lambda", "2", "--x=-1.5"])
         assert code == 2
         assert "error:" in err
+
+    def test_loss_past_binary64_square(self, run):
+        code, out, err = run(["eval", "--fn", "rho", "--lambda=-2", "--x", "1e200"])
+        assert code == 0
+        assert out == "x,value\n9.9999999999999997e+199,2\n"
+        assert err == ""
 
     def test_determinism(self, run):
         argv = ["eval", "--fn", "pdf", "--lambda", "0.5", "--x=-2:2:41"]
@@ -231,6 +247,7 @@ class TestConsoleEntry:
             [sys.executable, "-m", "rootpow.cli"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 2  # argparse: missing subcommand
 
@@ -238,7 +255,7 @@ class TestConsoleEntry:
         argv = [sys.executable, "-c",
                 "from rootpow.cli import entrypoint; entrypoint()",
                 "eval", "--fn", "f", "--lambda", "0.5", "--x", "0:1:5"]
-        a = subprocess.run(argv[:2] + argv[2:], capture_output=True)
-        b = subprocess.run(argv[:2] + argv[2:], capture_output=True)
+        a = subprocess.run(argv[:2] + argv[2:], capture_output=True, env=CHILD_ENV)
+        b = subprocess.run(argv[:2] + argv[2:], capture_output=True, env=CHILD_ENV)
         assert a.returncode == 0
         assert a.stdout == b.stdout

@@ -1,6 +1,8 @@
 """Core transform: branches, domains, stable/naive/inverse/derivative."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootpow.core import (
-    DOUBLE,
     Branch,
     UnsupportedBranchError,
     branch_plan,
@@ -21,6 +22,8 @@ from rootpow.core import (
     transform,
     transform_naive,
 )
+from rootpow.kernel import irls_weight, kernel
+from rootpow.loss import loss
 
 from conftest import (
     closed_form_ulp_allowance,
@@ -29,8 +32,8 @@ from conftest import (
     ulps_apart,
 )
 
-EPS = DOUBLE.eps
-TINY = DOUBLE.tiny
+EPS = sys.float_info.epsilon
+TINY = sys.float_info.min
 
 # Closed forms for the simple-fraction shapes, algebraically rearranged so
 # no "pow minus one" cancellation pollutes the oracle at small x; they
@@ -362,16 +365,90 @@ class TestConcurrency:
 
 
 class TestVectorPath:
-    def test_matches_scalar_within_rounding(self):
-        # The array helper backs the quadrature and sweeps; it may differ
-        # from libm by ulps but never materially.
-        from rootpow.core import _transform_array
+    """The public evaluators on an ndarray run numpy's ufuncs instead of
+    libm, so they may differ from the float path by ulps, never more."""
 
+    @staticmethod
+    def _core_grid(lam):
+        return np.linspace(0.0, 0.9 * min(max_domain(lam), 50.0), 333)
+
+    @staticmethod
+    def _residual_grid(lam, c):
+        # residuals whose half square 0.5 * (x/c)**2 spans the core grid
+        half = math.sqrt(2.0 * 0.9 * min(max_domain(lam), 50.0))
+        return np.linspace(-half * c, half * c, 333)
+
+    @staticmethod
+    def _exp_budget(value):
+        # exp(E) carries |E| times the relative error of E plus its own
+        # rounding on each path: 4 + 2.5 |E| ulps, with E = log(value).
+        return (4.0 + 2.5 * abs(math.log(value))) * math.ulp(value) + 5e-324
+
+    def test_matches_scalar_within_rounding(self):
         for lam in LAMBDA_GRID:
-            xs = np.linspace(0.0, 0.9 * min(max_domain(lam), 50.0), 333)
-            batch = _transform_array(xs, lam)
+            xs = self._core_grid(lam)
+            batch = transform(xs, lam)
             for x, v in zip(xs, batch):
                 x = float(x)
                 want = transform(x, lam)
                 budget = (stable_ulp_budget(x, lam) + 4.0) * math.ulp(abs(want)) + 5e-324
                 assert abs(v - want) <= budget, (lam, x)
+
+    def test_derivative_matches_scalar(self):
+        for lam in LAMBDA_GRID:
+            xs = self._core_grid(lam)
+            for x, v in zip(xs, derivative(xs, lam)):
+                want = derivative(float(x), lam)
+                assert abs(v - want) <= self._exp_budget(want), (lam, x)
+
+    def test_loss_matches_scalar(self):
+        # same budget as the transform, taken at the half square u
+        for lam in LAMBDA_GRID:
+            for c in (0.5, 2.0):
+                xs = self._residual_grid(lam, c)
+                for x, v in zip(xs, loss(xs, lam, c)):
+                    x = float(x)
+                    want = loss(x, lam, c)
+                    u = 0.5 * (x / c) * (x / c)
+                    budget = (stable_ulp_budget(u, lam) + 4.0) * math.ulp(abs(want)) + 5e-324
+                    assert abs(v - want) <= budget, (lam, c, x)
+
+    def test_kernel_matches_scalar(self):
+        for lam in LAMBDA_GRID:
+            for c in (0.5, 2.0):
+                xs = self._residual_grid(lam, c)
+                for x, v in zip(xs, kernel(xs, lam, c)):
+                    want = kernel(float(x), lam, c)
+                    assert abs(v - want) <= self._exp_budget(want), (lam, c, x)
+
+    def test_float_in_float_out(self):
+        for fn in (transform, inverse, derivative, loss, kernel, irls_weight):
+            for x in (0.25, 1, np.float64(0.25)):
+                assert type(fn(x, -2.0)) is float, (fn.__name__, x)
+
+    def test_array_in_same_shape_out(self):
+        for fn in (transform, inverse, derivative, loss, kernel, irls_weight):
+            for xs in (np.linspace(0.0, 0.9, 12).reshape(3, 4), np.array(0.5), np.arange(3)):
+                out = fn(xs, -2.0)
+                assert isinstance(out, np.ndarray), fn.__name__
+                assert out.shape == xs.shape and out.dtype == np.float64, fn.__name__
+                want = [fn(float(x), -2.0) for x in xs.ravel()]
+                np.testing.assert_allclose(out.ravel(), want, rtol=1e-14)
+
+    def test_nan_in_array_raises(self):
+        xs = np.array([0.1, math.nan, 0.3])
+        for fn in (transform, inverse, derivative, loss, kernel, irls_weight):
+            with pytest.raises(ValueError):
+                fn(xs, -2.0)
+
+    def test_saturation_is_silent(self):
+        # overflow to inf inside the composition is the saturation path,
+        # not a condition to warn about
+        xs = np.array([0.0, 1e200, -1e300, 1.7e308, math.inf, -math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in LAMBDA_GRID:
+                for fn in (transform, derivative):
+                    assert not np.isnan(fn(np.abs(xs), lam)).any(), (fn.__name__, lam)
+                for fn in (loss, kernel):
+                    assert not np.isnan(fn(xs, lam)).any(), (fn.__name__, lam)

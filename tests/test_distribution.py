@@ -78,6 +78,11 @@ class TestPdf:
         assert pdf(math.sqrt(2.0), math.inf, 1.0) == 0.0
         assert pdf(2.0 * 3.0, 2.0, 3.0) == 0.0
 
+    def test_far_tail_underflows_to_zero(self):
+        # the squared residual overflows to inf, so the density is 0
+        assert pdf(1e300, 0.0) == 0.0
+        assert pdf(-1e200, -1.0) == 0.0
+
     def test_smooth_laplace_closed_form(self):
         k1 = float(mpmath.besselk(1, 1))
         for x in [0.0, 0.7, 2.0, 5.0]:

@@ -72,6 +72,15 @@ class TestExamples:
         result = fit_location(problem)
         assert loss_objective(result.mu, problem) <= loss_objective(10.0 / 3.0, problem)
 
+    def test_observation_past_binary64_square(self):
+        # the 1e300 residual squares to inf, gets weight 0, and the fit
+        # settles on the bulk
+        obs = (-0.5, 0.25, 0.0, 0.5, -0.25, 1e300)
+        result = fit_location(IrlsProblem(observations=obs, lam=-1.0))
+        assert result.converged
+        assert math.isfinite(result.mu) and abs(result.mu) <= 0.5
+        assert result.grad_norm <= 1e-8 * (1.0 + 1e300)
+
 
 class TestDescent:
     def test_objective_never_increases(self):

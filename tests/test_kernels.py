@@ -111,3 +111,13 @@ class TestIrlsWeight:
 
     def test_gaussian_outlier_weight(self):
         assert irls_weight(10.0, -math.inf, 1.0) == pytest.approx(math.exp(-50.0), rel=1e-13)
+
+
+class TestBinary64Extremes:
+    def test_square_past_binary64_range(self):
+        # (x/c)**2 overflows near |x/c| = 1.3e154; the kernel decays to 0
+        # for lam < 0 and stays 1 at lam = 0 instead of raising
+        assert kernel(1e200, -2.0) == 0.0
+        assert kernel(-1e300, -math.inf) == 0.0
+        assert kernel(1.0, -1.0, 1e-200) == 0.0
+        assert irls_weight(1e200, 0.0) == 1.0

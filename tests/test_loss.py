@@ -90,3 +90,12 @@ class TestShape:
             assert not math.isnan(value)
             assert value > 30.0
             assert value >= loss(1.0, lam, 1.0)
+
+    def test_square_past_binary64_range_saturates(self):
+        # (x/c)**2 overflows near |x/c| = 1.3e154; the transform maps the
+        # inf to its saturation level, lam / (lam + 1) for lam < -1
+        assert loss(1e200, -2.0) == 2.0
+        assert loss(-1e200, -2.0) == 2.0
+        assert loss(1.0, -2.0, 1e-200) == 2.0
+        assert loss(1e200, -math.inf) == 1.0
+        assert loss(1e200, 0.0) == math.inf
