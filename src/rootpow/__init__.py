@@ -8,7 +8,8 @@ One shape parameter ranging over the extended reals drives everything:
 - ``loss`` and ``kernel``: robust penalties and the matching stationary
   kernels, which double as IRLS weights.
 - ``pdf`` / ``partition_function`` / ``ZTable``: the normalized density
-  family with a warped-Simpson normalizer and a persisted lookup table.
+  family with a Simpson normalizer on a uniform log1p grid and a persisted
+  lookup table interpolated by a monotone cubic Hermite.
 - ``bump`` / ``bump_classic``: compactly supported bumps on (-1, 1).
 - ``signed_transform`` and the activation reconstructions ``softplus``,
   ``sigmoid``, ``tanh``, ``relu``.

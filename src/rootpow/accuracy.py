@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .core import (
@@ -64,6 +63,8 @@ def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:
     Doubling ``dps`` must not move the rounded result by more than the
     final rounding itself; tests assert this.
     """
+    import mpmath  # imported here so that importing rootpow does not load it
+
     x = float(x)
     if math.isnan(x):
         raise ValueError("x must not be NaN")

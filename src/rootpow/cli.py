@@ -5,7 +5,9 @@ Data goes to stdout, diagnostics to stderr.  Floats are printed with 17
 significant digits so every CSV/JSON value parses back to the exact
 double.  Exit codes: 0 success, 1 data or I/O failure, 2 validation
 failure (also what argparse uses), and for `irls` specifically 2 when the
-iteration cap is hit before convergence.
+iteration cap is hit before convergence.  An error no command diagnoses
+exits 1 with a one-line ``error: <type>: <message>`` instead of a
+traceback.
 """
 
 from __future__ import annotations
@@ -305,6 +307,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -2,13 +2,14 @@
 
 pdf(x) = exp(-loss(x, lam, c)) / (c * Z(lam)) for lam >= -1.  The
 normalizer Z has no tractable closed form; :func:`partition_function`
-integrates it with composite Simpson over nodes warped by expm1 so that
-the fat-tailed members near lam = -1 (whose support is effectively
-[0, ~6e15]) get logarithmically spaced samples.  For repeated or
-table-driven use, :func:`build_table` precomputes log Z on a grid over the
-compactified coordinate s = lam / (1 + |lam|), which maps lam in
-[-1, +inf] onto [-1/2, 1], and :class:`ZTable` interpolates it with a
-monotone cubic.
+integrates it with composite Simpson on a uniform grid in u = log1p(x),
+so that the fat-tailed members near lam = -1 (whose support is
+effectively [0, ~6e15]) get logarithmically spaced samples in x.  For
+repeated or table-driven use, :func:`build_table` precomputes log Z on a
+uniform grid over the compactified coordinate s = lam / (1 + |lam|), which
+maps lam in [-1, +inf] onto [-1/2, 1], and :class:`ZTable` interpolates it
+with the monotone cubic Hermite (PCHIP) of Fritsch and Carlson, SIAM J.
+Numer. Anal. 17 (1980).
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import PchipInterpolator
 
 from .core import EPS, _require_lambda, transform
 from .loss import _require_scale, loss
@@ -71,9 +70,10 @@ def partition_function(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> floa
     """Normalizing integral of exp(-loss(x, lam, 1)) over the real line.
 
     Composite Simpson over [0, x_max] doubled for symmetry, where x_max is
-    the point at which the unnormalized density falls below eps**2.  Node
-    count is normalized up to the next odd integer so every interval pair
-    is complete.
+    the point at which the unnormalized density falls below eps**2.  The
+    nodes are uniform in u = log1p(x), so the integrand carries the
+    Jacobian dx/du = e**u.  Node count is normalized up to the next odd
+    integer so every interval pair is complete.
     """
     lam = _require_dist_lambda(lam)
     num_points = int(num_points)
@@ -84,10 +84,14 @@ def partition_function(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> floa
     # Where exp(-loss) drops to eps**2: loss = -log(eps**2), so invert.
     cutoff = -math.log(EPS**2)
     x_max = math.sqrt(2.0 * transform(cutoff, -lam))
-    u = np.linspace(0.0, math.log1p(x_max), num_points)
-    x = np.expm1(u)
-    y = np.exp(-loss(x, lam))
-    return 2.0 * float(simpson(y, x=x))
+    u_max = math.log1p(x_max)
+    u = np.linspace(0.0, u_max, num_points)
+    weights = np.full(num_points, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    y = np.exp(u - loss(np.expm1(u), lam))
+    h = u_max / (num_points - 1)
+    return 2.0 * h / 3.0 * float(np.dot(weights, y))
 
 
 def pdf(
@@ -129,10 +133,41 @@ def _decompactify(s: float) -> float:
     return s / (1.0 + s)
 
 
+def _pchip_slopes(m: np.ndarray) -> np.ndarray:
+    """Node slopes of the monotone cubic Hermite interpolant on a uniform
+    grid whose cell secants are m (Fritsch and Carlson; the slopes of
+    scipy.interpolate.PchipInterpolator with every spacing equal).
+
+    Interior slopes are the weighted harmonic mean of the two adjacent
+    secants, or 0 where those differ in sign or one is 0.  The end slopes
+    come from the one-sided three-point rule, set to 0 when that points
+    against the end secant and clamped to 3 times the end secant when the
+    first two secants differ in sign and it overshoots.
+    """
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    slopes = np.zeros(len(m) + 1)
+    # equal spacing gives the harmonic mean equal weights, and the end rule
+    # ((2 h0 + h1) m0 - h0 m1) / (h0 + h1) becomes (3 m0 - m1) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        harmonic = 2.0 / (1.0 / m[:-1] + 1.0 / m[1:])
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    slopes[1:-1] = np.where(flat, 0.0, harmonic)
+    for end, (m0, m1) in ((0, (m[0], m[1])), (-1, (m[-1], m[-2]))):
+        d = (3.0 * m0 - m1) / 2.0
+        if np.sign(d) != np.sign(m0):
+            d = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            d = 3.0 * m0
+        slopes[end] = d
+    return slopes
+
+
 @dataclass(frozen=True)
 class ZTable:
-    """Precomputed log Z on a strictly increasing grid of the compactified
-    coordinate, plus the quadrature node count that produced it."""
+    """Precomputed log Z on a uniform, strictly increasing grid of the
+    compactified coordinate, plus the quadrature node count that produced
+    it."""
 
     s_grid: tuple[float, ...]
     log_z: tuple[float, ...]
@@ -147,27 +182,45 @@ class ZTable:
         diffs = np.diff(self.s_grid)
         if not np.all(diffs > 0.0):
             raise ValueError("s_grid must be strictly increasing")
+        # lookup finds the cell by division, which needs equal spacing
+        if not np.all(np.abs(diffs - diffs[0]) <= 1e-9 * diffs[0]):
+            raise ValueError("s_grid must be uniformly spaced")
         if not all(map(math.isfinite, self.log_z)):
             raise ValueError("log_z values must be finite")
 
     @cached_property
-    def _interpolator(self) -> PchipInterpolator:
-        s = np.asarray(self.s_grid)
-        smoothed = np.asarray(self.log_z) - np.array(
-            [_interpolation_kink(float(t)) for t in s]
-        )
-        return PchipInterpolator(s, smoothed)
+    def _cells(self) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
+        """Grid step and, per cell, the kink-subtracted cubic in powers of
+        s - s_k, highest first, as plain floats for a numpy-free lookup."""
+        step = (self.s_grid[-1] - self.s_grid[0]) / (len(self.s_grid) - 1)
+        y = np.asarray(self.log_z) - np.array([_interpolation_kink(t) for t in self.s_grid])
+        h = np.diff(self.s_grid)
+        secant = np.diff(y) / h
+        d = _pchip_slopes(secant)
+        t = (d[:-1] + d[1:] - 2.0 * secant) / h
+        coeffs = np.stack([t / h, (secant - d[:-1]) / h - t, d[:-1], y[:-1]], axis=1)
+        return step, tuple(map(tuple, coeffs.tolist()))
 
     def lookup(self, lam: float) -> float:
         """Interpolated Z; exact at grid nodes, domain lam >= -1."""
         lam = _require_dist_lambda(lam)
         s = _compactify(lam)
-        if s >= self.s_grid[-1]:
+        grid = self.s_grid
+        if s >= grid[-1]:
             return math.exp(self.log_z[-1])
-        idx = np.searchsorted(self.s_grid, s)
-        if idx < len(self.s_grid) and self.s_grid[idx] == s:
-            return math.exp(self.log_z[idx])
-        return math.exp(float(self._interpolator(s)) + _interpolation_kink(s))
+        step, cells = self._cells
+        # below the first node the first cell's cubic extrapolates
+        i = min(max(int((s - grid[0]) / step), 0), len(cells) - 1)
+        # the division can land one cell off where linspace rounded a node
+        if i > 0 and s < grid[i]:
+            i -= 1
+        elif s >= grid[i + 1]:
+            i += 1
+        if s == grid[i]:
+            return math.exp(self.log_z[i])
+        a, b, c, d = cells[i]
+        t = s - grid[i]
+        return math.exp(((a * t + b) * t + c) * t + d + _interpolation_kink(s))
 
     def save(self, path) -> None:
         payload = {

@@ -39,8 +39,13 @@ def signed_transform(x: float, lam_pos: float, lam_neg: float) -> float:
 
 
 def softplus(x: float) -> float:
-    # Inner call is expm1 on both half axes, so inner + 1 = e**x > 0 and the
-    # outer negative-side shape never fires; 0 is the cheapest placeholder.
+    x = float(x)
+    # softplus(x) = x + softplus(-x) keeps the inner expm1 on x <= 0, where
+    # it cannot overflow (past x = 709.78 it would, and return inf).
+    if x > 0.0:
+        return x + softplus(-x)
+    # The inner call is expm1(x), so inner + 1 = e**x > 0 and the outer
+    # negative-side shape never fires; 0 is the cheapest placeholder.
     return signed_transform(signed_transform(x, 1.0, -math.inf) + 1.0, -1.0, 0.0)
 
 

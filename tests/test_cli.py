@@ -170,6 +170,34 @@ class TestZTableCommand:
         assert run(args + ["--output", str(p2)])[0] == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_non_uniform_table_rejected(self, run, tmp_path):
+        path = tmp_path / "zt.json"
+        path.write_text(json.dumps({
+            "s_grid": [-0.5, 0.0, 0.25, 1.0],
+            "log_z": [1.0, 1.0, 1.0, 1.0],
+            "num_points": 64,
+            "precision": "binary64",
+        }))
+        code, out, err = run(
+            ["eval", "--fn", "pdf", "--lambda", "0", "--ztable", str(path), "--x", "0"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot load ztable")
+
+    def test_malformed_table_is_one_line_error(self, run, tmp_path):
+        path = tmp_path / "zt.json"
+        path.write_text(json.dumps({
+            "s_grid": 5, "log_z": [1.0], "num_points": 64, "precision": "binary64",
+        }))
+        code, out, err = run(
+            ["eval", "--fn", "pdf", "--lambda", "0", "--ztable", str(path), "--x", "0"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
     def test_small_grid_rejected(self, run, tmp_path):
         code, _, err = run(["ztable", "--grid-size", "8", "--output", str(tmp_path / "x.json")])
         assert code == 2
@@ -250,6 +278,19 @@ class TestConsoleEntry:
             env=CHILD_ENV,
         )
         assert proc.returncode == 2  # argparse: missing subcommand
+
+    def test_import_loads_neither_scipy_nor_mpmath(self):
+        # scipy is a test-only oracle and mpmath is loaded by the accuracy
+        # oracle when it runs, so neither belongs in every CLI start-up
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rootpow.cli; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_script_roundtrip(self):
         argv = [sys.executable, "-c",

@@ -6,11 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from rootpow.distribution import (
     ZTable,
     _compactify,
     _decompactify,
+    _interpolation_kink,
     build_table,
     partition_function,
     pdf,
@@ -37,6 +39,12 @@ class TestPartitionFunction:
         for lam, want in CLOSED_Z.items():
             got = partition_function(lam)
             assert abs(got - want) <= 1e-6 * want, (lam, got, want)
+
+    def test_cauchy_constant_tight(self):
+        # the log1p-uniform Simpson rule resolves the heavy Cauchy tail far
+        # below the family's 1e-6 tolerance
+        want = math.pi * math.sqrt(2.0)
+        assert abs(partition_function(-1.0) - want) <= 2e-10 * want
 
     def test_high_node_oracle(self):
         # Independent pin of the smooth-Laplace constant: a 2**20-node run
@@ -146,7 +154,9 @@ class TestZTable:
         assert all(map(math.isfinite, table.log_z))
 
     def test_node_lookup_returns_stored_value(self, table):
-        for idx in [0, len(table.s_grid) // 3, len(table.s_grid) - 1]:
+        # every node, because the cell search must land on nodes whose
+        # linspace value rounds below (s - s0) / step as well
+        for idx in range(len(table.s_grid)):
             lam = _decompactify(table.s_grid[idx])
             stored = math.exp(table.log_z[idx])
             if _compactify(lam) == table.s_grid[idx]:
@@ -168,6 +178,21 @@ class TestZTable:
         for lam in [3.7, -0.3, 0.9, 12.0]:
             direct = partition_function.__wrapped__(lam, 2048)
             assert table.lookup(lam) == pytest.approx(direct, rel=1e-5)
+
+    def test_lookup_matches_scipy_pchip(self, table):
+        # scipy's PchipInterpolator on the same kink-subtracted nodes is the
+        # reference for the hand-written monotone cubic Hermite
+        s = np.asarray(table.s_grid)
+        kink = np.array([_interpolation_kink(t) for t in table.s_grid])
+        smoothed = np.asarray(table.log_z) - kink
+        reference = PchipInterpolator(s, smoothed)
+        rng = np.random.default_rng(2718)
+        probes = [*rng.uniform(-0.5, 1.0, 1000), -0.5, 1.0, 1.0 - 1e-12, -0.5 + 1e-12]
+        for probe in probes:
+            lam = _decompactify(float(probe))
+            s_lam = _compactify(lam)
+            want = math.exp(float(reference(s_lam)) + _interpolation_kink(s_lam))
+            assert abs(table.lookup(lam) - want) <= 1e-12 * want, lam
 
     def test_lookup_domain(self, table):
         with pytest.raises(ValueError):
@@ -206,6 +231,12 @@ class TestZTable:
         }))
         with pytest.raises(ValueError):
             ZTable.load(path)
+
+    def test_non_uniform_grid_rejected(self, table):
+        s_grid = list(table.s_grid)
+        s_grid[5] += 1e-6 * (s_grid[6] - s_grid[5])
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            ZTable(s_grid=tuple(s_grid), log_z=table.log_z, num_points=table.num_points)
 
     def test_build_validation(self):
         with pytest.raises(ValueError):

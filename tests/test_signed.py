@@ -1,6 +1,7 @@
 """Signed transform stitching and the activation reconstructions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ class TestActivations:
         assert softplus(-20.0) == pytest.approx(math.exp(-20.0), rel=1e-6)
         assert softplus(20.0) == pytest.approx(20.0, abs=1e-6)
         assert softplus(0.0) == math.log(2.0)
+
+    def test_softplus_past_expm1_overflow(self):
+        # e**x overflows past 709.78; the reconstruction must not
+        for x in [709.8, 710.0, 1e300, sys.float_info.max]:
+            assert softplus(x) == x
+        assert softplus(-1e300) == 0.0
 
     def test_sigmoid(self):
         for x in self.XS:
