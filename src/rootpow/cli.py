@@ -109,7 +109,7 @@ def _eval_function(args):
         if args.ztable is not None:
             try:
                 table = dist_mod.ZTable.load(args.ztable)
-            except (OSError, ValueError, KeyError) as exc:
+            except (OSError, ValueError) as exc:
                 raise CliError(f"cannot load ztable: {exc}") from None
         return lambda x: dist_mod.pdf(x, lam, c, table=table)
     if fn == "bump":

@@ -179,14 +179,14 @@ class ZTable:
             raise ValueError("s_grid and log_z must have equal length")
         if len(self.s_grid) < 2:
             raise ValueError("table needs at least two nodes")
+        if not (np.isfinite(self.s_grid).all() and np.isfinite(self.log_z).all()):
+            raise ValueError("s_grid and log_z values must be finite")
         diffs = np.diff(self.s_grid)
         if not np.all(diffs > 0.0):
             raise ValueError("s_grid must be strictly increasing")
         # lookup finds the cell by division, which needs equal spacing
         if not np.all(np.abs(diffs - diffs[0]) <= 1e-9 * diffs[0]):
             raise ValueError("s_grid must be uniformly spaced")
-        if not all(map(math.isfinite, self.log_z)):
-            raise ValueError("log_z values must be finite")
 
     @cached_property
     def _cells(self) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
@@ -235,14 +235,36 @@ class ZTable:
 
     @classmethod
     def load(cls, path) -> "ZTable":
+        """Read a table written by save; a file of any other shape or with
+        fields of the wrong type raises ValueError."""
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("table file must hold a JSON object")
+        num_points = payload.get("num_points")
+        if isinstance(num_points, bool) or not isinstance(num_points, int):
+            raise ValueError("num_points must be an integer")
+        precision = payload.get("precision")
+        if not isinstance(precision, str):
+            raise ValueError("precision must be a string")
         return cls(
-            s_grid=tuple(map(float, payload["s_grid"])),
-            log_z=tuple(map(float, payload["log_z"])),
-            num_points=int(payload["num_points"]),
-            precision=str(payload["precision"]),
+            s_grid=_number_list(payload, "s_grid"),
+            log_z=_number_list(payload, "log_z"),
+            num_points=num_points,
+            precision=precision,
         )
+
+
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number_list(payload: dict, key: str) -> tuple[float, ...]:
+    values = payload.get(key)
+    if not isinstance(values, list) or not all(map(_is_number, values)):
+        raise ValueError(f"{key} must be a list of numbers")
+    return tuple(map(float, values))
 
 
 def build_table(grid_size: int = DEFAULT_GRID_SIZE, num_points: int = DEFAULT_NUM_POINTS) -> ZTable:

@@ -193,9 +193,26 @@ class TestZTableCommand:
         code, out, err = run(
             ["eval", "--fn", "pdf", "--lambda", "0", "--ztable", str(path), "--x", "0"]
         )
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: cannot load ztable")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("payload", [
+        [[-0.5, 1.0], [1.0, 1.0]],
+        {"s_grid": [-0.5, 1.0], "log_z": [1.0, "1.0"], "num_points": 64, "precision": "binary64"},
+        {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": "abc", "precision": "binary64"},
+        {"log_z": [1.0, 1.0], "num_points": 64, "precision": "binary64"},
+    ], ids=["list-payload", "string-in-log-z", "string-num-points", "missing-s-grid"])
+    def test_wrong_types_in_table_are_validation_errors(self, run, tmp_path, payload):
+        path = tmp_path / "zt.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(
+            ["eval", "--fn", "pdf", "--lambda", "0", "--ztable", str(path), "--x", "0"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot load ztable")
         assert err.count("\n") == 1
 
     def test_small_grid_rejected(self, run, tmp_path):
@@ -281,10 +298,12 @@ class TestConsoleEntry:
 
     def test_import_loads_neither_scipy_nor_mpmath(self):
         # scipy is a test-only oracle and mpmath is loaded by the accuracy
-        # oracle when it runs, so neither belongs in every CLI start-up
+        # oracle when it runs, so neither belongs in every CLI start-up;
+        # nor does statistics, which costs ~5 ms for a median numpy has
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, rootpow.cli; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"],
+             "import sys, rootpow.cli; "
+             "print(sorted({'scipy', 'mpmath', 'statistics'} & set(sys.modules)))"],
             capture_output=True,
             text=True,
             env=CHILD_ENV,

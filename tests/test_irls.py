@@ -2,9 +2,13 @@
 
 import math
 import statistics
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootpow.irls import (
     IrlsProblem,
@@ -13,6 +17,7 @@ from rootpow.irls import (
     loss_objective,
     objective_gradient,
 )
+from rootpow.kernel import irls_weight
 
 from conftest import minimize_objective
 
@@ -29,6 +34,23 @@ class TestValidation:
     def test_rejects_positive_shape(self):
         with pytest.raises(ValueError):
             IrlsProblem(observations=(1.0,), lam=0.5)
+
+    def test_rejects_span_past_largest_double(self):
+        # max - min must be a double, so that no residual of a location
+        # inside the data overflows
+        big = sys.float_info.max
+        with pytest.raises(ValueError):
+            IrlsProblem(observations=(big, -big, 1e308), lam=-1.0)
+        IrlsProblem(observations=(big, 0.0), lam=-1.0)
+
+    def test_rejects_nested_observations(self):
+        with pytest.raises(ValueError):
+            IrlsProblem(observations=((1.0, 2.0), (3.0, 4.0)), lam=0.0)
+
+    def test_observations_become_floats(self):
+        problem = IrlsProblem(observations=[1, 2.5, np.float32(0.5)], lam=0.0)
+        assert problem.observations == (1.0, 2.5, 0.5)
+        assert all(type(v) is float for v in problem.observations)
 
     def test_rejects_bad_controls(self):
         with pytest.raises(ValueError):
@@ -100,6 +122,15 @@ class TestDescent:
                 assert cur <= prev * (1.0 + 1e-12) + 1e-12, (lam, obs[:3])
                 prev = cur
 
+    def test_step_outside_data_moves_in(self):
+        # a start past the data is moved to its nearest end first, which
+        # cannot raise the objective, so the step is still a descent step
+        problem = IrlsProblem(observations=(1.0, 2.0, 4.0), lam=-2.0)
+        for start in (-1e308, -5.0, 50.0, sys.float_info.max):
+            mu = irls_step(start, problem)
+            assert 1.0 <= mu <= 4.0
+            assert loss_objective(mu, problem) <= loss_objective(start, problem)
+
 
 class TestConvergence:
     def test_stationarity(self):
@@ -139,3 +170,127 @@ class TestConvergence:
         problem = IrlsProblem(observations=(5.0,), lam=-1.0)
         # objective decreases toward the data point, so gradient at 0 < 0
         assert objective_gradient(0.0, problem) < 0.0
+
+
+BIG = sys.float_info.max
+
+
+def _fit_without_warnings(obs, lam, c=1.0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fit_location(IrlsProblem(observations=obs, lam=lam, c=c))
+
+
+class TestBinary64Extremes:
+    """Fits at the ends of the double range give a finite mu inside the
+    data and a gradient norm that may saturate to inf but is never NaN;
+    data whose span max - min overflows is rejected up front."""
+
+    @pytest.mark.parametrize("obs, lam, c", [
+        ((BIG, BIG, BIG), 0.0, 1.0),          # fsum(w * x) overflows
+        ((1e308, 1.5e308), -2.0, 1.0),        # a + b of the median overflows
+        ((1.0, -1.0, 0.5), -1.0, 1e-300),     # c * c underflows to 0
+        ((-BIG, -BIG, 0.0), 0.0, 1e-300),     # the gradient saturates to inf
+        ((BIG,) * 4 + (0.0,) * 4, 0.0, 1.0),  # residual sums pass BIG
+        ((BIG, 0.0), -math.inf, 1e-300),     # one weight 1, one 0
+    ])
+    def test_fit_is_finite(self, obs, lam, c):
+        result = _fit_without_warnings(obs, lam, c)
+        assert math.isfinite(result.mu)
+        assert min(obs) <= result.mu <= max(obs)
+        assert not math.isnan(result.grad_norm)
+        assert result.converged
+
+    def test_flat_shape_at_largest_double(self):
+        assert _fit_without_warnings((BIG, BIG, BIG), 0.0).mu == BIG
+        assert _fit_without_warnings((BIG, BIG, 0.0, 0.0), 0.0).mu == BIG / 2.0
+
+    def test_even_median_start_does_not_overflow(self):
+        # both residuals square past the double range, so both weights are
+        # 0 and the fit stays at the start: the midpoint of the two
+        assert _fit_without_warnings((1e308, 1.5e308), -2.0).mu == 1.25e308
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, -math.inf])
+    def test_objective_and_gradient_far_outside_the_data(self, lam):
+        # residuals of a mu far outside the data pass the largest double
+        problem = IrlsProblem(observations=(-1e308, 0.0, 1.0), lam=lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu in (BIG, -BIG):
+                assert not math.isnan(objective_gradient(mu, problem))
+                assert loss_objective(mu, problem) >= loss_objective(0.0, problem)
+        if lam == 0.0:
+            assert objective_gradient(BIG, problem) == math.inf
+            assert loss_objective(BIG, problem) == math.inf
+
+    def test_gradient_with_an_overflowing_residual_beside_weighted_ones(self):
+        # at mu just below 0 the residual of BIG passes the largest double
+        # while the one of 0 keeps a weight near 1
+        problem = IrlsProblem(observations=(0.0, BIG), lam=-1.0, c=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(objective_gradient(-1e293, problem))
+            assert math.isfinite(loss_objective(-1e293, problem))
+
+    @given(
+        obs=st.lists(
+            st.floats(min_value=-BIG, max_value=BIG, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=12,
+        ),
+        lam=st.sampled_from([0.0, -0.5, -1.0, -2.0, -math.inf]),
+        c=st.sampled_from([1.0, 1e-300, 1e300, 5e-324]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_data(self, obs, lam, c):
+        if math.isinf(max(obs) - min(obs)):
+            with pytest.raises(ValueError):
+                IrlsProblem(observations=obs, lam=lam, c=c)
+            return
+        result = _fit_without_warnings(obs, lam, c)
+        assert min(obs) <= result.mu <= max(obs)
+        assert not math.isnan(result.grad_norm)
+
+
+def _fsum_fit(obs, lam, max_iters=100, tol=1e-12):
+    """IRLS with every sweep summed by math.fsum from a statistics.median
+    start: the fitter as it was before its sweeps moved to numpy sums."""
+    values = np.array(obs, dtype=float)
+    mu = float(statistics.median(obs))
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        weights = irls_weight(values - mu, lam)
+        total = math.fsum(weights.tolist())
+        new_mu = math.fsum((weights * values).tolist()) / total if total > 0.0 else mu
+        step_ok = abs(new_mu - mu) <= tol * (1.0 + abs(new_mu))
+        mu = new_mu
+        if step_ok:
+            converged = True
+            break
+    return mu, iterations, converged
+
+
+class TestExactness:
+    def test_flat_shape_is_fsum_mean_on_random_data(self):
+        # only the final exactly rounded sweep makes this hold: pairwise
+        # sums alone miss the fsum mean on about 30% of these
+        rng = np.random.default_rng(99)
+        for _ in range(200):
+            n = int(rng.integers(2, 3001))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            obs = tuple((rng.standard_normal(n) * scale + rng.uniform(-100.0, 100.0)).tolist())
+            result = fit_location(IrlsProblem(observations=obs, lam=0.0))
+            assert result.mu == math.fsum(obs) / n, n
+
+    @pytest.mark.parametrize("lam", [-math.inf, -2.0, -1.0, -0.5, 0.0])
+    def test_matches_fsum_sweeps(self, lam):
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            obs = rng.standard_normal(2000)
+            far = rng.random(2000) < 0.1
+            obs[far] = np.where(rng.random(far.sum()) < 0.5, -1.0, 1.0) * rng.uniform(10.0, 50.0, far.sum())
+            obs = tuple(obs.tolist())
+            result = fit_location(IrlsProblem(observations=obs, lam=lam))
+            mu, iterations, converged = _fsum_fit(obs, lam)
+            assert result.iterations == iterations
+            assert result.converged == converged
+            assert abs(result.mu - mu) <= 1e-10
