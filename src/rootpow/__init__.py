@@ -3,8 +3,8 @@
 One shape parameter ranging over the extended reals drives everything:
 
 - ``transform`` / ``inverse`` / ``derivative``: the stable core evaluators
-  (flipping the parameter's sign inverts the transform exactly).  These,
-  ``loss``, ``kernel`` and ``irls_weight`` take a float or an ndarray.
+  (flipping the parameter's sign inverts the transform exactly).  These
+  and the family evaluators below take a float or an ndarray.
 - ``loss`` and ``kernel``: robust penalties and the matching stationary
   kernels, which double as IRLS weights.
 - ``pdf`` / ``partition_function`` / ``ZTable``: the normalized density

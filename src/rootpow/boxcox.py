@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import (
-    EPS,
-    TINY,
-    UnsupportedBranchError,
-    _expm1,
-    _require_lambda,
-    transform,
-)
+from .core import EPS, TINY, UnsupportedBranchError, _elementwise, _require_lambda, transform
 
 __all__ = [
     "boxcox",
@@ -36,43 +29,45 @@ def _require_boxcox_lambda(lam: float) -> float:
     return lam
 
 
-def boxcox(x: float, lam: float) -> float:
-    """Box-Cox value ((x+1)**lam - 1)/lam, log1p(x) at lam = 0; needs x > -1."""
-    lam = _require_boxcox_lambda(lam)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if x <= -1.0:
+def _boxcox(x, ops, lam: float):
+    if ops.any(x <= -1.0):
         raise ValueError(f"Box-Cox domain requires x > -1, got {x!r}")
     if abs(lam) < TINY:
-        return math.log1p(x)
-    return _expm1(lam * math.log1p(x)) / lam
+        return ops.log1p(x)
+    return ops.expm1(lam * ops.log1p(x)) / lam
 
 
-def boxcox_normalized(x: float, lam: float) -> float:
-    """Box-Cox rescaled so the slope at 0 is 1 and the curvature sign is
-    sign(lam - 1); the identity at lam = 1."""
-    lam = _require_boxcox_lambda(lam)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
+def boxcox(x, lam: float):
+    """Box-Cox value ((x+1)**lam - 1)/lam, log1p(x) at lam = 0, at x (a
+    float or an ndarray); needs x > -1."""
+    return _elementwise(_boxcox, x, _require_boxcox_lambda(lam))
+
+
+def _boxcox_normalized(x, ops, lam: float):
     if abs(lam - 1.0) < EPS:
-        return x
+        # a new array for an array caller; the product keeps -0.0's sign
+        return 1.0 * x
     if abs(lam) < TINY:
-        if x <= -1.0:
+        if ops.any(x <= -1.0):
             raise ValueError(f"out of domain at lam = 0: need x > -1, got {x!r}")
-        return math.log1p(x)
+        return ops.log1p(x)
     denom = 1.0 - lam if lam < 1.0 else lam - 1.0
     t = x / denom
-    if t <= -1.0:
+    if ops.any(t <= -1.0):
         raise ValueError(f"x = {x!r} outside the lam = {lam!r} branch domain")
-    scaled = _expm1(lam * math.log1p(t))
+    scaled = ops.expm1(lam * ops.log1p(t))
     if lam < 1.0:
         return (1.0 / lam - 1.0) * scaled
     return (lam - 1.0) / lam * scaled
 
 
-def transform_via_boxcox(x: float, lam: float) -> float:
+def boxcox_normalized(x, lam: float):
+    """Box-Cox rescaled so the slope at 0 is 1 and the curvature sign is
+    sign(lam - 1); the identity at lam = 1.  Takes a float or an ndarray."""
+    return _elementwise(_boxcox_normalized, x, _require_boxcox_lambda(lam))
+
+
+def transform_via_boxcox(x, lam: float):
     """The self-inverting transform computed through Box-Cox.
 
     The printed mapping is singular at lam = 1 (it would need an infinite
@@ -87,11 +82,11 @@ def transform_via_boxcox(x: float, lam: float) -> float:
     if abs(lam) < TINY:
         return boxcox(x, 1.0)
     if lam < 0.0:
-        return -lam * boxcox(-float(x) / lam, lam + 1.0)
-    return lam / (1.0 - lam) * boxcox((1.0 - lam) / lam * float(x), 1.0 / (1.0 - lam))
+        return -lam * boxcox(-x / lam, lam + 1.0)
+    return lam / (1.0 - lam) * boxcox((1.0 - lam) / lam * x, 1.0 / (1.0 - lam))
 
 
-def boxcox_via_transform(x: float, lam: float) -> float:
+def boxcox_via_transform(x, lam: float):
     """Box-Cox computed through the self-inverting transform.
 
     Dispatch: parameters below 1 route through shape lam - 1, parameters
@@ -100,7 +95,6 @@ def boxcox_via_transform(x: float, lam: float) -> float:
     with the direct evaluator on (0, 1).)
     """
     lam = _require_boxcox_lambda(lam)
-    x = float(x)
     if abs(lam - 1.0) < EPS:
         return transform(x, 0.0)
     if lam < 1.0:

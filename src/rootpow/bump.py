@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _require_lambda, transform
+from .core import _elementwise, _require_lambda, _transform
 
 __all__ = ["bump", "bump_classic"]
 
@@ -22,16 +22,17 @@ def _require_bump_lambda(lam: float) -> float:
     return lam
 
 
-def bump(x: float, lam: float) -> float:
-    """Bump value at x; exactly 0 for |x| >= 1."""
-    lam = _require_bump_lambda(lam)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if abs(x) >= 1.0:
-        return 0.0
-    u = (lam / (lam - 1.0)) * x * x
-    return math.exp(-transform(u, lam))
+def _bump(x, ops, lam: float):
+    return ops.select(
+        abs(x) < 1.0,
+        lambda: ops.exp(-_transform((lam / (lam - 1.0)) * x * x, ops, lam)),
+        lambda: 0.0,
+    )
+
+
+def bump(x, lam: float):
+    """Bump value at x (a float or an ndarray); exactly 0 for |x| >= 1."""
+    return _elementwise(_bump, x, _require_bump_lambda(lam))
 
 
 def bump_classic(x: float) -> float:

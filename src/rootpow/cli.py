@@ -3,7 +3,8 @@ tables, and IRLS fits, all with deterministic text output.
 
 Data goes to stdout, diagnostics to stderr.  Floats are printed with 17
 significant digits so every CSV/JSON value parses back to the exact
-double.  Exit codes: 0 success, 1 data or I/O failure, 2 validation
+double; `irls` prints a saturated grad_norm as null, which keeps its JSON
+strict.  Exit codes: 0 success, 1 data or I/O failure, 2 validation
 failure (also what argparse uses), and for `irls` specifically 2 when the
 iteration cap is hit before convergence.  An error no command diagnoses
 exits 1 with a one-line ``error: <type>: <message>`` instead of a
@@ -33,7 +34,12 @@ __all__ = ["main", "entrypoint", "build_parser"]
 
 
 class CliError(Exception):
-    """Validation failure reportable as a one-line diagnostic."""
+    """A failure reportable as a one-line diagnostic; ``code`` is the exit
+    code, 2 for a validation failure and 1 for a data or I/O failure."""
+
+    def __init__(self, message: str, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _fmt(value: float) -> str:
@@ -183,8 +189,7 @@ def _cmd_ztable(args) -> int:
     try:
         table.save(args.output)
     except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"cannot write {args.output}: {exc}", code=1) from None
     worst = 0.0
     for i in range(0, len(table.s_grid) - 1, max(1, len(table.s_grid) // 16)):
         s_mid = 0.5 * (table.s_grid[i] + table.s_grid[i + 1])
@@ -204,8 +209,7 @@ def _read_observations(path: str, skip_header: bool) -> list[float]:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(1) from None
+        raise CliError(f"cannot read {path}: {exc}", code=1) from None
     values = []
     for lineno, line in enumerate(raw, start=1):
         if skip_header and lineno == 1:
@@ -216,8 +220,7 @@ def _read_observations(path: str, skip_header: bool) -> list[float]:
         try:
             values.append(float(text))
         except ValueError:
-            print(f"error: line {lineno}: cannot parse {text!r}", file=sys.stderr)
-            raise SystemExit(1) from None
+            raise CliError(f"line {lineno}: cannot parse {text!r}", code=1) from None
     return values
 
 
@@ -240,10 +243,11 @@ def _cmd_irls(args) -> int:
     payload = {
         "mu": result.mu,
         "iterations": result.iterations,
-        "grad_norm": result.grad_norm,
+        # strict JSON has no Infinity: a saturated gradient prints as null
+        "grad_norm": result.grad_norm if math.isfinite(result.grad_norm) else None,
         "converged": result.converged,
     }
-    sys.stdout.write(json.dumps(payload) + "\n")
+    sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
     return 0 if result.converged else 2
 
 
@@ -306,7 +310,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.code
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

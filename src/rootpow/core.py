@@ -18,6 +18,7 @@ branch from windows derived from binary64 precision.
 :func:`transform`, :func:`inverse` and :func:`derivative` take a float or
 an ndarray.  Each has one body, run with libm ops for a float (giving a
 float) or with numpy ufuncs for an array (giving an array of its shape).
+Every family evaluator is built the same way on ``_transform``/``_derivative``.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ class BranchPlan:
     mid_scale: float
     skip_exp: bool
     post_scale: float
+    max_domain: float
 
 
 def _require_lambda(lam: float) -> float:
@@ -131,56 +133,37 @@ def classify(lam: float) -> Branch:
     return Branch.POS if lam > 0.0 else Branch.NEG
 
 
-def _nozero(value: float) -> float:
-    # Division guard; unreachable after classification but kept so the plan
-    # constants are total functions of lam.
-    return TINY if abs(value) < TINY else value
-
-
 @lru_cache(maxsize=4096)
 def branch_plan(lam: float) -> BranchPlan:
-    """Build the scale/skip table row for lam."""
+    """Build the scale/skip table row and the clamp bound for lam."""
     branch = classify(lam)
+    lam = float(lam)
+    # For lam > 1 the transform has a pole at lam/(lam - 1) (at 1 for
+    # lam = +inf); the bound is the largest double strictly below it, so
+    # log1p arguments stay above -1 after clamping.
     if branch is Branch.POS_INF:
-        return BranchPlan(-1.0, False, 1.0, True, -1.0)
+        return BranchPlan(-1.0, False, 1.0, True, -1.0, _BELOW_ONE)
+    bound = math.nextafter(lam / (lam - 1.0), -math.inf) if lam > 1.0 else math.inf
     if branch is Branch.ONE:
-        return BranchPlan(1.0, True, 1.0, False, 1.0)
+        return BranchPlan(1.0, True, 1.0, False, 1.0, bound)
     if branch is Branch.ZERO:
-        return BranchPlan(1.0, True, 1.0, True, 1.0)
+        return BranchPlan(1.0, True, 1.0, True, 1.0, bound)
     if branch is Branch.NEG_ONE:
-        return BranchPlan(1.0, False, 1.0, True, 1.0)
+        return BranchPlan(1.0, False, 1.0, True, 1.0, bound)
     if branch is Branch.NEG_INF:
-        return BranchPlan(-1.0, True, 1.0, False, -1.0)
+        return BranchPlan(-1.0, True, 1.0, False, -1.0, bound)
     if branch is Branch.POS:
-        return BranchPlan(
-            (1.0 - lam) / _nozero(lam),
-            False,
-            1.0 / _nozero(1.0 - lam),
-            False,
-            lam,
-        )
-    return BranchPlan(
-        -1.0 / _nozero(lam),
-        False,
-        lam + 1.0,
-        False,
-        -lam / _nozero(lam + 1.0),
-    )
+        return BranchPlan((1.0 - lam) / lam, False, 1.0 / (1.0 - lam), False, lam, bound)
+    return BranchPlan(-1.0 / lam, False, lam + 1.0, False, -lam / (lam + 1.0), bound)
 
 
 def max_domain(lam: float) -> float:
     """Upper end of the valid input range for the given lam.
 
-    Unbounded for lam <= 1.  For lam > 1 the transform has a pole at
-    lam/(lam - 1) (at 1 for lam = +inf); the largest double strictly below
-    that pole is returned so log1p arguments stay above -1 after clamping.
+    Unbounded for lam <= 1.  For lam > 1 it is the largest double strictly
+    below the transform's pole at lam/(lam - 1) (below 1 for lam = +inf).
     """
-    lam = _require_lambda(lam)
-    if lam <= 1.0:
-        return math.inf
-    if lam == math.inf:
-        return _BELOW_ONE
-    return math.nextafter(lam / (lam - 1.0), -math.inf)
+    return branch_plan(lam).max_domain
 
 
 def _expm1(t: float) -> float:
@@ -206,6 +189,11 @@ class _Ops(NamedTuple):
     minimum: Callable
     maximum: Callable
     ones: Callable
+    # select(cond, then, otherwise) takes its two values as thunks: a float
+    # evaluates only the one cond picks, an array both, picked elementwise;
+    # any(flags) reduces a domain check on x to one bool.
+    select: Callable
+    any: Callable
 
 
 # Two-argument min/max as conditionals: the builtins cost ~150 ns a call.
@@ -216,8 +204,13 @@ _FLOAT_OPS = _Ops(
     lambda a, b: b if b < a else a,
     lambda a, b: b if b > a else a,
     lambda x: 1.0,
+    lambda cond, then, otherwise: then() if cond else otherwise(),
+    bool,
 )
-_ARRAY_OPS = _Ops(np.log1p, np.expm1, np.exp, np.minimum, np.maximum, np.ones_like)
+_ARRAY_OPS = _Ops(
+    np.log1p, np.expm1, np.exp, np.minimum, np.maximum, np.ones_like,
+    lambda cond, then, otherwise: np.where(cond, then(), otherwise()), np.any,
+)
 
 
 def _elementwise(body, x, *params):
@@ -241,7 +234,7 @@ def _elementwise(body, x, *params):
 
 def _transform(x, ops: _Ops, lam: float):
     plan = branch_plan(lam)
-    t = plan.pre_scale * ops.minimum(x, max_domain(lam))
+    t = plan.pre_scale * ops.minimum(x, plan.max_domain)
     if not plan.skip_log:
         t = ops.log1p(ops.maximum(t, _ABOVE_MINUS_ONE))
     t = plan.mid_scale * t
@@ -252,7 +245,7 @@ def _transform(x, ops: _Ops, lam: float):
 
 def _derivative(x, ops: _Ops, lam: float):
     plan = branch_plan(lam)
-    t = plan.pre_scale * ops.minimum(x, max_domain(lam))
+    t = plan.pre_scale * ops.minimum(x, plan.max_domain)
     if not plan.skip_log:
         inner = ops.log1p(ops.maximum(t, _ABOVE_MINUS_ONE))
         if plan.skip_exp:

@@ -21,8 +21,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import EPS, _require_lambda, transform
-from .loss import _require_scale, loss
+from .core import EPS, _elementwise, _require_lambda, transform
+from .loss import _loss, _require_scale, loss
 
 __all__ = [
     "partition_function",
@@ -54,15 +54,18 @@ def _require_dist_lambda(lam: float) -> float:
     return lam
 
 
-def support_halfwidth(lam: float) -> float:
-    """Half-width of the support at unit scale: infinite for lam <= 1,
-    sqrt(2 lam / (lam - 1)) above, sqrt(2) at lam = +inf."""
-    lam = _require_dist_lambda(lam)
+def _halfwidth(lam: float) -> float:
     if lam <= 1.0:
         return math.inf
     if lam == math.inf:
         return math.sqrt(2.0)
     return math.sqrt(2.0 * lam / (lam - 1.0))
+
+
+def support_halfwidth(lam: float) -> float:
+    """Half-width of the support at unit scale: infinite for lam <= 1,
+    sqrt(2 lam / (lam - 1)) above, sqrt(2) at lam = +inf."""
+    return _halfwidth(_require_dist_lambda(lam))
 
 
 @lru_cache(maxsize=4096)
@@ -94,29 +97,26 @@ def partition_function(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> floa
     return 2.0 * h / 3.0 * float(np.dot(weights, y))
 
 
-def pdf(
-    x: float,
-    lam: float,
-    c: float = 1.0,
-    table: "ZTable | None" = None,
-    num_points: int = DEFAULT_NUM_POINTS,
-) -> float:
-    """Density at x; exactly 0 at and beyond the support bound when lam > 1.
-
-    Z comes from ``table`` when given, else from (cached) quadrature.
-    """
-    lam = _require_dist_lambda(lam)
-    c = _require_scale(c)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if lam > 1.0 and abs(x) >= c * support_halfwidth(lam):
-        return 0.0
-    z = table.lookup(lam) if table is not None else partition_function(lam, num_points)
+def _pdf(x, ops, lam: float, c: float, z: float, edge: float):
     # divide by z then c: loss(x, lam, c) and loss(x/c, lam, 1) are the
     # same float, so this order makes pdf(x, lam, c) == pdf(x/c, lam, 1)/c
     # bit-exact instead of merely close
-    return math.exp(-loss(x, lam, c)) / z / c
+    return ops.select(
+        abs(x) < edge,
+        lambda: ops.exp(-_loss(x, ops, lam, c)) / z / c,
+        lambda: 0.0,
+    )
+
+
+def pdf(x, lam: float, c: float = 1.0, table: "ZTable | None" = None):
+    """Density at x (a float or an ndarray); exactly 0 at and beyond the
+    support bound when lam > 1.  Z comes from ``table`` when given, else
+    from (cached) quadrature; either lookup also checks lam.
+    """
+    c = _require_scale(c)
+    lam = float(lam)
+    z = table.lookup(lam) if table is not None else partition_function(lam)
+    return _elementwise(_pdf, x, lam, c, z, c * _halfwidth(lam))
 
 
 def _compactify(lam: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _require_lambda, transform
+from .core import _elementwise, _require_lambda, _transform
 
 __all__ = [
     "signed_transform",
@@ -26,49 +26,62 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def signed_transform(x: float, lam_pos: float, lam_neg: float) -> float:
-    """Odd-style stitching: shape lam_pos for x >= 0, mirrored lam_neg below."""
-    lam_pos = _require_lambda(lam_pos)
-    lam_neg = _require_lambda(lam_neg)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if x >= 0.0:
-        return transform(x, lam_pos)
-    return -transform(-x, lam_neg)
-
-
-def softplus(x: float) -> float:
-    x = float(x)
-    # softplus(x) = x + softplus(-x) keeps the inner expm1 on x <= 0, where
-    # it cannot overflow (past x = 709.78 it would, and return inf).
-    if x > 0.0:
-        return x + softplus(-x)
-    # The inner call is expm1(x), so inner + 1 = e**x > 0 and the outer
-    # negative-side shape never fires; 0 is the cheapest placeholder.
-    return signed_transform(signed_transform(x, 1.0, -math.inf) + 1.0, -1.0, 0.0)
-
-
-def sigmoid(x: float) -> float:
-    return 0.5 * signed_transform(
-        signed_transform(float(x) + _LN2, 1.0, -math.inf) + 1.0, -2.0, 0.0
+def _signed(x, ops, lam_pos: float, lam_neg: float):
+    return ops.select(
+        x >= 0.0,
+        lambda: _transform(x, ops, lam_pos),
+        lambda: -_transform(-x, ops, lam_neg),
     )
 
 
-def tanh(x: float) -> float:
-    return 0.5 * signed_transform(signed_transform(2.0 * float(x), 1.0, -math.inf), -2.0, 2.0)
+def signed_transform(x, lam_pos: float, lam_neg: float):
+    """Odd-style stitching: shape lam_pos for x >= 0, mirrored lam_neg below."""
+    return _elementwise(_signed, x, _require_lambda(lam_pos), _require_lambda(lam_neg))
 
 
-def relu(x: float, lam_neg: float = 0.0) -> float:
+# The activations are the paper's signed-transform compositions, bit for
+# bit, with the stitching resolved: the inner s(y, 1, -inf) is expm1(y) on
+# both sides, and each outer stage only ever takes its lam_pos half (tanh:
+# both halves agree), so every stage is a single _transform.
+
+
+def _softplus(x, ops):
+    # as max(x, 0) + softplus(-|x|) the inner expm1 never sees x > 0, so cannot overflow
+    return ops.maximum(x, 0.0) + _transform(_transform(-abs(x), ops, 1.0) + 1.0, ops, -1.0)
+
+
+def softplus(x):
+    return _elementwise(_softplus, x)
+
+
+def _sigmoid(x, ops):
+    return 0.5 * _transform(_transform(x + _LN2, ops, 1.0) + 1.0, ops, -2.0)
+
+
+def sigmoid(x):
+    return _elementwise(_sigmoid, x)
+
+
+def _tanh(x, ops):
+    return 0.5 * _transform(_transform(2.0 * x, ops, 1.0), ops, -2.0)
+
+
+def tanh(x):
+    return _elementwise(_tanh, x)
+
+
+def _relu(x, ops, lam_neg: float):
+    return 2.0 - _signed(_signed(2.0 - x, ops, 2.0, lam_neg), ops, -2.0, -lam_neg)
+
+
+def relu(x, lam_neg: float = 0.0):
     """max(0, x) rebuilt from two signed transforms.
 
     Exact up to round-off whenever x - 2 stays below the domain bound of
     the lam_neg shape (always true for lam_neg <= 1); for x <= 0 the
     clamped saturation of the lam = 2 stage is what produces the 0.
     """
-    lam_neg = _require_lambda(lam_neg)
-    inner = signed_transform(2.0 - float(x), 2.0, lam_neg)
-    return 2.0 - signed_transform(inner, -2.0, -lam_neg)
+    return _elementwise(_relu, x, _require_lambda(lam_neg))
 
 
 def elu_reference(x: float) -> float:

@@ -25,7 +25,7 @@ def run(capsys):
     def invoke(argv):
         try:
             code = main(argv)
-        except SystemExit as exc:  # data errors raise to carry the code
+        except SystemExit as exc:  # argparse exits on a usage error
             code = exc.code
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -268,12 +268,34 @@ class TestIrlsCommand:
         assert code == 2
         assert "lambda" in err
 
+    def test_unreadable_data_file(self, run, tmp_path):
+        code, out, err = run(["irls", "--data", str(tmp_path / "absent.csv"), "--lambda", "0"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot read ")
+        assert err.count("\n") == 1
+
     def test_unparseable_line_reported(self, run, tmp_path):
         data = tmp_path / "obs.csv"
         data.write_text("1\nnot-a-number\n3\n")
         code, _, err = run(["irls", "--data", str(data), "--lambda", "0"])
         assert code == 1
         assert "line 2" in err
+
+    def test_saturated_gradient_is_strict_json(self, run, tmp_path):
+        # rounding noise divided by c**2 overflows the gradient to inf,
+        # which strict JSON has no spelling for
+        data = tmp_path / "obs.csv"
+        data.write_text("1\n-1\n0.3\n5\n")
+        code, out, _ = run(["irls", "--data", str(data), "--lambda", "0", "--c", "1e-170"])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert code == 0
+        assert payload["grad_norm"] is None
+        assert payload["converged"] is True
 
     def test_iteration_cap_exit_code(self, run, tmp_path):
         data = tmp_path / "obs.csv"

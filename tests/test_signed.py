@@ -107,6 +107,40 @@ class TestActivations:
         assert tanh(-1.0) == -tanh(1.0)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestPaperReconstructions:
+    """The activations equal the paper's signed-transform compositions bit
+    for bit, sign of zero included, over every finite double."""
+
+    @given(FINITE)
+    @settings(max_examples=500)
+    def test_softplus(self, x):
+        s = signed_transform
+        if x <= 0.0:
+            assert same_bits(softplus(x), s(s(x, 1.0, -math.inf) + 1.0, -1.0, 0.0)), x
+        else:
+            assert same_bits(softplus(x), x + softplus(-x)), x
+
+    @given(FINITE)
+    @settings(max_examples=500)
+    def test_sigmoid(self, x):
+        s = signed_transform
+        want = 0.5 * s(s(x + math.log(2.0), 1.0, -math.inf) + 1.0, -2.0, 0.0)
+        assert same_bits(sigmoid(x), want), x
+
+    @given(FINITE)
+    @settings(max_examples=500)
+    def test_tanh(self, x):
+        s = signed_transform
+        assert same_bits(tanh(x), 0.5 * s(s(2.0 * x, 1.0, -math.inf), -2.0, 2.0)), x
+
+
 class TestRelu:
     def test_matches_ramp_for_domain_safe_shapes(self):
         # The identity needs x - 2 below the negative-side shape's domain
