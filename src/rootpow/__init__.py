@@ -22,107 +22,60 @@ The ``rootpow`` CLI exposes grid evaluation, accuracy sweeps, table
 building, and IRLS fitting with deterministic output.
 """
 
-from .accuracy import (
-    AccuracyReport,
-    AccuracyRow,
-    default_lambda_grid,
-    error_sweep,
-    oracle_transform,
-    report_to_csv,
-)
-from .boxcox import (
-    boxcox,
-    boxcox_normalized,
-    boxcox_via_transform,
-    transform_via_boxcox,
-)
-from .bump import bump, bump_classic
-from .core import (
-    Branch,
-    BranchPlan,
-    UnsupportedBranchError,
-    branch_plan,
-    classify,
-    derivative,
-    inverse,
-    max_domain,
-    parse_lambda,
-    render_lambda,
-    transform,
-    transform_naive,
-)
-from .distribution import (
-    DEFAULT_GRID_SIZE,
-    DEFAULT_NUM_POINTS,
-    ZTable,
-    build_table,
-    partition_function,
-    pdf,
-    support_halfwidth,
-)
-from .irls import (
-    IrlsProblem,
-    IrlsResult,
-    fit_location,
-    irls_step,
-    loss_objective,
-    objective_gradient,
-)
-from .kernel import KERNEL_REFERENCE_LAMBDAS, irls_weight, kernel, kernel_reference
-from .loss import LOSS_REFERENCE_LAMBDAS, loss, loss_reference
-from .signed import elu_reference, relu, sigmoid, signed_transform, softplus, tanh
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyReport",
-    "AccuracyRow",
-    "Branch",
-    "BranchPlan",
-    "DEFAULT_GRID_SIZE",
-    "DEFAULT_NUM_POINTS",
-    "IrlsProblem",
-    "IrlsResult",
-    "KERNEL_REFERENCE_LAMBDAS",
-    "LOSS_REFERENCE_LAMBDAS",
-    "UnsupportedBranchError",
-    "ZTable",
-    "boxcox",
-    "boxcox_normalized",
-    "boxcox_via_transform",
-    "branch_plan",
-    "build_table",
-    "bump",
-    "bump_classic",
-    "classify",
-    "default_lambda_grid",
-    "derivative",
-    "elu_reference",
-    "error_sweep",
-    "fit_location",
-    "inverse",
-    "irls_step",
-    "irls_weight",
-    "kernel",
-    "kernel_reference",
-    "loss",
-    "loss_objective",
-    "loss_reference",
-    "max_domain",
-    "objective_gradient",
-    "oracle_transform",
-    "parse_lambda",
-    "partition_function",
-    "pdf",
-    "relu",
-    "render_lambda",
-    "report_to_csv",
-    "sigmoid",
-    "signed_transform",
-    "softplus",
-    "support_halfwidth",
-    "tanh",
-    "transform",
-    "transform_naive",
-    "transform_via_boxcox",
-]
+# Each public name, under the submodule it comes from.
+_PUBLIC = {
+    "core": (
+        "Branch", "BranchPlan", "UnsupportedBranchError", "branch_plan", "classify",
+        "derivative", "inverse", "max_domain", "parse_lambda", "render_lambda",
+        "transform", "transform_naive",
+    ),
+    "loss": ("LOSS_REFERENCE_LAMBDAS", "loss", "loss_reference"),
+    "kernel": ("KERNEL_REFERENCE_LAMBDAS", "irls_weight", "kernel", "kernel_reference"),
+    "signed": ("elu_reference", "relu", "sigmoid", "signed_transform", "softplus", "tanh"),
+    "bump": ("bump", "bump_classic"),
+    "boxcox": ("boxcox", "boxcox_normalized", "boxcox_via_transform", "transform_via_boxcox"),
+    "distribution": (
+        "DEFAULT_GRID_SIZE", "DEFAULT_NUM_POINTS", "ZTable", "build_table",
+        "partition_function", "pdf", "support_halfwidth",
+    ),
+    "irls": (
+        "IrlsProblem", "IrlsResult", "fit_location", "irls_step", "loss_objective",
+        "objective_gradient",
+    ),
+    "accuracy": (
+        "AccuracyReport", "AccuracyRow", "default_lambda_grid", "error_sweep",
+        "oracle_transform", "report_to_csv",
+    ),
+}
+# distribution, irls and accuracy need numpy, so each loads on the first
+# use of one of its names.
+_LAZY = {name: mod for mod in ("distribution", "irls", "accuracy") for name in _PUBLIC[mod]}
+
+__all__ = sorted(name for names in _PUBLIC.values() for name in names)
+
+
+def _bind(*modules: str) -> None:
+    for module in modules:
+        source = import_module(f".{module}", __name__)
+        globals().update((name, getattr(source, name)) for name in _PUBLIC[module])
+
+
+# The rest load now.  loss, kernel, bump and boxcox each name a module and a
+# function, and the first import of a submodule binds the package attribute
+# to the module, so each is imported before its function is bound over it.
+_bind("core", "loss", "kernel", "signed", "bump", "boxcox")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAZY[name])
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,21 +14,17 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import math
 import sys
 
-import numpy as np
-
-from . import accuracy as accuracy_mod
-from . import distribution as dist_mod
-from . import signed as signed_mod
-from .boxcox import boxcox, boxcox_normalized
-from .bump import bump
-from .core import derivative, inverse, parse_lambda, transform
-from .irls import IrlsProblem, fit_location
-from .kernel import kernel
-from .loss import loss
+from .boxcox import _boxcox, _boxcox_normalized, _require_boxcox_lambda
+from .bump import _bump, _require_bump_lambda
+from .core import _FLOAT_OPS, _derivative, _require_lambda, _transform, parse_lambda
+from .kernel import _kernel
+from .loss import _loss, _require_scale
+from .signed import _relu, _sigmoid, _signed, _softplus, _tanh
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -42,10 +38,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _parse_lambda_flag(text: str) -> float:
     try:
         return parse_lambda(text)
@@ -53,115 +45,127 @@ def _parse_lambda_flag(text: str) -> float:
         raise CliError(str(exc)) from None
 
 
-def _parse_xs(text: str) -> list[float]:
-    """Either a comma-separated list or an inclusive lo:hi:count range."""
+def _parse_xs(text: str):
+    """The samples of --x in ascending order: a comma list, or the nodes of
+    the inclusive range lo:hi:count, generated one at a time."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise CliError(f"range must be lo:hi:count, got {text!r}")
+    if ":" not in text:
         try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            xs = [float(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
-            raise CliError(f"range must be lo:hi:count, got {text!r}") from None
-        if count < 1:
-            raise CliError("range count must be at least 1")
-        if count == 1:
-            return [lo]
-        return [float(v) for v in np.linspace(lo, hi, count)]
+            raise CliError(f"cannot parse x list {text!r}") from None
+        if not xs:
+            raise CliError("empty x samples")
+        if any(map(math.isnan, xs)):
+            raise CliError("x values must not be NaN")
+        return sorted(xs)
     try:
-        xs = [float(tok) for tok in text.split(",") if tok.strip()]
+        lo, hi, count = text.split(":")  # a wrong part count raises ValueError too
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        raise CliError(f"cannot parse x list {text!r}") from None
-    if not xs:
-        raise CliError("empty x samples")
-    if any(map(math.isnan, xs)):
-        raise CliError("x values must not be NaN")
-    return xs
+        raise CliError(f"range must be lo:hi:count, got {text!r}") from None
+    if count < 1:
+        raise CliError("range count must be at least 1")
+    # hi - lo is inf or NaN whenever lo or hi is
+    if not math.isfinite(hi - lo):
+        raise CliError(f"range needs finite lo, hi and hi - lo, got {text!r}")
+    return _sorted_linspace(lo, hi, count) if count > 1 else [lo]
 
 
-def _need_lambda(args) -> float:
-    if args.lam is None:
-        raise CliError(f"--lambda is required for --fn {args.fn}")
-    return _parse_lambda_flag(args.lam)
+def _sorted_linspace(lo: float, hi: float, count: int):
+    """np.linspace(lo, hi, count) as an iterator in the order sorted() gives.
+
+    Each node is numpy's own arithmetic, i*step + lo, or i/div*delta + lo
+    where step underflows to 0, and the last node is hi itself.
+    """
+    div = count - 1
+    delta = hi - lo
+    step = delta / div
+    # the nodes before hi are monotone in i: a descending range runs i backwards
+    indices = range(div - 1, -1, -1) if delta < 0.0 else range(div)
+    if step == 0.0:
+        nodes = (i / div * delta + lo for i in indices)
+    else:
+        nodes = (i * step + lo for i in indices)
+    # merge is stable, so hi, the last index, lands where a stable sort puts
+    # it: after a +0.0 node it ties with, and before a node that a rounded
+    # subnormal step pushed past it
+    return heapq.merge(nodes, (hi,))
+
+
+_LAMBDA = ("--lambda", _require_lambda)
+_SCALE = ("--c", _require_scale)
+
+
+# --fn -> (body, its parameters as (flag, library check[, default])).  Each
+# check runs once, on the flag's text; every x then runs
+# body(x, _FLOAT_OPS, *params), the arithmetic of the public float call.
+_EVAL_FUNCTIONS = {
+    "f": (_transform, [_LAMBDA]),
+    "finv": (_transform, [("--lambda", lambda lam: -_require_lambda(lam))]),
+    "g": (_derivative, [_LAMBDA]),
+    "rho": (_loss, [_LAMBDA, _SCALE]),
+    "k": (_kernel, [_LAMBDA, _SCALE]),
+    "pdf": None,  # bound in _eval_function: its module loads numpy for Z
+    "bump": (_bump, [("--lambda", _require_bump_lambda)]),
+    "fpm": (_signed, [_LAMBDA, ("--lambda-neg", _require_lambda)]),
+    "softplus": (_softplus, []),
+    "sigmoid": (_sigmoid, []),
+    "tanh": (_tanh, []),
+    "relu": (_relu, [("--lambda-neg", _require_lambda, 0.0)]),
+    "h": (_boxcox, [("--lambda", _require_boxcox_lambda)]),
+    "hhat": (_boxcox_normalized, [("--lambda", _require_boxcox_lambda)]),
+}
+
+
+def _param(args, flag: str, check, default=None):
+    """An eval flag's value after the library's check, which names the
+    flag when it fails."""
+    value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
+    if value is None:
+        if default is None:
+            raise CliError(f"{flag} is required for --fn {args.fn}")
+        value = default
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
 
 
 def _eval_function(args):
-    """Resolve --fn into a scalar callable, validating its parameters."""
-    fn = args.fn
-    c = float(args.c)
-    if not (c > 0.0) or math.isnan(c):
-        raise CliError(f"--c must be a positive real, got {args.c}")
-    if fn == "f":
-        lam = _need_lambda(args)
-        return lambda x: transform(x, lam)
-    if fn == "finv":
-        lam = _need_lambda(args)
-        return lambda x: inverse(x, lam)
-    if fn == "g":
-        lam = _need_lambda(args)
-        return lambda x: derivative(x, lam)
-    if fn == "rho":
-        lam = _need_lambda(args)
-        return lambda x: loss(x, lam, c)
-    if fn == "k":
-        lam = _need_lambda(args)
-        return lambda x: kernel(x, lam, c)
-    if fn == "pdf":
-        lam = _need_lambda(args)
-        if lam < -1.0:
-            raise CliError("pdf requires lambda >= -1")
-        table = None
-        if args.ztable is not None:
-            try:
-                table = dist_mod.ZTable.load(args.ztable)
-            except (OSError, ValueError) as exc:
-                raise CliError(f"cannot load ztable: {exc}") from None
-        return lambda x: dist_mod.pdf(x, lam, c, table=table)
-    if fn == "bump":
-        lam = _need_lambda(args)
-        if not (1.0 < lam < math.inf):
-            raise CliError("bump requires 1 < lambda < inf")
-        return lambda x: bump(x, lam)
-    if fn == "fpm":
-        lam = _need_lambda(args)
-        if args.lam_neg is None:
-            raise CliError("--lambda-neg is required for --fn fpm")
-        lam_neg = _parse_lambda_flag(args.lam_neg)
-        return lambda x: signed_mod.signed_transform(x, lam, lam_neg)
-    if fn == "softplus":
-        return signed_mod.softplus
-    if fn == "sigmoid":
-        return signed_mod.sigmoid
-    if fn == "tanh":
-        return signed_mod.tanh
-    if fn == "relu":
-        lam_neg = _parse_lambda_flag(args.lam_neg) if args.lam_neg is not None else 0.0
-        return lambda x: signed_mod.relu(x, lam_neg)
-    if fn == "h":
-        lam = _need_lambda(args)
-        if math.isinf(lam):
-            raise CliError("h requires finite lambda")
-        return lambda x: boxcox(x, lam)
-    if fn == "hhat":
-        lam = _need_lambda(args)
-        if math.isinf(lam):
-            raise CliError("hhat requires finite lambda")
-        return lambda x: boxcox_normalized(x, lam)
-    raise CliError(f"unknown fn {fn!r}")
+    """The body of --fn and its checked parameters."""
+    c = _param(args, *_SCALE)  # checked for every --fn
+    if args.fn == "pdf":
+        from .distribution import ZTable, _pdf, _pdf_params, _require_dist_lambda
+
+        lam = _param(args, "--lambda", _require_dist_lambda)
+        try:
+            table = None if args.ztable is None else ZTable.load(args.ztable)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot load ztable: {exc}") from None
+        return _pdf, _pdf_params(lam, c, table)
+    body, params = _EVAL_FUNCTIONS[args.fn]
+    return body, [_param(args, *param) for param in params]
+
+
+_CHUNK = 4096  # rows per write
 
 
 def _cmd_eval(args) -> int:
-    func = _eval_function(args)
-    xs = sorted(_parse_xs(args.x))
-    lines = ["x,value"]
-    for x in xs:
+    body, params = _eval_function(args)
+    # Only h and hhat fail at an x, and only below a bound, so in ascending
+    # order a failure comes in the first chunk, before anything is written.
+    rows = ["x,value\n"]
+    for x in _parse_xs(args.x):
         try:
-            value = func(x)
+            value = body(x, _FLOAT_OPS, *params)
         except ValueError as exc:
-            raise CliError(f"at x = {_fmt(x)}: {exc}") from None
-        lines.append(f"{_fmt(x)},{_fmt(value)}")
-    sys.stdout.write("\n".join(lines) + "\n")
+            raise CliError(f"at x = {x:.17g}: {exc}") from None
+        rows.append(f"{x:.17g},{value:.17g}\n")
+        if len(rows) == _CHUNK:
+            sys.stdout.write("".join(rows))
+            rows.clear()
+    sys.stdout.write("".join(rows))
     return 0
 
 
@@ -175,17 +179,23 @@ def _cmd_accuracy(args) -> int:
         raise CliError("need 0 < --xmin < --xmax")
     if args.n < 2:
         raise CliError("--n must be at least 2")
-    report = accuracy_mod.error_sweep(lams, x_lo=args.xmin, x_hi=args.xmax, n=args.n)
-    sys.stdout.write(accuracy_mod.report_to_csv(report))
+    from .accuracy import error_sweep, report_to_csv
+
+    report = error_sweep(lams, x_lo=args.xmin, x_hi=args.xmax, n=args.n)
+    sys.stdout.write(report_to_csv(report))
     return 0
 
 
 def _cmd_ztable(args) -> int:
-    if args.grid_size < 16:
-        raise CliError(f"--grid-size must be at least 16, got {args.grid_size}")
-    if args.num_points < 16:
-        raise CliError(f"--num-points must be at least 16, got {args.num_points}")
-    table = dist_mod.build_table(args.grid_size, args.num_points)
+    from . import distribution as dist
+
+    grid_size = dist.DEFAULT_GRID_SIZE if args.grid_size is None else args.grid_size
+    num_points = dist.DEFAULT_NUM_POINTS if args.num_points is None else args.num_points
+    if grid_size < 16:
+        raise CliError(f"--grid-size must be at least 16, got {grid_size}")
+    if num_points < 16:
+        raise CliError(f"--num-points must be at least 16, got {num_points}")
+    table = dist.build_table(grid_size, num_points)
     try:
         table.save(args.output)
     except OSError as exc:
@@ -193,11 +203,11 @@ def _cmd_ztable(args) -> int:
     worst = 0.0
     for i in range(0, len(table.s_grid) - 1, max(1, len(table.s_grid) // 16)):
         s_mid = 0.5 * (table.s_grid[i] + table.s_grid[i + 1])
-        lam = dist_mod._decompactify(s_mid)
-        direct = dist_mod.partition_function(lam, args.num_points)
+        lam = dist._decompactify(s_mid)
+        direct = dist.partition_function(lam, num_points)
         worst = max(worst, abs(table.lookup(lam) - direct) / direct)
     print(
-        f"ztable: {len(table.s_grid)} nodes, {args.num_points} quadrature points, "
+        f"ztable: {len(table.s_grid)} nodes, {num_points} quadrature points, "
         f"spot-check max rel err {worst:.3e}",
         file=sys.stderr,
     )
@@ -229,6 +239,8 @@ def _cmd_irls(args) -> int:
     if lam > 0.0:
         raise CliError(f"--lambda must be <= 0 for irls, got {args.lam}")
     observations = _read_observations(args.data, args.skip_header)
+    from .irls import IrlsProblem, fit_location
+
     try:
         problem = IrlsProblem(
             observations=tuple(observations),
@@ -251,12 +263,6 @@ def _cmd_irls(args) -> int:
     return 0 if result.converged else 2
 
 
-_EVAL_FUNCTIONS = [
-    "f", "finv", "g", "rho", "k", "pdf", "bump",
-    "fpm", "softplus", "sigmoid", "tanh", "relu", "h", "hhat",
-]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootpow",
@@ -266,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a function over an x grid, CSV to stdout")
     p_eval.add_argument("--fn", required=True, choices=_EVAL_FUNCTIONS)
-    p_eval.add_argument("--lambda", dest="lam", default=None,
+    p_eval.add_argument("--lambda", default=None,
                         help='shape parameter ("inf", "-inf", or a decimal)')
-    p_eval.add_argument("--lambda-neg", dest="lam_neg", default=None,
+    p_eval.add_argument("--lambda-neg", default=None,
                         help="negative-side shape for fpm/relu")
     p_eval.add_argument("--c", type=float, default=1.0, help="scale (default 1)")
     p_eval.add_argument("--x", required=True,
@@ -286,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_acc.set_defaults(func=_cmd_accuracy)
 
     p_zt = sub.add_parser("ztable", help="build and save a partition-function table")
-    p_zt.add_argument("--grid-size", type=int, default=dist_mod.DEFAULT_GRID_SIZE)
-    p_zt.add_argument("--num-points", type=int, default=dist_mod.DEFAULT_NUM_POINTS)
+    # default None: the library's defaults, read without importing numpy here
+    p_zt.add_argument("--grid-size", type=int, default=None)
+    p_zt.add_argument("--num-points", type=int, default=None)
     p_zt.add_argument("--output", required=True, help="path for the JSON table")
     p_zt.set_defaults(func=_cmd_ztable)
 

@@ -24,12 +24,11 @@ Every family evaluator is built the same way on ``_transform``/``_derivative``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 __all__ = [
     "Branch",
@@ -59,8 +58,8 @@ class UnsupportedBranchError(ValueError):
 
 # Branch windows: lam counts as infinite beyond 1/EPS, as +/-1 within EPS
 # of those points, and as zero within TINY (the smallest positive normal).
-EPS = float(np.finfo(float).eps)
-TINY = float(np.finfo(float).tiny)
+EPS = sys.float_info.epsilon
+TINY = sys.float_info.min
 _PINF_THRESHOLD = 1.0 / EPS
 
 
@@ -207,10 +206,14 @@ _FLOAT_OPS = _Ops(
     lambda cond, then, otherwise: then() if cond else otherwise(),
     bool,
 )
-_ARRAY_OPS = _Ops(
-    np.log1p, np.expm1, np.exp, np.minimum, np.maximum, np.ones_like,
-    lambda cond, then, otherwise: np.where(cond, then(), otherwise()), np.any,
-)
+
+
+@lru_cache(maxsize=None)
+def _array_ops(np) -> _Ops:
+    return _Ops(
+        np.log1p, np.expm1, np.exp, np.minimum, np.maximum, np.ones_like,
+        lambda cond, then, otherwise: np.where(cond, then(), otherwise()), np.any,
+    )
 
 
 def _elementwise(body, x, *params):
@@ -218,15 +221,18 @@ def _elementwise(body, x, *params):
 
     A float runs through libm and gives a float; an ndarray runs through
     numpy ufuncs, with overflow to inf expected, and gives a float64 array
-    of its shape.  A NaN anywhere in x raises ValueError.
+    of its shape.  A NaN anywhere in x raises ValueError.  numpy is never
+    imported here: no ndarray can exist before something else loaded it.
     """
-    if isinstance(x, np.ndarray):
-        x = np.asarray(x, dtype=float)
-        if np.isnan(x).any():
-            raise ValueError("x must not be NaN")
-        with np.errstate(over="ignore"):
-            return np.asarray(body(x, _ARRAY_OPS, *params))
-    x = float(x)
+    if type(x) is not float:  # most calls pass a float: test that first
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(x, np.ndarray):
+            x = np.asarray(x, dtype=float)
+            if np.isnan(x).any():
+                raise ValueError("x must not be NaN")
+            with np.errstate(over="ignore"):
+                return np.asarray(body(x, _array_ops(np), *params))
+        x = float(x)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     return body(x, _FLOAT_OPS, *params)

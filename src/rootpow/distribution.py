@@ -108,15 +108,20 @@ def _pdf(x, ops, lam: float, c: float, z: float, edge: float):
     )
 
 
+def _pdf_params(lam: float, c: float, table: "ZTable | None") -> tuple:
+    # check c, then look Z up once, which also checks lam: _pdf's parameters
+    c = _require_scale(c)
+    lam = float(lam)
+    z = table.lookup(lam) if table is not None else partition_function(lam)
+    return lam, c, z, c * _halfwidth(lam)
+
+
 def pdf(x, lam: float, c: float = 1.0, table: "ZTable | None" = None):
     """Density at x (a float or an ndarray); exactly 0 at and beyond the
     support bound when lam > 1.  Z comes from ``table`` when given, else
     from (cached) quadrature; either lookup also checks lam.
     """
-    c = _require_scale(c)
-    lam = float(lam)
-    z = table.lookup(lam) if table is not None else partition_function(lam)
-    return _elementwise(_pdf, x, lam, c, z, c * _halfwidth(lam))
+    return _elementwise(_pdf, x, *_pdf_params(lam, c, table))
 
 
 def _compactify(lam: float) -> float:

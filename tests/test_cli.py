@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import rootpow
@@ -119,6 +121,105 @@ class TestEval:
         out1 = run(argv)
         out2 = run(argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("spec", ["-1e308:1e308:3", "0:inf:3", "nan:1:3"])
+    def test_non_finite_range_is_one_line_error(self, run, spec):
+        # these used to end at "x = nan", a value nobody gave, the first
+        # after two multi-line numpy overflow warnings
+        code, out, err = run(["eval", "--fn", "f", "--lambda", "0.5", f"--x={spec}"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: range needs finite lo, hi and hi - lo, got {spec!r}\n"
+
+    @pytest.mark.parametrize("flag, reason", [
+        ("--lambda=1", "--lambda: bump shape must satisfy 1 < lam < inf"),
+        ("--c=inf", "--c: scale c must be a positive finite real"),
+    ])
+    def test_parameter_error_carries_library_reason(self, run, flag, reason):
+        code, out, err = run(["eval", "--fn", "bump", "--lambda=2", flag, "--x", "0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {reason}")
+        assert err.count("\n") == 1
+
+    def test_descending_range_is_sorted_like_linspace(self, run):
+        # lo = 3 subnormals down to hi = -0.0 puts a +0.0 node next to hi,
+        # and a stable sort keeps the +0.0 first
+        lo, hi = 1.5e-323, -0.0
+        code, out, _ = run(["eval", "--fn", "f", "--lambda", "0", f"--x={lo!r}:{hi!r}:5"])
+        assert code == 0
+        want = sorted(np.linspace(lo, hi, 5).tolist())
+        assert out == "x,value\n" + "".join(f"{x:.17g},{x:.17g}\n" for x in want)
+        assert out.startswith("x,value\n0,0\n-0,-0\n")
+
+    def test_range_output_streams(self, monkeypatch):
+        class Sink:
+            rows = 0
+
+            def write(self, text):
+                self.rows += text.count("\n")
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["eval", "--fn", "f", "--lambda", "0.5", "--x", "0:1:200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.rows == 200_001
+        # a materialized grid alone would hold 200,000 floats (~6 MB)
+        assert peak < 1_500_000
+
+    def test_pdf_ztable_looks_z_up_once(self, run, tmp_path, monkeypatch):
+        path = tmp_path / "zt.json"
+        rootpow.build_table(64, 256).save(path)
+        calls = []
+        lookup = rootpow.ZTable.lookup
+        monkeypatch.setattr(
+            rootpow.ZTable, "lookup", lambda self, lam: calls.append(lam) or lookup(self, lam)
+        )
+        code, out, _ = run(
+            ["eval", "--fn", "pdf", "--lambda", "0.3", "--ztable", str(path), "--x=-3:3:1000"]
+        )
+        assert code == 0
+        assert out.count("\n") == 1001
+        assert calls == [0.3]
+
+
+def _fuzz_grids(seed, n):
+    """Random lo:hi:count ranges with finite hi - lo, over every binade,
+    subnormals and signed zeros included."""
+    rng = np.random.default_rng(seed)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1.5e-323, -1.5e-323, 4.4e-323, 1.0, -1.0, 1e308, -1e308]
+
+    def endpoint():
+        kind = rng.integers(4)
+        if kind == 0:
+            return specials[rng.integers(len(specials))]
+        if kind == 1:
+            return float(rng.uniform(-10.0, 10.0))
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        return sign * float(10.0 ** rng.uniform(-323.5, 308.0 if kind == 2 else -300.0))
+
+    grids = []
+    while len(grids) < n:
+        lo, hi = endpoint(), endpoint()
+        if math.isfinite(hi - lo):
+            grids.append((lo, hi, int(rng.choice([2, 3, 4, 5, 7, 9, 17, 100]))))
+    return grids
+
+
+def test_streamed_range_order_equals_sorted_linspace():
+    from rootpow.cli import _sorted_linspace
+
+    # a rounded subnormal step pushes a node past hi, and a -0.0/+0.0 tie
+    # must keep its linspace order, which reversing a range would swap
+    grids = [(0.0, 9 * 5e-324, 7), (1.5e-323, -0.0, 5)] + _fuzz_grids(20260518, 4000)
+    for lo, hi, count in grids:
+        want = [x.hex() for x in sorted(np.linspace(lo, hi, count).tolist())]
+        assert [x.hex() for x in _sorted_linspace(lo, hi, count)] == want, (lo, hi, count)
 
 
 class TestAccuracyCommand:
@@ -321,11 +422,22 @@ class TestConsoleEntry:
     def test_import_loads_neither_scipy_nor_mpmath(self):
         # scipy is a test-only oracle and mpmath is loaded by the accuracy
         # oracle when it runs, so neither belongs in every CLI start-up;
-        # nor does statistics, which costs ~5 ms for a median numpy has
+        # nor does statistics, which costs ~5 ms for a median numpy has;
+        # nor numpy, which only pdf, ztable, irls and accuracy need
+        evals = [["eval", "--fn", fn, *flags, "--x=-0.5:0.5:9"] for fn, flags in [
+            ("f", ["--lambda=2"]), ("finv", ["--lambda=2"]), ("g", ["--lambda=2"]),
+            ("rho", ["--lambda=-2", "--c=2"]), ("k", ["--lambda=-2"]),
+            ("bump", ["--lambda=2"]), ("fpm", ["--lambda=1", "--lambda-neg=-1"]),
+            ("softplus", []), ("sigmoid", []), ("tanh", []), ("relu", []),
+            ("h", ["--lambda=2"]), ("hhat", ["--lambda=2"]),
+        ]]
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, rootpow.cli; "
-             "print(sorted({'scipy', 'mpmath', 'statistics'} & set(sys.modules)))"],
+             "import contextlib, io, sys, rootpow.cli\n"
+             f"for argv in {evals!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert rootpow.cli.main(argv) == 0, argv\n"
+             "print(sorted({'numpy', 'scipy', 'mpmath', 'statistics'} & set(sys.modules)))"],
             capture_output=True,
             text=True,
             env=CHILD_ENV,

@@ -1,0 +1,73 @@
+"""The package namespace, and a smoke run of the benchmark that reads it."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import rootpow
+
+_SRC = os.path.dirname(os.path.dirname(rootpow.__file__))
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
+}
+_ROOT = Path(__file__).resolve().parent.parent
+_SUBMODULES = [
+    "core", "loss", "kernel", "signed", "bump", "boxcox", "distribution", "irls", "accuracy",
+]
+
+
+def test_all_is_the_union_of_the_submodules():
+    names = [name for mod in _SUBMODULES for name in import_module(f"rootpow.{mod}").__all__]
+    assert sorted(names) == rootpow.__all__
+
+
+def test_every_public_name_resolves_and_is_listed():
+    for name in rootpow.__all__:
+        assert getattr(rootpow, name) is not None
+    assert set(rootpow.__all__) <= set(dir(rootpow))
+    with pytest.raises(AttributeError):
+        rootpow.no_such_name
+
+
+@pytest.mark.parametrize("order", [
+    ["cli", "loss", "kernel", "bump", "boxcox"],
+    list(reversed(_SUBMODULES)) + ["cli"],
+    ["irls", "distribution", "accuracy", "boxcox", "bump", "kernel", "loss", "cli"],
+], ids=["cli-first", "reversed", "numpy-modules-first"])
+def test_functions_named_like_modules_stay_functions(order):
+    # loss, kernel, bump and boxcox are submodules and public functions; a
+    # first import of a submodule binds the package attribute to it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import {', '.join('rootpow.' + mod for mod in order)}\n"
+         "names = ('loss', 'kernel', 'bump', 'boxcox')\n"
+         "print([type(getattr(rootpow, name)).__name__ for name in names])"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['function', 'function', 'function', 'function']\n"
+
+
+def test_bench_smoke():
+    # the bench reads ~30 names through `rootpow.<name>`; only its
+    # correctness and its metric names are checked here, no timing
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "bench" / "bench.py"),
+         "--workload", "scalar_mix", "--seed", "1", "--seconds", "0"],
+        capture_output=True,
+        text=True,
+        cwd=_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    declared = json.loads((_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(result["metrics"]) == sorted(metric["name"] for metric in declared)
