@@ -51,9 +51,9 @@ _PUBLIC = {
         "oracle_transform", "report_to_csv",
     ),
 }
-# distribution, irls and accuracy need numpy, so each loads on the first
-# use of one of its names.
-_LAZY = {name: mod for mod in ("distribution", "irls", "accuracy") for name in _PUBLIC[mod]}
+# irls and accuracy need numpy at import, so each loads on the first use of
+# one of its names.
+_LAZY = {name: mod for mod in ("irls", "accuracy") for name in _PUBLIC[mod]}
 
 __all__ = sorted(name for names in _PUBLIC.values() for name in names)
 
@@ -67,7 +67,7 @@ def _bind(*modules: str) -> None:
 # The rest load now.  loss, kernel, bump and boxcox each name a module and a
 # function, and the first import of a submodule binds the package attribute
 # to the module, so each is imported before its function is bound over it.
-_bind("core", "loss", "kernel", "signed", "bump", "boxcox")
+_bind("core", "loss", "kernel", "signed", "bump", "boxcox", "distribution")
 
 
 def __getattr__(name: str):

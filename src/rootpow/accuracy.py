@@ -120,35 +120,32 @@ def error_sweep(
     """Geometric-mean absolute error of both implementations per lam.
 
     Zero errors are floored at the smallest positive normal before taking
-    the geometric mean, otherwise a single exact hit would zero the row.
-    Rows where the naive form raises are reported stable-only.
+    the geometric mean, otherwise a single exact hit would zero the row;
+    an exact hit on inf counts as zero error too.  Rows where the naive
+    form raises are reported stable-only.
     """
-    if not (0.0 < x_lo < x_hi):
-        raise ValueError("need 0 < x_lo < x_hi")
+    if not (0.0 < x_lo < x_hi < math.inf):
+        raise ValueError("need 0 < x_lo < x_hi < inf")
     if n < 2:
         raise ValueError("need at least two sample points")
     if lams is None:
         lams = default_lambda_grid()
     xs = np.geomspace(float(x_lo), float(x_hi), int(n)).tolist()
-    floor = TINY
     rows = []
     for lam in sorted(lams):
         truth = [oracle_transform(x, lam) for x in xs]
-        e_stable = _geo_mean(
-            [abs(transform(x, lam) - t) for x, t in zip(xs, truth)], floor
-        )
+        e_stable = _geo_mean_error([transform(x, lam) for x in xs], truth)
         try:
-            e_naive = _geo_mean(
-                [abs(transform_naive(x, lam) - t) for x, t in zip(xs, truth)], floor
-            )
+            e_naive = _geo_mean_error([transform_naive(x, lam) for x in xs], truth)
         except (ArithmeticError, ValueError):
             e_naive = None
         rows.append(AccuracyRow(lam=lam, err_naive=e_naive, err_stable=e_stable))
     return AccuracyReport(rows=tuple(rows), x_lo=x_lo, x_hi=x_hi, samples=n)
 
 
-def _geo_mean(errors: list[float], floor: float) -> float:
-    logs = [math.log(max(e, floor)) for e in errors]
+def _geo_mean_error(values: list[float], truth: list[float]) -> float:
+    # an exact hit is tested before subtracting, since inf - inf is NaN
+    logs = [math.log(TINY if v == t else max(abs(v - t), TINY)) for v, t in zip(values, truth)]
     return math.exp(math.fsum(logs) / len(logs))
 
 

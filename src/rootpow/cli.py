@@ -19,6 +19,7 @@ import json
 import math
 import sys
 
+from . import distribution as dist
 from .boxcox import _boxcox, _boxcox_normalized, _require_boxcox_lambda
 from .bump import _bump, _require_bump_lambda
 from .core import _FLOAT_OPS, _derivative, _require_lambda, _transform, parse_lambda
@@ -106,7 +107,7 @@ _EVAL_FUNCTIONS = {
     "g": (_derivative, [_LAMBDA]),
     "rho": (_loss, [_LAMBDA, _SCALE]),
     "k": (_kernel, [_LAMBDA, _SCALE]),
-    "pdf": None,  # bound in _eval_function: its module loads numpy for Z
+    "pdf": None,  # bound in _eval_function, which looks Z up once
     "bump": (_bump, [("--lambda", _require_bump_lambda)]),
     "fpm": (_signed, [_LAMBDA, ("--lambda-neg", _require_lambda)]),
     "softplus": (_softplus, []),
@@ -136,14 +137,12 @@ def _eval_function(args):
     """The body of --fn and its checked parameters."""
     c = _param(args, *_SCALE)  # checked for every --fn
     if args.fn == "pdf":
-        from .distribution import ZTable, _pdf, _pdf_params, _require_dist_lambda
-
-        lam = _param(args, "--lambda", _require_dist_lambda)
+        lam = _param(args, "--lambda", dist._require_dist_lambda)
         try:
-            table = None if args.ztable is None else ZTable.load(args.ztable)
+            table = None if args.ztable is None else dist.ZTable.load(args.ztable)
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot load ztable: {exc}") from None
-        return _pdf, _pdf_params(lam, c, table)
+        return dist._pdf, dist._pdf_params(lam, c, table)
     body, params = _EVAL_FUNCTIONS[args.fn]
     return body, [_param(args, *param) for param in params]
 
@@ -175,8 +174,8 @@ def _cmd_accuracy(args) -> int:
         lams = [_parse_lambda_flag(tok) for tok in args.lambdas.split(",") if tok.strip()]
         if not lams:
             raise CliError("empty --lambdas list")
-    if not (0.0 < args.xmin < args.xmax):
-        raise CliError("need 0 < --xmin < --xmax")
+    if not (0.0 < args.xmin < args.xmax < math.inf):
+        raise CliError("need 0 < --xmin < --xmax < inf")
     if args.n < 2:
         raise CliError("--n must be at least 2")
     from .accuracy import error_sweep, report_to_csv
@@ -187,15 +186,11 @@ def _cmd_accuracy(args) -> int:
 
 
 def _cmd_ztable(args) -> int:
-    from . import distribution as dist
-
-    grid_size = dist.DEFAULT_GRID_SIZE if args.grid_size is None else args.grid_size
-    num_points = dist.DEFAULT_NUM_POINTS if args.num_points is None else args.num_points
-    if grid_size < 16:
-        raise CliError(f"--grid-size must be at least 16, got {grid_size}")
-    if num_points < 16:
-        raise CliError(f"--num-points must be at least 16, got {num_points}")
-    table = dist.build_table(grid_size, num_points)
+    if args.grid_size < 16:
+        raise CliError(f"--grid-size must be at least 16, got {args.grid_size}")
+    if args.num_points < 16:
+        raise CliError(f"--num-points must be at least 16, got {args.num_points}")
+    table = dist.build_table(args.grid_size, args.num_points)
     try:
         table.save(args.output)
     except OSError as exc:
@@ -204,10 +199,10 @@ def _cmd_ztable(args) -> int:
     for i in range(0, len(table.s_grid) - 1, max(1, len(table.s_grid) // 16)):
         s_mid = 0.5 * (table.s_grid[i] + table.s_grid[i + 1])
         lam = dist._decompactify(s_mid)
-        direct = dist.partition_function(lam, num_points)
+        direct = dist.partition_function(lam, args.num_points)
         worst = max(worst, abs(table.lookup(lam) - direct) / direct)
     print(
-        f"ztable: {len(table.s_grid)} nodes, {num_points} quadrature points, "
+        f"ztable: {len(table.s_grid)} nodes, {args.num_points} quadrature points, "
         f"spot-check max rel err {worst:.3e}",
         file=sys.stderr,
     )
@@ -292,9 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_acc.set_defaults(func=_cmd_accuracy)
 
     p_zt = sub.add_parser("ztable", help="build and save a partition-function table")
-    # default None: the library's defaults, read without importing numpy here
-    p_zt.add_argument("--grid-size", type=int, default=None)
-    p_zt.add_argument("--num-points", type=int, default=None)
+    p_zt.add_argument("--grid-size", type=int, default=dist.DEFAULT_GRID_SIZE)
+    p_zt.add_argument("--num-points", type=int, default=dist.DEFAULT_NUM_POINTS)
     p_zt.add_argument("--output", required=True, help="path for the JSON table")
     p_zt.set_defaults(func=_cmd_ztable)
 

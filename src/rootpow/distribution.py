@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .core import EPS, _elementwise, _require_lambda, transform
 from .loss import _loss, _require_scale, loss
 
@@ -78,6 +76,8 @@ def partition_function(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> floa
     Jacobian dx/du = e**u.  Node count is normalized up to the next odd
     integer so every interval pair is complete.
     """
+    import numpy as np
+
     lam = _require_dist_lambda(lam)
     num_points = int(num_points)
     if num_points < 16:
@@ -138,34 +138,19 @@ def _decompactify(s: float) -> float:
     return s / (1.0 + s)
 
 
-def _pchip_slopes(m: np.ndarray) -> np.ndarray:
-    """Node slopes of the monotone cubic Hermite interpolant on a uniform
-    grid whose cell secants are m (Fritsch and Carlson; the slopes of
-    scipy.interpolate.PchipInterpolator with every spacing equal).
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
 
-    Interior slopes are the weighted harmonic mean of the two adjacent
-    secants, or 0 where those differ in sign or one is 0.  The end slopes
-    come from the one-sided three-point rule, set to 0 when that points
-    against the end secant and clamped to 3 times the end secant when the
-    first two secants differ in sign and it overshoots.
-    """
-    if len(m) == 1:
-        return np.array([m[0], m[0]])
-    slopes = np.zeros(len(m) + 1)
-    # equal spacing gives the harmonic mean equal weights, and the end rule
-    # ((2 h0 + h1) m0 - h0 m1) / (h0 + h1) becomes (3 m0 - m1) / 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        harmonic = 2.0 / (1.0 / m[:-1] + 1.0 / m[1:])
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    slopes[1:-1] = np.where(flat, 0.0, harmonic)
-    for end, (m0, m1) in ((0, (m[0], m[1])), (-1, (m[-1], m[-2]))):
-        d = (3.0 * m0 - m1) / 2.0
-        if np.sign(d) != np.sign(m0):
-            d = 0.0
-        elif np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-            d = 3.0 * m0
-        slopes[end] = d
-    return slopes
+
+def _end_slope(m0: float, m1: float) -> float:
+    # the one-sided three-point rule ((2 h0 + h1) m0 - h0 m1) / (h0 + h1)
+    # at equal spacing, m0 the end secant and m1 its neighbour
+    d = (3.0 * m0 - m1) / 2.0
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 @dataclass(frozen=True)
@@ -177,34 +162,55 @@ class ZTable:
     s_grid: tuple[float, ...]
     log_z: tuple[float, ...]
     num_points: int
-    precision: str = "binary64"
 
     def __post_init__(self) -> None:
         if len(self.s_grid) != len(self.log_z):
             raise ValueError("s_grid and log_z must have equal length")
         if len(self.s_grid) < 2:
             raise ValueError("table needs at least two nodes")
-        if not (np.isfinite(self.s_grid).all() and np.isfinite(self.log_z).all()):
+        # finite first: inf - inf in the differences below is NaN
+        if not (all(map(math.isfinite, self.s_grid)) and all(map(math.isfinite, self.log_z))):
             raise ValueError("s_grid and log_z values must be finite")
-        diffs = np.diff(self.s_grid)
-        if not np.all(diffs > 0.0):
+        diffs = [b - a for a, b in zip(self.s_grid, self.s_grid[1:])]
+        if not all(h > 0.0 for h in diffs):
             raise ValueError("s_grid must be strictly increasing")
         # lookup finds the cell by division, which needs equal spacing
-        if not np.all(np.abs(diffs - diffs[0]) <= 1e-9 * diffs[0]):
+        if not all(abs(h - diffs[0]) <= 1e-9 * diffs[0] for h in diffs):
             raise ValueError("s_grid must be uniformly spaced")
 
     @cached_property
     def _cells(self) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
         """Grid step and, per cell, the kink-subtracted cubic in powers of
-        s - s_k, highest first, as plain floats for a numpy-free lookup."""
-        step = (self.s_grid[-1] - self.s_grid[0]) / (len(self.s_grid) - 1)
-        y = np.asarray(self.log_z) - np.array([_interpolation_kink(t) for t in self.s_grid])
-        h = np.diff(self.s_grid)
-        secant = np.diff(y) / h
-        d = _pchip_slopes(secant)
-        t = (d[:-1] + d[1:] - 2.0 * secant) / h
-        coeffs = np.stack([t / h, (secant - d[:-1]) / h - t, d[:-1], y[:-1]], axis=1)
-        return step, tuple(map(tuple, coeffs.tolist()))
+        s - s_k, highest first.
+
+        The node slopes are those of the monotone cubic Hermite (Fritsch
+        and Carlson; scipy.interpolate.PchipInterpolator with every spacing
+        equal).  Interior slopes are the harmonic mean of the two adjacent
+        secants, or 0 where those differ in sign or one is 0.  The end
+        slopes come from the one-sided three-point rule, set to 0 when that
+        points against the end secant and clamped to 3 times the end secant
+        when the first two secants differ in sign and it overshoots.
+        """
+        s = self.s_grid
+        y = [v - _interpolation_kink(t) for t, v in zip(s, self.log_z)]
+        h = [b - a for a, b in zip(s, s[1:])]
+        m = [(y1 - y0) / hk for y0, y1, hk in zip(y, y[1:], h)]
+        if len(m) == 1:
+            d = [m[0], m[0]]
+        else:
+            d = [_end_slope(m[0], m[1])]
+            for m0, m1 in zip(m, m[1:]):
+                if _sign(m0) * _sign(m1) <= 0:  # before dividing by a 0 secant
+                    d.append(0.0)
+                else:
+                    inv = 1.0 / m0 + 1.0 / m1
+                    d.append(2.0 / inv if inv else m0)  # inv is 0 for two infinite secants
+            d.append(_end_slope(m[-1], m[-2]))
+        cells = []
+        for k, hk in enumerate(h):
+            t = (d[k] + d[k + 1] - 2.0 * m[k]) / hk
+            cells.append((t / hk, (m[k] - d[k]) / hk - t, d[k], y[k]))
+        return (s[-1] - s[0]) / (len(s) - 1), tuple(cells)
 
     def lookup(self, lam: float) -> float:
         """Interpolated Z; exact at grid nodes, domain lam >= -1."""
@@ -232,7 +238,7 @@ class ZTable:
             "s_grid": list(self.s_grid),
             "log_z": list(self.log_z),
             "num_points": self.num_points,
-            "precision": self.precision,
+            "precision": "binary64",
         }
         with open(path, "w", encoding="ascii") as fh:
             json.dump(payload, fh)
@@ -249,14 +255,12 @@ class ZTable:
         num_points = payload.get("num_points")
         if isinstance(num_points, bool) or not isinstance(num_points, int):
             raise ValueError("num_points must be an integer")
-        precision = payload.get("precision")
-        if not isinstance(precision, str):
-            raise ValueError("precision must be a string")
+        if payload.get("precision") != "binary64":
+            raise ValueError('precision must be "binary64"')
         return cls(
             s_grid=_number_list(payload, "s_grid"),
             log_z=_number_list(payload, "log_z"),
             num_points=num_points,
-            precision=precision,
         )
 
 
@@ -281,6 +285,8 @@ def build_table(grid_size: int = DEFAULT_GRID_SIZE, num_points: int = DEFAULT_NU
     the steep stretch approaching lam = -1 needs for about 4e-7 worst-case
     interpolation error; 512 nodes leave roughly 6e-5 there.
     """
+    import numpy as np
+
     grid_size = int(grid_size)
     if grid_size < 16:
         raise ValueError(f"grid_size must be at least 16, got {grid_size}")

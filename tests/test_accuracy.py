@@ -108,6 +108,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             error_sweep(n=1)
 
+    @pytest.mark.parametrize("x_hi", [math.inf, math.nan])
+    def test_non_finite_window_rejected(self, x_hi):
+        with pytest.raises(ValueError):
+            error_sweep([0.5], x_hi=x_hi)
+
     def test_csv_round_trip(self):
         report = error_sweep([0.5, 0.0], n=16)
         text = report_to_csv(report)

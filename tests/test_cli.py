@@ -12,6 +12,7 @@ import pytest
 
 import rootpow
 from rootpow.cli import main
+from rootpow.distribution import build_table
 
 # Child interpreters import rootpow from where this process found it, so
 # the console tests also run from a checkout without an install.
@@ -247,6 +248,24 @@ class TestAccuracyCommand:
         assert code2 == 2
         assert "xmin" in err
 
+    @pytest.mark.parametrize("xmax", ["inf", "nan"])
+    def test_non_finite_window_is_one_line_error(self, run, xmax):
+        # --xmax=inf used to print numpy's two-line warning, then a nan row
+        code, out, err = run(["accuracy", "--lambdas=0.5", f"--xmax={xmax}", "--n", "4"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: need 0 < --xmin < --xmax < inf\n"
+
+    def test_exact_inf_hit_is_zero_error(self, run):
+        # at x = 1e308 value and oracle are both inf, and inf - inf is NaN:
+        # for both forms at lam = 0.3, for the stable one at lam = 0.5
+        code, out, _ = run(["accuracy", "--lambdas=0.3,0.5", "--xmax=1e308", "--n", "4"])
+        assert code == 0
+        assert out.splitlines()[2].split(",")[1] == ""  # the naive form overflows
+        errors = [float(v) for row in out.splitlines()[1:] for v in row.split(",")[1:] if v]
+        assert len(errors) == 3
+        assert all(0.0 < e < math.inf for e in errors)
+
 
 class TestZTableCommand:
     def test_build_and_reuse(self, run, tmp_path):
@@ -304,7 +323,9 @@ class TestZTableCommand:
         {"s_grid": [-0.5, 1.0], "log_z": [1.0, "1.0"], "num_points": 64, "precision": "binary64"},
         {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": "abc", "precision": "binary64"},
         {"log_z": [1.0, 1.0], "num_points": 64, "precision": "binary64"},
-    ], ids=["list-payload", "string-in-log-z", "string-num-points", "missing-s-grid"])
+        {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": 64, "precision": "binary32"},
+    ], ids=["list-payload", "string-in-log-z", "string-num-points", "missing-s-grid",
+            "binary32-precision"])
     def test_wrong_types_in_table_are_validation_errors(self, run, tmp_path, payload):
         path = tmp_path / "zt.json"
         path.write_text(json.dumps(payload))
@@ -419,21 +440,25 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 2  # argparse: missing subcommand
 
-    def test_import_loads_neither_scipy_nor_mpmath(self):
+    def test_import_loads_neither_scipy_nor_mpmath(self, tmp_path):
         # scipy is a test-only oracle and mpmath is loaded by the accuracy
         # oracle when it runs, so neither belongs in every CLI start-up;
         # nor does statistics, which costs ~5 ms for a median numpy has;
-        # nor numpy, which only pdf, ztable, irls and accuracy need
+        # nor numpy, which only pdf without a table, ztable, irls and
+        # accuracy need
+        path = tmp_path / "zt.json"
+        build_table(16, 64).save(path)
         evals = [["eval", "--fn", fn, *flags, "--x=-0.5:0.5:9"] for fn, flags in [
             ("f", ["--lambda=2"]), ("finv", ["--lambda=2"]), ("g", ["--lambda=2"]),
             ("rho", ["--lambda=-2", "--c=2"]), ("k", ["--lambda=-2"]),
             ("bump", ["--lambda=2"]), ("fpm", ["--lambda=1", "--lambda-neg=-1"]),
             ("softplus", []), ("sigmoid", []), ("tanh", []), ("relu", []),
             ("h", ["--lambda=2"]), ("hhat", ["--lambda=2"]),
+            ("pdf", ["--lambda=0.3", f"--ztable={path}"]),
         ]]
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import contextlib, io, sys, rootpow.cli\n"
+             "import contextlib, io, sys, rootpow.cli, rootpow.distribution\n"
              f"for argv in {evals!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        assert rootpow.cli.main(argv) == 0, argv\n"

@@ -194,6 +194,28 @@ class TestZTable:
             want = math.exp(float(reference(s_lam)) + _interpolation_kink(s_lam))
             assert abs(table.lookup(lam) - want) <= 1e-12 * want, lam
 
+    @pytest.mark.parametrize("y", [
+        [0.0, 1.0],
+        [0.0, 1.0, 1.0, 1.0, 2.0],
+        [0.0, 2.0, 1.0, 3.0],
+        [0.0, 1.0, 5.0, 6.0],
+        [0.0, 1.0, -5.0, -4.0],
+    ], ids=["two-nodes", "flat-run", "interior-sign-change", "ends-zeroed", "ends-clamped"])
+    def test_lookup_matches_scipy_pchip_on_every_branch(self, y):
+        # real tables have no zero secant and end slopes that need neither
+        # end rule, so these small uniform tables take the other branches:
+        # the end slopes of ends-zeroed point against the end secants, and
+        # those of ends-clamped overshoot 3 times them
+        s = np.linspace(-0.5, 1.0, len(y)).tolist()
+        kink = [_interpolation_kink(t) for t in s]
+        table = ZTable(s_grid=tuple(s), log_z=tuple(np.add(y, kink).tolist()), num_points=64)
+        reference = PchipInterpolator(s, np.subtract(table.log_z, kink))
+        for probe in np.linspace(-0.5, 1.0, 301):
+            lam = _decompactify(float(probe))
+            s_lam = _compactify(lam)
+            want = math.exp(float(reference(s_lam)) + _interpolation_kink(s_lam))
+            assert abs(table.lookup(lam) - want) <= 1e-12 * want, lam
+
     def test_lookup_domain(self, table):
         with pytest.raises(ValueError):
             table.lookup(-1.1)
