@@ -3,8 +3,8 @@ between Box-Cox and the self-inverting transform.
 
 Conventions differ by a shift: Box-Cox is the identity at parameter 1,
 the self-inverting transform at 0.  Both directions of the bridge are
-implemented by delegating to the other side's evaluator, which doubles as
-a cross-check of the case tables.  All power steps go through
+implemented by delegating to the other side's evaluator body, which
+doubles as a cross-check of the case tables.  All power steps go through
 expm1(a * log1p(b)) rather than raw pow.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import EPS, TINY, UnsupportedBranchError, _elementwise, _require_lambda, transform
+from .core import EPS, TINY, UnsupportedBranchError, _elementwise, _require_lambda, _transform
 
 __all__ = [
     "boxcox",
@@ -45,8 +45,7 @@ def boxcox(x, lam: float):
 
 def _boxcox_normalized(x, ops, lam: float):
     if abs(lam - 1.0) < EPS:
-        # a new array for an array caller; the product keeps -0.0's sign
-        return 1.0 * x
+        return x
     if abs(lam) < TINY:
         if ops.any(x <= -1.0):
             raise ValueError(f"out of domain at lam = 0: need x > -1, got {x!r}")
@@ -67,6 +66,14 @@ def boxcox_normalized(x, lam: float):
     return _elementwise(_boxcox_normalized, x, _require_boxcox_lambda(lam))
 
 
+def _transform_via_boxcox(x, ops, lam: float):
+    if abs(lam) < TINY:
+        return _boxcox(x, ops, 1.0)
+    if lam < 0.0:
+        return -lam * _boxcox(-x / lam, ops, lam + 1.0)
+    return lam / (1.0 - lam) * _boxcox((1.0 - lam) / lam * x, ops, 1.0 / (1.0 - lam))
+
+
 def transform_via_boxcox(x, lam: float):
     """The self-inverting transform computed through Box-Cox.
 
@@ -79,11 +86,14 @@ def transform_via_boxcox(x, lam: float):
         raise UnsupportedBranchError("no Box-Cox image for extended lam")
     if abs(lam - 1.0) < EPS:
         raise UnsupportedBranchError("bridge is singular at lam = 1")
-    if abs(lam) < TINY:
-        return boxcox(x, 1.0)
-    if lam < 0.0:
-        return -lam * boxcox(-x / lam, lam + 1.0)
-    return lam / (1.0 - lam) * boxcox((1.0 - lam) / lam * x, 1.0 / (1.0 - lam))
+    return _elementwise(_transform_via_boxcox, x, lam)
+
+
+def _boxcox_via_transform(x, ops, lam: float):
+    if abs(lam - 1.0) < EPS:
+        return _transform(x, ops, 0.0)
+    k = abs(1.0 - lam)
+    return _transform(k * x, ops, lam - 1.0 if lam < 1.0 else 1.0 - 1.0 / lam) / k
 
 
 def boxcox_via_transform(x, lam: float):
@@ -94,9 +104,4 @@ def boxcox_via_transform(x, lam: float):
     below/above split at 1, not 0, is what makes the two mappings agree
     with the direct evaluator on (0, 1).)
     """
-    lam = _require_boxcox_lambda(lam)
-    if abs(lam - 1.0) < EPS:
-        return transform(x, 0.0)
-    if lam < 1.0:
-        return transform((1.0 - lam) * x, lam - 1.0) / (1.0 - lam)
-    return transform((lam - 1.0) * x, 1.0 - 1.0 / lam) / (lam - 1.0)
+    return _elementwise(_boxcox_via_transform, x, _require_boxcox_lambda(lam))

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 __all__ = [
     "Branch",
@@ -89,7 +89,7 @@ class BranchPlan:
 
 def _require_lambda(lam: float) -> float:
     lam = float(lam)
-    if math.isnan(lam):
+    if lam != lam:  # NaN
         raise ValueError("shape parameter lam must not be NaN")
     return lam
 
@@ -165,53 +165,36 @@ def max_domain(lam: float) -> float:
     return branch_plan(lam).max_domain
 
 
-def _expm1(t: float) -> float:
-    try:
-        return math.expm1(t)
-    except OverflowError:
-        return math.inf
+def _saturating(f):
+    def call(t: float, out=None) -> float:
+        try:
+            return f(t)
+        except OverflowError:
+            return math.inf
+    return call
 
 
-def _exp(t: float) -> float:
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return math.inf
-
-
-class _Ops(NamedTuple):
-    """The primitives a branch plan is composed from, for one operand kind."""
-
-    log1p: Callable
-    expm1: Callable
-    exp: Callable
-    minimum: Callable
-    maximum: Callable
-    ones: Callable
-    # select(cond, then, otherwise) takes its two values as thunks: a float
-    # evaluates only the one cond picks, an array both, picked elementwise;
-    # any(flags) reduces a domain check on x to one bool.
-    select: Callable
-    any: Callable
-
-
+# The primitives a branch plan is composed from, for one operand kind.
+# log1p(a, out), expm1, exp, minimum(a, b, out) and maximum write into an
+# array out, as numpy's ufuncs do; a float ignores it.  select(cond, then,
+# otherwise) takes its two values as thunks: a float evaluates only the one
+# cond picks, an array both, picked elementwise.  any(flags) reduces a
+# domain check on x to one bool.
+_Ops = namedtuple("_Ops", "log1p expm1 exp minimum maximum ones select any")
 # Two-argument min/max as conditionals: the builtins cost ~150 ns a call.
 _FLOAT_OPS = _Ops(
-    math.log1p,
-    _expm1,
-    _exp,
-    lambda a, b: b if b < a else a,
-    lambda a, b: b if b > a else a,
-    lambda x: 1.0,
-    lambda cond, then, otherwise: then() if cond else otherwise(),
-    bool,
+    lambda t, out=None: math.log1p(t), _saturating(math.expm1), _saturating(math.exp),
+    lambda a, b, out=None: b if b < a else a, lambda a, b, out=None: b if b > a else a,
+    lambda x: 1.0, lambda cond, then, otherwise: then() if cond else otherwise(), bool,
 )
 
 
 @lru_cache(maxsize=None)
 def _array_ops(np) -> _Ops:
+    # numpy deprecates a positional out for minimum and maximum
     return _Ops(
-        np.log1p, np.expm1, np.exp, np.minimum, np.maximum, np.ones_like,
+        np.log1p, np.expm1, np.exp, lambda a, b, out=None: np.minimum(a, b, out=out),
+        lambda a, b, out=None: np.maximum(a, b, out=out), np.ones_like,
         lambda cond, then, otherwise: np.where(cond, then(), otherwise()), np.any,
     )
 
@@ -219,53 +202,73 @@ def _array_ops(np) -> _Ops:
 def _elementwise(body, x, *params):
     """Evaluate ``body(x, ops, *params)`` for a float or an ndarray x.
 
-    A float runs through libm and gives a float; an ndarray runs through
-    numpy ufuncs, with overflow to inf expected, and gives a float64 array
-    of its shape.  A NaN anywhere in x raises ValueError.  numpy is never
-    imported here: no ndarray can exist before something else loaded it.
+    A float runs through libm and gives a float.  An ndarray runs through
+    numpy ufuncs, overflow to inf expected, as a C-contiguous array of ndim
+    >= 1 (a 0-d ufunc result is a scalar, which takes no ``out=``) that the
+    body may return but not write into, and gives a new float64 array of x's
+    shape.  A NaN in x raises ValueError.  numpy is never imported here.
     """
     if type(x) is not float:  # most calls pass a float: test that first
         np = sys.modules.get("numpy")
         if np is not None and isinstance(x, np.ndarray):
-            x = np.asarray(x, dtype=float)
-            if np.isnan(x).any():
+            a = np.ascontiguousarray(x, dtype=float)
+            if np.isnan(a).any():
                 raise ValueError("x must not be NaN")
             with np.errstate(over="ignore"):
-                return np.asarray(body(x, _array_ops(np), *params))
+                out = body(a, _array_ops(np), *params)
+            return (out.copy() if out is a else out).reshape(x.shape)
         x = float(x)
-    if math.isnan(x):
+    if x != x:  # NaN, without math.isnan's two lookups and call
         raise ValueError("x must not be NaN")
     return body(x, _FLOAT_OPS, *params)
 
 
-def _transform(x, ops: _Ops, lam: float):
+# An array body allocates at most one array and runs every later pass in
+# it: ``out``, None until a pass allocates it, or x itself when the caller
+# hands over an array it owns.  Passes that are exact identities on non-NaN
+# input (min with inf, times 1) are skipped.  Only the pre-scale can meet x
+# unallocated: a plan that skips the log has mid_scale 1, and one that
+# skips the exp a post_scale of 1 or a log before it.
+
+
+def _transform(x, ops: _Ops, lam: float, out=None):
     plan = branch_plan(lam)
-    t = plan.pre_scale * ops.minimum(x, plan.max_domain)
+    if plan.max_domain != math.inf:
+        x = out = ops.minimum(x, plan.max_domain, out)
+    if plan.pre_scale != 1.0:
+        if out is None:
+            x = out = plan.pre_scale * x
+        else:
+            x *= plan.pre_scale
     if not plan.skip_log:
-        t = ops.log1p(ops.maximum(t, _ABOVE_MINUS_ONE))
-    t = plan.mid_scale * t
+        x = out = ops.maximum(x, _ABOVE_MINUS_ONE, out)
+        x = ops.log1p(x, out)
+    if plan.mid_scale != 1.0:
+        x *= plan.mid_scale
     if not plan.skip_exp:
-        t = ops.expm1(t)
-    return plan.post_scale * t
+        x = ops.expm1(x, out)
+    if plan.post_scale != 1.0:
+        x *= plan.post_scale
+    return x
 
 
-def _derivative(x, ops: _Ops, lam: float):
+def _derivative(x, ops: _Ops, lam: float, out=None):
     plan = branch_plan(lam)
-    t = plan.pre_scale * ops.minimum(x, plan.max_domain)
+    if plan.skip_log == plan.skip_exp and plan.mid_scale == 1.0:
+        # lam = 0 or |lam| < ~eps/2: the power is 1 (0 * inf must not leak NaN)
+        return ops.ones(x)
+    if plan.max_domain != math.inf:
+        x = out = ops.minimum(x, plan.max_domain, out)
+    if plan.pre_scale != 1.0:
+        if out is None:
+            x = out = plan.pre_scale * x
+        else:
+            x *= plan.pre_scale
     if not plan.skip_log:
-        inner = ops.log1p(ops.maximum(t, _ABOVE_MINUS_ONE))
-        if plan.skip_exp:
-            return ops.exp(-inner)
-        dmid = plan.mid_scale - 1.0
-        if dmid == 0.0:
-            # |lam| below ~eps/2 underflows the exponent entirely; the
-            # power this plan evaluates is 1, and 0 * inf must not leak
-            # NaN when pre_scale * x overflows.
-            return ops.ones(t)
-        return ops.exp(dmid * inner)
-    if plan.skip_exp:
-        return ops.ones(t)
-    return ops.exp(plan.mid_scale * t)
+        x = out = ops.maximum(x, _ABOVE_MINUS_ONE, out)
+        x = ops.log1p(x, out)
+        x *= -1.0 if plan.skip_exp else plan.mid_scale - 1.0
+    return ops.exp(x, out)
 
 
 def transform(x: float | np.ndarray, lam: float) -> float | np.ndarray:

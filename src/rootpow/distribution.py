@@ -156,8 +156,8 @@ def _end_slope(m0: float, m1: float) -> float:
 @dataclass(frozen=True)
 class ZTable:
     """Precomputed log Z on a uniform, strictly increasing grid of the
-    compactified coordinate, plus the quadrature node count that produced
-    it."""
+    compactified coordinate from -0.5 to 1, plus the quadrature node count
+    that produced it."""
 
     s_grid: tuple[float, ...]
     log_z: tuple[float, ...]
@@ -171,6 +171,8 @@ class ZTable:
         # finite first: inf - inf in the differences below is NaN
         if not (all(map(math.isfinite, self.s_grid)) and all(map(math.isfinite, self.log_z))):
             raise ValueError("s_grid and log_z values must be finite")
+        if self.s_grid[0] != -0.5 or self.s_grid[-1] != 1.0:  # lam in [-1, inf]
+            raise ValueError("s_grid must run from -0.5 to 1.0")
         diffs = [b - a for a, b in zip(self.s_grid, self.s_grid[1:])]
         if not all(h > 0.0 for h in diffs):
             raise ValueError("s_grid must be strictly increasing")
@@ -220,8 +222,7 @@ class ZTable:
         if s >= grid[-1]:
             return math.exp(self.log_z[-1])
         step, cells = self._cells
-        # below the first node the first cell's cubic extrapolates
-        i = min(max(int((s - grid[0]) / step), 0), len(cells) - 1)
+        i = min(int((s - grid[0]) / step), len(cells) - 1)
         # the division can land one cell off where linspace rounded a node
         if i > 0 and s < grid[i]:
             i -= 1

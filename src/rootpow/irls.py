@@ -6,8 +6,8 @@ lam <= 0 each sweep is a majorize-minimize step, so the objective never
 increases.  lam > 0 is rejected: there the weights grow with the residual
 and the scheme stops being a descent method.
 
-A sweep is one array kernel call plus numpy's pairwise sums, which are
-accurate to O(eps * log n) of the summed magnitudes, far inside the
+A sweep is one run of the kernel body plus numpy's pairwise sums, which
+are accurate to O(eps * log n) of the summed magnitudes, far inside the
 stopping tolerance.  A fit ends with one more sweep summed with
 ``math.fsum``, so its result is the exactly rounded weighted mean at the
 final weights: a lam = 0 fit returns ``math.fsum(observations) / n``.
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _require_lambda
-from .kernel import irls_weight
+from .core import _array_ops, _require_lambda
+from .kernel import _kernel
 from .loss import _require_scale, loss
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _MAX = sys.float_info.max
+_OPS = _array_ops(np)
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,13 @@ def _weighted_shift(r: np.ndarray, problem: IrlsProblem) -> tuple[float, float]:
     The mean is summed over the normalized weights w / total, so no
     partial sum passes max|r|.  Both are 0.0 when every weight is 0.
     """
-    w = irls_weight(r, problem.lam, problem.c)
+    w = _kernel(r, _OPS, problem.lam, problem.c)  # r is finite: no NaN scan
     total = float(w.sum())
     if not total > 0.0:
         return 0.0, 0.0
-    return total, float((w / total * r).sum())
+    w /= total
+    w *= r
+    return total, float(w.sum())
 
 
 def irls_step(mu: float, problem: IrlsProblem) -> float:
@@ -130,25 +133,26 @@ def irls_step(mu: float, problem: IrlsProblem) -> float:
     A mu outside the data's range is first moved to its nearest end,
     which shrinks every residual and so cannot raise the objective.
     """
-    mu = problem._clamp(mu)
-    return mu + _weighted_shift(problem._values - mu, problem)[1]
+    with np.errstate(over="ignore"):
+        mu = problem._clamp(mu)
+        return mu + _weighted_shift(problem._values - mu, problem)[1]
 
 
 def _exact_sweep(mu: float, problem: IrlsProblem) -> float:
     """irls_step with both sums exactly rounded: fsum(w * x) / fsum(w)."""
     mu = problem._clamp(mu)
-    w = irls_weight(problem._values - mu, problem.lam, problem.c)
+    w = _kernel(problem._values - mu, _OPS, problem.lam, problem.c)
     total = math.fsum(w.tolist())
     if not total > 0.0:
         return mu
-    terms = w * problem._values  # w <= 1 for lam <= 0: no product overflows
+    w *= problem._values  # w <= 1 for lam <= 0: no product overflows
     try:
-        mean = math.fsum(terms.tolist()) / total
+        mean = math.fsum(w.tolist()) / total
     except OverflowError:
         # n terms of up to the largest double: sum them scaled by a power
         # of two below 1/n, exactly but for subnormal terms
-        scale = 2.0 ** -terms.size.bit_length()
-        mean = math.fsum((terms * scale).tolist()) / total / scale
+        scale = 2.0 ** -w.size.bit_length()
+        mean = math.fsum((w * scale).tolist()) / total / scale
     # the division can round just past the data's range, to inf at the ends
     return problem._clamp(mean)
 
@@ -171,7 +175,8 @@ def objective_gradient(mu: float, problem: IrlsProblem) -> float:
     residual, and c divides twice, since c * c underflows to 0 below
     about 1e-162.  A gradient past the largest double is +-inf.
     """
-    total, shift = _weighted_shift(_residuals(mu, problem), problem)
+    with np.errstate(over="ignore"):
+        total, shift = _weighted_shift(_residuals(mu, problem), problem)
     return -(total * shift) / problem.c / problem.c
 
 
@@ -198,14 +203,16 @@ def fit_location(problem: IrlsProblem) -> IrlsResult:
     mu = _median(problem._values)
     converged = False
     iterations = 0
-    for iterations in range(1, problem.max_iters + 1):
-        new_mu = irls_step(mu, problem)
-        step_ok = abs(new_mu - mu) <= problem.tol * (1.0 + abs(new_mu))
-        mu = new_mu
-        if step_ok:
-            converged = True
-            break
-    mu = _exact_sweep(mu, problem)
+    with np.errstate(over="ignore"):
+        for iterations in range(1, problem.max_iters + 1):
+            new_mu = problem._clamp(mu)  # irls_step, in the one errstate
+            new_mu += _weighted_shift(problem._values - new_mu, problem)[1]
+            step_ok = abs(new_mu - mu) <= problem.tol * (1.0 + abs(new_mu))
+            mu = new_mu
+            if step_ok:
+                converged = True
+                break
+        mu = _exact_sweep(mu, problem)
     return IrlsResult(
         mu=mu,
         iterations=iterations,

@@ -26,8 +26,10 @@ KERNEL_REFERENCE_LAMBDAS = {
 
 
 def _kernel(x, ops, lam: float, c: float):
-    r = x / c  # squared as in loss._loss
-    return _derivative(0.5 * r * r, ops, lam)
+    r = x / c if c != 1.0 else x  # squared as in loss._loss
+    u = 0.5 * r
+    u *= r
+    return _derivative(u, ops, lam, u)
 
 
 def kernel(x, lam: float, c: float = 1.0):

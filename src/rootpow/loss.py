@@ -36,9 +36,11 @@ def _loss(x, ops, lam: float, c: float):
     # r * r, not r ** 2: past the binary64 range a float product gives inf,
     # which the transform maps to its limit, where ** raises OverflowError;
     # and the product is correctly rounded, which libm's pow(r, 2.0) is not
-    # on about 1 input in 1000.
-    r = x / c
-    return _transform(0.5 * r * r, ops, lam)
+    # on about 1 input in 1000.  u is the one new array the transform runs in.
+    r = x / c if c != 1.0 else x
+    u = 0.5 * r
+    u *= r
+    return _transform(u, ops, lam, u)
 
 
 def loss(x, lam: float, c: float = 1.0):

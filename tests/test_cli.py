@@ -324,8 +324,9 @@ class TestZTableCommand:
         {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": "abc", "precision": "binary64"},
         {"log_z": [1.0, 1.0], "num_points": 64, "precision": "binary64"},
         {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": 64, "precision": "binary32"},
+        {"s_grid": [0.5, 1.0], "log_z": [1.0, 1.0], "num_points": 64, "precision": "binary64"},
     ], ids=["list-payload", "string-in-log-z", "string-num-points", "missing-s-grid",
-            "binary32-precision"])
+            "binary32-precision", "grid-off-the-range"])
     def test_wrong_types_in_table_are_validation_errors(self, run, tmp_path, payload):
         path = tmp_path / "zt.json"
         path.write_text(json.dumps(payload))

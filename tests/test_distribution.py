@@ -1,5 +1,6 @@
 """Density family: partition constants, normalization, table fidelity."""
 
+import json
 import math
 
 import mpmath
@@ -252,6 +253,25 @@ class TestZTable:
             "precision": "binary64",
         }))
         with pytest.raises(ValueError):
+            ZTable.load(path)
+
+    @pytest.mark.parametrize("s_grid", [
+        (2.0, 1e308),                                 # lookup(0.0) was NaN
+        tuple(np.linspace(0.5, 1.0, 11).tolist()),    # lookup(-1.0) was 7.4e-44
+        tuple(np.linspace(-0.5, 0.5, 11).tolist()),
+        tuple(np.linspace(-0.75, 1.0, 11).tolist()),
+    ], ids=["past-the-range", "upper-half", "lower-part", "wider"])
+    def test_grid_off_the_compactified_range_rejected(self, s_grid, tmp_path):
+        # a table must cover s in [-0.5, 1], lam in [-1, inf], end to end
+        log_z = tuple(float(v) for v in np.linspace(0.0, 1.0, len(s_grid)))
+        with pytest.raises(ValueError, match="-0.5 to 1.0"):
+            ZTable(s_grid=s_grid, log_z=log_z, num_points=64)
+        path = tmp_path / "zt.json"
+        path.write_text(json.dumps({
+            "s_grid": list(s_grid), "log_z": list(log_z), "num_points": 64,
+            "precision": "binary64",
+        }))
+        with pytest.raises(ValueError, match="-0.5 to 1.0"):
             ZTable.load(path)
 
     def test_non_uniform_grid_rejected(self, table):

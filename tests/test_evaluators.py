@@ -100,3 +100,116 @@ def test_pdf_with_table_takes_arrays():
     out = rp.pdf(xs, 0.5, 2.0, table)
     want = [rp.pdf(float(x), 0.5, 2.0, table) for x in xs]
     np.testing.assert_allclose(out, want, rtol=PDF_TOL[0])
+
+
+# Shapes where the array bodies skip identity passes, so that the first
+# pass that allocates is a later one, or none is: lam = 0 hands x back,
+# lam = 1 starts at the expm1/exp, lam = -1 at the maximum, and c = 1
+# skips the division.
+IDENTITY_SKIPS = [
+    ("transform_zero", rp.transform, (0.0,)),
+    ("transform_one", rp.transform, (1.0,)),
+    ("transform_neg_one", rp.transform, (-1.0,)),
+    ("transform_bounded", rp.transform, (1.5,)),
+    ("derivative_zero", rp.derivative, (0.0,)),
+    ("derivative_one", rp.derivative, (1.0,)),
+    ("loss_c1", rp.loss, (-1.0, 1.0)),
+    ("loss_zero_c1", rp.loss, (0.0, 1.0)),
+    ("kernel_c1", rp.kernel, (-math.inf, 1.0)),
+    ("kernel_zero_c1", rp.kernel, (0.0, 1.0)),
+    ("irls_weight_c1", rp.irls_weight, (-0.5,)),
+]
+NO_WRITE = [(c[0], c[1], c[2]) for c in CASES] + IDENTITY_SKIPS
+LAYOUTS = {
+    "contiguous": lambda: XS.copy(),
+    "strided": lambda: np.linspace(-0.9, 3.0, 80)[::2],
+    "zero_d": lambda: np.array(0.75),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("name,fn,args", NO_WRITE, ids=[c[0] for c in NO_WRITE])
+def test_array_bodies_never_write_into_x(name, fn, args, layout):
+    x = LAYOUTS[layout]()
+    before = x.copy()
+    out = fn(x, *args)
+    assert x.tobytes() == before.tobytes()
+    assert type(out) is np.ndarray and out.shape == x.shape
+    assert not np.shares_memory(out, x)
+    # any layout gives the bits of the same values laid out contiguously
+    want = fn(np.ascontiguousarray(before).reshape(-1), *args).reshape(x.shape)
+    assert out.tobytes() == want.tobytes()
+
+
+# Reference array bodies with every pass out of place and none skipped;
+# the fused bodies must give the same bits.
+_ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
+
+
+def _unfused_transform(x, lam):
+    plan = rp.branch_plan(lam)
+    t = plan.pre_scale * np.minimum(x, plan.max_domain)
+    if not plan.skip_log:
+        t = np.log1p(np.maximum(t, _ABOVE_MINUS_ONE))
+    t = plan.mid_scale * t
+    if not plan.skip_exp:
+        t = np.expm1(t)
+    return plan.post_scale * t
+
+
+def _unfused_derivative(x, lam):
+    plan = rp.branch_plan(lam)
+    t = plan.pre_scale * np.minimum(x, plan.max_domain)
+    if not plan.skip_log:
+        inner = np.log1p(np.maximum(t, _ABOVE_MINUS_ONE))
+        if plan.skip_exp:
+            return np.exp(-inner)
+        dmid = plan.mid_scale - 1.0
+        return np.ones_like(t) if dmid == 0.0 else np.exp(dmid * inner)
+    return np.ones_like(t) if plan.skip_exp else np.exp(plan.mid_scale * t)
+
+
+def _half_square(x, c):
+    r = x / c
+    return 0.5 * r * r
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+# one shape per branch, plus lam = 0.5 (pre_scale 1), a bounded lam > 1 and
+# |lam| below eps/2 (a derivative of exactly 1 off the ZERO branch)
+FUSION_LAMS = [math.inf, 1.0, 0.5, 0.3, 0.0, 1e-17, -0.5, -1.0, -2.0, -math.inf, 1.5, 3.0]
+_TINY_SUB = 5e-324
+FUSION_XS = np.concatenate([
+    [0.0, -0.0, _TINY_SUB, -_TINY_SUB, 2.5e-310, -1e-320, 1e200, -1e200, MAX, -MAX,
+     math.inf, -math.inf, 1.3e154, -1.5e154, 1.0, -1.0],
+    np.random.default_rng(8).standard_normal(500) * 10.0 ** np.random.default_rng(9).uniform(-8, 8, 500),
+])
+
+
+@pytest.mark.parametrize("lam", FUSION_LAMS)
+def test_fused_bodies_match_unfused_bit_for_bit(lam):
+    with np.errstate(over="ignore"):
+        want = {
+            "transform": _unfused_transform(FUSION_XS, lam),
+            "inverse": _unfused_transform(FUSION_XS, -lam),
+            "derivative": _unfused_derivative(FUSION_XS, lam),
+        }
+        for c in (0.5, 1.0, 2.0):
+            u = _half_square(FUSION_XS, c)
+            want[f"loss c={c}"] = _unfused_transform(u, lam)
+            want[f"kernel c={c}"] = _unfused_derivative(u, lam)
+            want[f"irls_weight c={c}"] = want[f"kernel c={c}"]
+    got = {
+        "transform": rp.transform(FUSION_XS, lam),
+        "inverse": rp.inverse(FUSION_XS, lam),
+        "derivative": rp.derivative(FUSION_XS, lam),
+    }
+    for c in (0.5, 1.0, 2.0):
+        got[f"loss c={c}"] = rp.loss(FUSION_XS, lam, c)
+        got[f"kernel c={c}"] = rp.kernel(FUSION_XS, lam, c)
+        got[f"irls_weight c={c}"] = rp.irls_weight(FUSION_XS, lam, c)
+    for name in want:
+        assert _hex(got[name]) == _hex(want[name]), name

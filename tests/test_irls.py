@@ -294,3 +294,59 @@ class TestExactness:
             assert result.iterations == iterations
             assert result.converged == converged
             assert abs(result.mu - mu) <= 1e-10
+
+
+def _public_sweep_parts(r, lam, c):
+    """Total public irls_weight of residuals r and their weighted mean,
+    the composition the sweeps run on the kernel body."""
+    w = irls_weight(r, lam, c)
+    total = float(w.sum())
+    if not total > 0.0:
+        return 0.0, 0.0
+    return total, float((w / total * r).sum())
+
+
+def _public_step(mu, problem):
+    values = np.array(problem.observations)
+    mu = min(max(mu, values.min()), values.max())
+    return mu + _public_sweep_parts(values - mu, problem.lam, problem.c)[1]
+
+
+def _public_gradient(mu, problem):
+    values = np.array(problem.observations)
+    with np.errstate(over="ignore"):
+        r = np.clip(values - mu, -BIG, BIG)
+    total, shift = _public_sweep_parts(r, problem.lam, problem.c)
+    return -(total * shift) / problem.c / problem.c
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-300])
+@pytest.mark.parametrize("lam", [-math.inf, -2.0, -1.0, -0.5, 0.0])
+def test_sweeps_equal_the_public_weight_composition(lam, c):
+    # the bench's fit data: 90% N(0, 1), 10% outliers at +/-[10, 50]
+    rng = np.random.default_rng(47)
+    obs = rng.standard_normal(500)
+    far = rng.random(500) < 0.1
+    obs[far] = np.where(rng.random(far.sum()) < 0.5, -1.0, 1.0) * rng.uniform(10.0, 50.0, far.sum())
+    problem = IrlsProblem(observations=tuple(obs.tolist()), lam=lam, c=c)
+    mu = float(np.median(obs)) + 0.25
+    for _ in range(40):
+        new_mu = irls_step(mu, problem)
+        assert new_mu.hex() == _public_step(mu, problem).hex()
+        mu = new_mu
+    for at in (mu, 3.0, -60.0, BIG, -BIG):
+        assert objective_gradient(at, problem).hex() == _public_gradient(at, problem).hex()
+    # fit_location runs the same sweep inline, then one fsum sweep
+    mu = float(np.median(obs))
+    for iterations in range(1, problem.max_iters + 1):
+        new_mu = irls_step(mu, problem)
+        done = abs(new_mu - mu) <= problem.tol * (1.0 + abs(new_mu))
+        mu = new_mu
+        if done:
+            break
+    w = irls_weight(obs - mu, lam, c)
+    total = math.fsum(w.tolist())
+    if total > 0.0:
+        mu = math.fsum((w * obs).tolist()) / total
+    result = fit_location(problem)
+    assert (result.mu.hex(), result.iterations) == (mu.hex(), iterations)

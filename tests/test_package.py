@@ -56,12 +56,14 @@ def test_functions_named_like_modules_stay_functions(order):
     assert proc.stdout == "['function', 'function', 'function', 'function']\n"
 
 
-def test_bench_smoke():
-    # the bench reads ~30 names through `rootpow.<name>`; only its
-    # correctness and its metric names are checked here, no timing
+@pytest.mark.parametrize("workload", ["scalar_mix", "robust_fit"])
+def test_bench_smoke(workload):
+    # the bench reads ~30 names through `rootpow.<name>`, and robust_fit
+    # runs the IRLS sweeps; only the bench's correctness and its metric
+    # names are checked here, no timing
     proc = subprocess.run(
         [sys.executable, str(_ROOT / "bench" / "bench.py"),
-         "--workload", "scalar_mix", "--seed", "1", "--seconds", "0"],
+         "--workload", workload, "--seed", "1", "--seconds", "0"],
         capture_output=True,
         text=True,
         cwd=_ROOT,
