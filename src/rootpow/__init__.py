@@ -26,48 +26,32 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Each public name, under the submodule it comes from.
-_PUBLIC = {
-    "core": (
-        "Branch", "BranchPlan", "UnsupportedBranchError", "branch_plan", "classify",
-        "derivative", "inverse", "max_domain", "parse_lambda", "render_lambda",
-        "transform", "transform_naive",
-    ),
-    "loss": ("LOSS_REFERENCE_LAMBDAS", "loss", "loss_reference"),
-    "kernel": ("KERNEL_REFERENCE_LAMBDAS", "irls_weight", "kernel", "kernel_reference"),
-    "signed": ("elu_reference", "relu", "sigmoid", "signed_transform", "softplus", "tanh"),
-    "bump": ("bump", "bump_classic"),
-    "boxcox": ("boxcox", "boxcox_normalized", "boxcox_via_transform", "transform_via_boxcox"),
-    "distribution": (
-        "DEFAULT_GRID_SIZE", "DEFAULT_NUM_POINTS", "ZTable", "build_table",
-        "partition_function", "pdf", "support_halfwidth",
-    ),
-    "irls": (
-        "IrlsProblem", "IrlsResult", "fit_location", "irls_step", "loss_objective",
-        "objective_gradient",
-    ),
-    "accuracy": (
-        "AccuracyReport", "AccuracyRow", "default_lambda_grid", "error_sweep",
-        "oracle_transform", "report_to_csv",
-    ),
-}
 # irls and accuracy need numpy at import, so each loads on the first use of
-# one of its names.
-_LAZY = {name: mod for mod in ("irls", "accuracy") for name in _PUBLIC[mod]}
-
-__all__ = sorted(name for names in _PUBLIC.values() for name in names)
-
-
-def _bind(*modules: str) -> None:
-    for module in modules:
-        source = import_module(f".{module}", __name__)
-        globals().update((name, getattr(source, name)) for name in _PUBLIC[module])
+# one of its names, listed here; the other submodules load now.
+_LAZY = dict.fromkeys((
+    "IrlsProblem", "IrlsResult", "fit_location", "irls_step", "loss_objective",
+    "objective_gradient",
+), "irls") | dict.fromkeys((
+    "AccuracyReport", "AccuracyRow", "default_lambda_grid", "error_sweep",
+    "oracle_transform", "report_to_csv",
+), "accuracy")
 
 
-# The rest load now.  loss, kernel, bump and boxcox each name a module and a
-# function, and the first import of a submodule binds the package attribute
-# to the module, so each is imported before its function is bound over it.
-_bind("core", "loss", "kernel", "signed", "bump", "boxcox", "distribution")
+def _bind(module: str) -> list[str]:
+    """Import a submodule and bind its public names here; returns them."""
+    source = import_module(f".{module}", __name__)
+    globals().update((name, getattr(source, name)) for name in source.__all__)
+    return source.__all__
+
+
+# loss, kernel, bump and boxcox each name a module and a function, and the
+# first import of a submodule binds the package attribute to the module, so
+# each is imported before its function is bound over it.
+__all__ = sorted([*_LAZY, *(
+    name
+    for module in ("core", "loss", "kernel", "signed", "bump", "boxcox", "distribution")
+    for name in _bind(module)
+)])
 
 
 def __getattr__(name: str):

@@ -1,16 +1,17 @@
 """Compactly supported bump functions for shape parameters in (1, inf).
 
 Every member is positive exactly on (-1, 1), hits 1 only at 0, and is
-evaluated through the stable transform as exp(-transform(lam/(lam-1) *
-x**2, lam)), which stays well behaved as lam approaches 1 from above where
-the simplified closed form's exponent 1/(1-lam) explodes.
+evaluated through the stable transform as exp(-transform(pole * x**2,
+lam)), pole = lam/(lam-1) the transform's own (1 past lam = 1/EPS), which
+stays well behaved as lam approaches 1 from above where the simplified
+closed form's exponent 1/(1-lam) explodes.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import _elementwise, _require_lambda, _transform
+from .core import _elementwise, _pole, _require_lambda, _transform
 
 __all__ = ["bump", "bump_classic"]
 
@@ -25,7 +26,7 @@ def _require_bump_lambda(lam: float) -> float:
 def _bump(x, ops, lam: float):
     return ops.select(
         abs(x) < 1.0,
-        lambda: ops.exp(-_transform((lam / (lam - 1.0)) * x * x, ops, lam)),
+        lambda: ops.exp(-_transform(_pole(lam) * x * x, ops, lam)),
         lambda: 0.0,
     )
 

@@ -49,7 +49,6 @@ __all__ = [
 # pre_scale * x rounds onto -1 at a clamped domain edge (happens e.g. at
 # lam = 1.5, where pre_scale * max_domain rounds to exactly -1).
 _ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
-_BELOW_ONE = math.nextafter(1.0, -math.inf)
 
 
 class UnsupportedBranchError(ValueError):
@@ -108,12 +107,7 @@ def parse_lambda(text: str) -> float:
 
 def render_lambda(lam: float) -> str:
     """Inverse of :func:`parse_lambda`; round-trips every accepted value."""
-    lam = _require_lambda(lam)
-    if lam == math.inf:
-        return "inf"
-    if lam == -math.inf:
-        return "-inf"
-    return repr(lam)
+    return repr(_require_lambda(lam))
 
 
 def classify(lam: float) -> Branch:
@@ -132,17 +126,22 @@ def classify(lam: float) -> Branch:
     return Branch.POS if lam > 0.0 else Branch.NEG
 
 
+def _pole(lam: float) -> float:
+    """The transform's pole for lam > 1: lam/(lam - 1), or 1 where classify
+    counts lam as +inf (lam/(lam - 1) still rounds above 1 up to ~2/EPS)."""
+    return 1.0 if lam > _PINF_THRESHOLD else lam / (lam - 1.0)
+
+
 @lru_cache(maxsize=4096)
 def branch_plan(lam: float) -> BranchPlan:
     """Build the scale/skip table row and the clamp bound for lam."""
     branch = classify(lam)
     lam = float(lam)
-    # For lam > 1 the transform has a pole at lam/(lam - 1) (at 1 for
-    # lam = +inf); the bound is the largest double strictly below it, so
-    # log1p arguments stay above -1 after clamping.
+    # For lam > 1 the bound is the largest double strictly below the pole,
+    # so log1p arguments stay above -1 after clamping.
+    bound = math.nextafter(_pole(lam), -math.inf) if lam > 1.0 else math.inf
     if branch is Branch.POS_INF:
-        return BranchPlan(-1.0, False, 1.0, True, -1.0, _BELOW_ONE)
-    bound = math.nextafter(lam / (lam - 1.0), -math.inf) if lam > 1.0 else math.inf
+        return BranchPlan(-1.0, False, 1.0, True, -1.0, bound)
     if branch is Branch.ONE:
         return BranchPlan(1.0, True, 1.0, False, 1.0, bound)
     if branch is Branch.ZERO:
@@ -160,7 +159,8 @@ def max_domain(lam: float) -> float:
     """Upper end of the valid input range for the given lam.
 
     Unbounded for lam <= 1.  For lam > 1 it is the largest double strictly
-    below the transform's pole at lam/(lam - 1) (below 1 for lam = +inf).
+    below the transform's pole at lam/(lam - 1), which is 1 for every lam
+    above 1/EPS, the window where :func:`classify` counts lam as +inf.
     """
     return branch_plan(lam).max_domain
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .core import EPS, _elementwise, _require_lambda, transform
+from .core import EPS, _elementwise, _pole, _require_lambda, transform
 from .loss import _loss, _require_scale, loss
 
 __all__ = [
@@ -53,16 +53,13 @@ def _require_dist_lambda(lam: float) -> float:
 
 
 def _halfwidth(lam: float) -> float:
-    if lam <= 1.0:
-        return math.inf
-    if lam == math.inf:
-        return math.sqrt(2.0)
-    return math.sqrt(2.0 * lam / (lam - 1.0))
+    return math.inf if lam <= 1.0 else math.sqrt(2.0 * _pole(lam))
 
 
 def support_halfwidth(lam: float) -> float:
     """Half-width of the support at unit scale: infinite for lam <= 1,
-    sqrt(2 lam / (lam - 1)) above, sqrt(2) at lam = +inf."""
+    sqrt(2 lam / (lam - 1)) above, sqrt(2) for lam past 1/EPS, where the
+    transform's pole is 1."""
     return _halfwidth(_require_dist_lambda(lam))
 
 

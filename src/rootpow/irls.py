@@ -126,6 +126,12 @@ def _weighted_shift(r: np.ndarray, problem: IrlsProblem) -> tuple[float, float]:
     return total, float(w.sum())
 
 
+def _step(mu: float, problem: IrlsProblem) -> float:
+    # irls_step, run inside the caller's np.errstate(over="ignore")
+    mu = problem._clamp(mu)
+    return mu + _weighted_shift(problem._values - mu, problem)[1]
+
+
 def irls_step(mu: float, problem: IrlsProblem) -> float:
     """One reweighting sweep: kernel weights at the current residuals,
     then the weighted mean, as mu plus the weighted mean residual.
@@ -134,8 +140,7 @@ def irls_step(mu: float, problem: IrlsProblem) -> float:
     which shrinks every residual and so cannot raise the objective.
     """
     with np.errstate(over="ignore"):
-        mu = problem._clamp(mu)
-        return mu + _weighted_shift(problem._values - mu, problem)[1]
+        return _step(mu, problem)
 
 
 def _exact_sweep(mu: float, problem: IrlsProblem) -> float:
@@ -205,8 +210,7 @@ def fit_location(problem: IrlsProblem) -> IrlsResult:
     iterations = 0
     with np.errstate(over="ignore"):
         for iterations in range(1, problem.max_iters + 1):
-            new_mu = problem._clamp(mu)  # irls_step, in the one errstate
-            new_mu += _weighted_shift(problem._values - new_mu, problem)[1]
+            new_mu = _step(mu, problem)
             step_ok = abs(new_mu - mu) <= problem.tol * (1.0 + abs(new_mu))
             mu = new_mu
             if step_ok:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .core import _derivative, _elementwise, _require_lambda
-from .loss import _require_scale
+from .loss import _loss, _require_scale
 
 __all__ = ["kernel", "kernel_reference", "irls_weight", "KERNEL_REFERENCE_LAMBDAS"]
 
@@ -26,10 +26,7 @@ KERNEL_REFERENCE_LAMBDAS = {
 
 
 def _kernel(x, ops, lam: float, c: float):
-    r = x / c if c != 1.0 else x  # squared as in loss._loss
-    u = 0.5 * r
-    u *= r
-    return _derivative(u, ops, lam, u)
+    return _loss(x, ops, lam, c, _derivative)
 
 
 def kernel(x, lam: float, c: float = 1.0):

@@ -32,15 +32,16 @@ def _require_scale(c: float) -> float:
     return c
 
 
-def _loss(x, ops, lam: float, c: float):
+def _loss(x, ops, lam: float, c: float, power=_transform):
+    # power(0.5 * (x/c)**2): the loss, or with _derivative the kernel.
     # r * r, not r ** 2: past the binary64 range a float product gives inf,
     # which the transform maps to its limit, where ** raises OverflowError;
     # and the product is correctly rounded, which libm's pow(r, 2.0) is not
-    # on about 1 input in 1000.  u is the one new array the transform runs in.
+    # on about 1 input in 1000.  u is the one new array power runs in.
     r = x / c if c != 1.0 else x
     u = 0.5 * r
     u *= r
-    return _transform(u, ops, lam, u)
+    return power(u, ops, lam, u)
 
 
 def loss(x, lam: float, c: float = 1.0):

@@ -189,6 +189,57 @@ class TestEval:
         assert calls == [0.3]
 
 
+# Every --fn against the public float call it stands for: the eval table
+# restates the library's signatures, and this keeps the two from drifting.
+# Each case is (id, --fn, its flags, the public call on x and the Z table,
+# which is None but for --ztable).
+_XS = "-1e200,-2.5,-0.75,-0,0,5e-324,0.3,1.7,1e200"
+_BOXCOX_XS = "-0.75,-0.5,-0,0,5e-324,0.3,1.7,40,1e200"
+_DRIFT = [
+    ("f", "f", ["--lambda=1.5"], lambda x, t: rootpow.transform(x, 1.5)),
+    ("finv", "finv", ["--lambda=-0.5"], lambda x, t: rootpow.inverse(x, -0.5)),
+    ("g", "g", ["--lambda=0.3"], lambda x, t: rootpow.derivative(x, 0.3)),
+    *[case
+      for c in (1.0, 0.5)
+      for case in [
+          (f"rho-c{c}", "rho", ["--lambda=-2", f"--c={c}"], lambda x, t, c=c: rootpow.loss(x, -2.0, c)),
+          (f"k-c{c}", "k", ["--lambda=-1", f"--c={c}"], lambda x, t, c=c: rootpow.kernel(x, -1.0, c)),
+          (f"pdf-c{c}", "pdf", ["--lambda=0.5", f"--c={c}"], lambda x, t, c=c: rootpow.pdf(x, 0.5, c)),
+          (f"pdf-ztable-c{c}", "pdf", ["--lambda=3", f"--c={c}", "--ztable"],
+           lambda x, t, c=c: rootpow.pdf(x, 3.0, c, t)),
+      ]],
+    ("bump", "bump", ["--lambda=2"], lambda x, t: rootpow.bump(x, 2.0)),
+    ("fpm", "fpm", ["--lambda=0.5", "--lambda-neg=-2"],
+     lambda x, t: rootpow.signed_transform(x, 0.5, -2.0)),
+    ("softplus", "softplus", [], lambda x, t: rootpow.softplus(x)),
+    ("sigmoid", "sigmoid", [], lambda x, t: rootpow.sigmoid(x)),
+    ("tanh", "tanh", [], lambda x, t: rootpow.tanh(x)),
+    ("relu", "relu", [], lambda x, t: rootpow.relu(x)),
+    ("relu-lambda-neg", "relu", ["--lambda-neg=0.5"], lambda x, t: rootpow.relu(x, 0.5)),
+    ("h", "h", ["--lambda=0.5"], lambda x, t: rootpow.boxcox(x, 0.5)),
+    ("hhat", "hhat", ["--lambda=2"], lambda x, t: rootpow.boxcox_normalized(x, 2.0)),
+]
+
+
+@pytest.mark.parametrize("fn, flags, public", [case[1:] for case in _DRIFT],
+                         ids=[case[0] for case in _DRIFT])
+def test_eval_prints_the_public_float_call_bit_for_bit(run, tmp_path, fn, flags, public):
+    table = None
+    if "--ztable" in flags:  # the flag comes last; its path follows here
+        table = rootpow.build_table(16, 256)
+        table.save(tmp_path / "zt.json")
+        flags = flags + [str(tmp_path / "zt.json")]
+    xs = _BOXCOX_XS if fn in ("h", "hhat") else _XS
+    code, out, err = run(["eval", "--fn", fn, *flags, f"--x={xs}"])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == len(xs.split(","))
+    for row in rows:
+        x_text, value_text = row.split(",")
+        x = float(x_text)
+        assert float(value_text).hex() == public(x, table).hex(), (fn, x)
+
+
 def _fuzz_grids(seed, n):
     """Random lo:hi:count ranges with finite hi - lo, over every binade,
     subnormals and signed zeros included."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from rootpow.distribution import (
     pdf,
     support_halfwidth,
 )
+from rootpow.loss import loss
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # The smooth-Laplace member carries exp(+1) relative to its printed closed
@@ -73,6 +75,25 @@ class TestSupport:
     def test_domain(self):
         with pytest.raises(ValueError):
             support_halfwidth(-1.5)
+
+    # shapes past 1/EPS share the +inf pole of 1, up to the largest double,
+    # where 2 * lam overflows
+    @pytest.mark.parametrize("lam", [1e16, 8.99e307, 1e308, sys.float_info.max, math.inf])
+    def test_pos_inf_window_shares_the_unit_pole(self, lam):
+        assert support_halfwidth(lam) == math.sqrt(2.0)
+        xs = [2.0, -2.0, 1.5, -1.5]
+        assert [pdf(x, lam) for x in xs] == [0.0] * 4
+        assert pdf(np.array(xs), lam).tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("lam", [2.0, 4e15])
+    def test_bounded_support_below_the_window(self, lam):
+        edge = math.sqrt(2.0 * lam / (lam - 1.0))
+        assert support_halfwidth(lam) == edge
+        xs = [0.0, 0.5, -1.0, 1.4, math.nextafter(edge, 0.0), edge, -edge, 2.5]
+        z = partition_function(lam)
+        want = [math.exp(-loss(x, lam)) / z if abs(x) < edge else 0.0 for x in xs]
+        assert [pdf(x, lam) for x in xs] == want
+        np.testing.assert_allclose(pdf(np.array(xs), lam), want, rtol=1e-12, atol=0.0)
 
 
 class TestPdf:

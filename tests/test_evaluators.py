@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rootpow as rp
 
@@ -213,3 +215,45 @@ def test_fused_bodies_match_unfused_bit_for_bit(lam):
         got[f"irls_weight c={c}"] = rp.irls_weight(FUSION_XS, lam, c)
     for name in want:
         assert _hex(got[name]) == _hex(want[name]), name
+
+
+# Totality: every finite double x, and every positive finite scale c, gives
+# a non-NaN result or a ValueError, as a float and as an array.  The shapes
+# cover the seven branches and the edges of their windows, +-1e308, and the
+# families' domain edges (pdf at -1, bump at 1, Box-Cox at the finite limit).
+TOTALITY_SHAPES = [
+    math.inf, MAX, 1e308, 1e16, 4.6e15, 3.0, 1.5, math.nextafter(1.0, math.inf), 1.0, 0.5,
+    5e-324, 0.0, -0.0, -0.5, -1.0, math.nextafter(-1.0, -math.inf), -2.0, -4.6e15, -1e308,
+    -MAX, -math.inf,
+]
+# evaluator, how many shapes it takes, whether it takes a scale c
+TOTALITY = [
+    (rp.transform, 1, False), (rp.inverse, 1, False), (rp.derivative, 1, False),
+    (rp.loss, 1, True), (rp.kernel, 1, True), (rp.irls_weight, 1, True), (rp.pdf, 1, True),
+    (rp.bump, 1, False), (rp.signed_transform, 2, False), (rp.softplus, 0, False),
+    (rp.sigmoid, 0, False), (rp.tanh, 0, False), (rp.relu, 1, False), (rp.boxcox, 1, False),
+    (rp.boxcox_normalized, 1, False), (rp.transform_via_boxcox, 1, False),
+    (rp.boxcox_via_transform, 1, False),
+]
+
+
+@pytest.mark.parametrize("fn, shapes, scaled", TOTALITY, ids=[case[0].__name__ for case in TOTALITY])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_total_on_every_finite_double(fn, shapes, scaled, data):
+    x = data.draw(st.floats(allow_nan=False, allow_infinity=False), label="x")
+    args = [data.draw(st.sampled_from(TOTALITY_SHAPES), label="lam") for _ in range(shapes)]
+    if scaled:
+        args.append(data.draw(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), label="c"
+        ))
+    try:
+        value = fn(x, *args)
+        assert type(value) is float and not math.isnan(value)
+    except ValueError:
+        pass
+    try:
+        out = fn(np.array([x, -x]), *args)
+        assert out.dtype == np.float64 and not np.isnan(out).any()
+    except ValueError:
+        pass

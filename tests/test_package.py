@@ -1,5 +1,6 @@
 """The package namespace, and a smoke run of the benchmark that reads it."""
 
+import ast
 import json
 import os
 import subprocess
@@ -54,6 +55,38 @@ def test_functions_named_like_modules_stay_functions(order):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['function', 'function', 'function', 'function']\n"
+
+
+def _module_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_private_name_is_used():
+    # a private helper, constant or table that nothing reads is dead code
+    # left over from a refactor; imports do not count as reads
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(rootpow.__file__).parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _module_level_names(tree)
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+        and name not in read
+    ]
+    assert unread == []
 
 
 @pytest.mark.parametrize("workload", ["scalar_mix", "robust_fit"])
