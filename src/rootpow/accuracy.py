@@ -74,11 +74,11 @@ def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:
     with mpmath.workdps(dps):
         xm = mpmath.mpf(x)
         if branch is Branch.POS_INF:
-            val = -mpmath.log(1 - xm)
+            val = -mpmath.log1p(-xm)
         elif branch is Branch.ONE:
             val = mpmath.expm1(xm)
         elif branch is Branch.NEG_ONE:
-            val = mpmath.log(1 + xm)
+            val = mpmath.log1p(xm)
         elif branch is Branch.NEG_INF:
             val = -mpmath.expm1(-xm)
         elif branch is Branch.POS:

@@ -47,10 +47,8 @@ def _boxcox_normalized(x, ops, lam: float):
     if abs(lam - 1.0) < EPS:
         return x
     if abs(lam) < TINY:
-        if ops.any(x <= -1.0):
-            raise ValueError(f"out of domain at lam = 0: need x > -1, got {x!r}")
-        return ops.log1p(x)
-    denom = 1.0 - lam if lam < 1.0 else lam - 1.0
+        return _boxcox(x, ops, lam)
+    denom = abs(1.0 - lam)
     t = x / denom
     if ops.any(t <= -1.0):
         raise ValueError(f"x = {x!r} outside the lam = {lam!r} branch domain")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -165,22 +166,20 @@ class ZTable:
             raise ValueError("s_grid and log_z must have equal length")
         if len(self.s_grid) < 2:
             raise ValueError("table needs at least two nodes")
-        # finite first: inf - inf in the differences below is NaN
-        if not (all(map(math.isfinite, self.s_grid)) and all(map(math.isfinite, self.log_z))):
-            raise ValueError("s_grid and log_z values must be finite")
+        if not all(map(math.isfinite, self.log_z)):
+            raise ValueError("log_z values must be finite")
         if self.s_grid[0] != -0.5 or self.s_grid[-1] != 1.0:  # lam in [-1, inf]
             raise ValueError("s_grid must run from -0.5 to 1.0")
+        # _cells uses the equal-spacing forms of the PCHIP slopes (harmonic
+        # mean, three-point end rule); a NaN, inf or out-of-order node fails too
         diffs = [b - a for a, b in zip(self.s_grid, self.s_grid[1:])]
-        if not all(h > 0.0 for h in diffs):
-            raise ValueError("s_grid must be strictly increasing")
-        # lookup finds the cell by division, which needs equal spacing
         if not all(abs(h - diffs[0]) <= 1e-9 * diffs[0] for h in diffs):
             raise ValueError("s_grid must be uniformly spaced")
 
     @cached_property
-    def _cells(self) -> tuple[float, tuple[tuple[float, float, float, float], ...]]:
-        """Grid step and, per cell, the kink-subtracted cubic in powers of
-        s - s_k, highest first.
+    def _cells(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Per cell, the kink-subtracted cubic in powers of s - s_k,
+        highest first.
 
         The node slopes are those of the monotone cubic Hermite (Fritsch
         and Carlson; scipy.interpolate.PchipInterpolator with every spacing
@@ -209,25 +208,18 @@ class ZTable:
         for k, hk in enumerate(h):
             t = (d[k] + d[k + 1] - 2.0 * m[k]) / hk
             cells.append((t / hk, (m[k] - d[k]) / hk - t, d[k], y[k]))
-        return (s[-1] - s[0]) / (len(s) - 1), tuple(cells)
+        return tuple(cells)
 
     def lookup(self, lam: float) -> float:
         """Interpolated Z; exact at grid nodes, domain lam >= -1."""
         lam = _require_dist_lambda(lam)
         s = _compactify(lam)
         grid = self.s_grid
-        if s >= grid[-1]:
-            return math.exp(self.log_z[-1])
-        step, cells = self._cells
-        i = min(int((s - grid[0]) / step), len(cells) - 1)
-        # the division can land one cell off where linspace rounded a node
-        if i > 0 and s < grid[i]:
-            i -= 1
-        elif s >= grid[i + 1]:
-            i += 1
+        # s = 1 (lam = inf) is the last node: it returns before _cells is built
+        i = bisect_right(grid, s) - 1
         if s == grid[i]:
             return math.exp(self.log_z[i])
-        a, b, c, d = cells[i]
+        a, b, c, d = self._cells[i]
         t = s - grid[i]
         return math.exp(((a * t + b) * t + c) * t + d + _interpolation_kink(s))
 

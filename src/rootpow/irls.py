@@ -63,9 +63,9 @@ class IrlsProblem:
         values = np.array(self.observations, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("observations must be a non-empty sequence of numbers")
-        if not np.isfinite(values).all():
+        lo, hi = float(values.min()), float(values.max())  # NaN propagates
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("observations must all be finite")
-        lo, hi = float(values.min()), float(values.max())
         if math.isinf(hi - lo):
             raise ValueError("observations must span at most the largest double")
         values.flags.writeable = False

@@ -176,8 +176,8 @@ class TestZTable:
         assert all(map(math.isfinite, table.log_z))
 
     def test_node_lookup_returns_stored_value(self, table):
-        # every node, because the cell search must land on nodes whose
-        # linspace value rounds below (s - s0) / step as well
+        # every node, because the cell search must land on each node exactly,
+        # including those that linspace rounded off the ideal uniform grid
         for idx in range(len(table.s_grid)):
             lam = _decompactify(table.s_grid[idx])
             stored = math.exp(table.log_z[idx])
@@ -300,6 +300,22 @@ class TestZTable:
         s_grid[5] += 1e-6 * (s_grid[6] - s_grid[5])
         with pytest.raises(ValueError, match="uniformly spaced"):
             ZTable(s_grid=tuple(s_grid), log_z=table.log_z, num_points=table.num_points)
+        # a non-finite or out-of-order interior node breaks the spacing too
+        for edit in ({5: math.nan}, {5: math.inf}, {5: table.s_grid[6], 6: table.s_grid[5]}):
+            s_grid = list(table.s_grid)
+            for k, v in edit.items():
+                s_grid[k] = v
+            with pytest.raises(ValueError):
+                ZTable(s_grid=tuple(s_grid), log_z=table.log_z, num_points=table.num_points)
+
+    def test_lam_inf_and_minus_one_leave_the_cells_unbuilt(self, table, tmp_path):
+        # both are nodes, so neither lookup needs the cubic of any cell
+        path = tmp_path / "zt.json"
+        table.save(path)
+        fresh = ZTable.load(path)
+        fresh.lookup(math.inf)
+        fresh.lookup(-1.0)
+        assert "_cells" not in vars(fresh)
 
     def test_build_validation(self):
         with pytest.raises(ValueError):

@@ -28,8 +28,10 @@ class TestValidation:
             IrlsProblem(observations=(), lam=0.0)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            IrlsProblem(observations=(1.0, math.inf), lam=0.0)
+        # the finiteness check, not the span check, must be what rejects them
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                IrlsProblem(observations=(1.0, bad, 2.0), lam=0.0)
 
     def test_rejects_positive_shape(self):
         with pytest.raises(ValueError):
