@@ -10,7 +10,7 @@ rounds once to binary64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,22 +36,10 @@ __all__ = [
 ORACLE_DPS = 50
 
 
-@dataclass(frozen=True)
-class AccuracyRow:
-    """Geometric-mean absolute errors at one lam; err_naive is None where
-    the naive closed form has no defined branch."""
-
-    lam: float
-    err_naive: float | None
-    err_stable: float
-
-
-@dataclass(frozen=True)
-class AccuracyReport:
-    rows: tuple[AccuracyRow, ...]
-    x_lo: float
-    x_hi: float
-    samples: int
+# Geometric-mean absolute errors at one lam; err_naive is None where the
+# naive closed form has no defined branch.
+AccuracyRow = namedtuple("AccuracyRow", "lam err_naive err_stable")
+AccuracyReport = namedtuple("AccuracyReport", "rows x_lo x_hi samples")
 
 
 def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:

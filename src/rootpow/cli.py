@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import heapq
-import json
 import math
 import sys
 
@@ -140,7 +139,9 @@ def _eval_function(args):
         lam = _param(args, "--lambda", dist._require_dist_lambda)
         try:
             table = None if args.ztable is None else dist.ZTable.load(args.ztable)
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
+            raise CliError(f"cannot load ztable: {exc}", code=1) from None
+        except ValueError as exc:
             raise CliError(f"cannot load ztable: {exc}") from None
         return dist._pdf, dist._pdf_params(lam, c, table)
     body, params = _EVAL_FUNCTIONS[args.fn]
@@ -234,6 +235,8 @@ def _cmd_irls(args) -> int:
     if lam > 0.0:
         raise CliError(f"--lambda must be <= 0 for irls, got {args.lam}")
     observations = _read_observations(args.data, args.skip_header)
+    import json
+
     from .irls import IrlsProblem, fit_location
 
     try:
@@ -247,13 +250,9 @@ def _cmd_irls(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     result = fit_location(problem)
-    payload = {
-        "mu": result.mu,
-        "iterations": result.iterations,
-        # strict JSON has no Infinity: a saturated gradient prints as null
-        "grad_norm": result.grad_norm if math.isfinite(result.grad_norm) else None,
-        "converged": result.converged,
-    }
+    payload = result._asdict()
+    if not math.isfinite(result.grad_norm):
+        payload["grad_norm"] = None  # strict JSON has no Infinity
     sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
     return 0 if result.converged else 2
 

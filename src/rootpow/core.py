@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -74,16 +73,9 @@ class Branch(Enum):
     NEG_INF = "neg_inf"
 
 
-@dataclass(frozen=True)
-class BranchPlan:
-    """Scale factors and skip flags for one branch of the transform."""
-
-    pre_scale: float
-    skip_log: bool
-    mid_scale: float
-    skip_exp: bool
-    post_scale: float
-    max_domain: float
+# Scale factors and skip flags for one branch of the transform, and its
+# clamp bound.
+BranchPlan = namedtuple("BranchPlan", "pre_scale skip_log mid_scale skip_exp post_scale max_domain")
 
 
 def _require_lambda(lam: float) -> float:
@@ -133,26 +125,32 @@ def _pole(lam: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def branch_plan(lam: float) -> BranchPlan:
-    """Build the scale/skip table row and the clamp bound for lam."""
+def _plan(lam: float) -> tuple:
+    # branch_plan's fields as a plain tuple: the float bodies unpack it,
+    # and CPython specializes unpacking only for exact tuples
     branch = classify(lam)
     lam = float(lam)
     # For lam > 1 the bound is the largest double strictly below the pole,
     # so log1p arguments stay above -1 after clamping.
     bound = math.nextafter(_pole(lam), -math.inf) if lam > 1.0 else math.inf
     if branch is Branch.POS_INF:
-        return BranchPlan(-1.0, False, 1.0, True, -1.0, bound)
+        return -1.0, False, 1.0, True, -1.0, bound
     if branch is Branch.ONE:
-        return BranchPlan(1.0, True, 1.0, False, 1.0, bound)
+        return 1.0, True, 1.0, False, 1.0, bound
     if branch is Branch.ZERO:
-        return BranchPlan(1.0, True, 1.0, True, 1.0, bound)
+        return 1.0, True, 1.0, True, 1.0, bound
     if branch is Branch.NEG_ONE:
-        return BranchPlan(1.0, False, 1.0, True, 1.0, bound)
+        return 1.0, False, 1.0, True, 1.0, bound
     if branch is Branch.NEG_INF:
-        return BranchPlan(-1.0, True, 1.0, False, -1.0, bound)
+        return -1.0, True, 1.0, False, -1.0, bound
     if branch is Branch.POS:
-        return BranchPlan((1.0 - lam) / lam, False, 1.0 / (1.0 - lam), False, lam, bound)
-    return BranchPlan(-1.0 / lam, False, lam + 1.0, False, -lam / (lam + 1.0), bound)
+        return (1.0 - lam) / lam, False, 1.0 / (1.0 - lam), False, lam, bound
+    return -1.0 / lam, False, lam + 1.0, False, -lam / (lam + 1.0), bound
+
+
+def branch_plan(lam: float) -> BranchPlan:
+    """Build the scale/skip table row and the clamp bound for lam."""
+    return BranchPlan._make(_plan(lam))
 
 
 def max_domain(lam: float) -> float:
@@ -162,7 +160,7 @@ def max_domain(lam: float) -> float:
     below the transform's pole at lam/(lam - 1), which is 1 for every lam
     above 1/EPS, the window where :func:`classify` counts lam as +inf.
     """
-    return branch_plan(lam).max_domain
+    return _plan(lam)[5]
 
 
 def _saturating(f):
@@ -232,42 +230,42 @@ def _elementwise(body, x, *params):
 
 
 def _transform(x, ops: _Ops, lam: float, out=None):
-    plan = branch_plan(lam)
-    if plan.max_domain != math.inf:
-        x = out = ops.minimum(x, plan.max_domain, out)
-    if plan.pre_scale != 1.0:
+    pre, skip_log, mid, skip_exp, post, bound = _plan(lam)
+    if bound != math.inf:
+        x = out = ops.minimum(x, bound, out)
+    if pre != 1.0:
         if out is None:
-            x = out = plan.pre_scale * x
+            x = out = pre * x
         else:
-            x *= plan.pre_scale
-    if not plan.skip_log:
+            x *= pre
+    if not skip_log:
         x = out = ops.maximum(x, _ABOVE_MINUS_ONE, out)
         x = ops.log1p(x, out)
-    if plan.mid_scale != 1.0:
-        x *= plan.mid_scale
-    if not plan.skip_exp:
+    if mid != 1.0:
+        x *= mid
+    if not skip_exp:
         x = ops.expm1(x, out)
-    if plan.post_scale != 1.0:
-        x *= plan.post_scale
+    if post != 1.0:
+        x *= post
     return x
 
 
 def _derivative(x, ops: _Ops, lam: float, out=None):
-    plan = branch_plan(lam)
-    if plan.skip_log == plan.skip_exp and plan.mid_scale == 1.0:
+    pre, skip_log, mid, skip_exp, _, bound = _plan(lam)
+    if skip_log == skip_exp and mid == 1.0:
         # lam = 0 or |lam| < ~eps/2: the power is 1 (0 * inf must not leak NaN)
         return ops.ones(x)
-    if plan.max_domain != math.inf:
-        x = out = ops.minimum(x, plan.max_domain, out)
-    if plan.pre_scale != 1.0:
+    if bound != math.inf:
+        x = out = ops.minimum(x, bound, out)
+    if pre != 1.0:
         if out is None:
-            x = out = plan.pre_scale * x
+            x = out = pre * x
         else:
-            x *= plan.pre_scale
-    if not plan.skip_log:
+            x *= pre
+    if not skip_log:
         x = out = ops.maximum(x, _ABOVE_MINUS_ONE, out)
         x = ops.log1p(x, out)
-        x *= -1.0 if plan.skip_exp else plan.mid_scale - 1.0
+        x *= -1.0 if skip_exp else mid - 1.0
     return ops.exp(x, out)
 
 

@@ -14,10 +14,9 @@ Numer. Anal. 17 (1980).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .core import EPS, _elementwise, _pole, _require_lambda, transform
@@ -151,30 +150,29 @@ def _end_slope(m0: float, m1: float) -> float:
     return d
 
 
-@dataclass(frozen=True)
-class ZTable:
+class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
     """Precomputed log Z on a uniform, strictly increasing grid of the
     compactified coordinate from -0.5 to 1, plus the quadrature node count
     that produced it."""
 
-    s_grid: tuple[float, ...]
-    log_z: tuple[float, ...]
-    num_points: int
-
-    def __post_init__(self) -> None:
-        if len(self.s_grid) != len(self.log_z):
+    def __new__(cls, s_grid: tuple[float, ...], log_z: tuple[float, ...], num_points: int):
+        if len(s_grid) != len(log_z):
             raise ValueError("s_grid and log_z must have equal length")
-        if len(self.s_grid) < 2:
+        if len(s_grid) < 2:
             raise ValueError("table needs at least two nodes")
-        if not all(map(math.isfinite, self.log_z)):
+        if not all(map(math.isfinite, log_z)):
             raise ValueError("log_z values must be finite")
-        if self.s_grid[0] != -0.5 or self.s_grid[-1] != 1.0:  # lam in [-1, inf]
+        if s_grid[0] != -0.5 or s_grid[-1] != 1.0:  # lam in [-1, inf]
             raise ValueError("s_grid must run from -0.5 to 1.0")
         # _cells uses the equal-spacing forms of the PCHIP slopes (harmonic
         # mean, three-point end rule); a NaN, inf or out-of-order node fails too
-        diffs = [b - a for a, b in zip(self.s_grid, self.s_grid[1:])]
+        diffs = [b - a for a, b in zip(s_grid, s_grid[1:])]
         if not all(abs(h - diffs[0]) <= 1e-9 * diffs[0] for h in diffs):
             raise ValueError("s_grid must be uniformly spaced")
+        return super().__new__(cls, s_grid, log_z, num_points)
+
+    # namedtuple's _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @cached_property
     def _cells(self) -> tuple[tuple[float, float, float, float], ...]:
@@ -224,6 +222,8 @@ class ZTable:
         return math.exp(((a * t + b) * t + c) * t + d + _interpolation_kink(s))
 
     def save(self, path) -> None:
+        import json
+
         payload = {
             "s_grid": list(self.s_grid),
             "log_z": list(self.log_z),
@@ -238,6 +238,8 @@ class ZTable:
     def load(cls, path) -> "ZTable":
         """Read a table written by save; a file of any other shape or with
         fields of the wrong type raises ValueError."""
+        import json
+
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ _MAX = sys.float_info.max
 _OPS = _array_ops(np)
 
 
-@dataclass(frozen=True)
-class IrlsProblem:
+class IrlsProblem(namedtuple("IrlsProblem", "observations lam c max_iters tol")):
     """Observations plus shape, scale, and stopping controls.
 
     The observations must be finite, and so must their span max - min:
@@ -48,19 +47,9 @@ class IrlsProblem:
     |new - old| <= tol * (1 + |new|).
     """
 
-    observations: tuple[float, ...]
-    lam: float
-    c: float = 1.0
-    max_iters: int = 100
-    tol: float = 1e-12
-    # The observations once more, as a read-only float64 array for the
-    # vectorized sweeps, and their least and greatest value.
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
-    _lo: float = field(init=False, repr=False, compare=False)
-    _hi: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        values = np.array(self.observations, dtype=float)
+    def __new__(cls, observations: tuple[float, ...], lam: float, c: float = 1.0,
+                max_iters: int = 100, tol: float = 1e-12):
+        values = np.array(observations, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("observations must be a non-empty sequence of numbers")
         lo, hi = float(values.min()), float(values.max())  # NaN propagates
@@ -69,33 +58,31 @@ class IrlsProblem:
         if math.isinf(hi - lo):
             raise ValueError("observations must span at most the largest double")
         values.flags.writeable = False
-        object.__setattr__(self, "observations", tuple(values.tolist()))
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
-        lam = _require_lambda(self.lam)
+        lam = _require_lambda(lam)
         if lam > 0.0:
             raise ValueError(f"IRLS requires lam <= 0, got {lam!r}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "c", _require_scale(self.c))
-        if int(self.max_iters) < 1:
+        c = _require_scale(c)
+        if int(max_iters) < 1:
             raise ValueError("max_iters must be positive")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
-        if not (float(self.tol) > 0.0):
+        if not (float(tol) > 0.0):
             raise ValueError("tol must be positive")
-        object.__setattr__(self, "tol", float(self.tol))
+        self = super().__new__(cls, tuple(values.tolist()), lam, c, int(max_iters), float(tol))
+        # The observations once more, as a read-only float64 array for the
+        # vectorized sweeps, and their least and greatest value.
+        self._values = values
+        self._lo = lo
+        self._hi = hi
+        return self
+
+    # namedtuple's _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def _clamp(self, mu: float) -> float:
         """mu moved to the nearest point of [min, max] of the data."""
         return min(max(mu, self._lo), self._hi)
 
 
-@dataclass(frozen=True)
-class IrlsResult:
-    mu: float
-    iterations: int
-    grad_norm: float
-    converged: bool
+IrlsResult = namedtuple("IrlsResult", "mu iterations grad_norm converged")
 
 
 def _residuals(mu: float, problem: IrlsProblem) -> np.ndarray:

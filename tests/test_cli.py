@@ -402,6 +402,18 @@ class TestZTableCommand:
         assert code == 1
         assert "cannot write" in err
 
+    def test_unreadable_table_file(self, run, tmp_path):
+        # an I/O failure exits 1, as an unreadable irls --data file does;
+        # a table that loads but breaks the schema exits 2 (tests above)
+        code, out, err = run(
+            ["eval", "--fn", "pdf", "--lambda", "0", "--ztable", str(tmp_path / "absent.json"),
+             "--x", "0"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot load ztable")
+        assert err.count("\n") == 1
+
 
 class TestIrlsCommand:
     def test_mean_fit(self, run, tmp_path):
@@ -497,7 +509,8 @@ class TestConsoleEntry:
         # oracle when it runs, so neither belongs in every CLI start-up;
         # nor does statistics, which costs ~5 ms for a median numpy has;
         # nor numpy, which only pdf without a table, ztable, irls and
-        # accuracy need
+        # accuracy need; nor dataclasses and the inspect it loads (~10 ms),
+        # since every record is a named tuple
         path = tmp_path / "zt.json"
         build_table(16, 64).save(path)
         evals = [["eval", "--fn", fn, *flags, "--x=-0.5:0.5:9"] for fn, flags in [
@@ -514,13 +527,26 @@ class TestConsoleEntry:
              f"for argv in {evals!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        assert rootpow.cli.main(argv) == 0, argv\n"
-             "print(sorted({'numpy', 'scipy', 'mpmath', 'statistics'} & set(sys.modules)))"],
+             "print(sorted({'numpy', 'scipy', 'mpmath', 'statistics', 'dataclasses', 'inspect'}"
+             " & set(sys.modules)))"],
             capture_output=True,
             text=True,
             env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+        # the numpy modules' records are named tuples too; numpy itself
+        # loads inspect, but not dataclasses
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rootpow.irls, rootpow.accuracy\n"
+             "print('dataclasses' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_script_roundtrip(self):
         argv = [sys.executable, "-c",

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,80 @@ def test_every_private_name_is_used():
         and name not in read
     ]
     assert unread == []
+
+
+# One keyword construction per record.
+_RECORDS = {
+    "BranchPlan": dict(pre_scale=-0.5, skip_log=False, mid_scale=-1.0, skip_exp=False,
+                       post_scale=2.0, max_domain=1.9999999999999998),
+    "ZTable": dict(s_grid=(-0.5, 0.25, 1.0), log_z=(1.0, 0.5, 0.25), num_points=64),
+    "IrlsProblem": dict(observations=(0.0, 1.0, 10.0), lam=-2.0, c=1.5, max_iters=50, tol=1e-10),
+    "IrlsResult": dict(mu=0.5, iterations=7, grad_norm=1e-13, converged=True),
+    "AccuracyRow": dict(lam=0.5, err_naive=None, err_stable=1e-17),
+    "AccuracyReport": dict(rows=(rootpow.AccuracyRow(0.5, None, 1e-17),),
+                           x_lo=0.01, x_hi=1.0, samples=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+class TestRecords:
+    def test_keyword_construction(self, name):
+        record = getattr(rootpow, name)(**_RECORDS[name])
+        assert record._asdict() == _RECORDS[name]
+
+    def test_fields_are_read_only(self, name):
+        record = getattr(rootpow, name)(**_RECORDS[name])
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+
+    def test_equal_value_equal_hash(self, name, tmp_path):
+        record = getattr(rootpow, name)(**_RECORDS[name])
+        if name == "ZTable":
+            record.save(tmp_path / "zt.json")
+            again = rootpow.ZTable.load(tmp_path / "zt.json")
+        else:
+            again = getattr(rootpow, name)(**_RECORDS[name])
+        assert again is not record
+        assert again == record
+        assert hash(again) == hash(record)
+
+
+def test_branch_plan_is_a_branch_plan_record():
+    plan = rootpow.branch_plan(2.0)
+    assert type(plan) is rootpow.BranchPlan
+    assert plan == rootpow.BranchPlan(**_RECORDS["BranchPlan"])
+    assert plan.max_domain == rootpow.max_domain(2.0)
+
+
+def test_problem_repr_names_its_fields_only():
+    text = repr(rootpow.IrlsProblem(**_RECORDS["IrlsProblem"]))
+    assert text.startswith("IrlsProblem(")
+    for field in _RECORDS["IrlsProblem"]:
+        assert f"{field}=" in text
+    assert "_values" not in text and "_lo" not in text and "_hi" not in text
+
+
+@pytest.mark.parametrize("name, bad, good", [
+    ("ZTable", {"s_grid": (-0.5, 0.25, 2.0)}, {"num_points": 128}),
+    ("ZTable", {"log_z": (1.0, math.inf, 0.25)}, {"log_z": (2.0, 1.0, 0.5)}),
+    ("IrlsProblem", {"lam": 3.0}, {"lam": -2.5}),
+    ("IrlsProblem", {"observations": (0.0, math.nan)}, {"observations": (1.0, 2.0, 30.0)}),
+    ("IrlsProblem", {"max_iters": 0}, {"max_iters": 5}),
+], ids=["ztable-grid", "ztable-log-z", "irls-lam", "irls-observations", "irls-max-iters"])
+def test_replace_reruns_the_checks(name, bad, good):
+    # namedtuple's _replace builds through _make, which the two records
+    # with invariants route through their checks
+    record = getattr(rootpow, name)(**_RECORDS[name])
+    with pytest.raises(ValueError):
+        record._replace(**bad)
+    changed = record._replace(**good)
+    assert type(changed) is type(record)
+    assert changed == getattr(rootpow, name)(**{**_RECORDS[name], **good})
+    if name == "ZTable":
+        assert math.isfinite(changed.lookup(0.7))
+    else:
+        assert math.isfinite(rootpow.fit_location(changed).mu)
 
 
 @pytest.mark.parametrize("workload", ["scalar_mix", "robust_fit"])
