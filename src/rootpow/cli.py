@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_irls.add_argument("--lambda", dest="lam", required=True, help="shape, must be <= 0")
     p_irls.add_argument("--c", type=float, default=1.0)
     p_irls.add_argument("--tol", type=float, default=1e-12)
-    p_irls.add_argument("--max-iters", type=int, default=100)
+    p_irls.add_argument("--max-iters", type=int, default=100,
+                        help="cap on the passes over the observations")
     p_irls.add_argument("--skip-header", action="store_true",
                         help="ignore the first line of the data file")
     p_irls.set_defaults(func=_cmd_irls)

@@ -302,7 +302,9 @@ def transform_naive(x: float, lam: float) -> float:
     Exists as the comparison subject for the accuracy harness.  The closed
     form divides by |lam| and by (2 - |lam| + lam), so lam in {0, +inf,
     -inf} is rejected outright and lam = +/-1 raises ZeroDivisionError from
-    the scaffolding itself.
+    the scaffolding itself.  Where the pow base 1 + inner * x is negative
+    (for lam > 1, x past the pole) the form has no real value and
+    ValueError is raised.
     """
     x = float(x)
     if math.isnan(x):
@@ -316,5 +318,10 @@ def transform_naive(x: float, lam: float) -> float:
     scale = 2.0 * s / (2.0 - s + lam)
     inner = (2.0 - s - lam) / (2.0 * s)
     expo = (1.0 - s) ** (-1.0 if lam > 0.0 else 1.0)
-    return scale * ((1.0 + inner * x) ** expo - 1.0)
+    base = 1.0 + inner * x
+    if base < 0.0:  # ** would return a complex number
+        raise ValueError(
+            f"naive closed form has no real value at x = {x!r}, lam = {render_lambda(lam)}"
+        )
+    return scale * (base ** expo - 1.0)
 

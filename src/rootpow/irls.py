@@ -6,6 +6,14 @@ lam <= 0 each sweep is a majorize-minimize step, so the objective never
 increases.  lam > 0 is rejected: there the weights grow with the residual
 and the scheme stops being a descent method.
 
+The sweeps converge only linearly, so a fit runs them in cycles of two
+and then tries the Aitken extrapolation of the pair (SQUAREM in one
+dimension, Varadhan & Roland 2008).  The extrapolated point is taken
+only when it lies in [min, max] of the data and its summed loss is
+finite and no higher than at the cycle's start, so the fit stays a
+descent method: the objective never rises from one accepted iterate to
+the next.
+
 A sweep is one run of the kernel body plus numpy's pairwise sums, which
 are accurate to O(eps * log n) of the summed magnitudes, far inside the
 stopping tolerance.  A fit ends with one more sweep summed with
@@ -23,7 +31,7 @@ import numpy as np
 
 from .core import _array_ops, _require_lambda
 from .kernel import _kernel
-from .loss import _require_scale, loss
+from .loss import _loss, _require_scale, loss
 
 __all__ = [
     "IrlsProblem",
@@ -183,30 +191,71 @@ def _median(values: np.ndarray) -> float:
     return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
 
 
+def _pass_loss(mu: float, problem: IrlsProblem) -> float:
+    """loss_objective summed by numpy's pairwise sum: one pass over the
+    observations, about the cost of a sweep; inf past the largest double."""
+    return float(_loss(_residuals(mu, problem), _OPS, problem.lam, problem.c).sum())
+
+
 def fit_location(problem: IrlsProblem) -> IrlsResult:
     """Run IRLS from the median of the observations.
 
     The median start keeps the iteration inside a reasonable basin when
     lam < -1 makes the objective multimodal; the returned gradient norm
-    is the caller's stationarity check.  After the last counted sweep one
-    exactly rounded sweep fixes the returned mu; it is itself a
-    majorize-minimize step and is not counted in ``iterations``.
+    is the caller's stationarity check.
+
+    Each cycle takes two sweeps, mu -> m1 -> m2, each under the stopping
+    test, then forms the Aitken point a = m2 - d2**2 / (d2 - d1) of the
+    steps d1 = m1 - mu, d2 = m2 - m1.  The next cycle starts from a when
+    a lies in [min, max] of the data and its summed loss is finite and no
+    higher than at mu, and from m2 otherwise.  The loss at mu is computed
+    only when a's passes that test, and after an accepted a it is a's.
+    Every iterate the fit continues from thus has an objective no higher
+    than the one before it.
+
+    ``iterations`` counts the passes over the observations, sweeps and
+    loss evaluations alike, and never exceeds ``max_iters``.  After them
+    one exactly rounded sweep fixes the returned mu; it is itself a
+    majorize-minimize step and is not counted.
     """
+    lo, hi, tol, budget = problem._lo, problem._hi, problem.tol, problem.max_iters
     mu = _median(problem._values)
+    mu_loss = None  # _pass_loss(mu), once computed
+    passes = 0
     converged = False
-    iterations = 0
     with np.errstate(over="ignore"):
-        for iterations in range(1, problem.max_iters + 1):
-            new_mu = _step(mu, problem)
-            step_ok = abs(new_mu - mu) <= problem.tol * (1.0 + abs(new_mu))
-            mu = new_mu
-            if step_ok:
-                converged = True
+        while passes < budget:
+            m1 = _step(mu, problem)
+            passes += 1
+            if abs(m1 - mu) <= tol * (1.0 + abs(m1)):
+                mu, converged = m1, True
                 break
+            if passes == budget:
+                mu = m1
+                break
+            m2 = _step(m1, problem)
+            passes += 1
+            if abs(m2 - m1) <= tol * (1.0 + abs(m2)):
+                mu, converged = m2, True
+                break
+            d1, d2 = m1 - mu, m2 - m1
+            a = m2 - d2 * d2 / (d2 - d1) if d2 != d1 else math.nan
+            # the comparison is False for NaN and for +-inf
+            if lo <= a <= hi and passes + 1 + (mu_loss is None) <= budget:
+                a_loss = _pass_loss(a, problem)
+                passes += 1
+                if math.isfinite(a_loss):
+                    if mu_loss is None:
+                        mu_loss = _pass_loss(mu, problem)
+                        passes += 1
+                    if a_loss <= mu_loss:
+                        mu, mu_loss = a, a_loss
+                        continue
+            mu, mu_loss = m2, None
         mu = _exact_sweep(mu, problem)
     return IrlsResult(
         mu=mu,
-        iterations=iterations,
+        iterations=passes,
         grad_norm=abs(objective_gradient(mu, problem)),
         converged=converged,
     )

@@ -282,6 +282,15 @@ class TestAccuracyCommand:
         assert lines[0] == "lambda,err_naive,err_stable"
         assert lines[1].split(",")[1] == ""
 
+    def test_naive_row_past_the_pole_is_stable_only(self, run):
+        # at lam = 5.5 the pole is 1.22: the naive pow base goes negative
+        # on the upper half of [0.5, 2], where ** returns a complex number
+        code, out, _ = run(["accuracy", "--lambdas", "5.5", "--xmin", "0.5", "--xmax", "2", "--n", "8"])
+        assert code == 0
+        _, naive, stable = out.splitlines()[1].split(",")
+        assert naive == ""
+        assert float(stable) < 1e-15
+
     def test_dominance_on_small_run(self, run):
         code, out, _ = run(["accuracy", "--lambdas", "0.5,2,-2,1.00000001", "--n", "24"])
         assert code == 0

@@ -207,6 +207,14 @@ class TestNaive:
             with pytest.raises(UnsupportedBranchError):
                 transform_naive(0.5, lam)
 
+    def test_no_real_value_past_the_pole(self):
+        # the pow base 1 + (1 - lam)/lam * x is negative past lam/(lam - 1),
+        # where ** with a fractional exponent gives a complex number
+        for x, lam in [(1.5, 5.5), (3.5, 1.5), (1e300, 3.0), (-0.9, -0.5)]:
+            with pytest.raises(ValueError, match="no real value"):
+                transform_naive(x, lam)
+        assert isinstance(transform_naive(1.2, 5.5), float)
+
     def test_singular_scaffolding_at_unit_shapes(self):
         with pytest.raises(ZeroDivisionError):
             transform_naive(0.5, -1.0)

@@ -18,6 +18,7 @@ from rootpow.irls import (
     objective_gradient,
 )
 from rootpow.kernel import irls_weight
+from rootpow.loss import loss
 
 from conftest import minimize_objective
 
@@ -124,6 +125,31 @@ class TestDescent:
                 assert cur <= prev * (1.0 + 1e-12) + 1e-12, (lam, obs[:3])
                 prev = cur
 
+    def test_objective_never_increases_across_accepted_iterates(self):
+        # fit_location's cycles as the public copy runs them: the iterate
+        # each cycle continues from, an Aitken point or a second sweep,
+        # holds the exact objective or lowers it
+        rng = np.random.default_rng(2024)
+        taken = 0
+        for trial in range(40):
+            if trial % 4 == 0:
+                obs = tuple(_bench_data(rng, 2000).tolist())
+            else:
+                n = int(rng.integers(2, 51))
+                obs = tuple(map(float, rng.standard_normal(n) * 3.0 + rng.uniform(-5, 5)))
+                if rng.random() < 0.4:
+                    obs = obs + tuple(map(float, rng.uniform(15.0, 60.0, size=2)))
+            lam = float(rng.choice([0.0, -0.3, -1.0, -2.0, -7.0, -math.inf]))
+            problem = IrlsProblem(observations=obs, lam=lam)
+            _, _, _, path, candidates = _public_fit(problem)
+            taken += sum(ok for _, ok in candidates)
+            prev = loss_objective(path[0], problem)
+            for mu in path[1:]:
+                cur = loss_objective(mu, problem)
+                assert cur <= prev * (1.0 + 1e-12) + 1e-12, (lam, obs[:3])
+                prev = cur
+        assert taken >= 20
+
     def test_step_outside_data_moves_in(self):
         # a start past the data is moved to its nearest end first, which
         # cannot raise the objective, so the step is still a descent step
@@ -167,6 +193,18 @@ class TestConvergence:
         result = fit_location(problem)
         assert result.iterations == 1
         assert not result.converged
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 4])
+    def test_passes_never_exceed_the_cap(self, max_iters):
+        # the loss evaluations of the extrapolation guard count as passes
+        problem = IrlsProblem(
+            observations=(0.0, 0.0, 10.0), lam=-math.inf, max_iters=max_iters, tol=1e-300
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit_location(problem)
+        assert result.iterations <= max_iters
+        assert result.iterations == _public_fit(problem)[1]
 
     def test_gradient_sign_convention(self):
         problem = IrlsProblem(observations=(5.0,), lam=-1.0)
@@ -251,6 +289,15 @@ class TestBinary64Extremes:
         result = _fit_without_warnings(obs, lam, c)
         assert min(obs) <= result.mu <= max(obs)
         assert not math.isnan(result.grad_norm)
+        assert result.iterations <= IrlsProblem(observations=obs, lam=lam, c=c).max_iters
+
+
+def _bench_data(rng, n):
+    """The bench's fit data: 90% N(0, 1), 10% outliers at +/-[10, 50]."""
+    obs = rng.standard_normal(n)
+    far = rng.random(n) < 0.1
+    obs[far] = np.where(rng.random(far.sum()) < 0.5, -1.0, 1.0) * rng.uniform(10.0, 50.0, far.sum())
+    return obs
 
 
 def _fsum_fit(obs, lam, max_iters=100, tol=1e-12):
@@ -285,17 +332,26 @@ class TestExactness:
 
     @pytest.mark.parametrize("lam", [-math.inf, -2.0, -1.0, -0.5, 0.0])
     def test_matches_fsum_sweeps(self, lam):
+        # the extrapolated fit lands on the plain fixpoint in no more passes
         rng = np.random.default_rng(31)
         for _ in range(4):
-            obs = rng.standard_normal(2000)
-            far = rng.random(2000) < 0.1
-            obs[far] = np.where(rng.random(far.sum()) < 0.5, -1.0, 1.0) * rng.uniform(10.0, 50.0, far.sum())
-            obs = tuple(obs.tolist())
+            obs = tuple(_bench_data(rng, 2000).tolist())
             result = fit_location(IrlsProblem(observations=obs, lam=lam))
             mu, iterations, converged = _fsum_fit(obs, lam)
-            assert result.iterations == iterations
+            assert result.iterations <= iterations
             assert result.converged == converged
             assert abs(result.mu - mu) <= 1e-10
+
+    @pytest.mark.parametrize("lam", [-math.inf, -2.0, -1.0, -0.5])
+    def test_extrapolation_cuts_the_passes(self, lam):
+        # plain sweeps take 20-34 passes a fit on this data, the
+        # extrapolated cycles 8-9; the count is exact and deterministic
+        rng = np.random.default_rng(61)
+        passes = [
+            fit_location(IrlsProblem(observations=tuple(_bench_data(rng, 2000).tolist()), lam=lam)).iterations
+            for _ in range(20)
+        ]
+        assert sum(passes) / len(passes) <= 10.0, passes
 
 
 def _public_sweep_parts(r, lam, c):
@@ -322,14 +378,74 @@ def _public_gradient(mu, problem):
     return -(total * shift) / problem.c / problem.c
 
 
+def _public_fit(problem):
+    """fit_location up to its closing exact sweep, rebuilt from the public
+    irls_step and loss: (mu, iterations, converged, path, candidates).
+
+    path lists every iterate the fit continued from, the start first and
+    the returned mu last; candidates lists each cycle's Aitken point with
+    whether it was taken (NaN where the two steps are equal)."""
+    values = np.array(problem.observations)
+    lo, hi, budget = float(values.min()), float(values.max()), problem.max_iters
+
+    def summed_loss(mu):
+        with np.errstate(over="ignore"):
+            r = np.clip(values - mu, -BIG, BIG)
+        return float(loss(r, problem.lam, problem.c).sum())
+
+    def settled(old, new):
+        return abs(new - old) <= problem.tol * (1.0 + abs(new))
+
+    mu = float(np.median(values))
+    path, candidates = [mu], []
+    mu_loss, passes, converged = None, 0, False
+    while passes < budget:
+        m1 = irls_step(mu, problem)
+        passes += 1
+        if settled(mu, m1) or passes == budget:
+            mu, converged = m1, settled(mu, m1)
+            path.append(mu)
+            break
+        m2 = irls_step(m1, problem)
+        passes += 1
+        if settled(m1, m2):
+            mu, converged = m2, True
+            path.append(mu)
+            break
+        d1, d2 = m1 - mu, m2 - m1
+        a = m2 - d2 * d2 / (d2 - d1) if d2 - d1 != 0.0 else math.nan
+        taken = False
+        if lo <= a <= hi and passes + 1 + (mu_loss is None) <= budget:
+            a_loss = summed_loss(a)
+            passes += 1
+            if math.isfinite(a_loss):
+                if mu_loss is None:
+                    mu_loss = summed_loss(mu)
+                    passes += 1
+                taken = a_loss <= mu_loss
+        candidates.append((a, taken))
+        mu, mu_loss = (a, a_loss) if taken else (m2, None)
+        path.append(mu)
+    return mu, passes, converged, path, candidates
+
+
+def _public_exact_sweep(mu, problem):
+    """The closing sweep from the public irls_weight, both sums by fsum."""
+    values = np.array(problem.observations)
+    lo, hi = values.min(), values.max()
+    mu = min(max(mu, lo), hi)
+    w = irls_weight(values - mu, problem.lam, problem.c)
+    total = math.fsum(w.tolist())
+    if not total > 0.0:
+        return mu
+    return float(min(max(math.fsum((w * values).tolist()) / total, lo), hi))
+
+
 @pytest.mark.parametrize("c", [1.0, 1e-300])
 @pytest.mark.parametrize("lam", [-math.inf, -2.0, -1.0, -0.5, 0.0])
 def test_sweeps_equal_the_public_weight_composition(lam, c):
-    # the bench's fit data: 90% N(0, 1), 10% outliers at +/-[10, 50]
     rng = np.random.default_rng(47)
-    obs = rng.standard_normal(500)
-    far = rng.random(500) < 0.1
-    obs[far] = np.where(rng.random(far.sum()) < 0.5, -1.0, 1.0) * rng.uniform(10.0, 50.0, far.sum())
+    obs = _bench_data(rng, 500)
     problem = IrlsProblem(observations=tuple(obs.tolist()), lam=lam, c=c)
     mu = float(np.median(obs)) + 0.25
     for _ in range(40):
@@ -338,17 +454,61 @@ def test_sweeps_equal_the_public_weight_composition(lam, c):
         mu = new_mu
     for at in (mu, 3.0, -60.0, BIG, -BIG):
         assert objective_gradient(at, problem).hex() == _public_gradient(at, problem).hex()
-    # fit_location runs the same sweep inline, then one fsum sweep
-    mu = float(np.median(obs))
-    for iterations in range(1, problem.max_iters + 1):
-        new_mu = irls_step(mu, problem)
-        done = abs(new_mu - mu) <= problem.tol * (1.0 + abs(new_mu))
-        mu = new_mu
-        if done:
-            break
-    w = irls_weight(obs - mu, lam, c)
-    total = math.fsum(w.tolist())
-    if total > 0.0:
-        mu = math.fsum((w * obs).tolist()) / total
+    # fit_location runs the same sweeps and summed losses inline, then
+    # one fsum sweep
+    mu, iterations = _public_fit(problem)[:2]
     result = fit_location(problem)
-    assert (result.mu.hex(), result.iterations) == (mu.hex(), iterations)
+    assert (result.mu.hex(), result.iterations) == (_public_exact_sweep(mu, problem).hex(), iterations)
+
+
+class TestExtrapolationGuard:
+    """An Aitken point is taken only inside [min, max] of the data, with
+    a finite summed loss no higher than at its cycle's start.  Each fit
+    equals the public copy, which spends no pass on a point outside the
+    data, so fit_location rejects such points as the copy does."""
+
+    @staticmethod
+    def _candidates(problem):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit_location(problem)
+        mu, iterations, converged, _, candidates = _public_fit(problem)
+        assert (result.mu.hex(), result.iterations, result.converged) == (
+            _public_exact_sweep(mu, problem).hex(), iterations, converged)
+        assert min(problem.observations) <= result.mu <= max(problem.observations)
+        return candidates
+
+    def test_point_past_the_data(self):
+        # slowly shrinking steps in one direction put the Aitken point
+        # past the greatest observation (near 24)
+        candidates = self._candidates(IrlsProblem(observations=(-2.0, -1.6, 1.2, 5.4), lam=-1.0))
+        assert any(10.0 < a < 30.0 for a, _ in candidates)
+
+    def test_infinite_point(self):
+        # the same data at 2**1000: d2 * d2 overflows and the point is inf
+        scale = 2.0 ** 1000
+        obs = tuple(v * scale for v in (-2.0, -1.6, 1.2, 5.4))
+        candidates = self._candidates(IrlsProblem(observations=obs, lam=-1.0, c=scale))
+        assert any(math.isinf(a) for a, _ in candidates)
+
+    def test_equal_steps_around_the_fixpoint(self):
+        # at tol = 1e-300 the sweeps run on through the rounding noise
+        # around the fixpoint, their steps straddling it; where two steps
+        # are equal, d2 - d1 = 0 and the point is NaN (how often depends
+        # on the host's rounding; here on about 1 fit in 10)
+        rng = np.random.default_rng(3)
+        nans = 0
+        for trial in range(200):
+            obs = tuple(rng.standard_normal(7).tolist())
+            lam = (-0.5, -1.0, -2.0, -math.inf)[trial % 4]
+            candidates = self._candidates(IrlsProblem(observations=obs, lam=lam, tol=1e-300))
+            nans += sum(math.isnan(a) for a, _ in candidates)
+        assert nans > 0
+
+    def test_infinite_objective_converges_by_plain_steps(self):
+        # the 1e300 residual squares to inf from every location, so every
+        # summed loss is inf and no Aitken point is taken
+        problem = IrlsProblem(observations=(-0.5, 0.25, 0.0, 0.5, -0.25, 1e300), lam=-1.0)
+        candidates = self._candidates(problem)
+        assert candidates and not any(ok for _, ok in candidates)
+        assert fit_location(problem).converged
