@@ -4,8 +4,10 @@ between Box-Cox and the self-inverting transform.
 Conventions differ by a shift: Box-Cox is the identity at parameter 1,
 the self-inverting transform at 0.  Both directions of the bridge are
 implemented by delegating to the other side's evaluator body, which
-doubles as a cross-check of the case tables.  All power steps go through
-expm1(a * log1p(b)) rather than raw pow.
+doubles as a cross-check of the case tables.  The normalized variant is
+|1 - lam| * boxcox(x / |1 - lam|, lam), whose scale is exact next to
+lam = 1 (it stays within 64 ulps there).  The one power step, in
+``_boxcox``, goes through expm1(a * log1p(b)) rather than raw pow.
 """
 
 from __future__ import annotations
@@ -46,21 +48,17 @@ def boxcox(x, lam: float):
 def _boxcox_normalized(x, ops, lam: float):
     if abs(lam - 1.0) < EPS:
         return x
-    if abs(lam) < TINY:
-        return _boxcox(x, ops, lam)
     denom = abs(1.0 - lam)
-    t = x / denom
-    if ops.any(t <= -1.0):
-        raise ValueError(f"x = {x!r} outside the lam = {lam!r} branch domain")
-    scaled = ops.expm1(lam * ops.log1p(t))
-    if lam < 1.0:
-        return (1.0 / lam - 1.0) * scaled
-    return (lam - 1.0) / lam * scaled
+    try:
+        return denom * _boxcox(x / denom, ops, lam)
+    except ValueError:  # _boxcox's domain check, on x / denom
+        raise ValueError(f"x = {x!r} outside the lam = {lam!r} branch domain") from None
 
 
 def boxcox_normalized(x, lam: float):
     """Box-Cox rescaled so the slope at 0 is 1 and the curvature sign is
-    sign(lam - 1); the identity at lam = 1.  Takes a float or an ndarray."""
+    sign(lam - 1): |1 - lam| * boxcox(x / |1 - lam|, lam), the identity at
+    lam = 1; needs x > -|1 - lam|.  Takes a float or an ndarray."""
     return _elementwise(_boxcox_normalized, x, _require_boxcox_lambda(lam))
 
 

@@ -282,7 +282,7 @@ def transform(x: float | np.ndarray, lam: float) -> float | np.ndarray:
 
 def inverse(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     """Inverse transform; identical to evaluating at -lam."""
-    return transform(x, -_require_lambda(lam))
+    return _elementwise(_transform, x, -_require_lambda(lam))
 
 
 def derivative(x: float | np.ndarray, lam: float) -> float | np.ndarray:

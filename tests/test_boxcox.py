@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -63,6 +64,19 @@ class TestNormalized:
         # lam = 3 branch needs x > -(lam - 1) = -2.
         with pytest.raises(ValueError):
             boxcox_normalized(-2.5, 3.0)
+
+    @pytest.mark.parametrize("lam", [1.0 + sign * 10.0**-k for k in (3, 5, 7, 10, 13)
+                                     for sign in (-1.0, 1.0)])
+    def test_within_64_ulps_next_to_one(self, lam):
+        # |1 - lam| is exact next to 1, where a 1/lam - 1 scale cancels
+        denom = abs(1.0 - lam)
+        with mpmath.workdps(40):
+            lm = mpmath.mpf(lam)
+            for x in (-0.99 * denom, -0.5 * denom, 0.1, 1.0, 3.0):
+                scale = abs(1 - lm)
+                want = float(scale / lm * mpmath.expm1(lm * mpmath.log1p(mpmath.mpf(x) / scale)))
+                got = boxcox_normalized(x, lam)
+                assert abs(got - want) <= 64 * math.ulp(want), (lam, x, got, want)
 
 
 class TestBridgeForward:

@@ -68,6 +68,13 @@ class TestEval:
         assert code == 0
         assert float(out.strip().split("\n")[1].split(",")[1]) == pytest.approx(1.5, rel=1e-14)
 
+    def test_normalized_boxcox_next_to_one(self, run):
+        code, out, _ = run(["eval", "--fn", "hhat", "--lambda", "0.9999999999999", "--x", "1"])
+        assert code == 0
+        value = float(out.strip().split("\n")[1].split(",")[1])
+        want = 0.9999999999971058  # 40-digit mpmath, rounded
+        assert abs(value - want) <= 64 * math.ulp(want)
+
     def test_pdf_requires_valid_shape(self, run):
         code, _, err = run(["eval", "--fn", "pdf", "--lambda=-2", "--x", "0"])
         assert code != 0

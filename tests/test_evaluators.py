@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rootpow as rp
+from rootpow.boxcox import _require_boxcox_lambda
+from rootpow.core import _require_lambda
 
 MAX = sys.float_info.max
 XS = np.linspace(-0.9, 3.0, 40).reshape(4, 10)
@@ -83,6 +85,32 @@ class TestEvaluatorContract:
             floats = [fn(x, *args) for x in xs]
         assert not np.isnan(out).any()
         assert not any(map(math.isnan, floats))
+
+
+# The shape checks, one call per shape parameter; bump's and pdf's own
+# checks call _require_lambda.
+_SHAPE_CHECKS = {_require_lambda.__code__, _require_boxcox_lambda.__code__}
+_SHAPES = {"signed_transform": 2, "softplus": 0, "sigmoid": 0, "tanh": 0}
+_TABLE = rp.ZTable(s_grid=(-0.5, 0.25, 1.0), log_z=(1.0, 0.5, 0.25), num_points=64)
+
+
+@pytest.mark.parametrize("name,fn,args,tol,outside", CASES, ids=[c[0] for c in CASES])
+def test_each_shape_parameter_is_checked_once(name, fn, args, tol, outside):
+    # pdf gets a table: without one its check runs in partition_function,
+    # whose cache skips it on a hit
+    kwargs = {"table": _TABLE} if fn is rp.pdf else {}
+    for x in (0.25, XS):
+        fn(x, *args, **kwargs)  # fills _plan's cache, whose misses check lam again
+        checks = []
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in _SHAPE_CHECKS:
+                checks.append(frame.f_code.co_name)
+        sys.setprofile(profile)
+        try:
+            fn(x, *args, **kwargs)
+        finally:
+            sys.setprofile(None)
+        assert len(checks) == _SHAPES.get(name, 1), (type(x).__name__, checks)
 
 
 BOUNDED = [c for c in CASES if c[4] is not None]

@@ -90,6 +90,20 @@ def test_every_private_name_is_used():
     assert unread == []
 
 
+def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
+    # expm1(a * log1p(b)) is spelled out for the transform, its derivative
+    # and Box-Cox; every other evaluator composes one of those bodies
+    written = set()
+    for path in sorted(Path(rootpow.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("log1p", "expm1")
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "ops"):
+                    written.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert written == {"core._transform", "core._derivative", "boxcox._boxcox"}
+
+
 # One keyword construction per record.
 _RECORDS = {
     "BranchPlan": dict(pre_scale=-0.5, skip_log=False, mid_scale=-1.0, skip_exp=False,
