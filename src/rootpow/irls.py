@@ -16,9 +16,12 @@ the next.
 
 A sweep is one run of the kernel body plus numpy's pairwise sums, which
 are accurate to O(eps * log n) of the summed magnitudes, far inside the
-stopping tolerance.  A fit ends with one more sweep summed with
-``math.fsum``, so its result is the exactly rounded weighted mean at the
-final weights: a lam = 0 fit returns ``math.fsum(observations) / n``.
+stopping tolerance.  A fit ends with one more sweep whose sums are
+exactly rounded, so its result is the exactly rounded weighted mean at
+the final weights: a lam = 0 fit returns ``math.fsum(observations) / n``.
+Each of those sums is split into two numpy sums, one exact and one with
+an error bound, and taken from them where the bound proves it equal to
+``math.fsum``'s, from ``math.fsum`` elsewhere (Rump, Ogita & Oishi 2008).
 """
 
 from __future__ import annotations
@@ -138,16 +141,51 @@ def irls_step(mu: float, problem: IrlsProblem) -> float:
         return _step(mu, problem)
 
 
+def _exact_sum(a: np.ndarray) -> float:
+    """math.fsum(a.tolist()) of a float64 array, to the bit, mostly from
+    two numpy sums (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008).
+
+    With sigma = 2**k >= (n + 2) * max|a| and n < 2**26,
+    q = (a + sigma) - sigma holds multiples of eps * sigma (eps = 2**-53)
+    whose partial sums stay below sigma, so q.sum() is exact in any order;
+    r = a - q is exact with |r| <= eps * sigma, so r.sum() is off by less
+    than bound = 2 * n**2 * eps**2 * sigma.  TwoSum splits q.sum() +
+    r.sum() into s + e exactly, and s is the rounded sum when e +- bound
+    lies strictly inside half the gaps around s, which no tie does and
+    s = 0 never does (half its gap rounds to 0).  Otherwise fsum sums: for
+    zeros, inf or NaN, max|a| below 2**-960 (where the bound would not be
+    an exact double), sigma past 2**1023 and n from 2**26.
+    """
+    n = a.size
+    m = max(float(a.max()), -float(a.min()))
+    k = math.frexp(m)[1] + (n + 2).bit_length()
+    if 2.0 ** -960 <= m < math.inf and k <= 1023 and n < 2 ** 26:
+        sigma = math.ldexp(1.0, k)
+        q = a + sigma
+        q -= sigma
+        t1 = float(q.sum())
+        t2 = float(np.subtract(a, q, out=q).sum())
+        s = t1 + t2
+        z = s - t1
+        e = (t1 - (s - z)) + (t2 - z)
+        bound = math.ldexp(2.0 * n * n, k - 106)
+        if (e + bound < (math.nextafter(s, math.inf) - s) / 2
+                and e - bound > (math.nextafter(s, -math.inf) - s) / 2):
+            return s
+    return math.fsum(a.tolist())
+
+
 def _exact_sweep(mu: float, problem: IrlsProblem) -> float:
-    """irls_step with both sums exactly rounded: fsum(w * x) / fsum(w)."""
+    """irls_step with both sums exactly rounded by _exact_sum:
+    fsum(w * x) / fsum(w)."""
     mu = problem._clamp(mu)
     w = _kernel(problem._values - mu, _OPS, problem.lam, problem.c)
-    total = math.fsum(w.tolist())
+    total = _exact_sum(w)
     if not total > 0.0:
         return mu
     w *= problem._values  # w <= 1 for lam <= 0: no product overflows
     try:
-        mean = math.fsum(w.tolist()) / total
+        mean = _exact_sum(w) / total
     except OverflowError:
         # n terms of up to the largest double: sum them scaled by a power
         # of two below 1/n, exactly but for subnormal terms
@@ -158,11 +196,11 @@ def _exact_sweep(mu: float, problem: IrlsProblem) -> float:
 
 
 def loss_objective(mu: float, problem: IrlsProblem) -> float:
-    """Summed robust loss at location mu, exactly rounded; inf once the
-    sum passes the largest double."""
-    terms = loss(_residuals(mu, problem), problem.lam, problem.c).tolist()
+    """Summed robust loss at location mu, exactly rounded (by
+    _exact_sum); inf once the sum passes the largest double."""
+    terms = loss(_residuals(mu, problem), problem.lam, problem.c)
     try:
-        return math.fsum(terms)
+        return _exact_sum(terms)
     except OverflowError:  # the terms are >= 0
         return math.inf
 

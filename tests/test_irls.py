@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rootpow.irls import (
     IrlsProblem,
+    _exact_sum,
     fit_location,
     irls_step,
     loss_objective,
@@ -512,3 +514,84 @@ class TestExtrapolationGuard:
         candidates = self._candidates(problem)
         assert candidates and not any(ok for _, ok in candidates)
         assert fit_location(problem).converged
+
+
+def _sum_or_overflow(summer, a):
+    try:
+        return summer(a).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+def _count_fsum(monkeypatch):
+    """The list that gets one entry per math.fsum call from here on."""
+    calls, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+    return calls
+
+
+class TestExactSum:
+    """_exact_sum returns math.fsum's bits, from its two numpy sums where
+    their error bound settles the rounding and from fsum elsewhere."""
+
+    @given(a=hnp.arrays(np.float64, st.integers(1, 3000),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_doubles(self, a):
+        # subnormals, +-0.0 and values near +-max are among the draws
+        assert _sum_or_overflow(_exact_sum, a) == _sum_or_overflow(lambda v: math.fsum(v.tolist()), a)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3000),
+           decades=st.floats(0.0, 30.0), scale=st.integers(-900, 900))
+    @settings(max_examples=300, deadline=None)
+    def test_cancelling_terms(self, seed, n, decades, scale):
+        # normal terms beside a pair +-10**decades times larger that
+        # cancels: the pair sets sigma and leaves the rounding of the sum
+        # to the low parts, whose numpy sum is not exact
+        rng = np.random.default_rng(seed)
+        a = np.concatenate([rng.standard_normal(n), [10.0 ** decades, -(10.0 ** decades)]])
+        rng.shuffle(a)
+        a = np.ldexp(a, scale)
+        assert _exact_sum(a).hex() == math.fsum(a.tolist()).hex()
+
+    @pytest.mark.parametrize("values, certified", [
+        ([1.0, 2.0 ** -53], False),                      # a tie, to even 1.0
+        ([1.0 + 2.0 ** -52, 2.0 ** -53], False),         # a tie, to even 1 + 2**-51
+        ([1.0, 2.0 ** -53 - 2.0 ** -99], False),         # e + bound is half the gap above
+        ([1.0, -(2.0 ** -54 - 2.0 ** -99)], False),      # e - bound is half the gap below
+        ([1.0, 2.0 ** -53 - 2.0 ** -98], True),          # e + bound just inside
+        ([1e16, 1.0, -1e16], False),                     # cancels to below the bound
+        ([1e16, 3.0, 1e16 - 2.0], True),
+        ([0.5, 0.25, 0.125, 0.125], True),               # lands on a power of two
+        ([1.0, -2.0 ** -60], True),                      # rounds up to one
+        ([5e-324, 5e-324, -1e-310], False),              # all subnormal
+        ([2.0 ** -1000, 3.0 * 2.0 ** -1001], False),     # max|a| below 2**-960
+        ([2.0 ** 1022, 2.0 ** 1022], False),             # sigma past 2**1023
+        ([BIG, -BIG, 1.0], False),
+        ([BIG, BIG], False),                             # fsum's OverflowError
+        ([0.1], True),
+        ([-1e300], True),
+        ([0.0], False),
+        ([-0.0], False),
+        ([-0.0, -0.0], False),                           # -0.0, from fsum
+        ([0.0, -0.0], False),
+        ([1.0, -1.0], False),                            # s = 0
+        ([math.inf, 1.0], False),                        # a loss term past BIG
+    ])
+    def test_fast_path_or_fallback(self, values, certified, monkeypatch):
+        a = np.array(values)
+        want = _sum_or_overflow(lambda v: math.fsum(v.tolist()), a)
+        calls = _count_fsum(monkeypatch)
+        assert _sum_or_overflow(_exact_sum, a) == want
+        assert len(calls) == (not certified)
+
+    def test_closing_sweeps_take_the_fast_path(self, monkeypatch):
+        # on bench-like data every closing-sweep sum is certified: a
+        # helper that always falls back to fsum fails here
+        rng = np.random.default_rng(83)
+        problems = [IrlsProblem(observations=tuple(_bench_data(rng, 2000).tolist()), lam=lam)
+                    for lam in (-math.inf, -2.0, -1.0, -0.5, 0.0) for _ in range(4)]
+        calls = _count_fsum(monkeypatch)
+        for problem in problems:
+            fit_location(problem)
+        assert not calls
