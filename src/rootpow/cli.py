@@ -5,10 +5,10 @@ Data goes to stdout, diagnostics to stderr.  Floats are printed with 17
 significant digits so every CSV/JSON value parses back to the exact
 double; `irls` prints a saturated grad_norm as null, which keeps its JSON
 strict.  Exit codes: 0 success, 1 data or I/O failure, 2 validation
-failure (also what argparse uses), and for `irls` specifically 2 when the
-iteration cap is hit before convergence.  An error no command diagnoses
-exits 1 with a one-line ``error: <type>: <message>`` instead of a
-traceback.
+failure (a usage error too, as one ``error: <prog>: <message>`` line),
+and for `irls` specifically 2 when the iteration cap is hit before
+convergence.  An error no command diagnoses exits 1 with a one-line
+``error: <type>: <message>`` instead of a traceback.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 2) -> None:
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one-line CliErrors, exit 2;
+    add_subparsers builds the subcommands from the same class."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _parse_lambda_flag(text: str) -> float:
@@ -98,7 +106,7 @@ _SCALE = ("--c", _require_scale)
 
 
 # --fn -> (body, its parameters as (flag, library check[, default])).  Each
-# check runs once, on the flag's text; every x then runs
+# check runs once, on the flag's value; every x then runs
 # body(x, _FLOAT_OPS, *params), the arithmetic of the public float call.
 _EVAL_FUNCTIONS = {
     "f": (_transform, [_LAMBDA]),
@@ -127,7 +135,8 @@ def _param(args, flag: str, check, default=None):
             raise CliError(f"{flag} is required for --fn {args.fn}")
         value = default
     try:
-        return check(value)
+        # --lambda and --lambda-neg arrive as text, read by the one shape parser
+        return check(parse_lambda(value) if isinstance(value, str) else value)
     except ValueError as exc:
         raise CliError(f"{flag}: {exc}") from None
 
@@ -258,7 +267,7 @@ def _cmd_irls(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rootpow",
         description="Evaluate the self-inverting power transform and its families.",
     )
@@ -305,9 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -150,12 +150,29 @@ def _end_slope(m0: float, m1: float) -> float:
     return d
 
 
+def _floats(values, name: str) -> tuple[float, ...]:
+    # each element type checked once; JSON true/false load as bool, an int
+    if not isinstance(values, (list, tuple)) or not all(
+        issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, values))
+    ):
+        raise ValueError(f"{name} must be a list of numbers")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # an int past the largest double
+        raise ValueError(f"{name} values must be finite") from None
+
+
 class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
     """Precomputed log Z on a uniform, strictly increasing grid of the
     compactified coordinate from -0.5 to 1, plus the quadrature node count
-    that produced it."""
+    that produced it.  Every field rule is checked here: s_grid and log_z are
+    lists or tuples of numbers, stored as float tuples, num_points an int."""
 
-    def __new__(cls, s_grid: tuple[float, ...], log_z: tuple[float, ...], num_points: int):
+    def __new__(cls, s_grid, log_z, num_points: int):
+        s_grid = _floats(s_grid, "s_grid")
+        log_z = _floats(log_z, "log_z")
+        if isinstance(num_points, bool) or not isinstance(num_points, int):
+            raise ValueError("num_points must be an integer")
         if len(s_grid) != len(log_z):
             raise ValueError("s_grid and log_z must have equal length")
         if len(s_grid) < 2:
@@ -224,48 +241,21 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
     def save(self, path) -> None:
         import json
 
-        payload = {
-            "s_grid": list(self.s_grid),
-            "log_z": list(self.log_z),
-            "num_points": self.num_points,
-            "precision": "binary64",
-        }
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh)
+            json.dump({**self._asdict(), "precision": "binary64"}, fh)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "ZTable":
-        """Read a table written by save; a file of any other shape or with
-        fields of the wrong type raises ValueError."""
+        """Read a table written by save; a payload that is not a JSON object
+        with precision "binary64", or a field ZTable rejects, raises ValueError."""
         import json
 
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError("table file must hold a JSON object")
-        num_points = payload.get("num_points")
-        if isinstance(num_points, bool) or not isinstance(num_points, int):
-            raise ValueError("num_points must be an integer")
-        if payload.get("precision") != "binary64":
-            raise ValueError('precision must be "binary64"')
-        return cls(
-            s_grid=_number_list(payload, "s_grid"),
-            log_z=_number_list(payload, "log_z"),
-            num_points=num_points,
-        )
-
-
-def _is_number(v) -> bool:
-    # JSON true/false load as bool, which Python counts as int
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _number_list(payload: dict, key: str) -> tuple[float, ...]:
-    values = payload.get(key)
-    if not isinstance(values, list) or not all(map(_is_number, values)):
-        raise ValueError(f"{key} must be a list of numbers")
-    return tuple(map(float, values))
+        if not isinstance(payload, dict) or payload.get("precision") != "binary64":
+            raise ValueError('table file must hold a JSON object with precision "binary64"')
+        return cls(*map(payload.get, cls._fields))
 
 
 def build_table(grid_size: int = DEFAULT_GRID_SIZE, num_points: int = DEFAULT_NUM_POINTS) -> ZTable:
@@ -280,17 +270,11 @@ def build_table(grid_size: int = DEFAULT_GRID_SIZE, num_points: int = DEFAULT_NU
     import numpy as np
 
     grid_size = int(grid_size)
+    num_points = int(num_points)
     if grid_size < 16:
         raise ValueError(f"grid_size must be at least 16, got {grid_size}")
     while (grid_size - 1) % 3:
         grid_size += 1
-    s_grid = np.linspace(-0.5, 1.0, grid_size)
-    log_z = [
-        math.log(partition_function(_decompactify(float(s)), num_points))
-        for s in s_grid
-    ]
-    return ZTable(
-        s_grid=tuple(float(s) for s in s_grid),
-        log_z=tuple(log_z),
-        num_points=num_points,
-    )
+    s_grid = np.linspace(-0.5, 1.0, grid_size).tolist()
+    log_z = [math.log(partition_function(_decompactify(s), num_points)) for s in s_grid]
+    return ZTable(s_grid, log_z, num_points)

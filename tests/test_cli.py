@@ -142,6 +142,7 @@ class TestEval:
     @pytest.mark.parametrize("flag, reason", [
         ("--lambda=1", "--lambda: bump shape must satisfy 1 < lam < inf"),
         ("--c=inf", "--c: scale c must be a positive finite real"),
+        ("--lambda=abc", "--lambda: cannot parse lam from 'abc'"),
     ])
     def test_parameter_error_carries_library_reason(self, run, flag, reason):
         code, out, err = run(["eval", "--fn", "bump", "--lambda=2", flag, "--x", "0"])
@@ -519,6 +520,20 @@ class TestConsoleEntry:
             env=CHILD_ENV,
         )
         assert proc.returncode == 2  # argparse: missing subcommand
+
+    def test_usage_error_is_one_line(self):
+        # argparse's usage block is not printed; -h still prints help
+        argv = [sys.executable, "-m", "rootpow.cli", "eval", "--fn", "f", "--lambda", "1"]
+        proc = subprocess.run(
+            [*argv, "--c", "abc", "--x", "1"], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: rootpow eval: argument --c: invalid float value: 'abc'\n"
+        proc = subprocess.run([*argv, "-h"], capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: rootpow eval")
+        assert proc.stderr == ""
 
     def test_import_loads_neither_scipy_nor_mpmath(self, tmp_path):
         # scipy is a test-only oracle and mpmath is loaded by the accuracy

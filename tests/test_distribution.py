@@ -7,6 +7,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
@@ -23,6 +25,7 @@ from rootpow.distribution import (
 from rootpow.loss import loss
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+SMALL_TABLE = dict(s_grid=(-0.5, 0.25, 1.0), log_z=(1.0, 0.5, 0.25), num_points=64)
 # The smooth-Laplace member carries exp(+1) relative to its printed closed
 # form because the matching loss is sqrt(1 + u^2) - 1, so the normalizer is
 # 2 e K1(1); frozen from mpmath.besselk(1, 1) and cross-checked against a
@@ -307,6 +310,69 @@ class TestZTable:
                 s_grid[k] = v
             with pytest.raises(ValueError):
                 ZTable(s_grid=tuple(s_grid), log_z=table.log_z, num_points=table.num_points)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_points", "abc"),
+        ("num_points", True),
+        ("num_points", 64.0),
+        ("s_grid", np.linspace(-0.5, 1.0, 3)),
+        ("log_z", np.zeros(3)),
+        ("log_z", (1.0, True, 0.25)),
+        ("s_grid", (-0.5, "0.25", 1.0)),
+        ("log_z", (1.0, 10**400, 0.25)),
+    ], ids=["str-num-points", "bool-num-points", "float-num-points", "ndarray-s-grid",
+            "ndarray-log-z", "bool-node", "str-node", "int-past-binary64"])
+    def test_constructor_rejects_what_load_rejects(self, field, value, tmp_path):
+        # the constructor owns the field rules, so a record it accepts always
+        # hashes and saves to a file that loads back
+        with pytest.raises(ValueError):
+            ZTable(**{**SMALL_TABLE, field: value})
+        if not isinstance(value, np.ndarray):
+            path = tmp_path / "zt.json"
+            path.write_text(json.dumps({**SMALL_TABLE, field: value, "precision": "binary64"}))
+            with pytest.raises(ValueError):
+                ZTable.load(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.integers(2, 40),
+        ints=st.booleans(),
+        container=st.sampled_from([list, tuple]),
+        log_z=st.lists(st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**1023, 2**1023),
+        ), min_size=40, max_size=40),
+        bad=st.sampled_from([None, None, None, True, "1", math.nan, math.inf, 10**400]),
+        num_points=st.one_of(st.integers(), st.sampled_from([64.0, True, "64"])),
+    )
+    def test_every_accepted_table_round_trips(
+        self, tmp_path_factory, size, ints, container, log_z, bad, num_points
+    ):
+        # uniform grids, integral nodes as ints when `ints`, and at most one
+        # bad log_z entry: whatever the constructor accepts must store float
+        # tuples, hash, and load back from its file equal with an equal hash
+        s_grid = np.linspace(-0.5, 1.0, size).tolist()
+        if ints:
+            s_grid = [int(s) if s.is_integer() else s for s in s_grid]
+        log_z = log_z[:size]
+        if bad is not None:
+            log_z[size // 2] = bad
+        try:
+            table = ZTable(container(s_grid), container(log_z), num_points)
+        except ValueError:
+            return
+        assert all(type(v) is float for v in table.s_grid + table.log_z)
+        path = tmp_path_factory.mktemp("zt") / "zt.json"
+        table.save(path)
+        loaded = ZTable.load(path)
+        assert loaded == table
+        assert hash(loaded) == hash(table)
+
+    def test_float_node_count_is_normalized(self, tmp_path):
+        table = build_table(16, 64.0)
+        assert type(table.num_points) is int and table.num_points == 64
+        assert table == build_table(16, 64)
+        table.save(tmp_path / "zt.json")
+        assert ZTable.load(tmp_path / "zt.json") == table
 
     def test_lam_inf_and_minus_one_leave_the_cells_unbuilt(self, table):
         # both are nodes, so neither lookup needs the cubic of any cell

@@ -159,10 +159,12 @@ def test_problem_repr_names_its_fields_only():
 @pytest.mark.parametrize("name, bad, good", [
     ("ZTable", {"s_grid": (-0.5, 0.25, 2.0)}, {"num_points": 128}),
     ("ZTable", {"log_z": (1.0, math.inf, 0.25)}, {"log_z": (2.0, 1.0, 0.5)}),
+    ("ZTable", {"num_points": True}, {"num_points": 256}),
     ("IrlsProblem", {"lam": 3.0}, {"lam": -2.5}),
     ("IrlsProblem", {"observations": (0.0, math.nan)}, {"observations": (1.0, 2.0, 30.0)}),
     ("IrlsProblem", {"max_iters": 0}, {"max_iters": 5}),
-], ids=["ztable-grid", "ztable-log-z", "irls-lam", "irls-observations", "irls-max-iters"])
+], ids=["ztable-grid", "ztable-log-z", "ztable-num-points", "irls-lam", "irls-observations",
+        "irls-max-iters"])
 def test_replace_reruns_the_checks(name, bad, good):
     # namedtuple's _replace builds through _make, which the two records
     # with invariants route through their checks
