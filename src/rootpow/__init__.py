@@ -10,7 +10,7 @@ One shape parameter ranging over the extended reals drives everything:
 - ``pdf`` / ``partition_function`` / ``ZTable``: the normalized density
   family with a Simpson normalizer on a uniform log1p grid and a persisted
   lookup table interpolated by a monotone cubic Hermite.
-- ``bump`` / ``bump_classic``: compactly supported bumps on (-1, 1).
+- ``bump``: compactly supported bumps on (-1, 1).
 - ``signed_transform`` and the activation reconstructions ``softplus``,
   ``sigmoid``, ``tanh``, ``relu``.
 - ``boxcox`` and the exact two-way bridge to the Box-Cox convention.

@@ -2,15 +2,17 @@
 
 Measures the geometric mean of absolute error against an extended-precision
 oracle over log-spaced x grids, one row per lam.  The oracle evaluates the
-same case formulas the stable path targets, but in software wide floats
-(mpmath) with the branch chosen by the working-precision classifier, then
-rounds once to binary64.
+same case formulas the stable path targets, but in stdlib ``decimal`` at
+50 significant digits plus guard digits, with the branch chosen by the
+working-precision classifier, then rounds once to binary64.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+import decimal
+from decimal import Decimal
 
 import numpy as np
 
@@ -34,6 +36,10 @@ __all__ = [
 ]
 
 ORACLE_DPS = 50
+# Digits the oracle carries past dps: below _SERIES_BELOW the series take
+# over, so a log or exp argument never cancels more than 8 of them.
+_GUARD_DIGITS = 10
+_SERIES_BELOW = Decimal("1e-8")
 
 
 # Geometric-mean absolute errors at one lam; err_naive is None where the
@@ -42,16 +48,46 @@ AccuracyRow = namedtuple("AccuracyRow", "lam err_naive err_stable")
 AccuracyReport = namedtuple("AccuracyReport", "rows x_lo x_hi samples")
 
 
+def _log1p(y: Decimal) -> Decimal:
+    # ln(1 + y), summing y - y^2/2 + y^3/3 - ... where 1 + y would cancel
+    # the leading digits of y
+    if y < -1:
+        raise ValueError("x is past the pole of the transform at this lam")
+    if abs(y) >= _SERIES_BELOW:
+        return (1 + y).ln()
+    total, power, k = y, y, 1
+    while True:
+        k += 1
+        power *= -y
+        last, total = total, total + power / k
+        if total == last:
+            return total
+
+
+def _expm1(z: Decimal) -> Decimal:
+    # exp(z) - 1, summing z + z^2/2! + ... where the subtraction would cancel
+    if abs(z) >= _SERIES_BELOW:
+        return z.exp() - 1
+    total, term, k = z, z, 1
+    while True:
+        k += 1
+        term = term * z / k
+        last, total = total, total + term
+        if total == last:
+            return total
+
+
 def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:
     """Ground-truth transform value, correctly rounded to binary64.
 
     Evaluates the closed form of the branch that the working-precision
-    classifier assigns to lam, using mpmath at ``dps`` decimal digits.
-    Doubling ``dps`` must not move the rounded result by more than the
-    final rounding itself; tests assert this.
+    classifier assigns to lam in ``decimal`` arithmetic: ``dps`` significant
+    digits plus guard digits, with an exponent range far past binary64 (an
+    exp too large even for that gives inf).  Doubling ``dps`` must not move
+    the rounded result by more than the final rounding itself; tests
+    assert this.  An x past the transform's pole at lam raises ValueError;
+    an exact zero comes back as +0.0.
     """
-    import mpmath  # imported here so that importing rootpow does not load it
-
     x = float(x)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
@@ -59,23 +95,24 @@ def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:
     x = min(x, max_domain(lam))
     if branch is Branch.ZERO:
         return x
-    with mpmath.workdps(dps):
-        xm = mpmath.mpf(x)
+    # every operation, unary minus included, rounds in this context
+    wide = decimal.Context(prec=dps + _GUARD_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                           traps=[decimal.InvalidOperation, decimal.DivisionByZero])
+    with decimal.localcontext(wide):
+        xm, lm = Decimal(x), Decimal(float(lam))
         if branch is Branch.POS_INF:
-            val = -mpmath.log1p(-xm)
+            val = -_log1p(-xm)
         elif branch is Branch.ONE:
-            val = mpmath.expm1(xm)
+            val = _expm1(xm)
         elif branch is Branch.NEG_ONE:
-            val = mpmath.log1p(xm)
+            val = _log1p(xm)
         elif branch is Branch.NEG_INF:
-            val = -mpmath.expm1(-xm)
+            val = -_expm1(-xm)
         elif branch is Branch.POS:
-            lm = mpmath.mpf(lam)
-            val = lm * (mpmath.expm1(mpmath.log1p((1 - lm) / lm * xm) / (1 - lm)))
+            val = lm * _expm1(_log1p((1 - lm) / lm * xm) / (1 - lm))
         else:
-            lm = mpmath.mpf(lam)
-            val = -lm / (lm + 1) * mpmath.expm1((lm + 1) * mpmath.log1p(-xm / lm))
-        return float(val)
+            val = -lm / (lm + 1) * _expm1((lm + 1) * _log1p(-xm / lm))
+        return float(val) if val else 0.0
 
 
 def default_lambda_grid() -> list[float]:

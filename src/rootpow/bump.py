@@ -13,7 +13,7 @@ import math
 
 from .core import _elementwise, _pole, _require_lambda, _transform
 
-__all__ = ["bump", "bump_classic"]
+__all__ = ["bump"]
 
 
 def _require_bump_lambda(lam: float) -> float:
@@ -34,13 +34,3 @@ def _bump(x, ops, lam: float):
 def bump(x, lam: float):
     """Bump value at x (a float or an ndarray); exactly 0 for |x| >= 1."""
     return _elementwise(_bump, x, _require_bump_lambda(lam))
-
-
-def bump_classic(x: float) -> float:
-    """The textbook bump exp(-1/(1 - x**2)) on (-1, 1), 0 elsewhere."""
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if abs(x) >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - x * x))

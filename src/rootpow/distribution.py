@@ -34,6 +34,7 @@ __all__ = [
 
 DEFAULT_NUM_POINTS = 4096
 DEFAULT_GRID_SIZE = 3301
+_MIN_NUM_POINTS = 16
 
 
 def _interpolation_kink(s: float) -> float:
@@ -77,8 +78,8 @@ def partition_function(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> floa
 
     lam = _require_dist_lambda(lam)
     num_points = int(num_points)
-    if num_points < 16:
-        raise ValueError("need at least 16 quadrature points")
+    if num_points < _MIN_NUM_POINTS:
+        raise ValueError(f"need at least {_MIN_NUM_POINTS} quadrature points")
     if num_points % 2 == 0:
         num_points += 1
     # Where exp(-loss) drops to eps**2: loss = -log(eps**2), so invert.
@@ -166,13 +167,16 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
     """Precomputed log Z on a uniform, strictly increasing grid of the
     compactified coordinate from -0.5 to 1, plus the quadrature node count
     that produced it.  Every field rule is checked here: s_grid and log_z are
-    lists or tuples of numbers, stored as float tuples, num_points an int."""
+    lists or tuples of numbers, stored as float tuples, num_points an int
+    that partition_function accepts."""
 
     def __new__(cls, s_grid, log_z, num_points: int):
         s_grid = _floats(s_grid, "s_grid")
         log_z = _floats(log_z, "log_z")
         if isinstance(num_points, bool) or not isinstance(num_points, int):
             raise ValueError("num_points must be an integer")
+        if num_points < _MIN_NUM_POINTS:
+            raise ValueError(f"num_points must be at least {_MIN_NUM_POINTS}, got {num_points}")
         if len(s_grid) != len(log_z):
             raise ValueError("s_grid and log_z must have equal length")
         if len(s_grid) < 2:

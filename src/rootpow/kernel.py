@@ -14,8 +14,9 @@ import math
 from .core import _derivative, _elementwise, _require_lambda
 from .loss import _loss, _require_scale
 
-__all__ = ["kernel", "kernel_reference", "irls_weight", "KERNEL_REFERENCE_LAMBDAS"]
+__all__ = ["kernel", "irls_weight", "KERNEL_REFERENCE_LAMBDAS"]
 
+# lam value at which each named kernel is reproduced by `kernel`.
 KERNEL_REFERENCE_LAMBDAS = {
     "gaussian": -math.inf,
     "inverse": -1.0,
@@ -42,31 +43,3 @@ def irls_weight(residual, lam: float, c: float = 1.0):
     weights only ever enter in ratios.
     """
     return kernel(residual, lam, c)
-
-
-def kernel_reference(x: float, name: str, c: float = 1.0, lam: float | None = None) -> float:
-    """Literal closed form of a named kernel (test oracle).
-
-    Known names: Gaussian, Inverse, Quadratic, Multiquadric,
-    InverseMultiquadric, and RationalQuadratic which takes its negative
-    shape through ``lam``.
-    """
-    c = _require_scale(c)
-    x = float(x)
-    r2 = (x / c) ** 2
-    key = name.replace("-", "_").replace(" ", "_").lower()
-    if key == "gaussian" or key == "rbf":
-        return math.exp(-0.5 * r2)
-    if key == "inverse":
-        return 2.0 * c * c / (2.0 * c * c + x * x)
-    if key == "quadratic":
-        return 1.0 + 0.5 * r2
-    if key == "multiquadric":
-        return math.sqrt(1.0 + r2)
-    if key in ("inverse_multiquadric", "inversemultiquadric"):
-        return 1.0 / math.sqrt(1.0 + r2)
-    if key in ("rational_quadratic", "rationalquadratic"):
-        if lam is None or not lam < 0.0:
-            raise ValueError("RationalQuadratic needs a negative lam")
-        return (1.0 - 0.5 * r2 / lam) ** lam
-    raise ValueError(f"unknown kernel name {name!r}")

@@ -3,8 +3,8 @@
 loss(x, lam, c) = transform(0.5 * (x/c)**2, lam).  lam = 0 is plain
 quadratic loss; decreasing lam flattens the penalty on large residuals
 until it saturates at lam = -inf.  Several named robust losses fall out at
-particular lam; their literal closed forms live in :func:`loss_reference`
-as independent test oracles.
+particular lam, listed in ``LOSS_REFERENCE_LAMBDAS``; the tests check them
+against their literal closed forms.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 from .core import _elementwise, _require_lambda, _transform
 
-__all__ = ["loss", "loss_reference", "LOSS_REFERENCE_LAMBDAS"]
+__all__ = ["loss", "LOSS_REFERENCE_LAMBDAS"]
 
 # lam value at which each named loss is reproduced by `loss`.
 LOSS_REFERENCE_LAMBDAS = {
@@ -53,27 +53,3 @@ def loss(x, lam: float, c: float = 1.0):
     core clamp makes the loss saturate at a large finite value there.
     """
     return _elementwise(_loss, x, _require_lambda(lam), _require_scale(c))
-
-
-def loss_reference(x: float, name: str, c: float = 1.0) -> float:
-    """Literal closed form of a named robust loss (test oracle).
-
-    Known names: L2, Cauchy, Welsch, Charbonnier, GemanMcClure (case and
-    underscore insensitive).
-    """
-    c = _require_scale(c)
-    u = 0.5 * (float(x) / c) ** 2
-    key = name.replace("-", "_").replace(" ", "_").lower()
-    if key == "l2":
-        return u
-    if key == "cauchy" or key == "lorentzian":
-        return math.log(1.0 + u)
-    if key == "welsch" or key == "leclerc":
-        return 1.0 - math.exp(-u)
-    if key == "charbonnier":
-        return math.sqrt((float(x) / c) ** 2 + 1.0) - 1.0
-    if key in ("geman_mcclure", "gemanmcclure"):
-        x = float(x)
-        return 2.0 * x * x / (4.0 * c * c + x * x)
-    raise ValueError(f"unknown loss name {name!r}")
-

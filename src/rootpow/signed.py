@@ -20,7 +20,6 @@ __all__ = [
     "sigmoid",
     "tanh",
     "relu",
-    "elu_reference",
 ]
 
 _LN2 = math.log(2.0)
@@ -82,9 +81,3 @@ def relu(x, lam_neg: float = 0.0):
     clamped saturation of the lam = 2 stage is what produces the 0.
     """
     return _elementwise(_relu, x, _require_lambda(lam_neg))
-
-
-def elu_reference(x: float) -> float:
-    """Test oracle: identity above 0, exp(x) - 1 below."""
-    x = float(x)
-    return x if x >= 0.0 else math.exp(x) - 1.0

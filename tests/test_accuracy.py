@@ -1,8 +1,10 @@
 """Accuracy harness: wide-float oracle, error sweep, CSV rendering."""
 
 import math
+import random
 import sys
 
+import mpmath
 import pytest
 
 import numpy as np
@@ -13,7 +15,7 @@ from rootpow.accuracy import (
     oracle_transform,
     report_to_csv,
 )
-from rootpow.core import max_domain, transform, transform_naive
+from rootpow.core import Branch, classify, max_domain, transform, transform_naive
 
 from conftest import stable_ulp_budget, ulps_apart
 
@@ -82,6 +84,85 @@ class TestOracle:
     def test_stable_path_within_rounding_model_at_subnormal_x(self, x, lam):
         truth = oracle_transform(x, lam)
         assert ulps_apart(transform(x, lam), truth) <= stable_ulp_budget(x, lam)
+
+    @pytest.mark.parametrize("x, lam", [
+        (-5.0, 0.5), (-1e300, 1e-300), (-math.inf, 0.25),  # POS, lam < 1
+        (-3.0, -0.5), (-3.0, -2.0), (-math.inf, -1e-300),  # NEG
+        (-2.0, -1.0), (-1.0 - 1e-15, -1.0), (-math.inf, -1.0),  # NEG_ONE
+    ])
+    def test_past_the_pole_is_a_value_error(self, x, lam):
+        with pytest.raises(ValueError, match="past the pole"):
+            oracle_transform(x, lam)
+
+    def test_at_the_pole(self):
+        # unbounded below at lam <= -1, bounded for -1 < lam < 1
+        assert oracle_transform(-1.0, -1.0) == -math.inf
+        assert oracle_transform(-2.0, -2.0) == -math.inf
+        assert oracle_transform(-0.5, -0.5) == -1.0
+        assert oracle_transform(-1.0, 0.5) == -0.5
+
+
+def _mpmath_transform(x: float, lam: float):
+    # the same branch formulas in mpmath's binary wide floats at 50 digits,
+    # rounded by the caller; an x past the pole makes an mpc
+    branch = classify(lam)
+    x = min(x, max_domain(lam))
+    if branch is Branch.ZERO:
+        return x
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        if branch is Branch.POS_INF:
+            return -mpmath.log1p(-xm)
+        if branch is Branch.ONE:
+            return mpmath.expm1(xm)
+        if branch is Branch.NEG_ONE:
+            return mpmath.log1p(xm)
+        if branch is Branch.NEG_INF:
+            return -mpmath.expm1(-xm)
+        lm = mpmath.mpf(lam)
+        if branch is Branch.POS:
+            return lm * mpmath.expm1(mpmath.log1p((1 - lm) / lm * xm) / (1 - lm))
+        return -lm / (lm + 1) * mpmath.expm1((lm + 1) * mpmath.log1p(-xm / lm))
+
+
+_EDGE_LAMS = [
+    -math.inf, -1e300, -4.6e15, -1e5, -2.0, -1.0 - 1e-8, -1.0, -1.0 + 1e-8, -0.5,
+    -1e-300, 0.0, 1e-300, 0.5, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 2.0, 1e5, 4.6e15, 1e300, math.inf,
+]
+_EDGE_XS = [
+    0.0, -0.0, 5e-324, 1.64e-318, 5.4e-313, sys.float_info.min, 1e-60, 1e-8, 0.37, 1.0, 36.0,
+    710.0, 1e20, 1e154, 1e300, sys.float_info.max, math.inf, -1e-300, -0.5, -1.0, -3.0,
+]
+
+
+def _seeded_draw(n: int = 1600):
+    rng = random.Random(16)
+    draw = [(x, lam) for lam in _EDGE_LAMS for x in _EDGE_XS]
+    while len(draw) < n:
+        sign = rng.choice([1.0, -1.0])
+        lam = rng.choice([
+            sign * 10.0 ** rng.uniform(-300, 300),
+            sign * (1.0 + rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-16, -1)),
+            rng.uniform(-3.0, 3.0),
+        ])
+        x = rng.choice([10.0 ** rng.uniform(-323.5, 308.25), -(10.0 ** rng.uniform(-323, 1))])
+        draw.append((x, lam))
+    return draw
+
+
+def test_decimal_oracle_equals_mpmath_to_the_bit():
+    # decimal and mpmath are independent wide floats, one decimal and one
+    # binary, so both rounding to the same double pins every branch's formula
+    draw = _seeded_draw()
+    assert {classify(lam) for _, lam in draw} == set(Branch)
+    for x, lam in draw:
+        want = _mpmath_transform(x, lam)
+        if isinstance(want, mpmath.mpc):
+            with pytest.raises(ValueError):
+                oracle_transform(x, lam)
+            continue
+        got = oracle_transform(x, lam)
+        assert float.hex(got) == float.hex(float(want)), (x, lam)
 
 
 class TestSweep:

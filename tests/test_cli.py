@@ -390,11 +390,13 @@ class TestZTableCommand:
         [[-0.5, 1.0], [1.0, 1.0]],
         {"s_grid": [-0.5, 1.0], "log_z": [1.0, "1.0"], "num_points": 64, "precision": "binary64"},
         {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": "abc", "precision": "binary64"},
+        {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": 15, "precision": "binary64"},
+        {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": -5, "precision": "binary64"},
         {"log_z": [1.0, 1.0], "num_points": 64, "precision": "binary64"},
         {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": 64, "precision": "binary32"},
         {"s_grid": [0.5, 1.0], "log_z": [1.0, 1.0], "num_points": 64, "precision": "binary64"},
-    ], ids=["list-payload", "string-in-log-z", "string-num-points", "missing-s-grid",
-            "binary32-precision", "grid-off-the-range"])
+    ], ids=["list-payload", "string-in-log-z", "string-num-points", "15-num-points",
+            "negative-num-points", "missing-s-grid", "binary32-precision", "grid-off-the-range"])
     def test_wrong_types_in_table_are_validation_errors(self, run, tmp_path, payload):
         path = tmp_path / "zt.json"
         path.write_text(json.dumps(payload))
@@ -536,8 +538,8 @@ class TestConsoleEntry:
         assert proc.stderr == ""
 
     def test_import_loads_neither_scipy_nor_mpmath(self, tmp_path):
-        # scipy is a test-only oracle and mpmath is loaded by the accuracy
-        # oracle when it runs, so neither belongs in every CLI start-up;
+        # scipy and mpmath are test-only oracles (the accuracy oracle is
+        # stdlib decimal), so neither belongs in any CLI start-up;
         # nor does statistics, which costs ~5 ms for a median numpy has;
         # nor numpy, which only pdf without a table, ztable, irls and
         # accuracy need; nor dataclasses and the inspect it loads (~10 ms),
@@ -578,6 +580,28 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("block", [False, True], ids=["mpmath-importable", "mpmath-blocked"])
+    def test_accuracy_runs_on_numpy_and_the_stdlib(self, block):
+        # with mpmath made unimportable (a None entry in sys.modules makes
+        # `import mpmath` raise ImportError) the accuracy command and
+        # error_sweep still run; where it is importable, neither loads it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import contextlib, io, sys\n"
+             + ("sys.modules['mpmath'] = None\n" if block else "")
+             + "import rootpow.accuracy, rootpow.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+             "    assert rootpow.cli.main(['accuracy', '--lambdas=0.5,-2,inf', '--n', '8']) == 0\n"
+             "assert out.getvalue().count('\\n') == 4, out.getvalue()\n"
+             "rootpow.accuracy.error_sweep([0.5, -2.0, float('inf')], n=8)\n"
+             "print(sys.modules.get('mpmath', 'absent'))"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("None\n" if block else "absent\n")
 
     def test_script_roundtrip(self):
         argv = [sys.executable, "-c",

@@ -315,13 +315,16 @@ class TestZTable:
         ("num_points", "abc"),
         ("num_points", True),
         ("num_points", 64.0),
+        ("num_points", 15),
+        ("num_points", -5),
         ("s_grid", np.linspace(-0.5, 1.0, 3)),
         ("log_z", np.zeros(3)),
         ("log_z", (1.0, True, 0.25)),
         ("s_grid", (-0.5, "0.25", 1.0)),
         ("log_z", (1.0, 10**400, 0.25)),
-    ], ids=["str-num-points", "bool-num-points", "float-num-points", "ndarray-s-grid",
-            "ndarray-log-z", "bool-node", "str-node", "int-past-binary64"])
+    ], ids=["str-num-points", "bool-num-points", "float-num-points", "15-num-points",
+            "negative-num-points", "ndarray-s-grid", "ndarray-log-z", "bool-node", "str-node",
+            "int-past-binary64"])
     def test_constructor_rejects_what_load_rejects(self, field, value, tmp_path):
         # the constructor owns the field rules, so a record it accepts always
         # hashes and saves to a file that loads back

@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from rootpow.core import max_domain
-from rootpow.kernel import (
-    KERNEL_REFERENCE_LAMBDAS,
-    irls_weight,
-    kernel,
-    kernel_reference,
-)
+from rootpow.kernel import KERNEL_REFERENCE_LAMBDAS, irls_weight, kernel
 from rootpow.loss import loss
+
+from oracles import kernel_reference
 
 
 class TestValues:
