@@ -4,11 +4,11 @@ tables, and IRLS fits, all with deterministic text output.
 Data goes to stdout, diagnostics to stderr.  Floats are printed with 17
 significant digits so every CSV/JSON value parses back to the exact
 double; `irls` prints a saturated grad_norm as null, which keeps its JSON
-strict.  Exit codes: 0 success, 1 data or I/O failure, 2 validation
-failure (a usage error too, as one ``error: <prog>: <message>`` line),
-and for `irls` specifically 2 when the iteration cap is hit before
-convergence.  An error no command diagnoses exits 1 with a one-line
-``error: <type>: <message>`` instead of a traceback.
+strict.  `main` sets the exit code from the exception type alone: 2 for
+a ValueError, every validation failure, a usage error too (one
+``error: <prog>: <message>`` line); 1 for a CliError, a data or I/O
+failure, and for anything else (``error: <type>: <message>``, never a
+traceback).  `irls` also exits 2 when its cap is hit before convergence.
 """
 
 from __future__ import annotations
@@ -30,27 +30,16 @@ __all__ = ["main", "entrypoint", "build_parser"]
 
 
 class CliError(Exception):
-    """A failure reportable as a one-line diagnostic; ``code`` is the exit
-    code, 2 for a validation failure and 1 for a data or I/O failure."""
-
-    def __init__(self, message: str, code: int = 2) -> None:
-        super().__init__(message)
-        self.code = code
+    """A data or I/O failure, which main reports as one line with exit 1;
+    a validation failure is a ValueError instead, exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose usage errors are one-line CliErrors, exit 2;
-    add_subparsers builds the subcommands from the same class."""
+    """An argparse parser whose usage errors are one-line ValueErrors (exit
+    2); add_subparsers builds the subcommands from the same class."""
 
     def error(self, message: str):
-        raise CliError(f"{self.prog}: {message}")
-
-
-def _parse_lambda_flag(text: str) -> float:
-    try:
-        return parse_lambda(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _parse_xs(text: str):
@@ -61,22 +50,22 @@ def _parse_xs(text: str):
         try:
             xs = [float(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
-            raise CliError(f"cannot parse x list {text!r}") from None
+            raise ValueError(f"cannot parse x list {text!r}") from None
         if not xs:
-            raise CliError("empty x samples")
+            raise ValueError("empty x samples")
         if any(map(math.isnan, xs)):
-            raise CliError("x values must not be NaN")
+            raise ValueError("x values must not be NaN")
         return sorted(xs)
     try:
         lo, hi, count = text.split(":")  # a wrong part count raises ValueError too
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        raise CliError(f"range must be lo:hi:count, got {text!r}") from None
+        raise ValueError(f"range must be lo:hi:count, got {text!r}") from None
     if count < 1:
-        raise CliError("range count must be at least 1")
+        raise ValueError("range count must be at least 1")
     # hi - lo is inf or NaN whenever lo or hi is
     if not math.isfinite(hi - lo):
-        raise CliError(f"range needs finite lo, hi and hi - lo, got {text!r}")
+        raise ValueError(f"range needs finite lo, hi and hi - lo, got {text!r}")
     return _sorted_linspace(lo, hi, count) if count > 1 else [lo]
 
 
@@ -132,13 +121,13 @@ def _param(args, flag: str, check, default=None):
     value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
     if value is None:
         if default is None:
-            raise CliError(f"{flag} is required for --fn {args.fn}")
+            raise ValueError(f"{flag} is required for --fn {args.fn}")
         value = default
     try:
         # --lambda and --lambda-neg arrive as text, read by the one shape parser
         return check(parse_lambda(value) if isinstance(value, str) else value)
     except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _eval_function(args):
@@ -149,9 +138,9 @@ def _eval_function(args):
         try:
             table = None if args.ztable is None else dist.ZTable.load(args.ztable)
         except OSError as exc:
-            raise CliError(f"cannot load ztable: {exc}", code=1) from None
-        except ValueError as exc:
             raise CliError(f"cannot load ztable: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"cannot load ztable: {exc}") from None
         return dist._pdf, dist._pdf_params(lam, c, table)
     body, params = _EVAL_FUNCTIONS[args.fn]
     return body, [_param(args, *param) for param in params]
@@ -169,7 +158,7 @@ def _cmd_eval(args) -> int:
         try:
             value = body(x, _FLOAT_OPS, *params)
         except ValueError as exc:
-            raise CliError(f"at x = {x:.17g}: {exc}") from None
+            raise ValueError(f"at x = {x:.17g}: {exc}") from None
         rows.append(f"{x:.17g},{value:.17g}\n")
         if len(rows) == _CHUNK:
             sys.stdout.write("".join(rows))
@@ -181,13 +170,13 @@ def _cmd_eval(args) -> int:
 def _cmd_accuracy(args) -> int:
     lams = None
     if args.lambdas is not None:
-        lams = [_parse_lambda_flag(tok) for tok in args.lambdas.split(",") if tok.strip()]
+        lams = [parse_lambda(tok) for tok in args.lambdas.split(",") if tok.strip()]
         if not lams:
-            raise CliError("empty --lambdas list")
+            raise ValueError("empty --lambdas list")
     if not (0.0 < args.xmin < args.xmax < math.inf):
-        raise CliError("need 0 < --xmin < --xmax < inf")
+        raise ValueError("need 0 < --xmin < --xmax < inf")
     if args.n < 2:
-        raise CliError("--n must be at least 2")
+        raise ValueError("--n must be at least 2")
     from .accuracy import error_sweep, report_to_csv
 
     report = error_sweep(lams, x_lo=args.xmin, x_hi=args.xmax, n=args.n)
@@ -196,17 +185,19 @@ def _cmd_accuracy(args) -> int:
 
 
 def _cmd_ztable(args) -> int:
-    if args.grid_size < 16:
-        raise CliError(f"--grid-size must be at least 16, got {args.grid_size}")
-    if args.num_points < 16:
-        raise CliError(f"--num-points must be at least 16, got {args.num_points}")
+    least_grid, least_points = dist._MIN_GRID_SIZE, dist._MIN_NUM_POINTS
+    if args.grid_size < least_grid:
+        raise ValueError(f"--grid-size must be at least {least_grid}, got {args.grid_size}")
+    if args.num_points < least_points:
+        raise ValueError(f"--num-points must be at least {least_points}, got {args.num_points}")
     table = dist.build_table(args.grid_size, args.num_points)
     try:
         table.save(args.output)
     except OSError as exc:
-        raise CliError(f"cannot write {args.output}: {exc}", code=1) from None
+        raise CliError(f"cannot write {args.output}: {exc}") from None
     worst = 0.0
-    for i in range(0, len(table.s_grid) - 1, max(1, len(table.s_grid) // 16)):
+    # about as many evenly spaced cells as the smallest table has nodes
+    for i in range(0, len(table.s_grid) - 1, len(table.s_grid) // least_grid):
         s_mid = 0.5 * (table.s_grid[i] + table.s_grid[i + 1])
         lam = dist._decompactify(s_mid)
         direct = dist.partition_function(lam, args.num_points)
@@ -223,8 +214,8 @@ def _read_observations(path: str, skip_header: bool) -> list[float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", code=1) from None
+    except (OSError, UnicodeDecodeError) as exc:  # as a ValueError it would exit 2
+        raise CliError(f"cannot read {path}: {exc}") from None
     values = []
     for lineno, line in enumerate(raw, start=1):
         if skip_header and lineno == 1:
@@ -235,29 +226,20 @@ def _read_observations(path: str, skip_header: bool) -> list[float]:
         try:
             values.append(float(text))
         except ValueError:
-            raise CliError(f"line {lineno}: cannot parse {text!r}", code=1) from None
+            raise CliError(f"line {lineno}: cannot parse {text!r}") from None
     return values
 
 
 def _cmd_irls(args) -> int:
-    lam = _parse_lambda_flag(args.lam)
+    lam = parse_lambda(args.lam)
     if lam > 0.0:
-        raise CliError(f"--lambda must be <= 0 for irls, got {args.lam}")
+        raise ValueError(f"--lambda must be <= 0 for irls, got {args.lam}")
     observations = _read_observations(args.data, args.skip_header)
     import json
 
     from .irls import IrlsProblem, fit_location
 
-    try:
-        problem = IrlsProblem(
-            observations=tuple(observations),
-            lam=lam,
-            c=args.c,
-            max_iters=args.max_iters,
-            tol=args.tol,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    problem = IrlsProblem(observations, lam, c=args.c, max_iters=args.max_iters, tol=args.tol)
     result = fit_location(problem)
     payload = result._asdict()
     if not math.isfinite(result.grad_norm):
@@ -317,9 +299,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (ValueError, CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2 if isinstance(exc, ValueError) else 1
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -51,7 +51,8 @@ _ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
 
 
 class UnsupportedBranchError(ValueError):
-    """Raised when the naive closed form has no defined branch for lam."""
+    """Raised where the naive closed form has no defined branch for lam, or
+    its scaffolding no finite value at x."""
 
 
 # Branch windows: lam counts as infinite beyond 1/EPS, as +/-1 within EPS
@@ -299,12 +300,13 @@ def derivative(x: float | np.ndarray, lam: float) -> float | np.ndarray:
 def transform_naive(x: float, lam: float) -> float:
     """Literal closed-form evaluation through pow, with no expm1/log1p.
 
-    Exists as the comparison subject for the accuracy harness.  The closed
-    form divides by |lam| and by (2 - |lam| + lam), so lam in {0, +inf,
-    -inf} is rejected outright and lam = +/-1 raises ZeroDivisionError from
-    the scaffolding itself.  Where the pow base 1 + inner * x is negative
-    (for lam > 1, x past the pole) the form has no real value and
-    ValueError is raised.
+    Exists as the comparison subject for the accuracy harness; it raises
+    nothing but ValueError.  The closed form divides by |lam| and by
+    (2 - |lam| + lam), so lam in {0, +inf, -inf} is rejected outright.
+    Where the pow base 1 + inner * x is negative (for lam > 1, x past the
+    pole) the form has no real value and ValueError is raised.  Where it
+    divides by zero (lam = +/-1, 2 - |lam| + lam rounding to 0), its power
+    overflows or its value is NaN, UnsupportedBranchError is raised.
     """
     x = float(x)
     if math.isnan(x):
@@ -315,13 +317,21 @@ def transform_naive(x: float, lam: float) -> float:
             f"naive closed form undefined at lam = {render_lambda(lam)}"
         )
     s = abs(lam)
-    scale = 2.0 * s / (2.0 - s + lam)
-    inner = (2.0 - s - lam) / (2.0 * s)
-    expo = (1.0 - s) ** (-1.0 if lam > 0.0 else 1.0)
-    base = 1.0 + inner * x
-    if base < 0.0:  # ** would return a complex number
-        raise ValueError(
-            f"naive closed form has no real value at x = {x!r}, lam = {render_lambda(lam)}"
+    try:
+        scale = 2.0 * s / (2.0 - s + lam)
+        inner = (2.0 - s - lam) / (2.0 * s)
+        expo = (1.0 - s) ** (-1.0 if lam > 0.0 else 1.0)
+        base = 1.0 + inner * x
+        if base < 0.0:  # ** would return a complex number
+            raise ValueError(
+                f"naive closed form has no real value at x = {x!r}, lam = {render_lambda(lam)}"
+            )
+        value = scale * (base ** expo - 1.0)
+    except ArithmeticError:  # a zero divisor, or a power past the largest double
+        value = math.nan
+    if value != value:
+        raise UnsupportedBranchError(
+            f"naive closed form has no value at x = {x!r}, lam = {render_lambda(lam)}"
         )
-    return scale * (base ** expo - 1.0)
+    return value
 

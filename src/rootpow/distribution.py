@@ -35,6 +35,7 @@ __all__ = [
 DEFAULT_NUM_POINTS = 4096
 DEFAULT_GRID_SIZE = 3301
 _MIN_NUM_POINTS = 16
+_MIN_GRID_SIZE = 16
 
 
 def _interpolation_kink(s: float) -> float:
@@ -275,8 +276,8 @@ def build_table(grid_size: int = DEFAULT_GRID_SIZE, num_points: int = DEFAULT_NU
 
     grid_size = int(grid_size)
     num_points = int(num_points)
-    if grid_size < 16:
-        raise ValueError(f"grid_size must be at least 16, got {grid_size}")
+    if grid_size < _MIN_GRID_SIZE:
+        raise ValueError(f"grid_size must be at least {_MIN_GRID_SIZE}, got {grid_size}")
     while (grid_size - 1) % 3:
         grid_size += 1
     s_grid = np.linspace(-0.5, 1.0, grid_size).tolist()

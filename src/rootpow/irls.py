@@ -124,6 +124,12 @@ def _weighted_shift(r: np.ndarray, problem: IrlsProblem) -> tuple[float, float]:
     return total, float(w.sum())
 
 
+def _require_mu(mu: float) -> float:
+    if mu != mu:
+        raise ValueError("mu must not be NaN")
+    return mu
+
+
 def _step(mu: float, problem: IrlsProblem) -> float:
     # irls_step, run inside the caller's np.errstate(over="ignore")
     mu = problem._clamp(mu)
@@ -135,10 +141,11 @@ def irls_step(mu: float, problem: IrlsProblem) -> float:
     then the weighted mean, as mu plus the weighted mean residual.
 
     A mu outside the data's range is first moved to its nearest end,
-    which shrinks every residual and so cannot raise the objective.
+    which shrinks every residual and so cannot raise the objective.  A NaN
+    mu raises ValueError.
     """
     with np.errstate(over="ignore"):
-        return _step(mu, problem)
+        return _step(_require_mu(mu), problem)
 
 
 def _exact_sum(a: np.ndarray) -> float:
@@ -197,8 +204,9 @@ def _exact_sweep(mu: float, problem: IrlsProblem) -> float:
 
 def loss_objective(mu: float, problem: IrlsProblem) -> float:
     """Summed robust loss at location mu, exactly rounded (by
-    _exact_sum); inf once the sum passes the largest double."""
-    terms = loss(_residuals(mu, problem), problem.lam, problem.c)
+    _exact_sum); inf once the sum passes the largest double.  A NaN mu
+    raises ValueError."""
+    terms = loss(_residuals(_require_mu(mu), problem), problem.lam, problem.c)
     try:
         return _exact_sum(terms)
     except OverflowError:  # the terms are >= 0
@@ -211,10 +219,11 @@ def objective_gradient(mu: float, problem: IrlsProblem) -> float:
 
     Never NaN: the sum is taken as total weight times weighted mean
     residual, and c divides twice, since c * c underflows to 0 below
-    about 1e-162.  A gradient past the largest double is +-inf.
+    about 1e-162.  A gradient past the largest double is +-inf.  A NaN mu
+    raises ValueError.
     """
     with np.errstate(over="ignore"):
-        total, shift = _weighted_shift(_residuals(mu, problem), problem)
+        total, shift = _weighted_shift(_residuals(_require_mu(mu), problem), problem)
     return -(total * shift) / problem.c / problem.c
 
 

@@ -180,10 +180,16 @@ class TestSweep:
         report = error_sweep([0.5, 1.0, 0.0], n=16)
         by_lam = {row.lam: row for row in report.rows}
         assert by_lam[0.5].err_naive is not None
-        assert by_lam[1.0].err_naive is None  # ZeroDivision in scaffolding
+        assert by_lam[1.0].err_naive is None  # the scaffolding divides by zero
         assert by_lam[0.0].err_naive is None  # unsupported branch
         for row in report.rows:
             assert row.err_stable >= sys.float_info.min
+
+    def test_nan_naive_row_is_stable_only(self):
+        # 2|lam| overflows in the naive form's scale, which was inf/-inf = NaN
+        # and made the row's naive error NaN
+        report = error_sweep([-1e308], n=4)
+        assert report.rows[0].err_naive is None
 
     def test_zero_error_floor(self):
         # Near-one shapes round to the truth at every sample, so the

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rootpow
+from rootpow import cli
 from rootpow.cli import main
 from rootpow.distribution import build_table
 
@@ -511,6 +512,52 @@ class TestIrlsCommand:
         )
         assert code == 2
         assert json.loads(out)["converged"] is False
+
+
+class TestErrorPaths:
+    # The exit code and the whole stderr line of each error path; {tmp}
+    # holds empty.csv, inf.csv and ok.csv.
+    @pytest.mark.parametrize("argv, code, line", [
+        (["accuracy", "--lambdas", ","], 2, "empty --lambdas list"),
+        (["accuracy", "--n", "1"], 2, "--n must be at least 2"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", "1,nan"], 2, "x values must not be NaN"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", ","], 2, "empty x samples"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", "1,abc"], 2, "cannot parse x list '1,abc'"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", "0:1:0"], 2, "range count must be at least 1"),
+        (["eval", "--fn", "f", "--x", "1"], 2, "--lambda is required for --fn f"),
+        (["eval", "--fn", "fpm", "--lambda=1", "--x", "1"], 2,
+         "--lambda-neg is required for --fn fpm"),
+        (["irls", "--data", "{tmp}/empty.csv", "--lambda=0"], 2,
+         "observations must be a non-empty sequence of numbers"),
+        (["irls", "--data", "{tmp}/inf.csv", "--lambda=0"], 2, "observations must all be finite"),
+        (["irls", "--data", "{tmp}/ok.csv", "--lambda=abc"], 2, "cannot parse lam from 'abc'"),
+    ], ids=["empty-lambdas", "n-1", "nan-in-x", "empty-x", "x-does-not-parse", "range-count-0",
+            "missing-lambda", "missing-lambda-neg", "irls-empty-file", "irls-inf-in-file",
+            "irls-lambda-abc"])
+    def test_exit_code_and_line(self, run, tmp_path, argv, code, line):
+        for name, text in [("empty", ""), ("inf", "1\ninf\n"), ("ok", "1\n2\n")]:
+            (tmp_path / f"{name}.csv").write_text(text)
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == (code, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("exc, code, line", [
+        (ValueError("bad value"), 2, "error: bad value"),
+        (cli.CliError("bad data"), 1, "error: bad data"),
+        (KeyError("key"), 1, "error: KeyError: 'key'"),
+    ], ids=["ValueError", "CliError", "KeyError"])
+    def test_exit_code_follows_the_exception_type(self, run, monkeypatch, exc, code, line):
+        def command(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_eval", command)
+        assert run(["eval", "--fn", "f", "--x", "1"]) == (code, "", f"{line}\n")
+
+    def test_data_file_that_does_not_decode_is_a_read_failure(self, run, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_bytes(b"1\n\xff\n")
+        code, out, err = run(["irls", "--data", str(data), "--lambda", "0"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {data}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
 
 class TestConsoleEntry:

@@ -216,10 +216,22 @@ class TestNaive:
         assert isinstance(transform_naive(1.2, 5.5), float)
 
     def test_singular_scaffolding_at_unit_shapes(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(UnsupportedBranchError):
             transform_naive(0.5, -1.0)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(UnsupportedBranchError):
             transform_naive(0.5, 1.0)
+
+    @pytest.mark.parametrize("x, lam", [
+        (0.5, 1e17),  # 2 - lam + lam rounds to 0
+        (0.5, -1e308),  # 2 |lam| overflows: inf / -inf
+        (0.5, -sys.float_info.max),
+        (1e10, 0.999999999),  # the power overflows
+        (2.0, 2.0),  # 0 ** -1 at the pole
+        (math.inf, -1e17),  # 0 * inf in the pow base
+    ])
+    def test_no_finite_value_is_unsupported_branch(self, x, lam):
+        with pytest.raises(UnsupportedBranchError, match="has no value"):
+            transform_naive(x, lam)
 
     def test_quantization_near_one(self):
         # Near 1 the pow base 1 + (1-lam)/lam * x quantizes at ulp(1) and

@@ -57,6 +57,14 @@ class TestValidation:
         assert problem.observations == (1.0, 2.5, 0.5)
         assert all(type(v) is float for v in problem.observations)
 
+    @pytest.mark.parametrize("f", [irls_step, loss_objective, objective_gradient])
+    def test_rejects_nan_mu(self, f):
+        # irls_step gave nan and objective_gradient -0.0; loss_objective
+        # raised a ValueError that named x
+        problem = IrlsProblem(observations=(0.0, 1.0, 10.0), lam=-2.0)
+        with pytest.raises(ValueError, match="^mu must not be NaN$"):
+            f(math.nan, problem)
+
     def test_rejects_bad_controls(self):
         with pytest.raises(ValueError):
             IrlsProblem(observations=(1.0,), lam=0.0, c=0.0)
