@@ -1,24 +1,28 @@
 """rootpow: a self-inverting power transform and the families it generates.
 
-One shape parameter ranging over the extended reals drives everything:
+One shape parameter ranging over the extended reals drives everything.
+Each layer is one submodule, and every public name is bound here, so
+``import rootpow as rp`` is the one import a user needs:
 
-- ``transform`` / ``inverse`` / ``derivative``: the stable core evaluators
-  (flipping the parameter's sign inverts the transform exactly).  These
-  and the family evaluators below take a float or an ndarray.
-- ``loss`` and ``kernel``: robust penalties and the matching stationary
-  kernels, which double as IRLS weights.
-- ``pdf`` / ``partition_function`` / ``ZTable``: the normalized density
-  family with a Simpson normalizer on a uniform log1p grid and a persisted
-  lookup table interpolated by a monotone cubic Hermite.
-- ``bump``: compactly supported bumps on (-1, 1).
-- ``signed_transform`` and the activation reconstructions ``softplus``,
-  ``sigmoid``, ``tanh``, ``relu``.
-- ``boxcox`` and the exact two-way bridge to the Box-Cox convention.
-- ``fit_location``: IRLS location estimation with descent guarantees.
-- ``error_sweep`` / ``oracle_transform``: the naive-vs-stable accuracy
-  harness against a wide-float oracle.
+- ``core``: ``transform`` / ``inverse`` / ``derivative``, the stable
+  evaluators (flipping the parameter's sign inverts the transform
+  exactly), and the branch plan they share.
+- ``families``: ``loss`` and ``kernel``, robust penalties and the matching
+  stationary kernels, which double as IRLS weights; ``signed_transform``
+  and the activation reconstructions ``softplus``, ``sigmoid``, ``tanh``,
+  ``relu``; ``bump``, compactly supported bumps on (-1, 1); ``boxcox`` and
+  the exact two-way bridge to the Box-Cox convention.
+- ``distribution``: ``pdf`` / ``partition_function`` / ``ZTable``, the
+  normalized density family with a Simpson normalizer on a uniform log1p
+  grid and a persisted lookup table interpolated by a monotone cubic
+  Hermite.
+- ``irls``: ``fit_location``, IRLS location estimation with descent
+  guarantees.
+- ``accuracy``: ``error_sweep`` / ``oracle_transform``, the naive-vs-stable
+  accuracy harness against a wide-float oracle.
 
-The ``rootpow`` CLI exposes grid evaluation, accuracy sweeps, table
+The core, family and density evaluators take a float or an ndarray.  The
+``rootpow`` CLI (``cli``) exposes grid evaluation, accuracy sweeps, table
 building, and IRLS fitting with deterministic output.
 """
 
@@ -44,14 +48,9 @@ def _bind(module: str) -> list[str]:
     return source.__all__
 
 
-# loss, kernel, bump and boxcox each name a module and a function, and the
-# first import of a submodule binds the package attribute to the module, so
-# each is imported before its function is bound over it.
-__all__ = sorted([*_LAZY, *(
-    name
-    for module in ("core", "loss", "kernel", "signed", "bump", "boxcox", "distribution")
-    for name in _bind(module)
-)])
+__all__ = sorted([
+    *_LAZY, *(name for module in ("core", "families", "distribution") for name in _bind(module))
+])
 
 
 def __getattr__(name: str):

@@ -19,12 +19,11 @@ import math
 import sys
 
 from . import distribution as dist
-from .boxcox import _boxcox, _boxcox_normalized, _require_boxcox_lambda
-from .bump import _bump, _require_bump_lambda
 from .core import _FLOAT_OPS, _derivative, _require_lambda, _transform, parse_lambda
-from .kernel import _kernel
-from .loss import _loss, _require_scale
-from .signed import _relu, _sigmoid, _signed, _softplus, _tanh
+from .families import (
+    _boxcox, _boxcox_normalized, _bump, _kernel, _loss, _relu, _require_boxcox_lambda,
+    _require_bump_lambda, _require_scale, _sigmoid, _signed, _softplus, _tanh,
+)
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -193,7 +192,7 @@ def _cmd_ztable(args) -> int:
     table = dist.build_table(args.grid_size, args.num_points)
     try:
         table.save(args.output)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path open rejects (a NUL byte)
         raise CliError(f"cannot write {args.output}: {exc}") from None
     worst = 0.0
     # about as many evenly spaced cells as the smallest table has nodes
@@ -214,7 +213,7 @@ def _read_observations(path: str, skip_header: bool) -> list[float]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:  # as a ValueError it would exit 2
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, or a path open rejects
         raise CliError(f"cannot read {path}: {exc}") from None
     values = []
     for lineno, line in enumerate(raw, start=1):

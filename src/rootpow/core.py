@@ -18,7 +18,7 @@ branch from windows derived from binary64 precision.
 :func:`transform`, :func:`inverse` and :func:`derivative` take a float or
 an ndarray.  Each has one body, run with libm ops for a float (giving a
 float) or with numpy ufuncs for an array (giving an array of its shape).
-Every family evaluator is built the same way on ``_transform``/``_derivative``.
+Every evaluator in ``families`` is built the same way on ``_transform``/``_derivative``.
 """
 
 from __future__ import annotations

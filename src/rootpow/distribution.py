@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .core import EPS, _elementwise, _pole, _require_lambda, transform
-from .loss import _loss, _require_scale, loss
+from .families import _loss, _require_scale, loss
 
 __all__ = [
     "partition_function",

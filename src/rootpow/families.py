@@ -1,0 +1,281 @@
+"""The families one power transform generates: robust losses, stationary
+kernels, signed transforms and activations, bumps, and the Box-Cox bridge.
+
+Each family is a short composition of the core bodies ``_transform`` and
+``_derivative``.  Each public evaluator checks its parameters once and runs
+its body through ``core._elementwise``, so it takes a float or an ndarray.
+The comment above each family says why it is computed the way it is.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .core import (
+    EPS, TINY, UnsupportedBranchError, _derivative, _elementwise, _pole, _require_lambda,
+    _transform,
+)
+
+__all__ = [
+    "loss", "LOSS_REFERENCE_LAMBDAS", "kernel", "irls_weight", "KERNEL_REFERENCE_LAMBDAS",
+    "signed_transform", "softplus", "sigmoid", "tanh", "relu", "bump", "boxcox",
+    "boxcox_normalized", "transform_via_boxcox", "boxcox_via_transform",
+]
+
+# Loss.  lam = 0 is plain quadratic loss; decreasing lam flattens the
+# penalty on large residuals until it saturates at lam = -inf.  Several
+# named robust losses fall out at particular lam; the tests check them
+# against their literal closed forms.
+
+# lam value at which each named loss is reproduced by `loss`.
+LOSS_REFERENCE_LAMBDAS = {
+    "l2": 0.0,
+    "cauchy": -1.0,
+    "welsch": -math.inf,
+    "charbonnier": -0.5,
+    "geman_mcclure": -2.0,
+}
+
+
+def _require_scale(c: float) -> float:
+    c = float(c)
+    if not (c > 0.0) or math.isinf(c):
+        raise ValueError(f"scale c must be a positive finite real, got {c!r}")
+    return c
+
+
+def _loss(x, ops, lam: float, c: float, power=_transform):
+    # power(0.5 * (x/c)**2): the loss, or with _derivative the kernel.
+    # r * r, not r ** 2: past the binary64 range a float product gives inf,
+    # which the transform maps to its limit, where ** raises OverflowError;
+    # and the product is correctly rounded, which libm's pow(r, 2.0) is not
+    # on about 1 input in 1000.  u is the one new array power runs in.
+    r = x / c if c != 1.0 else x
+    u = 0.5 * r
+    u *= r
+    return power(u, ops, lam, u)
+
+
+def loss(x, lam: float, c: float = 1.0):
+    """Robust penalty of residual x (a float or an ndarray) at shape lam
+    and scale c.
+
+    Even in x, zero at x = 0, non-negative, and non-decreasing in lam.
+    For lam > 1 the squared argument can pass the transform's pole; the
+    core clamp makes the loss saturate at a large finite value there.
+    """
+    return _elementwise(_loss, x, _require_lambda(lam), _require_scale(c))
+
+
+# Kernel, x the distance between two points.  Going through the derivative
+# avoids the division by x that makes the loss-gradient formulation blow up
+# near the origin.  The same quantity is the per-point weight of iteratively
+# reweighted least squares minimizing the matching loss.
+
+# lam value at which each named kernel is reproduced by `kernel`.
+KERNEL_REFERENCE_LAMBDAS = {
+    "gaussian": -math.inf,
+    "inverse": -1.0,
+    "quadratic": 0.5,
+    "multiquadric": 1.0 / 3.0,
+    "inverse_multiquadric": -0.5,
+}
+
+
+def _kernel(x, ops, lam: float, c: float):
+    return _loss(x, ops, lam, c, _derivative)
+
+
+def kernel(x, lam: float, c: float = 1.0):
+    """Kernel value at distance x (a float or an ndarray); 1 at the
+    origin, strictly positive, even."""
+    return _elementwise(_kernel, x, _require_lambda(lam), _require_scale(c))
+
+
+def irls_weight(residual, lam: float, c: float = 1.0):
+    """IRLS weight of a residual: the kernel evaluated at it.
+
+    The c**2 factor that relates kernel and loss gradient is dropped; the
+    weights only ever enter in ratios.
+    """
+    return kernel(residual, lam, c)
+
+
+# Signed transform: one shape on the positive half axis and a second,
+# independent shape on the mirrored negative half, continuous at 0 with
+# slope 1 for every shape pair.  Composing a handful of these calls with
+# adds and halvings reproduces softplus, sigmoid, tanh, and relu exactly
+# (relu for any negative-side shape whose domain covers the argument range).
+
+_LN2 = math.log(2.0)
+
+
+def _signed(x, ops, lam_pos: float, lam_neg: float):
+    return ops.select(
+        x >= 0.0,
+        lambda: _transform(x, ops, lam_pos),
+        lambda: -_transform(-x, ops, lam_neg),
+    )
+
+
+def signed_transform(x, lam_pos: float, lam_neg: float):
+    """Odd-style stitching: shape lam_pos for x >= 0, mirrored lam_neg below."""
+    return _elementwise(_signed, x, _require_lambda(lam_pos), _require_lambda(lam_neg))
+
+
+# The activations are the paper's signed-transform compositions, bit for
+# bit, with the stitching resolved: the inner s(y, 1, -inf) is expm1(y) on
+# both sides, and each outer stage only ever takes its lam_pos half (tanh:
+# both halves agree), so every stage is a single _transform.
+
+
+def _softplus(x, ops):
+    # as max(x, 0) + softplus(-|x|) the inner expm1 never sees x > 0, so cannot overflow
+    return ops.maximum(x, 0.0) + _transform(_transform(-abs(x), ops, 1.0) + 1.0, ops, -1.0)
+
+
+def softplus(x):
+    return _elementwise(_softplus, x)
+
+
+def _sigmoid(x, ops):
+    return 0.5 * _transform(_transform(x + _LN2, ops, 1.0) + 1.0, ops, -2.0)
+
+
+def sigmoid(x):
+    return _elementwise(_sigmoid, x)
+
+
+def _tanh(x, ops):
+    return 0.5 * _transform(_transform(2.0 * x, ops, 1.0), ops, -2.0)
+
+
+def tanh(x):
+    return _elementwise(_tanh, x)
+
+
+def _relu(x, ops, lam_neg: float):
+    return 2.0 - _signed(_signed(2.0 - x, ops, 2.0, lam_neg), ops, -2.0, -lam_neg)
+
+
+def relu(x, lam_neg: float = 0.0):
+    """max(0, x) rebuilt from two signed transforms.
+
+    Exact up to round-off whenever x - 2 stays below the domain bound of
+    the lam_neg shape (always true for lam_neg <= 1); for x <= 0 the
+    clamped saturation of the lam = 2 stage is what produces the 0.
+    """
+    return _elementwise(_relu, x, _require_lambda(lam_neg))
+
+
+# Bump: positive exactly on (-1, 1), 1 only at 0.  The argument is scaled by
+# the transform's own pole (1 past lam = 1/EPS), which keeps the bump well
+# behaved as lam approaches 1 from above, where the simplified closed form's
+# exponent 1/(1-lam) explodes.
+
+
+def _require_bump_lambda(lam: float) -> float:
+    lam = _require_lambda(lam)
+    if not (1.0 < lam < math.inf):
+        raise ValueError(f"bump shape must satisfy 1 < lam < inf, got {lam!r}")
+    return lam
+
+
+def _bump(x, ops, lam: float):
+    return ops.select(
+        abs(x) < 1.0,
+        lambda: ops.exp(-_transform(_pole(lam) * x * x, ops, lam)),
+        lambda: 0.0,
+    )
+
+
+def bump(x, lam: float):
+    """Bump value at x (a float or an ndarray); exactly 0 for |x| >= 1."""
+    return _elementwise(_bump, x, _require_bump_lambda(lam))
+
+
+# Box-Cox.  Conventions differ by a shift: Box-Cox is the identity at
+# parameter 1, the transform at 0.  Each direction of the bridge delegates
+# to the other side's evaluator body, which doubles as a cross-check of the
+# case tables.  The normalized variant's scale is exact next to lam = 1 (it
+# stays within 64 ulps there).  The one power step, in _boxcox, goes through
+# expm1(a * log1p(b)) rather than raw pow.
+
+
+def _require_boxcox_lambda(lam: float) -> float:
+    lam = float(lam)
+    if math.isnan(lam) or math.isinf(lam):
+        raise ValueError(f"Box-Cox parameter must be finite, got {lam!r}")
+    return lam
+
+
+def _boxcox(x, ops, lam: float):
+    if ops.any(x <= -1.0):
+        raise ValueError(f"Box-Cox domain requires x > -1, got {x!r}")
+    if abs(lam) < TINY:
+        return ops.log1p(x)
+    return ops.expm1(lam * ops.log1p(x)) / lam
+
+
+def boxcox(x, lam: float):
+    """Box-Cox value ((x+1)**lam - 1)/lam, log1p(x) at lam = 0, at x (a
+    float or an ndarray); needs x > -1."""
+    return _elementwise(_boxcox, x, _require_boxcox_lambda(lam))
+
+
+def _boxcox_normalized(x, ops, lam: float):
+    if abs(lam - 1.0) < EPS:
+        return x
+    denom = abs(1.0 - lam)
+    try:
+        return denom * _boxcox(x / denom, ops, lam)
+    except ValueError:  # _boxcox's domain check, on x / denom
+        raise ValueError(f"x = {x!r} outside the lam = {lam!r} branch domain") from None
+
+
+def boxcox_normalized(x, lam: float):
+    """Box-Cox rescaled so the slope at 0 is 1 and the curvature sign is
+    sign(lam - 1): |1 - lam| * boxcox(x / |1 - lam|, lam), the identity at
+    lam = 1; needs x > -|1 - lam|.  Takes a float or an ndarray."""
+    return _elementwise(_boxcox_normalized, x, _require_boxcox_lambda(lam))
+
+
+def _transform_via_boxcox(x, ops, lam: float):
+    if abs(lam) < TINY:
+        return _boxcox(x, ops, 1.0)
+    if lam < 0.0:
+        return -lam * _boxcox(-x / lam, ops, lam + 1.0)
+    return lam / (1.0 - lam) * _boxcox((1.0 - lam) / lam * x, ops, 1.0 / (1.0 - lam))
+
+
+def transform_via_boxcox(x, lam: float):
+    """The self-inverting transform computed through Box-Cox.
+
+    The printed mapping is singular at lam = 1 (it would need an infinite
+    Box-Cox parameter), and extended lam has no Box-Cox image, so those
+    raise UnsupportedBranchError.
+    """
+    lam = _require_lambda(lam)
+    if math.isinf(lam):
+        raise UnsupportedBranchError("no Box-Cox image for extended lam")
+    if abs(lam - 1.0) < EPS:
+        raise UnsupportedBranchError("bridge is singular at lam = 1")
+    return _elementwise(_transform_via_boxcox, x, lam)
+
+
+def _boxcox_via_transform(x, ops, lam: float):
+    if abs(lam - 1.0) < EPS:
+        return _transform(x, ops, 0.0)
+    k = abs(1.0 - lam)
+    return _transform(k * x, ops, lam - 1.0 if lam < 1.0 else 1.0 - 1.0 / lam) / k
+
+
+def boxcox_via_transform(x, lam: float):
+    """Box-Cox computed through the self-inverting transform.
+
+    Dispatch: parameters below 1 route through shape lam - 1, parameters
+    above 1 through shape 1 - 1/lam, and 1 itself is the identity.  (The
+    below/above split at 1, not 0, is what makes the two mappings agree
+    with the direct evaluator on (0, 1).)
+    """
+    return _elementwise(_boxcox_via_transform, x, _require_boxcox_lambda(lam))

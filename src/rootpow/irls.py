@@ -33,8 +33,7 @@ from collections import namedtuple
 import numpy as np
 
 from .core import _array_ops, _require_lambda
-from .kernel import _kernel
-from .loss import _loss, _require_scale, loss
+from .families import _kernel, _loss, _require_scale
 
 __all__ = [
     "IrlsProblem",
@@ -206,7 +205,8 @@ def loss_objective(mu: float, problem: IrlsProblem) -> float:
     """Summed robust loss at location mu, exactly rounded (by
     _exact_sum); inf once the sum passes the largest double.  A NaN mu
     raises ValueError."""
-    terms = loss(_residuals(_require_mu(mu), problem), problem.lam, problem.c)
+    with np.errstate(over="ignore"):  # the residuals are finite: no NaN scan
+        terms = _loss(_residuals(_require_mu(mu), problem), _OPS, problem.lam, problem.c)
     try:
         return _exact_sum(terms)
     except OverflowError:  # the terms are >= 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from rootpow.core import max_domain
-from rootpow.loss import loss
+from rootpow.families import loss
 
 
 def ulps_apart(a: float, b: float) -> float:

@@ -8,7 +8,7 @@ bump and ELU.  They take floats only.
 
 import math
 
-from rootpow.loss import _require_scale
+from rootpow.families import _require_scale
 
 
 def loss_reference(x: float, name: str, c: float = 1.0) -> float:

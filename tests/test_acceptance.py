@@ -16,8 +16,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from rootpow.accuracy import default_lambda_grid, error_sweep, oracle_transform
-from rootpow.boxcox import boxcox, boxcox_via_transform, transform_via_boxcox
-from rootpow.bump import bump
 from rootpow.cli import main
 from rootpow.core import derivative, inverse, max_domain, transform
 from rootpow.distribution import (
@@ -26,10 +24,19 @@ from rootpow.distribution import (
     pdf,
     support_halfwidth,
 )
+from rootpow.families import (
+    boxcox,
+    boxcox_via_transform,
+    bump,
+    kernel,
+    loss,
+    relu,
+    sigmoid,
+    softplus,
+    tanh,
+    transform_via_boxcox,
+)
 from rootpow.irls import IrlsProblem, fit_location, irls_step, loss_objective
-from rootpow.kernel import kernel
-from rootpow.loss import loss
-from rootpow.signed import relu, sigmoid, softplus, tanh
 
 from conftest import closed_form_ulp_allowance, invertible_x_grid, minimize_objective
 from oracles import bump_classic, kernel_reference, loss_reference

@@ -36,6 +36,10 @@ class TestOracle:
             for x in [1e-60, 0.01, 0.37, 1.0]:
                 assert oracle_transform(x, lam, dps=50) == oracle_transform(x, lam, dps=100)
 
+    def test_rejects_nan_x(self):
+        with pytest.raises(ValueError, match="x must not be NaN"):
+            oracle_transform(math.nan, 0.5)
+
     def test_trivial_branches(self):
         assert oracle_transform(0.7, 0.0) == 0.7
         assert oracle_transform(0.5, math.inf) == -math.log1p(-0.5)
@@ -190,6 +194,11 @@ class TestSweep:
         # and made the row's naive error NaN
         report = error_sweep([-1e308], n=4)
         assert report.rows[0].err_naive is None
+
+    def test_default_grid_at_two_samples(self):
+        report = error_sweep(n=2)
+        assert [row.lam for row in report.rows] == default_lambda_grid()
+        assert len(report.rows) == 166
 
     def test_zero_error_floor(self):
         # Near-one shapes round to the truth at every sample, so the

@@ -6,13 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from rootpow.boxcox import (
-    boxcox,
-    boxcox_normalized,
-    boxcox_via_transform,
-    transform_via_boxcox,
-)
 from rootpow.core import UnsupportedBranchError, max_domain, transform
+from rootpow.families import boxcox, boxcox_normalized, boxcox_via_transform, transform_via_boxcox
 
 
 class TestBoxCox:

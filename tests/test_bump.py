@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rootpow.bump import bump
+from rootpow.families import bump
 
 from oracles import bump_classic
 

@@ -467,6 +467,14 @@ class TestIrlsCommand:
         assert code == 0
         assert json.loads(out)["mu"] == 2.0
 
+    def test_blank_lines_are_skipped(self, run, tmp_path):
+        outputs = []
+        for name, text in [("plain", "0\n0.5\n10\n"), ("blank", "\n0\n\n  \n0.5\n10\n\n")]:
+            (tmp_path / name).write_text(text)
+            outputs.append(run(["irls", "--data", str(tmp_path / name), "--lambda=-2"]))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
     def test_positive_shape_rejected(self, run, tmp_path):
         data = tmp_path / "obs.csv"
         data.write_text("1\n")
@@ -524,6 +532,9 @@ class TestErrorPaths:
         (["eval", "--fn", "f", "--lambda=0", "--x", ","], 2, "empty x samples"),
         (["eval", "--fn", "f", "--lambda=0", "--x", "1,abc"], 2, "cannot parse x list '1,abc'"),
         (["eval", "--fn", "f", "--lambda=0", "--x", "0:1:0"], 2, "range count must be at least 1"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", "0:1"], 2, "range must be lo:hi:count, got '0:1'"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", "0:1:x"], 2,
+         "range must be lo:hi:count, got '0:1:x'"),
         (["eval", "--fn", "f", "--x", "1"], 2, "--lambda is required for --fn f"),
         (["eval", "--fn", "fpm", "--lambda=1", "--x", "1"], 2,
          "--lambda-neg is required for --fn fpm"),
@@ -531,9 +542,16 @@ class TestErrorPaths:
          "observations must be a non-empty sequence of numbers"),
         (["irls", "--data", "{tmp}/inf.csv", "--lambda=0"], 2, "observations must all be finite"),
         (["irls", "--data", "{tmp}/ok.csv", "--lambda=abc"], 2, "cannot parse lam from 'abc'"),
+        # open rejects a path holding a NUL byte with a ValueError
+        (["irls", "--data", "a\0b", "--lambda", "0"], 1, "cannot read a\0b: embedded null byte"),
+        (["ztable", "--num-points", "15", "--output", "{tmp}/zt.json"], 2,
+         "--num-points must be at least 16, got 15"),
+        (["ztable", "--grid-size", "16", "--num-points", "16", "--output", "a\0b"], 1,
+         "cannot write a\0b: embedded null byte"),
     ], ids=["empty-lambdas", "n-1", "nan-in-x", "empty-x", "x-does-not-parse", "range-count-0",
-            "missing-lambda", "missing-lambda-neg", "irls-empty-file", "irls-inf-in-file",
-            "irls-lambda-abc"])
+            "range-two-parts", "range-count-not-int", "missing-lambda", "missing-lambda-neg",
+            "irls-empty-file", "irls-inf-in-file", "irls-lambda-abc", "irls-nul-in-path",
+            "ztable-num-points-15", "ztable-nul-in-path"])
     def test_exit_code_and_line(self, run, tmp_path, argv, code, line):
         for name, text in [("empty", ""), ("inf", "1\ninf\n"), ("ok", "1\n2\n")]:
             (tmp_path / f"{name}.csv").write_text(text)

@@ -22,8 +22,7 @@ from rootpow.core import (
     transform,
     transform_naive,
 )
-from rootpow.kernel import irls_weight, kernel
-from rootpow.loss import loss
+from rootpow.families import irls_weight, kernel, loss
 
 from conftest import (
     closed_form_ulp_allowance,
@@ -214,6 +213,10 @@ class TestNaive:
             with pytest.raises(ValueError, match="no real value"):
                 transform_naive(x, lam)
         assert isinstance(transform_naive(1.2, 5.5), float)
+
+    def test_rejects_nan_x(self):
+        with pytest.raises(ValueError, match="x must not be NaN"):
+            transform_naive(math.nan, 0.5)
 
     def test_singular_scaffolding_at_unit_shapes(self):
         with pytest.raises(UnsupportedBranchError):

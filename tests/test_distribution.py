@@ -22,7 +22,7 @@ from rootpow.distribution import (
     pdf,
     support_halfwidth,
 )
-from rootpow.loss import loss
+from rootpow.families import loss
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SMALL_TABLE = dict(s_grid=(-0.5, 0.25, 1.0), log_z=(1.0, 0.5, 0.25), num_points=64)
@@ -322,9 +322,10 @@ class TestZTable:
         ("log_z", (1.0, True, 0.25)),
         ("s_grid", (-0.5, "0.25", 1.0)),
         ("log_z", (1.0, 10**400, 0.25)),
+        ("log_z", (1.0, 0.5)),
     ], ids=["str-num-points", "bool-num-points", "float-num-points", "15-num-points",
             "negative-num-points", "ndarray-s-grid", "ndarray-log-z", "bool-node", "str-node",
-            "int-past-binary64"])
+            "int-past-binary64", "unequal-lengths"])
     def test_constructor_rejects_what_load_rejects(self, field, value, tmp_path):
         # the constructor owns the field rules, so a record it accepts always
         # hashes and saves to a file that loads back
@@ -369,6 +370,15 @@ class TestZTable:
         loaded = ZTable.load(path)
         assert loaded == table
         assert hash(loaded) == hash(table)
+
+    def test_one_node_rejected(self):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            ZTable(s_grid=(1.0,), log_z=(0.0,), num_points=64)
+
+    def test_grid_size_is_normalized_up_to_a_node_at_zero(self):
+        table = build_table(17, 16)
+        assert len(table.s_grid) == 19
+        assert table.s_grid[6] == 0.0
 
     def test_float_node_count_is_normalized(self, tmp_path):
         table = build_table(16, 64.0)

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rootpow as rp
-from rootpow.boxcox import _require_boxcox_lambda
 from rootpow.core import _require_lambda
+from rootpow.families import _require_boxcox_lambda
 
 MAX = sys.float_info.max
 XS = np.linspace(-0.9, 3.0, 40).reshape(4, 10)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rootpow.families import irls_weight, loss
 from rootpow.irls import (
     IrlsProblem,
     _exact_sum,
@@ -19,8 +20,6 @@ from rootpow.irls import (
     loss_objective,
     objective_gradient,
 )
-from rootpow.kernel import irls_weight
-from rootpow.loss import loss
 
 from conftest import minimize_objective
 
@@ -272,6 +271,10 @@ class TestBinary64Extremes:
         if lam == 0.0:
             assert objective_gradient(BIG, problem) == math.inf
             assert loss_objective(BIG, problem) == math.inf
+
+    def test_objective_past_the_largest_double_from_finite_terms(self):
+        # each term is about 0.98e308; their sum is not a double
+        assert loss_objective(0.0, IrlsProblem((-1.4e154, 1.4e154), lam=0.0)) == math.inf
 
     def test_gradient_with_an_overflowing_residual_beside_weighted_ones(self):
         # at mu just below 0 the residual of BIG passes the largest double

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from rootpow.core import max_domain
-from rootpow.kernel import KERNEL_REFERENCE_LAMBDAS, irls_weight, kernel
-from rootpow.loss import loss
+from rootpow.families import KERNEL_REFERENCE_LAMBDAS, irls_weight, kernel, loss
 
 from oracles import kernel_reference
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootpow.loss import LOSS_REFERENCE_LAMBDAS, loss
+from rootpow.families import LOSS_REFERENCE_LAMBDAS, loss
 
 from oracles import loss_reference
 

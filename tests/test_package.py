@@ -19,14 +19,16 @@ CHILD_ENV = {
     "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
 }
 _ROOT = Path(__file__).resolve().parent.parent
-_SUBMODULES = [
-    "core", "loss", "kernel", "signed", "bump", "boxcox", "distribution", "irls", "accuracy",
-]
+_SUBMODULES = ["core", "families", "distribution", "irls", "accuracy"]
 
 
 def test_all_is_the_union_of_the_submodules():
     names = [name for mod in _SUBMODULES for name in import_module(f"rootpow.{mod}").__all__]
     assert sorted(names) == rootpow.__all__
+
+
+def test_no_submodule_is_named_like_a_public_name():
+    assert set(_SUBMODULES + ["cli"]).isdisjoint(rootpow.__all__)
 
 
 def test_every_public_name_resolves_and_is_listed():
@@ -38,13 +40,13 @@ def test_every_public_name_resolves_and_is_listed():
 
 
 @pytest.mark.parametrize("order", [
-    ["cli", "loss", "kernel", "bump", "boxcox"],
+    ["cli", "families"],
     list(reversed(_SUBMODULES)) + ["cli"],
-    ["irls", "distribution", "accuracy", "boxcox", "bump", "kernel", "loss", "cli"],
+    ["irls", "distribution", "accuracy", "families", "cli"],
 ], ids=["cli-first", "reversed", "numpy-modules-first"])
 def test_functions_named_like_modules_stay_functions(order):
-    # loss, kernel, bump and boxcox are submodules and public functions; a
-    # first import of a submodule binds the package attribute to it
+    # a first import of a submodule binds the package attribute to it,
+    # which must never replace one of these functions
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import {', '.join('rootpow.' + mod for mod in order)}\n"
@@ -90,6 +92,37 @@ def test_every_private_name_is_used():
     assert unread == []
 
 
+def _own_imports(scope: ast.AST):
+    # the import statements of a scope, not those of the functions inside it
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _own_imports(node)
+
+
+def test_every_import_is_read():
+    # a name imported at module or function level that its scope never
+    # reads is left over from a refactor; __all__ re-exports count as reads
+    unread = []
+    for path in sorted(Path(rootpow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = {node.value for top in tree.body if isinstance(top, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets)
+                    for node in ast.walk(top.value) if isinstance(node, ast.Constant)}
+        for scope in [tree, *(node for node in ast.walk(tree)
+                              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))]:
+            read = {node.id for node in ast.walk(scope)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [
+                f"{path.stem}.{getattr(scope, 'name', '<module>')}: {name}"
+                for node in _own_imports(scope) if getattr(node, "module", None) != "__future__"
+                for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                if name not in read and not (scope is tree and name in exported)
+            ]
+    assert unread == []
+
+
 def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
     # expm1(a * log1p(b)) is spelled out for the transform, its derivative
     # and Box-Cox; every other evaluator composes one of those bodies
@@ -101,7 +134,7 @@ def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
                         and node.func.attr in ("log1p", "expm1")
                         and isinstance(node.func.value, ast.Name) and node.func.value.id == "ops"):
                     written.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert written == {"core._transform", "core._derivative", "boxcox._boxcox"}
+    assert written == {"core._transform", "core._derivative", "families._boxcox"}
 
 
 # One keyword construction per record.

@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootpow.core import max_domain, transform
-from rootpow.signed import (
-    relu,
-    sigmoid,
-    signed_transform,
-    softplus,
-    tanh,
-)
+from rootpow.families import relu, sigmoid, signed_transform, softplus, tanh
 
 from oracles import elu_reference
 
