@@ -146,8 +146,11 @@ def error_sweep(
 
     Zero errors are floored at the smallest positive normal before taking
     the geometric mean, otherwise a single exact hit would zero the row;
-    an exact hit on inf counts as zero error too.  Rows where the naive
-    form raises are reported stable-only.
+    an exact hit on inf counts as zero error too.  So one exact hit more
+    or fewer among 128 samples moves a row by about 190x where the other
+    errors are near 1e-17: compare rows only between runs on the same x
+    grid, which means the same host and numpy.  Rows where the naive form
+    raises are reported stable-only.
     """
     if not (0.0 < x_lo < x_hi < math.inf):
         raise ValueError("need 0 < x_lo < x_hi < inf")

@@ -46,7 +46,7 @@ __all__ = [
 
 # Smallest double strictly above -1; keeps log1p arguments legal when
 # pre_scale * x rounds onto -1 at a clamped domain edge (happens e.g. at
-# lam = 1.5, where pre_scale * max_domain rounds to exactly -1).
+# lam = 5.5, where pre_scale * max_domain rounds to exactly -1).
 _ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
 
 
@@ -127,31 +127,39 @@ def _pole(lam: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _plan(lam: float) -> tuple:
-    # branch_plan's fields as a plain tuple: the float bodies unpack it,
-    # and CPython specializes unpacking only for exact tuples
+    # branch_plan's fields as a plain tuple, then the floor of log1p's
+    # argument: the float bodies unpack it, and CPython specializes
+    # unpacking only for exact tuples
     branch = classify(lam)
     lam = float(lam)
     # For lam > 1 the bound is the largest double strictly below the pole,
     # so log1p arguments stay above -1 after clamping.
     bound = math.nextafter(_pole(lam), -math.inf) if lam > 1.0 else math.inf
-    if branch is Branch.POS_INF:
-        return -1.0, False, 1.0, True, -1.0, bound
+    floor = _ABOVE_MINUS_ONE
+    if branch is Branch.POS_INF:  # pre_scale * bound is _ABOVE_MINUS_ONE
+        return -1.0, False, 1.0, True, -1.0, bound, floor
     if branch is Branch.ONE:
-        return 1.0, True, 1.0, False, 1.0, bound
+        return 1.0, True, 1.0, False, 1.0, bound, floor
     if branch is Branch.ZERO:
-        return 1.0, True, 1.0, True, 1.0, bound
+        return 1.0, True, 1.0, True, 1.0, bound, floor
     if branch is Branch.NEG_ONE:
-        return 1.0, False, 1.0, True, 1.0, bound
+        return 1.0, False, 1.0, True, 1.0, bound, floor
     if branch is Branch.NEG_INF:
-        return -1.0, True, 1.0, False, -1.0, bound
+        return -1.0, True, 1.0, False, -1.0, bound, floor
     if branch is Branch.POS:
-        return (1.0 - lam) / lam, False, 1.0 / (1.0 - lam), False, lam, bound
-    return -1.0 / lam, False, lam + 1.0, False, -lam / (lam + 1.0), bound
+        pre = (1.0 - lam) / lam
+        # The clamp is a floor: past 1, pre < 0 and rounding is monotone, so
+        # max(pre * x, pre * bound) is pre * min(x, bound) to the bit, and
+        # the clamp and the guard are one max after the pre-scale.
+        if lam > 1.0:
+            floor = max(pre * bound, floor)
+        return pre, False, 1.0 / (1.0 - lam), False, lam, bound, floor
+    return -1.0 / lam, False, lam + 1.0, False, -lam / (lam + 1.0), bound, floor
 
 
 def branch_plan(lam: float) -> BranchPlan:
     """Build the scale/skip table row and the clamp bound for lam."""
-    return BranchPlan._make(_plan(lam))
+    return BranchPlan._make(_plan(lam)[:6])
 
 
 def max_domain(lam: float) -> float:
@@ -174,26 +182,25 @@ def _saturating(f):
 
 
 # The primitives a branch plan is composed from, for one operand kind.
-# log1p(a, out), expm1, exp, minimum(a, b, out) and maximum write into an
-# array out, as numpy's ufuncs do; a float ignores it.  select(cond, then,
-# otherwise) takes its two values as thunks: a float evaluates only the one
-# cond picks, an array both, picked elementwise.  any(flags) reduces a
-# domain check on x to one bool.
-_Ops = namedtuple("_Ops", "log1p expm1 exp minimum maximum ones select any")
-# Two-argument min/max as conditionals: the builtins cost ~150 ns a call.
+# log1p(a, out), expm1, exp and maximum(a, b, out) write into an array out,
+# as numpy's ufuncs do; a float ignores it.  select(cond, then, otherwise)
+# takes its two values as thunks: a float evaluates only the one cond
+# picks, an array both, picked elementwise.  any(flags) reduces a domain
+# check on x to one bool.
+_Ops = namedtuple("_Ops", "log1p expm1 exp maximum ones select any")
+# Two-argument max as a conditional: the builtin costs ~150 ns a call.
 _FLOAT_OPS = _Ops(
     lambda t, out=None: math.log1p(t), _saturating(math.expm1), _saturating(math.exp),
-    lambda a, b, out=None: b if b < a else a, lambda a, b, out=None: b if b > a else a,
+    lambda a, b, out=None: b if b > a else a,
     lambda x: 1.0, lambda cond, then, otherwise: then() if cond else otherwise(), bool,
 )
 
 
 @lru_cache(maxsize=None)
 def _array_ops(np) -> _Ops:
-    # numpy deprecates a positional out for minimum and maximum
+    # numpy deprecates a positional out for maximum
     return _Ops(
-        np.log1p, np.expm1, np.exp, lambda a, b, out=None: np.minimum(a, b, out=out),
-        lambda a, b, out=None: np.maximum(a, b, out=out), np.ones_like,
+        np.log1p, np.expm1, np.exp, lambda a, b, out=None: np.maximum(a, b, out=out), np.ones_like,
         lambda cond, then, otherwise: np.where(cond, then(), otherwise()), np.any,
     )
 
@@ -225,22 +232,20 @@ def _elementwise(body, x, *params):
 # An array body allocates at most one array and runs every later pass in
 # it: ``out``, None until a pass allocates it, or x itself when the caller
 # hands over an array it owns.  Passes that are exact identities on non-NaN
-# input (min with inf, times 1) are skipped.  Only the pre-scale can meet x
-# unallocated: a plan that skips the log has mid_scale 1, and one that
-# skips the exp a post_scale of 1 or a log before it.
+# input (times 1) are skipped.  Only the pre-scale can meet x unallocated:
+# a plan that skips the log has mid_scale 1, and one that skips the exp a
+# post_scale of 1 or a log before it.
 
 
 def _transform(x, ops: _Ops, lam: float, out=None):
-    pre, skip_log, mid, skip_exp, post, bound = _plan(lam)
-    if bound != math.inf:
-        x = out = ops.minimum(x, bound, out)
+    pre, skip_log, mid, skip_exp, post, _, floor = _plan(lam)
     if pre != 1.0:
         if out is None:
             x = out = pre * x
         else:
             x *= pre
     if not skip_log:
-        x = out = ops.maximum(x, _ABOVE_MINUS_ONE, out)
+        x = out = ops.maximum(x, floor, out)
         x = ops.log1p(x, out)
     if mid != 1.0:
         x *= mid
@@ -252,19 +257,17 @@ def _transform(x, ops: _Ops, lam: float, out=None):
 
 
 def _derivative(x, ops: _Ops, lam: float, out=None):
-    pre, skip_log, mid, skip_exp, _, bound = _plan(lam)
+    pre, skip_log, mid, skip_exp, _, _, floor = _plan(lam)
     if skip_log == skip_exp and mid == 1.0:
         # lam = 0 or |lam| < ~eps/2: the power is 1 (0 * inf must not leak NaN)
         return ops.ones(x)
-    if bound != math.inf:
-        x = out = ops.minimum(x, bound, out)
     if pre != 1.0:
         if out is None:
             x = out = pre * x
         else:
             x *= pre
     if not skip_log:
-        x = out = ops.maximum(x, _ABOVE_MINUS_ONE, out)
+        x = out = ops.maximum(x, floor, out)
         x = ops.log1p(x, out)
         x *= -1.0 if skip_exp else mid - 1.0
     return ops.exp(x, out)

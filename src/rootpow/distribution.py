@@ -36,6 +36,11 @@ DEFAULT_NUM_POINTS = 4096
 DEFAULT_GRID_SIZE = 3301
 _MIN_NUM_POINTS = 16
 _MIN_GRID_SIZE = 16
+# The cubic of a monotone Hermite cell stays within its two node values and
+# the kink term is at most 0.19 in size, so a lookup lies within 0.37 of
+# the nodes' log Z range; below this bound its exp is a positive normal
+# double.  Built tables hold log Z in [0.63, 1.49].
+_MAX_ABS_LOG_Z = 700.0
 
 
 def _interpolation_kink(s: float) -> float:
@@ -168,8 +173,9 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
     """Precomputed log Z on a uniform, strictly increasing grid of the
     compactified coordinate from -0.5 to 1, plus the quadrature node count
     that produced it.  Every field rule is checked here: s_grid and log_z are
-    lists or tuples of numbers, stored as float tuples, num_points an int
-    that partition_function accepts."""
+    lists or tuples of numbers, stored as float tuples, log_z within
+    [-700, 700], so that every lookup is a positive normal double, and
+    num_points an int that partition_function accepts."""
 
     def __new__(cls, s_grid, log_z, num_points: int):
         s_grid = _floats(s_grid, "s_grid")
@@ -184,6 +190,8 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
             raise ValueError("table needs at least two nodes")
         if not all(map(math.isfinite, log_z)):
             raise ValueError("log_z values must be finite")
+        if not -_MAX_ABS_LOG_Z <= min(log_z) <= max(log_z) <= _MAX_ABS_LOG_Z:
+            raise ValueError(f"log_z values must lie in [-{_MAX_ABS_LOG_Z:g}, {_MAX_ABS_LOG_Z:g}]")
         if s_grid[0] != -0.5 or s_grid[-1] != 1.0:  # lam in [-1, inf]
             raise ValueError("s_grid must run from -0.5 to 1.0")
         # _cells uses the equal-spacing forms of the PCHIP slopes (harmonic
@@ -252,11 +260,16 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
 
     @classmethod
     def load(cls, path) -> "ZTable":
-        """Read a table written by save; a payload that is not a JSON object
+        """Read a table written by save.  A path open cannot take raises
+        OSError, as a missing file does; a payload that is not a JSON object
         with precision "binary64", or a field ZTable rejects, raises ValueError."""
         import json
 
-        with open(path, "r", encoding="ascii") as fh:
+        try:
+            fh = open(path, "r", encoding="ascii")
+        except ValueError as exc:  # a path open rejects (a NUL byte)
+            raise OSError(str(exc)) from None
+        with fh:
             payload = json.load(fh)
         if not isinstance(payload, dict) or payload.get("precision") != "binary64":
             raise ValueError('table file must hold a JSON object with precision "binary64"')

@@ -396,8 +396,10 @@ class TestZTableCommand:
         {"log_z": [1.0, 1.0], "num_points": 64, "precision": "binary64"},
         {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": 64, "precision": "binary32"},
         {"s_grid": [0.5, 1.0], "log_z": [1.0, 1.0], "num_points": 64, "precision": "binary64"},
+        {"s_grid": [-0.5, 1.0], "log_z": [1000.0, 1000.0], "num_points": 64, "precision": "binary64"},
     ], ids=["list-payload", "string-in-log-z", "string-num-points", "15-num-points",
-            "negative-num-points", "missing-s-grid", "binary32-precision", "grid-off-the-range"])
+            "negative-num-points", "missing-s-grid", "binary32-precision", "grid-off-the-range",
+            "log-z-past-700"])
     def test_wrong_types_in_table_are_validation_errors(self, run, tmp_path, payload):
         path = tmp_path / "zt.json"
         path.write_text(json.dumps(payload))
@@ -548,10 +550,12 @@ class TestErrorPaths:
          "--num-points must be at least 16, got 15"),
         (["ztable", "--grid-size", "16", "--num-points", "16", "--output", "a\0b"], 1,
          "cannot write a\0b: embedded null byte"),
+        (["eval", "--fn", "pdf", "--lambda", "0", "--x", "1", "--ztable", "a\0b"], 1,
+         "cannot load ztable: embedded null byte"),
     ], ids=["empty-lambdas", "n-1", "nan-in-x", "empty-x", "x-does-not-parse", "range-count-0",
             "range-two-parts", "range-count-not-int", "missing-lambda", "missing-lambda-neg",
             "irls-empty-file", "irls-inf-in-file", "irls-lambda-abc", "irls-nul-in-path",
-            "ztable-num-points-15", "ztable-nul-in-path"])
+            "ztable-num-points-15", "ztable-nul-in-path", "eval-ztable-nul-in-path"])
     def test_exit_code_and_line(self, run, tmp_path, argv, code, line):
         for name, text in [("empty", ""), ("inf", "1\ninf\n"), ("ok", "1\n2\n")]:
             (tmp_path / f"{name}.csv").write_text(text)

@@ -358,6 +358,25 @@ class TestTotality:
             value = transform(max_domain(lam), lam)
             assert not math.isnan(value)
 
+    def test_float_path_saturates_at_max_domain(self):
+        # Past the clamp edge a float call gives its value at max_domain,
+        # bit for bit; a loss or kernel whose half-square overflows gives
+        # the transform or derivative there.  Most of these shapes round
+        # pre_scale * max_domain a few ulps above -1, so a log1p floor that
+        # ignores the edge changes the saturated value.
+        rng = np.random.default_rng(19)
+        lams = [float(lam) for lam in 1.0 + 10.0 ** rng.uniform(-9, 9, 200)]
+        pinf = 1.0 / EPS
+        lams += [1.0 + 1e-9, 4.5e15, math.nextafter(pinf, 0.0), pinf,
+                 math.nextafter(pinf, math.inf), 1e17, sys.float_info.max, math.inf]
+        for lam in lams:
+            edge = max_domain(lam)
+            at_edge = transform(edge, lam).hex(), derivative(edge, lam).hex()
+            for x in (math.nextafter(edge, math.inf), 2.0 * edge, 1e300, sys.float_info.max,
+                      math.inf):
+                assert (transform(x, lam).hex(), derivative(x, lam).hex()) == at_edge, (lam, x)
+            assert (loss(1e200, lam).hex(), kernel(1e200, lam).hex()) == at_edge, lam
+
     def test_subnormal_adjacent_shapes(self):
         # Shapes between tiny and ~eps/2 classify POS/NEG but their
         # exponent rounds to zero; huge inputs must not leak 0 * inf.

@@ -323,9 +323,11 @@ class TestZTable:
         ("s_grid", (-0.5, "0.25", 1.0)),
         ("log_z", (1.0, 10**400, 0.25)),
         ("log_z", (1.0, 0.5)),
+        ("log_z", (1.0, 1000.0, 0.25)),
+        ("log_z", (1.0, -1000.0, 0.25)),
     ], ids=["str-num-points", "bool-num-points", "float-num-points", "15-num-points",
             "negative-num-points", "ndarray-s-grid", "ndarray-log-z", "bool-node", "str-node",
-            "int-past-binary64", "unequal-lengths"])
+            "int-past-binary64", "unequal-lengths", "log-z-past-700", "log-z-below-minus-700"])
     def test_constructor_rejects_what_load_rejects(self, field, value, tmp_path):
         # the constructor owns the field rules, so a record it accepts always
         # hashes and saves to a file that loads back
@@ -370,6 +372,27 @@ class TestZTable:
         loaded = ZTable.load(path)
         assert loaded == table
         assert hash(loaded) == hash(table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.integers(2, 40),
+        log_z=st.lists(st.one_of(st.floats(-700.0, 700.0), st.integers(-700, 700)),
+                       min_size=40, max_size=40),
+        num_points=st.integers(16, 2**31),
+        lam=st.floats(min_value=-1.0),
+    )
+    def test_tables_within_the_log_z_bound_load_and_look_up(
+        self, tmp_path_factory, size, log_z, num_points, lam
+    ):
+        # the constructor accepts every log_z in [-700, 700], and every
+        # lookup on such a table is a positive normal double, so pdf divides
+        # by it without overflow or ZeroDivisionError
+        table = ZTable(np.linspace(-0.5, 1.0, size).tolist(), log_z[:size], num_points)
+        path = tmp_path_factory.mktemp("zt") / "zt.json"
+        table.save(path)
+        assert ZTable.load(path) == table
+        assert sys.float_info.min <= table.lookup(lam) < math.inf
+        assert not math.isnan(pdf(0.5, lam, table=table))
 
     def test_one_node_rejected(self):
         with pytest.raises(ValueError, match="at least two nodes"):
