@@ -11,9 +11,11 @@ Every branch is evaluated as
 
     post_scale * expm1?( mid_scale * log1p?( pre_scale * x ) )
 
-so the whole family costs at most one log1p and one expm1 per call.  The
-branch constants live in :class:`BranchPlan`; :func:`classify` picks the
-branch from windows derived from binary64 precision.
+so the whole family costs at most one log1p and one expm1 per call.  One
+cached per-lam table decides, once per lam, the branch (from windows
+derived from binary64 precision), its constants and clamp bound, and the
+pole; :func:`classify`, :func:`branch_plan`, :func:`max_domain` and every
+evaluator body read it.
 
 :func:`transform`, :func:`inverse` and :func:`derivative` take a float or
 an ndarray.  Each has one body, run with libm ops for a float (giving a
@@ -103,63 +105,47 @@ def render_lambda(lam: float) -> str:
     return repr(_require_lambda(lam))
 
 
-def classify(lam: float) -> Branch:
-    """Assign lam to exactly one of the seven branches."""
-    lam = _require_lambda(lam)
-    if lam > _PINF_THRESHOLD:
-        return Branch.POS_INF
-    if abs(lam - 1.0) < EPS:
-        return Branch.ONE
-    if abs(lam) < TINY:
-        return Branch.ZERO
-    if abs(lam + 1.0) < EPS:
-        return Branch.NEG_ONE
-    if lam < -_PINF_THRESHOLD:
-        return Branch.NEG_INF
-    return Branch.POS if lam > 0.0 else Branch.NEG
-
-
-def _pole(lam: float) -> float:
-    """The transform's pole for lam > 1: lam/(lam - 1), or 1 where classify
-    counts lam as +inf (lam/(lam - 1) still rounds above 1 up to ~2/EPS)."""
-    return 1.0 if lam > _PINF_THRESHOLD else lam / (lam - 1.0)
-
-
 @lru_cache(maxsize=4096)
 def _plan(lam: float) -> tuple:
-    # branch_plan's fields as a plain tuple, then the floor of log1p's
-    # argument: the float bodies unpack it, and CPython specializes
-    # unpacking only for exact tuples
-    branch = classify(lam)
-    lam = float(lam)
-    # For lam > 1 the bound is the largest double strictly below the pole,
-    # so log1p arguments stay above -1 after clamping.
-    bound = math.nextafter(_pole(lam), -math.inf) if lam > 1.0 else math.inf
-    floor = _ABOVE_MINUS_ONE
-    if branch is Branch.POS_INF:  # pre_scale * bound is _ABOVE_MINUS_ONE
-        return -1.0, False, 1.0, True, -1.0, bound, floor
-    if branch is Branch.ONE:
-        return 1.0, True, 1.0, False, 1.0, bound, floor
-    if branch is Branch.ZERO:
-        return 1.0, True, 1.0, True, 1.0, bound, floor
-    if branch is Branch.NEG_ONE:
-        return 1.0, False, 1.0, True, 1.0, bound, floor
-    if branch is Branch.NEG_INF:
-        return -1.0, True, 1.0, False, -1.0, bound, floor
-    if branch is Branch.POS:
-        pre = (1.0 - lam) / lam
-        # The clamp is a floor: past 1, pre < 0 and rounding is monotone, so
-        # max(pre * x, pre * bound) is pre * min(x, bound) to the bit, and
-        # the clamp and the guard are one max after the pre-scale.
-        if lam > 1.0:
-            floor = max(pre * bound, floor)
-        return pre, False, 1.0 / (1.0 - lam), False, lam, bound, floor
-    return -1.0 / lam, False, lam + 1.0, False, -lam / (lam + 1.0), bound, floor
+    # The one table of what depends on lam alone, for a checked float lam:
+    # (pre, skip_log, mid, skip_exp, post, bound, floor, pole, branch), that
+    # is branch_plan's six fields, the floor of log1p's argument, the pole on
+    # x > 0 (inf for lam <= 1) and the branch.  A plain tuple: the float
+    # bodies unpack it, and CPython specializes unpacking only for exact
+    # tuples.  The seven windows of lam are tested here and nowhere else.
+    inf, floor = math.inf, _ABOVE_MINUS_ONE
+    if lam > _PINF_THRESHOLD:  # pole 1: lam/(lam - 1) still rounds above 1 up to ~2/EPS
+        return -1.0, False, 1.0, True, -1.0, math.nextafter(1.0, 0.0), floor, 1.0, Branch.POS_INF
+    if abs(lam - 1.0) < EPS:
+        return 1.0, True, 1.0, False, 1.0, inf, floor, inf, Branch.ONE
+    if abs(lam) < TINY:
+        return 1.0, True, 1.0, True, 1.0, inf, floor, inf, Branch.ZERO
+    if abs(lam + 1.0) < EPS:
+        return 1.0, False, 1.0, True, 1.0, inf, floor, inf, Branch.NEG_ONE
+    if lam < -_PINF_THRESHOLD:
+        return -1.0, True, 1.0, False, -1.0, inf, floor, inf, Branch.NEG_INF
+    if lam < 0.0:
+        return -1.0 / lam, False, lam + 1.0, False, -lam / (lam + 1.0), inf, floor, inf, Branch.NEG
+    pre, mid = (1.0 - lam) / lam, 1.0 / (1.0 - lam)
+    if lam <= 1.0:
+        return pre, False, mid, False, lam, inf, floor, inf, Branch.POS
+    # Past 1 the bound is the largest double strictly below the pole.  The
+    # clamp is a floor: pre < 0 and rounding is monotone, so
+    # max(pre * x, pre * bound) is pre * min(x, bound) to the bit, and the
+    # clamp and the guard are one max after the pre-scale.
+    pole = lam / (lam - 1.0)
+    bound = math.nextafter(pole, -inf)
+    return pre, False, mid, False, lam, bound, max(pre * bound, floor), pole, Branch.POS
+
+
+def classify(lam: float) -> Branch:
+    """Assign lam to exactly one of the seven branches."""
+    return _plan(_require_lambda(lam))[8]
 
 
 def branch_plan(lam: float) -> BranchPlan:
     """Build the scale/skip table row and the clamp bound for lam."""
-    return BranchPlan._make(_plan(lam)[:6])
+    return BranchPlan._make(_plan(_require_lambda(lam))[:6])
 
 
 def max_domain(lam: float) -> float:
@@ -169,7 +155,7 @@ def max_domain(lam: float) -> float:
     below the transform's pole at lam/(lam - 1), which is 1 for every lam
     above 1/EPS, the window where :func:`classify` counts lam as +inf.
     """
-    return _plan(lam)[5]
+    return _plan(_require_lambda(lam))[5]
 
 
 def _saturating(f):
@@ -238,7 +224,7 @@ def _elementwise(body, x, *params):
 
 
 def _transform(x, ops: _Ops, lam: float, out=None):
-    pre, skip_log, mid, skip_exp, post, _, floor = _plan(lam)
+    pre, skip_log, mid, skip_exp, post, _, floor, _, _ = _plan(lam)
     if pre != 1.0:
         if out is None:
             x = out = pre * x
@@ -257,7 +243,7 @@ def _transform(x, ops: _Ops, lam: float, out=None):
 
 
 def _derivative(x, ops: _Ops, lam: float, out=None):
-    pre, skip_log, mid, skip_exp, _, _, floor = _plan(lam)
+    pre, skip_log, mid, skip_exp, _, _, floor, _, _ = _plan(lam)
     if skip_log == skip_exp and mid == 1.0:
         # lam = 0 or |lam| < ~eps/2: the power is 1 (0 * inf must not leak NaN)
         return ops.ones(x)
@@ -315,7 +301,7 @@ def transform_naive(x: float, lam: float) -> float:
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     lam = _require_lambda(lam)
-    if math.isinf(lam) or abs(lam) < TINY:
+    if math.isinf(lam) or _plan(lam)[8] is Branch.ZERO:
         raise UnsupportedBranchError(
             f"naive closed form undefined at lam = {render_lambda(lam)}"
         )

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property, lru_cache
 
-from .core import EPS, _elementwise, _pole, _require_lambda, transform
+from .core import EPS, _elementwise, _plan, _require_lambda, transform
 from .families import _loss, _require_scale, loss
 
 __all__ = [
@@ -60,7 +60,8 @@ def _require_dist_lambda(lam: float) -> float:
 
 
 def _halfwidth(lam: float) -> float:
-    return math.inf if lam <= 1.0 else math.sqrt(2.0 * _pole(lam))
+    # the pole is inf for lam <= 1; the shortcut skips the table lookup there
+    return math.inf if lam <= 1.0 else math.sqrt(2.0 * _plan(lam)[7])
 
 
 def support_halfwidth(lam: float) -> float:

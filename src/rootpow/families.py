@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 
 from .core import (
-    EPS, TINY, UnsupportedBranchError, _derivative, _elementwise, _pole, _require_lambda,
-    _transform,
+    EPS, TINY, Branch, UnsupportedBranchError, _derivative, _elementwise, _plan,
+    _require_lambda, _transform,
 )
 
 __all__ = [
@@ -184,7 +184,7 @@ def _require_bump_lambda(lam: float) -> float:
 def _bump(x, ops, lam: float):
     return ops.select(
         abs(x) < 1.0,
-        lambda: ops.exp(-_transform(_pole(lam) * x * x, ops, lam)),
+        lambda: ops.exp(-_transform(_plan(lam)[7] * x * x, ops, lam)),
         lambda: 0.0,
     )
 
@@ -241,7 +241,7 @@ def boxcox_normalized(x, lam: float):
 
 
 def _transform_via_boxcox(x, ops, lam: float):
-    if abs(lam) < TINY:
+    if _plan(lam)[8] is Branch.ZERO:
         return _boxcox(x, ops, 1.0)
     if lam < 0.0:
         return -lam * _boxcox(-x / lam, ops, lam + 1.0)
@@ -258,7 +258,7 @@ def transform_via_boxcox(x, lam: float):
     lam = _require_lambda(lam)
     if math.isinf(lam):
         raise UnsupportedBranchError("no Box-Cox image for extended lam")
-    if abs(lam - 1.0) < EPS:
+    if _plan(lam)[8] is Branch.ONE:
         raise UnsupportedBranchError("bridge is singular at lam = 1")
     return _elementwise(_transform_via_boxcox, x, lam)
 

@@ -155,6 +155,22 @@ class TestMaxDomain:
         assert max_domain(math.inf) == math.nextafter(1.0, -math.inf)
 
 
+@pytest.mark.parametrize("fn", [classify, branch_plan, max_domain])
+@pytest.mark.parametrize("lam", [np.array(2.0), np.float64(2.0), 2, "2"],
+                         ids=["0d-array", "float64", "int", "str"])
+def test_lam_readers_take_what_transform_takes(fn, lam):
+    # the readers check and convert lam before the cached per-lam table
+    # sees it, so a 0-d array is not an unhashable key and "2" is 2.0
+    assert fn(lam) == fn(2.0)
+
+
+@pytest.mark.parametrize("fn", [classify, branch_plan, max_domain])
+def test_lam_readers_reject_nan_in_every_spelling(fn):
+    for nan in (math.nan, np.array(math.nan), np.float64(math.nan), "nan"):
+        with pytest.raises(ValueError):
+            fn(nan)
+
+
 class TestStableValues:
     def test_identity(self):
         assert transform(0.5, 0.0) == 0.5

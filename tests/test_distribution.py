@@ -67,6 +67,23 @@ class TestPartitionFunction:
     def test_odd_point_normalization(self):
         assert partition_function.__wrapped__(0.0, 64) == partition_function.__wrapped__(0.0, 65)
 
+    # Next to |lam| = TINY the cutoff transform(72.09, -lam) overflows (its
+    # pre-scale is ~1/|lam|), so the grid reaches inf and the quadrature
+    # warns and meets NaN, where the density is the Gaussian's: lam = +/-1e-306
+    # already gives Z = 2.5066282746310073 and pdf(0.5) = 0.3520653267642998.
+    # A log-domain tail for small |lam| makes these pass.
+    _TINY_SHAPES = [sys.float_info.min, -sys.float_info.min, 1e-307, -1e-307]
+
+    @pytest.mark.xfail(strict=True, reason="the quadrature cutoff overflows at |lam| near TINY")
+    @pytest.mark.parametrize("lam", _TINY_SHAPES)
+    def test_gaussian_constant_at_tiny_shapes(self, lam):
+        assert partition_function(lam) == pytest.approx(SQRT_2PI, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="the quadrature cutoff overflows at |lam| near TINY")
+    @pytest.mark.parametrize("lam", _TINY_SHAPES)
+    def test_gaussian_density_at_tiny_shapes(self, lam):
+        assert pdf(0.5, lam) == pytest.approx(0.3520653267642995, rel=1e-12)
+
 
 class TestSupport:
     def test_halfwidths(self):
@@ -344,9 +361,8 @@ class TestZTable:
         size=st.integers(2, 40),
         ints=st.booleans(),
         container=st.sampled_from([list, tuple]),
-        log_z=st.lists(st.one_of(
-            st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**1023, 2**1023),
-        ), min_size=40, max_size=40),
+        log_z=st.lists(st.one_of(st.floats(-700.0, 700.0), st.integers(-700, 700)),
+                       min_size=40, max_size=40),
         bad=st.sampled_from([None, None, None, True, "1", math.nan, math.inf, 10**400]),
         num_points=st.one_of(st.integers(), st.sampled_from([64.0, True, "64"])),
     )

@@ -137,6 +137,28 @@ def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
     assert written == {"core._transform", "core._derivative", "families._boxcox"}
 
 
+def test_the_lam_windows_are_tested_only_in_the_plan():
+    # core._plan decides each lam's branch, constants and pole once, and
+    # every other reader takes them from its table; the Box-Cox bodies
+    # compare their own parameter, whose windows are not the transform's
+    threshold, windows = set(), set()
+    for path in sorted(Path(rootpow.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "_PINF_THRESHOLD"
+                        and isinstance(node.ctx, ast.Load)):
+                    threshold.add(where)
+                elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                        and isinstance(node.left.func, ast.Name) and node.left.func.id == "abs"
+                        and any(isinstance(c, ast.Name) and c.id in ("EPS", "TINY")
+                                for c in node.comparators)):
+                    windows.add(where)
+    assert threshold == {"core._plan"}
+    assert windows == {"core._plan", "families._boxcox", "families._boxcox_normalized",
+                       "families._boxcox_via_transform"}
+
+
 # One keyword construction per record.
 _RECORDS = {
     "BranchPlan": dict(pre_scale=-0.5, skip_log=False, mid_scale=-1.0, skip_exp=False,

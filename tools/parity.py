@@ -2,7 +2,9 @@
 
 Prints one ``section sha256 count`` line per section: every public
 evaluator on a shape x input grid (each float call as ``float.hex`` or the
-exception type, then one array call per parameter set), the RobustFit fits
+exception type, then one array call per parameter set), the per-shape
+readers (the branch of every shape, and ``classify``, ``branch_plan`` and
+``max_domain`` at each spelling of lam they accept), the RobustFit fits
 of the bench's seeds 101-103 with their summed losses, and the exit code,
 stdout and stderr of ``rootpow.cli.main`` for every ``eval --fn``, for
 ``eval --fn pdf --ztable`` and for the default ``accuracy``.  Run it
@@ -128,6 +130,13 @@ def evaluators(digest: Digest) -> None:
     for fn in (rp.branch_plan, rp.max_domain, rp.support_halfwidth, rp.partition_function):
         for lam in SHAPES:
             digest.add(f"shape.{fn.__name__}", _call(fn, lam))
+    for lam in SHAPES:
+        digest.add("shape.classify", _call(lambda lam: rp.classify(lam).name, lam))
+    # the lam spellings transform accepts: a 0-d array, a numpy scalar, an int, a str
+    for fn in (rp.classify, rp.branch_plan, rp.max_domain):
+        for lam in (np.array(2.0), np.float64(2.0), 2, "2"):
+            record = f"{fn.__name__} {type(lam).__name__} {_call(fn, lam)}"
+            digest.add("shape.lam_spellings", record)
     small = rp.build_table(64, 256)
     for lam in SHAPES:
         digest.add("shape.ZTable.lookup", _call(small.lookup, lam))
