@@ -88,7 +88,10 @@ def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:
     assert this.  An x past the transform's pole at lam raises ValueError;
     an exact zero comes back as +0.0.
     """
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # an int past the largest double
+        raise ValueError("x is too large for a double") from None
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     branch = classify(lam)

@@ -95,7 +95,8 @@ _SCALE = ("--c", _require_scale)
 
 # --fn -> (body, its parameters as (flag, library check[, default])).  Each
 # check runs once, on the flag's value; every x then runs
-# body(x, _FLOAT_OPS, *params), the arithmetic of the public float call.
+# body(x, _FLOAT_OPS, *params), the public float call less its checks: the
+# same float bodies of the lam's plan row, so the same bits.
 _EVAL_FUNCTIONS = {
     "f": (_transform, [_LAMBDA]),
     "finv": (_transform, [("--lambda", lambda lam: -_require_lambda(lam))]),

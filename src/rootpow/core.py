@@ -18,13 +18,16 @@ pole; :func:`classify`, :func:`branch_plan`, :func:`max_domain` and every
 evaluator body read it.
 
 :func:`transform`, :func:`inverse` and :func:`derivative` take a float or
-an ndarray.  Each has one body, run with libm ops for a float (giving a
-float) or with numpy ufuncs for an array (giving an array of its shape).
-Every evaluator in ``families`` is built the same way on ``_transform``/``_derivative``.
+an ndarray.  An array runs the one array body with numpy ufuncs and gives
+an array of its shape.  A float runs the float body its lam's table row
+picks from the plan's skip flags: the array body's passes on libm, in the
+same order and to the same bits, without its tests for identity passes.
+Every evaluator in ``families`` is built on ``_transform``/``_derivative``.
 """
 
 from __future__ import annotations
 
+import _thread
 import math
 import sys
 from collections import namedtuple
@@ -82,7 +85,10 @@ BranchPlan = namedtuple("BranchPlan", "pre_scale skip_log mid_scale skip_exp pos
 
 
 def _require_lambda(lam: float) -> float:
-    lam = float(lam)
+    try:
+        lam = float(lam)
+    except OverflowError:  # an int past the largest double
+        raise ValueError("shape parameter lam is too large for a double") from None
     if lam != lam:  # NaN
         raise ValueError("shape parameter lam must not be NaN")
     return lam
@@ -105,47 +111,146 @@ def render_lambda(lam: float) -> str:
     return repr(_require_lambda(lam))
 
 
-@lru_cache(maxsize=4096)
-def _plan(lam: float) -> tuple:
+# The float bodies: for each combination of a plan's skip flags, the passes
+# of the array body below with libm on a float, in the same order, minus its
+# tests for identity passes (times 1 is exact on a non-NaN float).  An expm1
+# or exp past the largest double is inf, as numpy's is, before the
+# post-scale.  The transform's take (x, pre, mid, post, floor), the
+# derivative's (x, pre, dmid, floor).
+
+
+def _float_log_exp(x: float, pre: float, mid: float, post: float, floor: float) -> float:
+    t = pre * x
+    t = mid * math.log1p(floor if floor > t else t)
+    try:
+        t = math.expm1(t)
+    except OverflowError:
+        t = math.inf
+    return post * t
+
+
+def _float_log(x: float, pre: float, mid: float, post: float, floor: float) -> float:
+    t = pre * x
+    return post * (mid * math.log1p(floor if floor > t else t))
+
+
+def _float_exp(x: float, pre: float, mid: float, post: float, floor: float) -> float:
+    try:
+        t = math.expm1(mid * (pre * x))
+    except OverflowError:
+        t = math.inf
+    return post * t
+
+
+def _float_scale(x: float, pre: float, mid: float, post: float, floor: float) -> float:
+    return post * (mid * (pre * x))
+
+
+def _float_slope_one(x: float, pre: float, dmid: float, floor: float) -> float:
+    return 1.0
+
+
+def _float_slope_exp(x: float, pre: float, dmid: float, floor: float) -> float:
+    try:
+        return math.exp(pre * x)
+    except OverflowError:
+        return math.inf
+
+
+def _float_slope_log(x: float, pre: float, dmid: float, floor: float) -> float:
+    t = pre * x
+    t = dmid * math.log1p(floor if floor > t else t)
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
+def _row(pre, skip_log, mid, skip_exp, post, bound, floor, pole, branch) -> tuple:
+    # A plan row: the nine fields, then the float bodies its skip flags pick
+    # and dmid, the derivative's power of 1 + pre * x (the expm1 stage's mid
+    # less 1, or -1 without it).  The power is 1 where both stages run or
+    # neither does and mid is 1: lam = 0, or |lam| below ~eps/2, where
+    # (mid - 1) * log1p(pre * x) would be 0 * inf for a large pre * x.
+    if skip_log:
+        ft = _float_scale if skip_exp else _float_exp
+    else:
+        ft = _float_log if skip_exp else _float_log_exp
+    if skip_log == skip_exp and mid == 1.0:
+        fd = _float_slope_one
+    else:
+        fd = _float_slope_exp if skip_log else _float_slope_log
+    dmid = -1.0 if skip_exp else mid - 1.0
+    return pre, skip_log, mid, skip_exp, post, bound, floor, pole, branch, ft, fd, dmid
+
+
+def _plan_row(lam: float) -> tuple:
     # The one table of what depends on lam alone, for a checked float lam:
-    # (pre, skip_log, mid, skip_exp, post, bound, floor, pole, branch), that
-    # is branch_plan's six fields, the floor of log1p's argument, the pole on
-    # x > 0 (inf for lam <= 1) and the branch.  A plain tuple: the float
-    # bodies unpack it, and CPython specializes unpacking only for exact
-    # tuples.  The seven windows of lam are tested here and nowhere else.
+    # (pre, skip_log, mid, skip_exp, post, bound, floor, pole, branch, ft,
+    # fd, dmid), that is branch_plan's six fields, the floor of log1p's
+    # argument, the pole on x > 0 (inf for lam <= 1), the branch, and what
+    # _row derives from them for the bodies.  A plain tuple: the bodies
+    # unpack it, and CPython specializes unpacking only for exact tuples.
+    # The seven windows of lam are tested here and nowhere else.
     inf, floor = math.inf, _ABOVE_MINUS_ONE
     if lam > _PINF_THRESHOLD:  # pole 1: lam/(lam - 1) still rounds above 1 up to ~2/EPS
-        return -1.0, False, 1.0, True, -1.0, math.nextafter(1.0, 0.0), floor, 1.0, Branch.POS_INF
+        bound = math.nextafter(1.0, 0.0)
+        return _row(-1.0, False, 1.0, True, -1.0, bound, floor, 1.0, Branch.POS_INF)
     if abs(lam - 1.0) < EPS:
-        return 1.0, True, 1.0, False, 1.0, inf, floor, inf, Branch.ONE
+        return _row(1.0, True, 1.0, False, 1.0, inf, floor, inf, Branch.ONE)
     if abs(lam) < TINY:
-        return 1.0, True, 1.0, True, 1.0, inf, floor, inf, Branch.ZERO
+        return _row(1.0, True, 1.0, True, 1.0, inf, floor, inf, Branch.ZERO)
     if abs(lam + 1.0) < EPS:
-        return 1.0, False, 1.0, True, 1.0, inf, floor, inf, Branch.NEG_ONE
+        return _row(1.0, False, 1.0, True, 1.0, inf, floor, inf, Branch.NEG_ONE)
     if lam < -_PINF_THRESHOLD:
-        return -1.0, True, 1.0, False, -1.0, inf, floor, inf, Branch.NEG_INF
+        return _row(-1.0, True, 1.0, False, -1.0, inf, floor, inf, Branch.NEG_INF)
     if lam < 0.0:
-        return -1.0 / lam, False, lam + 1.0, False, -lam / (lam + 1.0), inf, floor, inf, Branch.NEG
+        post = -lam / (lam + 1.0)
+        return _row(-1.0 / lam, False, lam + 1.0, False, post, inf, floor, inf, Branch.NEG)
     pre, mid = (1.0 - lam) / lam, 1.0 / (1.0 - lam)
     if lam <= 1.0:
-        return pre, False, mid, False, lam, inf, floor, inf, Branch.POS
+        return _row(pre, False, mid, False, lam, inf, floor, inf, Branch.POS)
     # Past 1 the bound is the largest double strictly below the pole.  The
     # clamp is a floor: pre < 0 and rounding is monotone, so
     # max(pre * x, pre * bound) is pre * min(x, bound) to the bit, and the
     # clamp and the guard are one max after the pre-scale.
     pole = lam / (lam - 1.0)
     bound = math.nextafter(pole, -inf)
-    return pre, False, mid, False, lam, bound, max(pre * bound, floor), pole, Branch.POS
+    return _row(pre, False, mid, False, lam, bound, max(pre * bound, floor), pole, Branch.POS)
+
+
+_PLAN_ROWS = 4096
+
+
+class _PlanCache(dict):
+    # lam -> _plan_row(lam), read as _plan[lam]: a hit is one dict
+    # subscript, where a call through lru_cache builds an args tuple.  A miss
+    # at _PLAN_ROWS rows empties the cache first (dropping only the oldest
+    # row would scan past every row dropped before it, on each miss).  The
+    # lock keeps two threads' misses from both passing the test and then
+    # inserting past the bound.
+    _lock = _thread.allocate_lock()  # threading.Lock, without importing threading
+
+    def __missing__(self, lam: float) -> tuple:
+        row = _plan_row(lam)
+        with self._lock:
+            if len(self) >= _PLAN_ROWS:
+                self.clear()
+            self[lam] = row
+        return row
+
+
+_plan = _PlanCache()
 
 
 def classify(lam: float) -> Branch:
     """Assign lam to exactly one of the seven branches."""
-    return _plan(_require_lambda(lam))[8]
+    return _plan[_require_lambda(lam)][8]
 
 
 def branch_plan(lam: float) -> BranchPlan:
     """Build the scale/skip table row and the clamp bound for lam."""
-    return BranchPlan._make(_plan(_require_lambda(lam))[:6])
+    return BranchPlan._make(_plan[_require_lambda(lam)][:6])
 
 
 def max_domain(lam: float) -> float:
@@ -155,11 +260,11 @@ def max_domain(lam: float) -> float:
     below the transform's pole at lam/(lam - 1), which is 1 for every lam
     above 1/EPS, the window where :func:`classify` counts lam as +inf.
     """
-    return _plan(_require_lambda(lam))[5]
+    return _plan[_require_lambda(lam)][5]
 
 
 def _saturating(f):
-    def call(t: float, out=None) -> float:
+    def call(t: float) -> float:
         try:
             return f(t)
         except OverflowError:
@@ -167,18 +272,17 @@ def _saturating(f):
     return call
 
 
-# The primitives a branch plan is composed from, for one operand kind.
-# log1p(a, out), expm1, exp and maximum(a, b, out) write into an array out,
-# as numpy's ufuncs do; a float ignores it.  select(cond, then, otherwise)
-# takes its two values as thunks: a float evaluates only the one cond
-# picks, an array both, picked elementwise.  any(flags) reduces a domain
-# check on x to one bool.
-_Ops = namedtuple("_Ops", "log1p expm1 exp maximum ones select any")
+# The primitives the bodies compose, for one operand kind.  The array ops
+# log1p(a, out), expm1, exp and maximum(a, b, out) write into an array
+# out, as numpy's ufuncs do; the float ops take no out.
+# select(cond, then, otherwise) takes its two values as thunks: a float
+# evaluates only the one cond picks, an array both, picked elementwise.
+# any(flags) reduces a domain check on x to one bool.
+_Ops = namedtuple("_Ops", "log1p expm1 exp maximum select any")
 # Two-argument max as a conditional: the builtin costs ~150 ns a call.
 _FLOAT_OPS = _Ops(
-    lambda t, out=None: math.log1p(t), _saturating(math.expm1), _saturating(math.exp),
-    lambda a, b, out=None: b if b > a else a,
-    lambda x: 1.0, lambda cond, then, otherwise: then() if cond else otherwise(), bool,
+    math.log1p, _saturating(math.expm1), _saturating(math.exp), lambda a, b: b if b > a else a,
+    lambda cond, then, otherwise: then() if cond else otherwise(), bool,
 )
 
 
@@ -186,7 +290,7 @@ _FLOAT_OPS = _Ops(
 def _array_ops(np) -> _Ops:
     # numpy deprecates a positional out for maximum
     return _Ops(
-        np.log1p, np.expm1, np.exp, lambda a, b, out=None: np.maximum(a, b, out=out), np.ones_like,
+        np.log1p, np.expm1, np.exp, lambda a, b, out=None: np.maximum(a, b, out=out),
         lambda cond, then, otherwise: np.where(cond, then(), otherwise()), np.any,
     )
 
@@ -209,22 +313,30 @@ def _elementwise(body, x, *params):
             with np.errstate(over="ignore"):
                 out = body(a, _array_ops(np), *params)
             return (out.copy() if out is a else out).reshape(x.shape)
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:  # an int past the largest double
+            raise ValueError("x is too large for a double") from None
     if x != x:  # NaN, without math.isnan's two lookups and call
         raise ValueError("x must not be NaN")
     return body(x, _FLOAT_OPS, *params)
 
 
-# An array body allocates at most one array and runs every later pass in
-# it: ``out``, None until a pass allocates it, or x itself when the caller
-# hands over an array it owns.  Passes that are exact identities on non-NaN
-# input (times 1) are skipped.  Only the pre-scale can meet x unallocated:
-# a plan that skips the log has mid_scale 1, and one that skips the exp a
-# post_scale of 1 or a log before it.
+# _transform and _derivative hand a float to the row's float body.  Any
+# other operand runs the array body, the one statement of the arithmetic:
+# with numpy's ufuncs, or with libm ops on a float for the tests that hold
+# the float bodies to it.  An array body allocates at most one array and
+# runs every later pass in it: ``out``, None until a pass allocates it, or
+# x itself when the caller hands over an array it owns.  Passes that are
+# exact identities on non-NaN input (times 1) are skipped.  Only the
+# pre-scale can meet x unallocated: a plan that skips the log has mid_scale
+# 1, and one that skips the exp a post_scale of 1 or a log before it.
 
 
 def _transform(x, ops: _Ops, lam: float, out=None):
-    pre, skip_log, mid, skip_exp, post, _, floor, _, _ = _plan(lam)
+    pre, skip_log, mid, skip_exp, post, _, floor, _, _, ft, _, _ = _plan[lam]
+    if ops is _FLOAT_OPS:
+        return ft(x, pre, mid, post, floor)
     if pre != 1.0:
         if out is None:
             x = out = pre * x
@@ -243,10 +355,11 @@ def _transform(x, ops: _Ops, lam: float, out=None):
 
 
 def _derivative(x, ops: _Ops, lam: float, out=None):
-    pre, skip_log, mid, skip_exp, _, _, floor, _, _ = _plan(lam)
-    if skip_log == skip_exp and mid == 1.0:
-        # lam = 0 or |lam| < ~eps/2: the power is 1 (0 * inf must not leak NaN)
-        return ops.ones(x)
+    pre, skip_log, _, _, _, _, floor, _, _, _, fd, dmid = _plan[lam]
+    if ops is _FLOAT_OPS:
+        return fd(x, pre, dmid, floor)
+    if fd is _float_slope_one:  # the power is 1 (0 * inf must not leak NaN)
+        return x ** 0.0  # 1 for every x, inf included
     if pre != 1.0:
         if out is None:
             x = out = pre * x
@@ -255,7 +368,7 @@ def _derivative(x, ops: _Ops, lam: float, out=None):
     if not skip_log:
         x = out = ops.maximum(x, floor, out)
         x = ops.log1p(x, out)
-        x *= -1.0 if skip_exp else mid - 1.0
+        x *= dmid
     return ops.exp(x, out)
 
 
@@ -297,11 +410,14 @@ def transform_naive(x: float, lam: float) -> float:
     divides by zero (lam = +/-1, 2 - |lam| + lam rounding to 0), its power
     overflows or its value is NaN, UnsupportedBranchError is raised.
     """
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # an int past the largest double
+        raise ValueError("x is too large for a double") from None
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     lam = _require_lambda(lam)
-    if math.isinf(lam) or _plan(lam)[8] is Branch.ZERO:
+    if math.isinf(lam) or _plan[lam][8] is Branch.ZERO:
         raise UnsupportedBranchError(
             f"naive closed form undefined at lam = {render_lambda(lam)}"
         )

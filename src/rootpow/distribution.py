@@ -61,7 +61,7 @@ def _require_dist_lambda(lam: float) -> float:
 
 def _halfwidth(lam: float) -> float:
     # the pole is inf for lam <= 1; the shortcut skips the table lookup there
-    return math.inf if lam <= 1.0 else math.sqrt(2.0 * _plan(lam)[7])
+    return math.inf if lam <= 1.0 else math.sqrt(2.0 * _plan[lam][7])
 
 
 def support_halfwidth(lam: float) -> float:
@@ -116,7 +116,10 @@ def _pdf(x, ops, lam: float, c: float, z: float, edge: float):
 def _pdf_params(lam: float, c: float, table: "ZTable | None") -> tuple:
     # check c, then look Z up once, which also checks lam: _pdf's parameters
     c = _require_scale(c)
-    lam = float(lam)
+    try:
+        lam = float(lam)
+    except OverflowError:  # an int past the largest double
+        raise ValueError("shape parameter lam is too large for a double") from None
     z = table.lookup(lam) if table is not None else partition_function(lam)
     return lam, c, z, c * _halfwidth(lam)
 

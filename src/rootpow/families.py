@@ -3,8 +3,11 @@ kernels, signed transforms and activations, bumps, and the Box-Cox bridge.
 
 Each family is a short composition of the core bodies ``_transform`` and
 ``_derivative``.  Each public evaluator checks its parameters once and runs
-its body through ``core._elementwise``, so it takes a float or an ndarray.
-The comment above each family says why it is computed the way it is.
+its body through ``core._elementwise``, so it takes a float or an ndarray:
+a float runs the body with libm ops, and its ``_transform``/``_derivative``
+steps run the float bodies of the lam's plan row; an array runs it with
+numpy ufuncs.  The comment above each family says why it is computed the
+way it is.
 """
 
 from __future__ import annotations
@@ -38,7 +41,10 @@ LOSS_REFERENCE_LAMBDAS = {
 
 
 def _require_scale(c: float) -> float:
-    c = float(c)
+    try:
+        c = float(c)
+    except OverflowError:  # an int past the largest double
+        raise ValueError("scale c is too large for a double") from None
     if not (c > 0.0) or math.isinf(c):
         raise ValueError(f"scale c must be a positive finite real, got {c!r}")
     return c
@@ -184,7 +190,7 @@ def _require_bump_lambda(lam: float) -> float:
 def _bump(x, ops, lam: float):
     return ops.select(
         abs(x) < 1.0,
-        lambda: ops.exp(-_transform(_plan(lam)[7] * x * x, ops, lam)),
+        lambda: ops.exp(-_transform(_plan[lam][7] * x * x, ops, lam)),
         lambda: 0.0,
     )
 
@@ -203,7 +209,10 @@ def bump(x, lam: float):
 
 
 def _require_boxcox_lambda(lam: float) -> float:
-    lam = float(lam)
+    try:
+        lam = float(lam)
+    except OverflowError:  # an int past the largest double
+        raise ValueError("Box-Cox parameter lam is too large for a double") from None
     if math.isnan(lam) or math.isinf(lam):
         raise ValueError(f"Box-Cox parameter must be finite, got {lam!r}")
     return lam
@@ -241,7 +250,7 @@ def boxcox_normalized(x, lam: float):
 
 
 def _transform_via_boxcox(x, ops, lam: float):
-    if _plan(lam)[8] is Branch.ZERO:
+    if _plan[lam][8] is Branch.ZERO:
         return _boxcox(x, ops, 1.0)
     if lam < 0.0:
         return -lam * _boxcox(-x / lam, ops, lam + 1.0)
@@ -258,7 +267,7 @@ def transform_via_boxcox(x, lam: float):
     lam = _require_lambda(lam)
     if math.isinf(lam):
         raise UnsupportedBranchError("no Box-Cox image for extended lam")
-    if _plan(lam)[8] is Branch.ONE:
+    if _plan[lam][8] is Branch.ONE:
         raise UnsupportedBranchError("bridge is singular at lam = 1")
     return _elementwise(_transform_via_boxcox, x, lam)
 

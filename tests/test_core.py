@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootpow.core import (
+    _PLAN_ROWS,
     Branch,
     UnsupportedBranchError,
+    _plan,
+    _plan_row,
     branch_plan,
     classify,
     derivative,
@@ -420,6 +423,50 @@ class TestConcurrency:
                     pool.map(lambda c: (transform(c[0], c[1]), derivative(c[0], c[1])), cases)
                 )
                 assert parallel == serial
+
+
+class TestPlanCache:
+    """The per-lam rows: bounded, a hit equal to a fresh row, no NaN key."""
+
+    def test_bounded_and_an_evicted_row_comes_back_fresh(self):
+        _plan.clear()
+        lams = [2.0 + k / 64.0 for k in range(5000)]
+        first = transform(0.5, lams[0]), derivative(0.5, lams[0]), _plan[lams[0]]
+        for lam in lams:
+            transform(0.5, lam)
+        assert len(_plan) <= _PLAN_ROWS == 4096
+        assert lams[0] not in _plan and lams[-1] in _plan
+        assert (transform(0.5, lams[0]), derivative(0.5, lams[0]), _plan[lams[0]]) == first
+        assert _plan[lams[0]] == _plan_row(lams[0])
+
+    def test_a_nan_lam_never_enters(self):
+        for fn in (transform, derivative, loss, kernel):
+            with pytest.raises(ValueError):
+                fn(0.5, math.nan)
+        for fn in (classify, branch_plan, max_domain):
+            with pytest.raises(ValueError):
+                fn(math.nan)
+        assert all(lam == lam for lam in _plan)
+
+    def test_concurrent_misses_keep_the_bound(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows, all missing past the bound: every row stays the row of its
+        # key and the bound holds
+        from concurrent.futures import ThreadPoolExecutor
+
+        _plan.clear()
+        chunks = [[-2.0 - (8 * k + i) / 64.0 for k in range(700)] for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda lams: [transform(0.5, lam) for lam in lams], chunks,
+                                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[transform(0.5, lam) for lam in lams] for lams in chunks]
+        assert len(_plan) <= _PLAN_ROWS
+        assert all(row == _plan_row(lam) for lam, row in _plan.items())
 
 
 class TestVectorPath:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rootpow as rp
+from rootpow import core
 from rootpow.core import _require_lambda
 from rootpow.families import _require_boxcox_lambda
 
@@ -100,7 +101,7 @@ def test_each_shape_parameter_is_checked_once(name, fn, args, tol, outside):
     # whose cache skips it on a hit
     kwargs = {"table": _TABLE} if fn is rp.pdf else {}
     for x in (0.25, XS):
-        fn(x, *args, **kwargs)  # fills _plan's cache, whose misses check lam again
+        fn(x, *args, **kwargs)  # fills the caches: the profiled call is a steady-state one
         checks = []
         def profile(frame, event, arg):
             if event == "call" and frame.f_code in _SHAPE_CHECKS:
@@ -122,6 +123,39 @@ def test_out_of_domain_element_raises(name, fn, args, tol, outside):
         fn(outside, *args)
     with pytest.raises(ValueError):
         fn(np.array([0.1, outside, 0.3]), *args)
+
+
+# An int past the largest double in each numeric argument of every public
+# evaluator, and the name its ValueError gives it.
+BIG = 10**400
+PAST_DOUBLE = [
+    *((fn, args, name) for fn in (rp.transform, rp.inverse, rp.derivative, rp.transform_naive,
+                                   rp.oracle_transform)
+      for args, name in [((BIG, 0.5), "x"), ((1.0, BIG), "lam")]),
+    *((fn, args, name) for fn in (rp.loss, rp.kernel, rp.irls_weight, rp.pdf)
+      for args, name in [((BIG, 0.5, 1.0), "x"), ((1.0, BIG, 1.0), "lam"),
+                         ((1.0, 0.5, BIG), "c")]),
+    (rp.bump, (BIG, 2.0), "x"), (rp.bump, (0.5, BIG), "lam"),
+    (rp.signed_transform, (BIG, 0.5, -2.0), "x"), (rp.signed_transform, (1.0, BIG, -2.0), "lam"),
+    (rp.signed_transform, (1.0, 0.5, BIG), "lam"),
+    (rp.softplus, (BIG,), "x"), (rp.sigmoid, (BIG,), "x"), (rp.tanh, (BIG,), "x"),
+    (rp.relu, (BIG, 0.0), "x"), (rp.relu, (1.0, BIG), "lam"),
+    *((fn, args, name) for fn in (rp.boxcox, rp.boxcox_normalized, rp.transform_via_boxcox,
+                                   rp.boxcox_via_transform)
+      for args, name in [((BIG, 0.5), "x"), ((1.0, BIG), "lam")]),
+    *((fn, (BIG,), "lam") for fn in (rp.classify, rp.branch_plan, rp.max_domain,
+                                      rp.render_lambda, rp.support_halfwidth,
+                                      rp.partition_function, _TABLE.lookup)),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
+@pytest.mark.parametrize("fn,args,name", PAST_DOUBLE,
+                         ids=[f"{c[0].__name__}-{c[2]}{c[1].index(BIG)}" for c in PAST_DOUBLE])
+def test_an_int_past_the_largest_double_is_a_value_error(fn, args, name, sign):
+    args = tuple(sign * a if a is BIG else a for a in args)
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*too large for a double"):
+        fn(*args)
 
 
 def test_pdf_with_table_takes_arrays():
@@ -243,6 +277,94 @@ def test_fused_bodies_match_unfused_bit_for_bit(lam):
         got[f"irls_weight c={c}"] = rp.irls_weight(FUSION_XS, lam, c)
     for name in want:
         assert _hex(got[name]) == _hex(want[name]), name
+
+
+# The float bodies a plan row picks, held to the array body run on a float
+# with libm ops: one shared statement of the arithmetic, its expm1 and exp
+# saturating to inf as numpy's do.
+def _saturating(f):
+    def call(t, out=None):
+        try:
+            return f(t)
+        except OverflowError:
+            return math.inf
+    return call
+
+
+_LIBM_OPS = core._Ops(
+    lambda t, out=None: math.log1p(t), _saturating(math.expm1), _saturating(math.exp),
+    lambda a, b, out=None: b if b > a else a,
+    lambda cond, then, otherwise: then() if cond else otherwise(), bool,
+)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+_LOG_MAX = math.log(MAX)
+
+
+def _around(v):
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+# every branch, and each window edge (TINY, 1 - EPS/2, 1 + EPS, 1/EPS, of
+# both signs) with one step to either side; +-1e-17 has a unit derivative
+# off the ZERO branch
+BODY_LAMS = sorted({
+    sign * v
+    for edge in (_TINY, 1.0 - _EPS / 2.0, 1.0 + _EPS, 1.0 / _EPS)
+    for v in _around(edge)
+    for sign in (1.0, -1.0)
+} | {0.0, 1e-17, -1e-17, 0.5, -0.5, 2.0, -2.0, 3.0, MAX, -MAX, math.inf, -math.inf})
+
+
+def _body_xs(lam):
+    # +-0, subnormals, +-1e300, +-inf; just below, at and past the pole
+    # (x > 0, lam > 1), the point where pre * x meets -1, and each x where
+    # the expm1 or exp stage's argument reaches log(MAX), past which it
+    # saturates
+    pre, skip_log, mid, _, _, bound, _, pole, *_, dmid = core._plan[lam]
+    xs = [0.0, -0.0, 5e-324, -5e-324, _TINY / 2.0, -_TINY / 2.0, 1e300, -1e300, math.inf,
+          -math.inf, *_around(-1.0 / pre)]
+    if pole < math.inf:
+        xs += [*_around(bound), *_around(pole)]
+    for power in {mid, dmid} - {0.0}:
+        try:
+            edge = _LOG_MAX / power
+            xs += _around(edge / pre if skip_log else math.expm1(edge) / pre)
+        except OverflowError:  # no such x
+            pass
+    return xs
+
+
+def _assert_float_bodies_match(x, lam):
+    for body in (core._transform, core._derivative):
+        got = body(x, core._FLOAT_OPS, lam)
+        assert type(got) is float
+        assert got.hex() == body(x, _LIBM_OPS, lam).hex(), (body.__name__, x, lam)
+
+
+def test_body_lams_take_every_branch_and_float_body():
+    rows = [core._plan[lam] for lam in BODY_LAMS]
+    assert {row[8] for row in rows} == set(rp.Branch)
+    assert {row[9] for row in rows} == {
+        core._float_log_exp, core._float_log, core._float_exp, core._float_scale,
+    }
+    assert {row[10] for row in rows} == {
+        core._float_slope_one, core._float_slope_exp, core._float_slope_log,
+    }
+
+
+@pytest.mark.parametrize("lam", BODY_LAMS)
+def test_float_bodies_match_the_array_body_at_the_edges(lam):
+    for x in _body_xs(lam):
+        _assert_float_bodies_match(x, lam)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_float_bodies_match_the_array_body_bit_for_bit(data):
+    lam = data.draw(st.sampled_from(BODY_LAMS) | st.floats(allow_nan=False), label="lam")
+    x = data.draw(st.sampled_from(_body_xs(lam)) | st.floats(allow_nan=False), label="x")
+    _assert_float_bodies_match(x, lam)
 
 
 # Totality: every finite double x, and every positive finite scale c, gives

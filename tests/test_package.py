@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from importlib import import_module
@@ -123,22 +124,55 @@ def test_every_import_is_read():
     assert unread == []
 
 
+_POWER = ("log1p", "expm1")
+
+
+def _power_writers(tree: ast.Module):
+    """The top-level definitions of a module that call log1p or expm1:
+    through ops, through math (under any name it is imported as), or
+    through a module-level alias of math's."""
+    maths, aliases = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            maths |= {alias.asname or alias.name for alias in node.names if alias.name == "math"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            aliases |= {alias.asname or alias.name for alias in node.names if alias.name in _POWER}
+    for node in tree.body:  # name = math.log1p
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+                and node.value.attr in _POWER and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in maths):
+            aliases |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in _POWER
+                    and isinstance(func.value, ast.Name) and func.value.id in maths | {"ops"}
+                    or isinstance(func, ast.Name) and func.id in aliases):
+                yield getattr(top, "name", "<module>")
+
+
 def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
     # expm1(a * log1p(b)) is spelled out for the transform, its derivative
-    # and Box-Cox; every other evaluator composes one of those bodies
-    written = set()
-    for path in sorted(Path(rootpow.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in ("log1p", "expm1")
-                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "ops"):
-                    written.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert written == {"core._transform", "core._derivative", "families._boxcox"}
+    # and Box-Cox: in the array bodies, which run the ops they are given,
+    # and in the float bodies a plan row picks, which call libm; every
+    # other evaluator composes one of those bodies.  partition_function's
+    # log1p maps its quadrature nodes, u = log1p(x), and is no power.
+    written = {
+        f"{path.stem}.{name}"
+        for path in sorted(Path(rootpow.__file__).parent.glob("*.py"))
+        for name in _power_writers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert written == {
+        "core._transform", "core._derivative", "core._float_log_exp", "core._float_log",
+        "core._float_exp", "core._float_slope_log", "families._boxcox",
+        "distribution.partition_function",
+    }
 
 
 def test_the_lam_windows_are_tested_only_in_the_plan():
-    # core._plan decides each lam's branch, constants and pole once, and
+    # core._plan_row decides each lam's branch, constants and pole once, and
     # every other reader takes them from its table; the Box-Cox bodies
     # compare their own parameter, whose windows are not the transform's
     threshold, windows = set(), set()
@@ -154,8 +188,8 @@ def test_the_lam_windows_are_tested_only_in_the_plan():
                         and any(isinstance(c, ast.Name) and c.id in ("EPS", "TINY")
                                 for c in node.comparators)):
                     windows.add(where)
-    assert threshold == {"core._plan"}
-    assert windows == {"core._plan", "families._boxcox", "families._boxcox_normalized",
+    assert threshold == {"core._plan_row"}
+    assert windows == {"core._plan_row", "families._boxcox", "families._boxcox_normalized",
                        "families._boxcox_via_transform"}
 
 
@@ -252,3 +286,34 @@ def test_bench_smoke(workload):
     assert result["correct"] is True
     declared = json.loads((_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert sorted(result["metrics"]) == sorted(metric["name"] for metric in declared)
+
+
+def _float_ab(tree_a, tree_b):
+    return subprocess.run(
+        [sys.executable, str(_ROOT / "tools" / "float_ab.py"), str(tree_a), str(tree_b),
+         "--rounds", "1", "--repeats", "1"],
+        capture_output=True,
+        text=True,
+        cwd=_ROOT,
+    )
+
+
+def test_float_ab_gates_on_bits_only(tmp_path):
+    # an A/A run passes and prints its ratios; a tree whose log+exp float
+    # body is one ulp off fails, whatever the timing
+    same = _float_ab(_ROOT, _ROOT)
+    assert same.returncode == 0, same.stderr[-2000:]
+    assert "give the same bits on both trees" in same.stdout
+    assert same.stdout.splitlines()[-1].startswith("batch")
+    package = tmp_path / "src" / "rootpow"
+    shutil.copytree(_ROOT / "src" / "rootpow", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    core = package / "core.py"
+    text = core.read_text(encoding="utf-8")
+    off = text.replace("    return post * t\n",
+                       "    return math.nextafter(post * t, math.inf)\n", 1)
+    assert off != text
+    core.write_text(off, encoding="utf-8")
+    differ = _float_ab(_ROOT, tmp_path)
+    assert differ.returncode == 1
+    assert "float calls differ between the trees" in differ.stdout
