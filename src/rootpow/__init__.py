@@ -30,8 +30,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# irls and accuracy need numpy at import, so each loads on the first use of
-# one of its names, listed here; the other submodules load now.
+# irls needs numpy at import, and accuracy decimal (~1 ms), so each loads on
+# the first use of one of its names, listed here; the others load now.
 _LAZY = dict.fromkeys((
     "IrlsProblem", "IrlsResult", "fit_location", "irls_step", "loss_objective",
     "objective_gradient",

@@ -14,15 +14,8 @@ from collections import namedtuple
 import decimal
 from decimal import Decimal
 
-import numpy as np
-
 from .core import (
-    EPS,
-    TINY,
-    Branch,
-    classify,
-    max_domain,
-    transform,
+    EPS, TINY, Branch, _plan, _require_lambda, _require_number, _sorted_linspace, transform,
     transform_naive,
 )
 
@@ -40,6 +33,12 @@ ORACLE_DPS = 50
 # over, so a log or exp argument never cancels more than 8 of them.
 _GUARD_DIGITS = 10
 _SERIES_BELOW = Decimal("1e-8")
+
+
+def _wide(dps: int) -> decimal.Context:
+    # dps + guard digits, exponents far past binary64's; every operation, unary minus too, rounds
+    return decimal.Context(prec=dps + _GUARD_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                           traps=[decimal.InvalidOperation, decimal.DivisionByZero])
 
 
 # Geometric-mean absolute errors at one lam; err_naive is None where the
@@ -88,21 +87,13 @@ def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:
     assert this.  An x past the transform's pole at lam raises ValueError;
     an exact zero comes back as +0.0.
     """
-    try:
-        x = float(x)
-    except OverflowError:  # an int past the largest double
-        raise ValueError("x is too large for a double") from None
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    branch = classify(lam)
-    x = min(x, max_domain(lam))
+    x, lam = _require_number(x, "x"), _require_lambda(lam)
+    row = _plan[lam]
+    branch, x = row[8], min(x, row[5])  # the branch, and x clamped to the bound
     if branch is Branch.ZERO:
         return x
-    # every operation, unary minus included, rounds in this context
-    wide = decimal.Context(prec=dps + _GUARD_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-                           traps=[decimal.InvalidOperation, decimal.DivisionByZero])
-    with decimal.localcontext(wide):
-        xm, lm = Decimal(x), Decimal(float(lam))
+    with decimal.localcontext(_wide(dps)):
+        xm, lm = Decimal(x), Decimal(lam)
         if branch is Branch.POS_INF:
             val = -_log1p(-xm)
         elif branch is Branch.ONE:
@@ -134,8 +125,8 @@ def default_lambda_grid() -> list[float]:
     for offset in (1e-8, -1e-8):
         lams.add(1.0 + offset)
         lams.add(-1.0 + offset)
-    dense = np.linspace(-3.0, 3.0, 120)
-    lams.update(float(v) for v in dense if abs(v) != 1.0 and v != 0.0)
+    dense = _sorted_linspace(-3.0, 3.0, 120)
+    lams.update(v for v in dense if abs(v) != 1.0 and v != 0.0)
     return sorted(lams)
 
 
@@ -151,8 +142,9 @@ def error_sweep(
     the geometric mean, otherwise a single exact hit would zero the row;
     an exact hit on inf counts as zero error too.  So one exact hit more
     or fewer among 128 samples moves a row by about 190x where the other
-    errors are near 1e-17: compare rows only between runs on the same x
-    grid, which means the same host and numpy.  Rows where the naive form
+    errors are near 1e-17.  The x grid is exp(ln x_lo + i*(ln x_hi -
+    ln x_lo)/(n - 1)) in the oracle's decimal context, rounded once: the
+    same on every host, with both ends exact.  Rows where the naive form
     raises are reported stable-only.
     """
     if not (0.0 < x_lo < x_hi < math.inf):
@@ -161,7 +153,10 @@ def error_sweep(
         raise ValueError("need at least two sample points")
     if lams is None:
         lams = default_lambda_grid()
-    xs = np.geomspace(float(x_lo), float(x_hi), int(n)).tolist()
+    with decimal.localcontext(_wide(ORACLE_DPS)):
+        ln_lo = Decimal(float(x_lo)).ln()
+        step = (Decimal(float(x_hi)).ln() - ln_lo) / (int(n) - 1)
+        xs = [float((ln_lo + i * step).exp()) for i in range(int(n))]
     rows = []
     for lam in sorted(lams):
         truth = [oracle_transform(x, lam) for x in xs]

@@ -14,12 +14,13 @@ traceback).  `irls` also exits 2 when its cap is hit before convergence.
 from __future__ import annotations
 
 import argparse
-import heapq
 import math
 import sys
 
 from . import distribution as dist
-from .core import _FLOAT_OPS, _derivative, _require_lambda, _transform, parse_lambda
+from .core import (
+    _FLOAT_OPS, _derivative, _require_lambda, _sorted_linspace, _transform, parse_lambda,
+)
 from .families import (
     _boxcox, _boxcox_normalized, _bump, _kernel, _loss, _relu, _require_boxcox_lambda,
     _require_bump_lambda, _require_scale, _sigmoid, _signed, _softplus, _tanh,
@@ -66,27 +67,6 @@ def _parse_xs(text: str):
     if not math.isfinite(hi - lo):
         raise ValueError(f"range needs finite lo, hi and hi - lo, got {text!r}")
     return _sorted_linspace(lo, hi, count) if count > 1 else [lo]
-
-
-def _sorted_linspace(lo: float, hi: float, count: int):
-    """np.linspace(lo, hi, count) as an iterator in the order sorted() gives.
-
-    Each node is numpy's own arithmetic, i*step + lo, or i/div*delta + lo
-    where step underflows to 0, and the last node is hi itself.
-    """
-    div = count - 1
-    delta = hi - lo
-    step = delta / div
-    # the nodes before hi are monotone in i: a descending range runs i backwards
-    indices = range(div - 1, -1, -1) if delta < 0.0 else range(div)
-    if step == 0.0:
-        nodes = (i / div * delta + lo for i in indices)
-    else:
-        nodes = (i * step + lo for i in indices)
-    # merge is stable, so hi, the last index, lands where a stable sort puts
-    # it: after a +0.0 node it ties with, and before a node that a rounded
-    # subnormal step pushed past it
-    return heapq.merge(nodes, (hi,))
 
 
 _LAMBDA = ("--lambda", _require_lambda)

@@ -94,6 +94,17 @@ def _require_lambda(lam: float) -> float:
     return lam
 
 
+def _require_number(value: float, name: str) -> float:
+    # value as a float; an int past the largest double or a NaN is a ValueError naming it
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a double") from None
+    if value != value:
+        raise ValueError(f"{name} must not be NaN")
+    return value
+
+
 def parse_lambda(text: str) -> float:
     """Parse a shape parameter from its CLI spelling.
 
@@ -109,6 +120,29 @@ def parse_lambda(text: str) -> float:
 def render_lambda(lam: float) -> str:
     """Inverse of :func:`parse_lambda`; round-trips every accepted value."""
     return repr(_require_lambda(lam))
+
+
+def _sorted_linspace(lo: float, hi: float, count: int):
+    """np.linspace(lo, hi, count), count >= 2, as an iterator in the order
+    sorted() gives: the CLI's ranges, the default lam grid, the ZTable s grid.
+
+    Each node is numpy's own arithmetic, i*step + lo, or i/div*delta + lo
+    where step underflows to 0, and the last node is hi itself.
+    """
+    import heapq  # here, not at the top: ~0.5 ms of import rootpow's ~3 ms
+    div = count - 1
+    delta = hi - lo
+    step = delta / div
+    # the nodes before hi are monotone in i: a descending range runs i backwards
+    indices = range(div - 1, -1, -1) if delta < 0.0 else range(div)
+    if step == 0.0:
+        nodes = (i / div * delta + lo for i in indices)
+    else:
+        nodes = (i * step + lo for i in indices)
+    # merge is stable, so hi, the last index, lands where a stable sort puts
+    # it: after a +0.0 node it ties with, and before a node that a rounded
+    # subnormal step pushed past it
+    return heapq.merge(nodes, (hi,))
 
 
 # The float bodies: for each combination of a plan's skip flags, the passes
@@ -410,12 +444,7 @@ def transform_naive(x: float, lam: float) -> float:
     divides by zero (lam = +/-1, 2 - |lam| + lam rounding to 0), its power
     overflows or its value is NaN, UnsupportedBranchError is raised.
     """
-    try:
-        x = float(x)
-    except OverflowError:  # an int past the largest double
-        raise ValueError("x is too large for a double") from None
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
+    x = _require_number(x, "x")
     lam = _require_lambda(lam)
     if math.isinf(lam) or _plan[lam][8] is Branch.ZERO:
         raise UnsupportedBranchError(

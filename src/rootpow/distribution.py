@@ -19,7 +19,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property, lru_cache
 
-from .core import EPS, _elementwise, _plan, _require_lambda, transform
+from .core import EPS, _elementwise, _plan, _require_lambda, _sorted_linspace, transform
 from .families import _loss, _require_scale, loss
 
 __all__ = [
@@ -289,14 +289,12 @@ def build_table(grid_size: int = DEFAULT_GRID_SIZE, num_points: int = DEFAULT_NU
     the steep stretch approaching lam = -1 needs for about 4e-7 worst-case
     interpolation error; 512 nodes leave roughly 6e-5 there.
     """
-    import numpy as np
-
     grid_size = int(grid_size)
     num_points = int(num_points)
     if grid_size < _MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be at least {_MIN_GRID_SIZE}, got {grid_size}")
     while (grid_size - 1) % 3:
         grid_size += 1
-    s_grid = np.linspace(-0.5, 1.0, grid_size).tolist()
+    s_grid = list(_sorted_linspace(-0.5, 1.0, grid_size))
     log_z = [math.log(partition_function(_decompactify(s), num_points)) for s in s_grid]
     return ZTable(s_grid, log_z, num_points)

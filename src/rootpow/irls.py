@@ -32,7 +32,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import _array_ops, _require_lambda
+from .core import _array_ops, _require_lambda, _require_number
 from .families import _kernel, _loss, _require_scale
 
 __all__ = [
@@ -59,7 +59,10 @@ class IrlsProblem(namedtuple("IrlsProblem", "observations lam c max_iters tol"))
 
     def __new__(cls, observations: tuple[float, ...], lam: float, c: float = 1.0,
                 max_iters: int = 100, tol: float = 1e-12):
-        values = np.array(observations, dtype=float)
+        try:
+            values = np.array(observations, dtype=float)
+        except OverflowError:  # an int past the largest double
+            raise ValueError("an observation is too large for a double") from None
         if values.ndim != 1 or values.size == 0:
             raise ValueError("observations must be a non-empty sequence of numbers")
         lo, hi = float(values.min()), float(values.max())  # NaN propagates
@@ -72,11 +75,12 @@ class IrlsProblem(namedtuple("IrlsProblem", "observations lam c max_iters tol"))
         if lam > 0.0:
             raise ValueError(f"IRLS requires lam <= 0, got {lam!r}")
         c = _require_scale(c)
-        if int(max_iters) < 1:
-            raise ValueError("max_iters must be positive")
-        if not (float(tol) > 0.0):
+        if not 1 <= max_iters < math.inf:  # int(inf) would raise OverflowError
+            raise ValueError("max_iters must be positive and finite")
+        tol = _require_number(tol, "tol")
+        if not tol > 0.0:
             raise ValueError("tol must be positive")
-        self = super().__new__(cls, tuple(values.tolist()), lam, c, int(max_iters), float(tol))
+        self = super().__new__(cls, tuple(values.tolist()), lam, c, int(max_iters), tol)
         # The observations once more, as a read-only float64 array for the
         # vectorized sweeps, and their least and greatest value.
         self._values = values
@@ -123,12 +127,6 @@ def _weighted_shift(r: np.ndarray, problem: IrlsProblem) -> tuple[float, float]:
     return total, float(w.sum())
 
 
-def _require_mu(mu: float) -> float:
-    if mu != mu:
-        raise ValueError("mu must not be NaN")
-    return mu
-
-
 def _step(mu: float, problem: IrlsProblem) -> float:
     # irls_step, run inside the caller's np.errstate(over="ignore")
     mu = problem._clamp(mu)
@@ -144,7 +142,7 @@ def irls_step(mu: float, problem: IrlsProblem) -> float:
     mu raises ValueError.
     """
     with np.errstate(over="ignore"):
-        return _step(_require_mu(mu), problem)
+        return _step(_require_number(mu, "mu"), problem)
 
 
 def _exact_sum(a: np.ndarray) -> float:
@@ -206,7 +204,7 @@ def loss_objective(mu: float, problem: IrlsProblem) -> float:
     _exact_sum); inf once the sum passes the largest double.  A NaN mu
     raises ValueError."""
     with np.errstate(over="ignore"):  # the residuals are finite: no NaN scan
-        terms = _loss(_residuals(_require_mu(mu), problem), _OPS, problem.lam, problem.c)
+        terms = _loss(_residuals(_require_number(mu, "mu"), problem), _OPS, problem.lam, problem.c)
     try:
         return _exact_sum(terms)
     except OverflowError:  # the terms are >= 0
@@ -223,7 +221,7 @@ def objective_gradient(mu: float, problem: IrlsProblem) -> float:
     raises ValueError.
     """
     with np.errstate(over="ignore"):
-        total, shift = _weighted_shift(_residuals(_require_mu(mu), problem), problem)
+        total, shift = _weighted_shift(_residuals(_require_number(mu, "mu"), problem), problem)
     return -(total * shift) / problem.c / problem.c
 
 

@@ -1,14 +1,17 @@
 """Accuracy harness: wide-float oracle, error sweep, CSV rendering."""
 
+import decimal
 import math
 import random
 import sys
+from decimal import Decimal
 
 import mpmath
 import pytest
 
 import numpy as np
 
+import rootpow.accuracy
 from rootpow.accuracy import (
     default_lambda_grid,
     error_sweep,
@@ -179,6 +182,35 @@ class TestSweep:
         assert grid == sorted(grid)
         # dense pass avoids the exactly singular scaffolding points
         assert 0.0 not in grid
+
+    def test_default_grid_dense_pass_is_numpy_linspace(self):
+        # the plain-float linspace gives numpy's 120 nodes bit for bit, so
+        # the grid keeps every dense lam numpy gave, and its 166 entries
+        from rootpow.core import _sorted_linspace
+
+        nodes = np.linspace(-3.0, 3.0, 120).tolist()
+        assert [v.hex() for v in _sorted_linspace(-3.0, 3.0, 120)] == [v.hex() for v in nodes]
+        grid = default_lambda_grid()
+        assert {v for v in nodes if abs(v) != 1.0 and v != 0.0} <= set(grid)
+        assert len(grid) == 166
+
+    @pytest.mark.parametrize("x_lo,x_hi,n", [
+        (0.01, 1.0, 128), (1e-300, 1e300, 50), (5e-324, sys.float_info.max, 33),
+        (0.5, math.nextafter(0.5, 1.0), 3), (3.0, 7.0, 2),
+    ])
+    def test_x_grid_is_a_wide_reference_rounded_once(self, monkeypatch, x_lo, x_hi, n):
+        # each x is exp(ln x_lo + i (ln x_hi - ln x_lo)/(n - 1)): at 100
+        # digits, rounded once to a double, it is the same double, and the
+        # ends are x_lo and x_hi themselves
+        xs = []
+        monkeypatch.setattr(rootpow.accuracy, "transform", lambda x, lam: xs.append(x) or x)
+        error_sweep([0.0], x_lo=x_lo, x_hi=x_hi, n=n)
+        with decimal.localcontext(decimal.Context(prec=100)):
+            ln_lo = Decimal(x_lo).ln()
+            step = (Decimal(x_hi).ln() - ln_lo) / (n - 1)
+            want = [float((ln_lo + i * step).exp()) for i in range(n)]
+        assert [x.hex() for x in xs] == [x.hex() for x in want]
+        assert xs[0] == x_lo and xs[-1] == x_hi
 
     def test_row_structure(self):
         report = error_sweep([0.5, 1.0, 0.0], n=16)

@@ -273,7 +273,7 @@ def _fuzz_grids(seed, n):
 
 
 def test_streamed_range_order_equals_sorted_linspace():
-    from rootpow.cli import _sorted_linspace
+    from rootpow.core import _sorted_linspace
 
     # a rounded subnormal step pushes a node past hi, and a -0.0/+0.0 tie
     # must keep its linspace order, which reversing a range would swap
@@ -610,8 +610,8 @@ class TestConsoleEntry:
         # scipy and mpmath are test-only oracles (the accuracy oracle is
         # stdlib decimal), so neither belongs in any CLI start-up;
         # nor does statistics, which costs ~5 ms for a median numpy has;
-        # nor numpy, which only pdf without a table, ztable, irls and
-        # accuracy need; nor dataclasses and the inspect it loads (~10 ms),
+        # nor numpy, which only pdf without a table, ztable and irls
+        # need; nor dataclasses and the inspect it loads (~10 ms),
         # since every record is a named tuple
         path = tmp_path / "zt.json"
         build_table(16, 64).save(path)
@@ -650,27 +650,41 @@ class TestConsoleEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
-    @pytest.mark.parametrize("block", [False, True], ids=["mpmath-importable", "mpmath-blocked"])
+    @pytest.mark.parametrize("block", [None, "mpmath", "numpy"],
+                             ids=["mpmath-importable", "mpmath-blocked", "numpy-blocked"])
     def test_accuracy_runs_on_numpy_and_the_stdlib(self, block):
-        # with mpmath made unimportable (a None entry in sys.modules makes
-        # `import mpmath` raise ImportError) the accuracy command and
-        # error_sweep still run; where it is importable, neither loads it
+        # with mpmath or numpy made unimportable (a None entry in
+        # sys.modules makes the import raise ImportError) the accuracy
+        # command and error_sweep still run; where each is importable,
+        # neither loads it
         proc = subprocess.run(
             [sys.executable, "-c",
              "import contextlib, io, sys\n"
-             + ("sys.modules['mpmath'] = None\n" if block else "")
+             + (f"sys.modules[{block!r}] = None\n" if block else "")
              + "import rootpow.accuracy, rootpow.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
              "    assert rootpow.cli.main(['accuracy', '--lambdas=0.5,-2,inf', '--n', '8']) == 0\n"
              "assert out.getvalue().count('\\n') == 4, out.getvalue()\n"
              "rootpow.accuracy.error_sweep([0.5, -2.0, float('inf')], n=8)\n"
-             "print(sys.modules.get('mpmath', 'absent'))"],
+             "print(sys.modules.get('mpmath', 'absent'), sys.modules.get('numpy', 'absent'))"],
             capture_output=True,
             text=True,
             env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == ("None\n" if block else "absent\n")
+        want = ["None" if module == block else "absent" for module in ("mpmath", "numpy")]
+        assert proc.stdout == " ".join(want) + "\n"
+
+    def test_import_accuracy_loads_no_numpy(self):
+        # the sweep's grids are plain floats and decimal, so numpy stays out
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, rootpow.accuracy; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_script_roundtrip(self):
         argv = [sys.executable, "-c",

@@ -419,6 +419,20 @@ class TestZTable:
         assert len(table.s_grid) == 19
         assert table.s_grid[6] == 0.0
 
+    def test_s_grid_is_numpy_linspace_bit_for_bit(self, table):
+        # the plain-float linspace build_table runs, at the fixture's size,
+        # a small one, and every size from 2 to 399 and three larger ones
+        from rootpow.core import _sorted_linspace
+
+        def hexes(values):
+            return [float.hex(v) for v in values]
+
+        for built in (table, build_table(16, 16)):
+            assert hexes(built.s_grid) == hexes(np.linspace(-0.5, 1.0, len(built.s_grid)))
+        for size in [*range(2, 400), 3301, 4096, 10000]:
+            want = hexes(np.linspace(-0.5, 1.0, size))
+            assert hexes(_sorted_linspace(-0.5, 1.0, size)) == want, size
+
     def test_float_node_count_is_normalized(self, tmp_path):
         table = build_table(16, 64.0)
         assert type(table.num_points) is int and table.num_points == 64

@@ -158,6 +158,34 @@ def test_an_int_past_the_largest_double_is_a_value_error(fn, args, name, sign):
         fn(*args)
 
 
+# The same for IRLS: each argument past the largest double (max_iters past
+# every int), and the ValueError it gives.
+def _problem(**kw):
+    return rp.IrlsProblem((1.0, 2.0), lam=-1.0, **kw)
+
+
+IRLS_PAST_DOUBLE = {
+    "observations": (lambda big: rp.IrlsProblem((1.0, big), lam=-1.0),
+                     "an observation is too large for a double"),
+    "tol": (lambda big: _problem(tol=big), "tol is too large for a double"),
+    "max_iters": (lambda big: _problem(max_iters=math.inf if big > 0 else -math.inf),
+                  "max_iters must be positive and finite"),
+    "loss_objective": (lambda big: rp.loss_objective(big, _problem()),
+                       "mu is too large for a double"),
+    "objective_gradient": (lambda big: rp.objective_gradient(big, _problem()),
+                           "mu is too large for a double"),
+    "irls_step": (lambda big: rp.irls_step(big, _problem()), "mu is too large for a double"),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
+@pytest.mark.parametrize("case", IRLS_PAST_DOUBLE)
+def test_an_irls_argument_past_the_largest_double_is_a_value_error(case, sign):
+    call, message = IRLS_PAST_DOUBLE[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(sign * BIG)
+
+
 def test_pdf_with_table_takes_arrays():
     table = rp.build_table(16, 256)
     xs = np.linspace(-3.0, 3.0, 13)
