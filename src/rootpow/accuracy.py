@@ -15,7 +15,7 @@ import decimal
 from decimal import Decimal
 
 from .core import (
-    EPS, TINY, Branch, _plan, _require_lambda, _require_number, _sorted_linspace, transform,
+    EPS, TINY, Branch, _plan, _require_count, _require_number, _sorted_linspace, transform,
     transform_naive,
 )
 
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 ORACLE_DPS = 50
+_MIN_SAMPLES = 2
 # Digits the oracle carries past dps: below _SERIES_BELOW the series take
 # over, so a log or exp argument never cancels more than 8 of them.
 _GUARD_DIGITS = 10
@@ -87,7 +88,7 @@ def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:
     assert this.  An x past the transform's pole at lam raises ValueError;
     an exact zero comes back as +0.0.
     """
-    x, lam = _require_number(x, "x"), _require_lambda(lam)
+    x, lam = _require_number(x, "x"), _require_number(lam)
     row = _plan[lam]
     branch, x = row[8], min(x, row[5])  # the branch, and x clamped to the bound
     if branch is Branch.ZERO:
@@ -144,19 +145,19 @@ def error_sweep(
     or fewer among 128 samples moves a row by about 190x where the other
     errors are near 1e-17.  The x grid is exp(ln x_lo + i*(ln x_hi -
     ln x_lo)/(n - 1)) in the oracle's decimal context, rounded once: the
-    same on every host, with both ends exact.  Rows where the naive form
-    raises are reported stable-only.
+    same on every host, with both ends exact; n is a count (README, Arrays)
+    of at least 2.  Rows where the naive form raises are stable-only.
     """
+    x_lo, x_hi = _require_number(x_lo, "x_lo"), _require_number(x_hi, "x_hi")
     if not (0.0 < x_lo < x_hi < math.inf):
         raise ValueError("need 0 < x_lo < x_hi < inf")
-    if n < 2:
-        raise ValueError("need at least two sample points")
+    n = _require_count(n, "n", _MIN_SAMPLES)
     if lams is None:
         lams = default_lambda_grid()
     with decimal.localcontext(_wide(ORACLE_DPS)):
-        ln_lo = Decimal(float(x_lo)).ln()
-        step = (Decimal(float(x_hi)).ln() - ln_lo) / (int(n) - 1)
-        xs = [float((ln_lo + i * step).exp()) for i in range(int(n))]
+        ln_lo = Decimal(x_lo).ln()
+        step = (Decimal(x_hi).ln() - ln_lo) / (n - 1)
+        xs = [float((ln_lo + i * step).exp()) for i in range(n)]
     rows = []
     for lam in sorted(lams):
         truth = [oracle_transform(x, lam) for x in xs]

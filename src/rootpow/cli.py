@@ -19,7 +19,8 @@ import sys
 
 from . import distribution as dist
 from .core import (
-    _FLOAT_OPS, _derivative, _require_lambda, _sorted_linspace, _transform, parse_lambda,
+    _FLOAT_OPS, _derivative, _require_count, _require_number, _sorted_linspace, _transform,
+    parse_lambda,
 )
 from .families import (
     _boxcox, _boxcox_normalized, _bump, _kernel, _loss, _relu, _require_boxcox_lambda,
@@ -69,7 +70,7 @@ def _parse_xs(text: str):
     return _sorted_linspace(lo, hi, count) if count > 1 else [lo]
 
 
-_LAMBDA = ("--lambda", _require_lambda)
+_LAMBDA = ("--lambda", _require_number)
 _SCALE = ("--c", _require_scale)
 
 
@@ -79,17 +80,17 @@ _SCALE = ("--c", _require_scale)
 # same float bodies of the lam's plan row, so the same bits.
 _EVAL_FUNCTIONS = {
     "f": (_transform, [_LAMBDA]),
-    "finv": (_transform, [("--lambda", lambda lam: -_require_lambda(lam))]),
+    "finv": (_transform, [("--lambda", lambda lam: -_require_number(lam))]),
     "g": (_derivative, [_LAMBDA]),
     "rho": (_loss, [_LAMBDA, _SCALE]),
     "k": (_kernel, [_LAMBDA, _SCALE]),
     "pdf": None,  # bound in _eval_function, which looks Z up once
     "bump": (_bump, [("--lambda", _require_bump_lambda)]),
-    "fpm": (_signed, [_LAMBDA, ("--lambda-neg", _require_lambda)]),
+    "fpm": (_signed, [_LAMBDA, ("--lambda-neg", _require_number)]),
     "softplus": (_softplus, []),
     "sigmoid": (_sigmoid, []),
     "tanh": (_tanh, []),
-    "relu": (_relu, [("--lambda-neg", _require_lambda, 0.0)]),
+    "relu": (_relu, [("--lambda-neg", _require_number, 0.0)]),
     "h": (_boxcox, [("--lambda", _require_boxcox_lambda)]),
     "hhat": (_boxcox_normalized, [("--lambda", _require_boxcox_lambda)]),
 }
@@ -155,35 +156,31 @@ def _cmd_accuracy(args) -> int:
             raise ValueError("empty --lambdas list")
     if not (0.0 < args.xmin < args.xmax < math.inf):
         raise ValueError("need 0 < --xmin < --xmax < inf")
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
-    from .accuracy import error_sweep, report_to_csv
+    from .accuracy import _MIN_SAMPLES, error_sweep, report_to_csv
 
-    report = error_sweep(lams, x_lo=args.xmin, x_hi=args.xmax, n=args.n)
+    n = _require_count(args.n, "--n", _MIN_SAMPLES)
+    report = error_sweep(lams, x_lo=args.xmin, x_hi=args.xmax, n=n)
     sys.stdout.write(report_to_csv(report))
     return 0
 
 
 def _cmd_ztable(args) -> int:
-    least_grid, least_points = dist._MIN_GRID_SIZE, dist._MIN_NUM_POINTS
-    if args.grid_size < least_grid:
-        raise ValueError(f"--grid-size must be at least {least_grid}, got {args.grid_size}")
-    if args.num_points < least_points:
-        raise ValueError(f"--num-points must be at least {least_points}, got {args.num_points}")
-    table = dist.build_table(args.grid_size, args.num_points)
+    grid_size = _require_count(args.grid_size, "--grid-size", dist._MIN_GRID_SIZE)
+    num_points = _require_count(args.num_points, "--num-points", dist._MIN_NUM_POINTS)
+    table = dist.build_table(grid_size, num_points)
     try:
         table.save(args.output)
     except (OSError, ValueError) as exc:  # ValueError: a path open rejects (a NUL byte)
         raise CliError(f"cannot write {args.output}: {exc}") from None
     worst = 0.0
     # about as many evenly spaced cells as the smallest table has nodes
-    for i in range(0, len(table.s_grid) - 1, len(table.s_grid) // least_grid):
+    for i in range(0, len(table.s_grid) - 1, len(table.s_grid) // dist._MIN_GRID_SIZE):
         s_mid = 0.5 * (table.s_grid[i] + table.s_grid[i + 1])
         lam = dist._decompactify(s_mid)
-        direct = dist.partition_function(lam, args.num_points)
+        direct = dist.partition_function(lam, num_points)
         worst = max(worst, abs(table.lookup(lam) - direct) / direct)
     print(
-        f"ztable: {len(table.s_grid)} nodes, {args.num_points} quadrature points, "
+        f"ztable: {len(table.s_grid)} nodes, {num_points} quadrature points, "
         f"spot-check max rel err {worst:.3e}",
         file=sys.stderr,
     )

@@ -84,24 +84,28 @@ class Branch(Enum):
 BranchPlan = namedtuple("BranchPlan", "pre_scale skip_log mid_scale skip_exp post_scale max_domain")
 
 
-def _require_lambda(lam: float) -> float:
-    try:
-        lam = float(lam)
-    except OverflowError:  # an int past the largest double
-        raise ValueError("shape parameter lam is too large for a double") from None
-    if lam != lam:  # NaN
-        raise ValueError("shape parameter lam must not be NaN")
-    return lam
-
-
-def _require_number(value: float, name: str) -> float:
-    # value as a float; an int past the largest double or a NaN is a ValueError naming it
+def _require_number(value: float, name: str = "shape parameter lam") -> float:
+    # value as a float; an int past the largest double or a NaN is a ValueError
+    # naming it.  Every shape reader's one check is _require_number(lam).
     try:
         value = float(value)
-    except OverflowError:
+    except OverflowError:  # an int past the largest double
         raise ValueError(f"{name} is too large for a double") from None
-    if value != value:
+    if value != value:  # NaN
         raise ValueError(f"{name} must not be NaN")
+    return value
+
+
+def _require_count(value: int, name: str, least: int) -> int:
+    # value, an int, a numpy integer or an integral float, as an int >= least;
+    # anything else (a bool, a str, 2.5, NaN, inf) is a ValueError naming it
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = value.__index__()
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
     return value
 
 
@@ -114,12 +118,12 @@ def parse_lambda(text: str) -> float:
         value = float(text)
     except ValueError:
         raise ValueError(f"cannot parse lam from {text!r}") from None
-    return _require_lambda(value)
+    return _require_number(value)
 
 
 def render_lambda(lam: float) -> str:
     """Inverse of :func:`parse_lambda`; round-trips every accepted value."""
-    return repr(_require_lambda(lam))
+    return repr(_require_number(lam))
 
 
 def _sorted_linspace(lo: float, hi: float, count: int):
@@ -129,7 +133,6 @@ def _sorted_linspace(lo: float, hi: float, count: int):
     Each node is numpy's own arithmetic, i*step + lo, or i/div*delta + lo
     where step underflows to 0, and the last node is hi itself.
     """
-    import heapq  # here, not at the top: ~0.5 ms of import rootpow's ~3 ms
     div = count - 1
     delta = hi - lo
     step = delta / div
@@ -139,10 +142,16 @@ def _sorted_linspace(lo: float, hi: float, count: int):
         nodes = (i / div * delta + lo for i in indices)
     else:
         nodes = (i * step + lo for i in indices)
-    # merge is stable, so hi, the last index, lands where a stable sort puts
-    # it: after a +0.0 node it ties with, and before a node that a rounded
-    # subnormal step pushed past it
-    return heapq.merge(nodes, (hi,))
+    # hi, the last index, goes where a stable sort puts it: after a +0.0 node it
+    # ties with, before a node that a rounded subnormal step pushed past it
+    for node in nodes:
+        if node > hi:
+            yield hi
+            yield node
+            yield from nodes
+            return
+        yield node
+    yield hi
 
 
 # The float bodies: for each combination of a plan's skip flags, the passes
@@ -279,12 +288,12 @@ _plan = _PlanCache()
 
 def classify(lam: float) -> Branch:
     """Assign lam to exactly one of the seven branches."""
-    return _plan[_require_lambda(lam)][8]
+    return _plan[_require_number(lam)][8]
 
 
 def branch_plan(lam: float) -> BranchPlan:
     """Build the scale/skip table row and the clamp bound for lam."""
-    return BranchPlan._make(_plan[_require_lambda(lam)][:6])
+    return BranchPlan._make(_plan[_require_number(lam)][:6])
 
 
 def max_domain(lam: float) -> float:
@@ -294,7 +303,7 @@ def max_domain(lam: float) -> float:
     below the transform's pole at lam/(lam - 1), which is 1 for every lam
     above 1/EPS, the window where :func:`classify` counts lam as +inf.
     """
-    return _plan[_require_lambda(lam)][5]
+    return _plan[_require_number(lam)][5]
 
 
 def _saturating(f):
@@ -347,11 +356,8 @@ def _elementwise(body, x, *params):
             with np.errstate(over="ignore"):
                 out = body(a, _array_ops(np), *params)
             return (out.copy() if out is a else out).reshape(x.shape)
-        try:
-            x = float(x)
-        except OverflowError:  # an int past the largest double
-            raise ValueError("x is too large for a double") from None
-    if x != x:  # NaN, without math.isnan's two lookups and call
+        x = _require_number(x, "x")
+    elif x != x:  # NaN, without math.isnan's two lookups and call
         raise ValueError("x must not be NaN")
     return body(x, _FLOAT_OPS, *params)
 
@@ -414,12 +420,12 @@ def transform(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     x is evaluated through the same branch formulas; inputs beyond the
     negative-side pole saturate the same way the clamped upper edge does.
     """
-    return _elementwise(_transform, x, _require_lambda(lam))
+    return _elementwise(_transform, x, _require_number(lam))
 
 
 def inverse(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     """Inverse transform; identical to evaluating at -lam."""
-    return _elementwise(_transform, x, -_require_lambda(lam))
+    return _elementwise(_transform, x, -_require_number(lam))
 
 
 def derivative(x: float | np.ndarray, lam: float) -> float | np.ndarray:
@@ -430,7 +436,7 @@ def derivative(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     expm1 stage is active and exp(-log1p(pre_scale * x)) when it is
     skipped; the accumulated scale factors always cancel to 1.
     """
-    return _elementwise(_derivative, x, _require_lambda(lam))
+    return _elementwise(_derivative, x, _require_number(lam))
 
 
 def transform_naive(x: float, lam: float) -> float:
@@ -445,7 +451,7 @@ def transform_naive(x: float, lam: float) -> float:
     overflows or its value is NaN, UnsupportedBranchError is raised.
     """
     x = _require_number(x, "x")
-    lam = _require_lambda(lam)
+    lam = _require_number(lam)
     if math.isinf(lam) or _plan[lam][8] is Branch.ZERO:
         raise UnsupportedBranchError(
             f"naive closed form undefined at lam = {render_lambda(lam)}"

@@ -19,7 +19,9 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property, lru_cache
 
-from .core import EPS, _elementwise, _plan, _require_lambda, _sorted_linspace, transform
+from .core import (
+    EPS, _elementwise, _plan, _require_count, _require_number, _sorted_linspace, transform,
+)
 from .families import _loss, _require_scale, loss
 
 __all__ = [
@@ -53,7 +55,7 @@ def _interpolation_kink(s: float) -> float:
 
 
 def _require_dist_lambda(lam: float) -> float:
-    lam = _require_lambda(lam)
+    lam = _require_number(lam)
     if lam < -1.0:
         raise ValueError(f"density undefined for lam < -1, got {lam!r}")
     return lam
@@ -78,17 +80,14 @@ def partition_function(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> floa
     Composite Simpson over [0, x_max] doubled for symmetry, where x_max is
     the point at which the unnormalized density falls below eps**2.  The
     nodes are uniform in u = log1p(x), so the integrand carries the
-    Jacobian dx/du = e**u.  Node count is normalized up to the next odd
-    integer so every interval pair is complete.
+    Jacobian dx/du = e**u.  num_points, a count (README, Arrays) of at
+    least 16, is normalized up to odd so every interval pair is complete.
     """
     import numpy as np
 
     lam = _require_dist_lambda(lam)
-    num_points = int(num_points)
-    if num_points < _MIN_NUM_POINTS:
-        raise ValueError(f"need at least {_MIN_NUM_POINTS} quadrature points")
-    if num_points % 2 == 0:
-        num_points += 1
+    num_points = _require_count(num_points, "num_points", _MIN_NUM_POINTS)
+    num_points |= 1
     # Where exp(-loss) drops to eps**2: loss = -log(eps**2), so invert.
     cutoff = -math.log(EPS**2)
     x_max = math.sqrt(2.0 * transform(cutoff, -lam))
@@ -186,8 +185,7 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
         log_z = _floats(log_z, "log_z")
         if isinstance(num_points, bool) or not isinstance(num_points, int):
             raise ValueError("num_points must be an integer")
-        if num_points < _MIN_NUM_POINTS:
-            raise ValueError(f"num_points must be at least {_MIN_NUM_POINTS}, got {num_points}")
+        num_points = _require_count(num_points, "num_points", _MIN_NUM_POINTS)
         if len(s_grid) != len(log_z):
             raise ValueError("s_grid and log_z must have equal length")
         if len(s_grid) < 2:
@@ -287,14 +285,12 @@ def build_table(grid_size: int = DEFAULT_GRID_SIZE, num_points: int = DEFAULT_NU
     s = 0 lands exactly on a node (log Z has its lam = 0 kink there, and a
     node on the kink keeps the fit one-sided).  The default size is what
     the steep stretch approaching lam = -1 needs for about 4e-7 worst-case
-    interpolation error; 512 nodes leave roughly 6e-5 there.
+    interpolation error; 512 nodes leave roughly 6e-5 there.  Both
+    arguments are counts (README, Arrays) of at least 16.
     """
-    grid_size = int(grid_size)
-    num_points = int(num_points)
-    if grid_size < _MIN_GRID_SIZE:
-        raise ValueError(f"grid_size must be at least {_MIN_GRID_SIZE}, got {grid_size}")
-    while (grid_size - 1) % 3:
-        grid_size += 1
+    grid_size = _require_count(grid_size, "grid_size", _MIN_GRID_SIZE)
+    num_points = _require_count(num_points, "num_points", _MIN_NUM_POINTS)
+    grid_size += -(grid_size - 1) % 3
     s_grid = list(_sorted_linspace(-0.5, 1.0, grid_size))
     log_z = [math.log(partition_function(_decompactify(s), num_points)) for s in s_grid]
     return ZTable(s_grid, log_z, num_points)

@@ -16,7 +16,7 @@ import math
 
 from .core import (
     EPS, TINY, Branch, UnsupportedBranchError, _derivative, _elementwise, _plan,
-    _require_lambda, _transform,
+    _require_number, _transform,
 )
 
 __all__ = [
@@ -70,7 +70,7 @@ def loss(x, lam: float, c: float = 1.0):
     For lam > 1 the squared argument can pass the transform's pole; the
     core clamp makes the loss saturate at a large finite value there.
     """
-    return _elementwise(_loss, x, _require_lambda(lam), _require_scale(c))
+    return _elementwise(_loss, x, _require_number(lam), _require_scale(c))
 
 
 # Kernel, x the distance between two points.  Going through the derivative
@@ -95,7 +95,7 @@ def _kernel(x, ops, lam: float, c: float):
 def kernel(x, lam: float, c: float = 1.0):
     """Kernel value at distance x (a float or an ndarray); 1 at the
     origin, strictly positive, even."""
-    return _elementwise(_kernel, x, _require_lambda(lam), _require_scale(c))
+    return _elementwise(_kernel, x, _require_number(lam), _require_scale(c))
 
 
 def irls_weight(residual, lam: float, c: float = 1.0):
@@ -126,7 +126,7 @@ def _signed(x, ops, lam_pos: float, lam_neg: float):
 
 def signed_transform(x, lam_pos: float, lam_neg: float):
     """Odd-style stitching: shape lam_pos for x >= 0, mirrored lam_neg below."""
-    return _elementwise(_signed, x, _require_lambda(lam_pos), _require_lambda(lam_neg))
+    return _elementwise(_signed, x, _require_number(lam_pos), _require_number(lam_neg))
 
 
 # The activations are the paper's signed-transform compositions, bit for
@@ -171,7 +171,7 @@ def relu(x, lam_neg: float = 0.0):
     the lam_neg shape (always true for lam_neg <= 1); for x <= 0 the
     clamped saturation of the lam = 2 stage is what produces the 0.
     """
-    return _elementwise(_relu, x, _require_lambda(lam_neg))
+    return _elementwise(_relu, x, _require_number(lam_neg))
 
 
 # Bump: positive exactly on (-1, 1), 1 only at 0.  The argument is scaled by
@@ -181,7 +181,7 @@ def relu(x, lam_neg: float = 0.0):
 
 
 def _require_bump_lambda(lam: float) -> float:
-    lam = _require_lambda(lam)
+    lam = _require_number(lam)
     if not (1.0 < lam < math.inf):
         raise ValueError(f"bump shape must satisfy 1 < lam < inf, got {lam!r}")
     return lam
@@ -264,7 +264,7 @@ def transform_via_boxcox(x, lam: float):
     Box-Cox parameter), and extended lam has no Box-Cox image, so those
     raise UnsupportedBranchError.
     """
-    lam = _require_lambda(lam)
+    lam = _require_number(lam)
     if math.isinf(lam):
         raise UnsupportedBranchError("no Box-Cox image for extended lam")
     if _plan[lam][8] is Branch.ONE:

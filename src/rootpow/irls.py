@@ -32,7 +32,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import _array_ops, _require_lambda, _require_number
+from .core import _array_ops, _require_count, _require_number
 from .families import _kernel, _loss, _require_scale
 
 __all__ = [
@@ -53,8 +53,8 @@ class IrlsProblem(namedtuple("IrlsProblem", "observations lam c max_iters tol"))
 
     The observations must be finite, and so must their span max - min:
     every residual of a location inside the data is then a double.  lam
-    must be <= 0 (may be -inf); tol is the relative step threshold
-    |new - old| <= tol * (1 + |new|).
+    must be <= 0 (may be -inf); max_iters is a count (README, Arrays) of at
+    least 1; tol, the relative step threshold |new - old| <= tol * (1 + |new|).
     """
 
     def __new__(cls, observations: tuple[float, ...], lam: float, c: float = 1.0,
@@ -71,16 +71,15 @@ class IrlsProblem(namedtuple("IrlsProblem", "observations lam c max_iters tol"))
         if math.isinf(hi - lo):
             raise ValueError("observations must span at most the largest double")
         values.flags.writeable = False
-        lam = _require_lambda(lam)
+        lam = _require_number(lam)
         if lam > 0.0:
             raise ValueError(f"IRLS requires lam <= 0, got {lam!r}")
         c = _require_scale(c)
-        if not 1 <= max_iters < math.inf:  # int(inf) would raise OverflowError
-            raise ValueError("max_iters must be positive and finite")
+        max_iters = _require_count(max_iters, "max_iters", 1)
         tol = _require_number(tol, "tol")
         if not tol > 0.0:
             raise ValueError("tol must be positive")
-        self = super().__new__(cls, tuple(values.tolist()), lam, c, int(max_iters), tol)
+        self = super().__new__(cls, tuple(values.tolist()), lam, c, max_iters, tol)
         # The observations once more, as a read-only float64 array for the
         # vectorized sweeps, and their least and greatest value.
         self._values = values

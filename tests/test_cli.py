@@ -529,7 +529,7 @@ class TestErrorPaths:
     # holds empty.csv, inf.csv and ok.csv.
     @pytest.mark.parametrize("argv, code, line", [
         (["accuracy", "--lambdas", ","], 2, "empty --lambdas list"),
-        (["accuracy", "--n", "1"], 2, "--n must be at least 2"),
+        (["accuracy", "--n", "1"], 2, "--n must be at least 2, got 1"),
         (["eval", "--fn", "f", "--lambda=0", "--x", "1,nan"], 2, "x values must not be NaN"),
         (["eval", "--fn", "f", "--lambda=0", "--x", ","], 2, "empty x samples"),
         (["eval", "--fn", "f", "--lambda=0", "--x", "1,abc"], 2, "cannot parse x list '1,abc'"),

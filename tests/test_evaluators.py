@@ -4,6 +4,7 @@ calls, NaN or an out-of-domain element raises ValueError, and the binary64
 extremes evaluate without a RuntimeWarning."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import rootpow as rp
 from rootpow import core
-from rootpow.core import _require_lambda
+from rootpow.cli import main
+from rootpow.core import _require_number
 from rootpow.families import _require_boxcox_lambda
 
 MAX = sys.float_info.max
@@ -89,8 +91,8 @@ class TestEvaluatorContract:
 
 
 # The shape checks, one call per shape parameter; bump's and pdf's own
-# checks call _require_lambda.
-_SHAPE_CHECKS = {_require_lambda.__code__, _require_boxcox_lambda.__code__}
+# checks call _require_number.
+_SHAPE_CHECKS = {_require_number.__code__, _require_boxcox_lambda.__code__}
 _SHAPES = {"signed_transform": 2, "softplus": 0, "sigmoid": 0, "tanh": 0}
 _TABLE = rp.ZTable(s_grid=(-0.5, 0.25, 1.0), log_z=(1.0, 0.5, 0.25), num_points=64)
 
@@ -146,6 +148,7 @@ PAST_DOUBLE = [
     *((fn, (BIG,), "lam") for fn in (rp.classify, rp.branch_plan, rp.max_domain,
                                       rp.render_lambda, rp.support_halfwidth,
                                       rp.partition_function, _TABLE.lookup)),
+    (rp.error_sweep, ([0.5], BIG), "x_lo"), (rp.error_sweep, ([0.5], 0.01, BIG), "x_hi"),
 ]
 
 
@@ -169,7 +172,7 @@ IRLS_PAST_DOUBLE = {
                      "an observation is too large for a double"),
     "tol": (lambda big: _problem(tol=big), "tol is too large for a double"),
     "max_iters": (lambda big: _problem(max_iters=math.inf if big > 0 else -math.inf),
-                  "max_iters must be positive and finite"),
+                  "max_iters must be an integer, got -?inf"),
     "loss_objective": (lambda big: rp.loss_objective(big, _problem()),
                        "mu is too large for a double"),
     "objective_gradient": (lambda big: rp.objective_gradient(big, _problem()),
@@ -184,6 +187,61 @@ def test_an_irls_argument_past_the_largest_double_is_a_value_error(case, sign):
     call, message = IRLS_PAST_DOUBLE[case]
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(sign * BIG)
+
+
+# The count rule (README, Arrays) at every count argument: (call, the name
+# its ValueError gives, least).  A CLI argv takes the flag's text at {n}.
+COUNTS = {
+    "partition_function-num_points": (lambda n: rp.partition_function.__wrapped__(0.5, n),
+                                      "num_points", 16),
+    "build_table-grid_size": (lambda n: rp.build_table(n, 16), "grid_size", 16),
+    "build_table-num_points": (lambda n: rp.build_table(16, n), "num_points", 16),
+    "ZTable-num_points": (lambda n: rp.ZTable((-0.5, 1.0), (0.0, 0.0), n), "num_points", 16),
+    "error_sweep-n": (lambda n: rp.error_sweep([0.5], n=n), "n", 2),
+    "IrlsProblem-max_iters": (lambda n: _problem(max_iters=n), "max_iters", 1),
+    "cli-accuracy-n": (["accuracy", "--lambdas=0.5", "--n", "{n}"], "--n", 2),
+    "cli-ztable-grid_size": (["ztable", "--grid-size", "{n}", "--num-points", "16",
+                              "--output", "{out}"], "--grid-size", 16),
+    "cli-ztable-num_points": (["ztable", "--grid-size", "16", "--num-points", "{n}",
+                               "--output", "{out}"], "--num-points", 16),
+}
+
+
+def _count_cases():
+    # (case, value, accepted): ZTable takes JSON integers only, and the CLI
+    # reads the text of each value, where str(least) is the accepted spelling
+    for case, (call, _, least) in COUNTS.items():
+        good = [least] if case.startswith("ZTable") else [least, np.int64(least), float(least)]
+        bad = [least - 1, least + 0.5, True, str(least), math.inf, -math.inf, math.nan]
+        if isinstance(call, list):
+            good, bad = [str(least)], [str(v) for v in bad if not isinstance(v, str)]
+        yield from ((case, v, True) for v in good)
+        yield from ((case, v, False) for v in bad)
+
+
+COUNT_CASES = list(_count_cases())
+
+
+@pytest.mark.parametrize("case,value,accepted", COUNT_CASES, ids=[
+    f"{case}-{'accepts' if ok else 'refuses'}-{value!r}" for case, value, ok in COUNT_CASES])
+def test_every_count_argument_follows_the_count_rule(case, value, accepted, tmp_path, capsys):
+    call, name, least = COUNTS[case]
+    if isinstance(call, list):  # exit 2 and one error line naming the flag
+        code = main([arg.format(n=value, out=tmp_path / "zt.json") for arg in call])
+        out, err = capsys.readouterr()
+        if accepted:
+            assert code == 0, err
+        else:
+            assert (code, out) == (2, "")
+            assert re.fullmatch(rf"error: (rootpow \w+: argument )?{name}\b.*\n", err), err
+    elif accepted:  # the same result as from the int, with the count stored as an int
+        assert repr(call(value)) == repr(call(least))
+    elif type(value) is int:  # least - 1
+        with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {value}$"):
+            call(value)
+    else:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer\b"):
+            call(value)
 
 
 def test_pdf_with_table_takes_arrays():
