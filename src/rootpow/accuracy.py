@@ -85,10 +85,12 @@ def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:
     digits plus guard digits, with an exponent range far past binary64 (an
     exp too large even for that gives inf).  Doubling ``dps`` must not move
     the rounded result by more than the final rounding itself; tests
-    assert this.  An x past the transform's pole at lam raises ValueError;
-    an exact zero comes back as +0.0.
+    assert this; ``dps`` is a count (README, Arrays) of at least 1.  An x
+    past the transform's pole at lam raises ValueError; an exact zero comes
+    back as +0.0.
     """
     x, lam = _require_number(x, "x"), _require_number(lam)
+    dps = _require_count(dps, "dps", 1)
     row = _plan[lam]
     branch, x = row[8], min(x, row[5])  # the branch, and x clamped to the bound
     if branch is Branch.ZERO:
@@ -131,6 +133,18 @@ def default_lambda_grid() -> list[float]:
     return sorted(lams)
 
 
+def _require_window(x_lo: float, x_hi: float, lo_name: str = "x_lo",
+                    hi_name: str = "x_hi") -> tuple[float, float]:
+    # error_sweep's x window as floats, 0 < x_lo < x_hi < inf, under the
+    # names the caller gives (the CLI's are --xmin and --xmax).  A NaN fails
+    # the window test; an int past the largest double is refused by name.
+    x_lo, x_hi = (v if v != v else _require_number(v, name)
+                  for v, name in ((x_lo, lo_name), (x_hi, hi_name)))
+    if not (0.0 < x_lo < x_hi < math.inf):
+        raise ValueError(f"need 0 < {lo_name} < {hi_name} < inf")
+    return x_lo, x_hi
+
+
 def error_sweep(
     lams: list[float] | None = None,
     x_lo: float = 0.01,
@@ -146,20 +160,18 @@ def error_sweep(
     errors are near 1e-17.  The x grid is exp(ln x_lo + i*(ln x_hi -
     ln x_lo)/(n - 1)) in the oracle's decimal context, rounded once: the
     same on every host, with both ends exact; n is a count (README, Arrays)
-    of at least 2.  Rows where the naive form raises are stable-only.
+    of at least 2.  Each lam is read once, as a float, by the shape
+    parameter's reader.  Rows where the naive form raises are stable-only.
     """
-    x_lo, x_hi = _require_number(x_lo, "x_lo"), _require_number(x_hi, "x_hi")
-    if not (0.0 < x_lo < x_hi < math.inf):
-        raise ValueError("need 0 < x_lo < x_hi < inf")
+    x_lo, x_hi = _require_window(x_lo, x_hi)
     n = _require_count(n, "n", _MIN_SAMPLES)
-    if lams is None:
-        lams = default_lambda_grid()
+    lams = default_lambda_grid() if lams is None else sorted(map(_require_number, lams))
     with decimal.localcontext(_wide(ORACLE_DPS)):
         ln_lo = Decimal(x_lo).ln()
         step = (Decimal(x_hi).ln() - ln_lo) / (n - 1)
         xs = [float((ln_lo + i * step).exp()) for i in range(n)]
     rows = []
-    for lam in sorted(lams):
+    for lam in lams:
         truth = [oracle_transform(x, lam) for x in xs]
         e_stable = _geo_mean_error([transform(x, lam) for x in xs], truth)
         try:

@@ -4,11 +4,14 @@ tables, and IRLS fits, all with deterministic text output.
 Data goes to stdout, diagnostics to stderr.  Floats are printed with 17
 significant digits so every CSV/JSON value parses back to the exact
 double; `irls` prints a saturated grad_norm as null, which keeps its JSON
-strict.  `main` sets the exit code from the exception type alone: 2 for
-a ValueError, every validation failure, a usage error too (one
-``error: <prog>: <message>`` line); 1 for a CliError, a data or I/O
-failure, and for anything else (``error: <type>: <message>``, never a
-traceback).  `irls` also exits 2 when its cap is hit before convergence.
+strict.  Every command reads each flag once, before any data file, with
+the library's reader of the argument the flag feeds, and a refusal names
+the flag: ``error: <flag>: <library reason>``.  `main` sets the exit code
+from the exception type alone: 2 for a ValueError, every validation
+failure, a usage error too (one ``error: <prog>: <message>`` line); 1 for
+a CliError, a data or I/O failure, and for anything else
+(``error: <type>: <message>``, never a traceback).  `irls` also exits 2
+when its cap is hit before convergence.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ import sys
 
 from . import distribution as dist
 from .core import (
-    _FLOAT_OPS, _derivative, _require_count, _require_number, _sorted_linspace, _transform,
-    parse_lambda,
+    _FLOAT_OPS, _derivative, _require_count, _sorted_linspace, _transform, parse_lambda,
 )
 from .families import (
     _boxcox, _boxcox_normalized, _bump, _kernel, _loss, _relu, _require_boxcox_lambda,
@@ -59,63 +61,74 @@ def _parse_xs(text: str):
         return sorted(xs)
     try:
         lo, hi, count = text.split(":")  # a wrong part count raises ValueError too
-        lo, hi, count = float(lo), float(hi), int(count)
+        lo, hi, count = float(lo), float(hi), float(count)
     except ValueError:
         raise ValueError(f"range must be lo:hi:count, got {text!r}") from None
-    if count < 1:
-        raise ValueError("range count must be at least 1")
+    count = _require_count(count, "range count", 1)
     # hi - lo is inf or NaN whenever lo or hi is
     if not math.isfinite(hi - lo):
         raise ValueError(f"range needs finite lo, hi and hi - lo, got {text!r}")
     return _sorted_linspace(lo, hi, count) if count > 1 else [lo]
 
 
-_LAMBDA = ("--lambda", _require_number)
-_SCALE = ("--c", _require_scale)
-
-
-# --fn -> (body, its parameters as (flag, library check[, default])).  Each
-# check runs once, on the flag's value; every x then runs
-# body(x, _FLOAT_OPS, *params), the public float call less its checks: the
-# same float bodies of the lam's plan row, so the same bits.
-_EVAL_FUNCTIONS = {
-    "f": (_transform, [_LAMBDA]),
-    "finv": (_transform, [("--lambda", lambda lam: -_require_number(lam))]),
-    "g": (_derivative, [_LAMBDA]),
-    "rho": (_loss, [_LAMBDA, _SCALE]),
-    "k": (_kernel, [_LAMBDA, _SCALE]),
-    "pdf": None,  # bound in _eval_function, which looks Z up once
-    "bump": (_bump, [("--lambda", _require_bump_lambda)]),
-    "fpm": (_signed, [_LAMBDA, ("--lambda-neg", _require_number)]),
-    "softplus": (_softplus, []),
-    "sigmoid": (_sigmoid, []),
-    "tanh": (_tanh, []),
-    "relu": (_relu, [("--lambda-neg", _require_number, 0.0)]),
-    "h": (_boxcox, [("--lambda", _require_boxcox_lambda)]),
-    "hhat": (_boxcox_normalized, [("--lambda", _require_boxcox_lambda)]),
-}
-
-
-def _param(args, flag: str, check, default=None):
-    """An eval flag's value after the library's check, which names the
-    flag when it fails."""
+def _param(args, flag: str, read, default=None):
+    """A flag's value as read by read, the library's reader of the argument
+    the flag feeds, run once on argparse's value; its refusal becomes the
+    ValueError ``<flag>: <library reason>``.  An unset flag takes default;
+    with no default it is one that eval's --fn requires."""
     value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
     if value is None:
         if default is None:
             raise ValueError(f"{flag} is required for --fn {args.fn}")
         value = default
     try:
-        # --lambda and --lambda-neg arrive as text, read by the one shape parser
-        return check(parse_lambda(value) if isinstance(value, str) else value)
+        return read(value)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
+
+
+def _shape(check):
+    # the reader of a shape flag: its text parsed as every shape's is, then
+    # the library's check of the argument it feeds
+    return lambda text: check(parse_lambda(text))
+
+
+def _count(name: str, least: int):
+    # the reader of a count flag: the count rule, under the library's name
+    return lambda value: _require_count(value, name, least)
+
+
+_LAMBDA = ("--lambda", parse_lambda)
+_SCALE = ("--c", _require_scale)
+
+
+# --fn -> (body, its parameters as (flag, reader[, default])).  Each reader
+# runs once, on the flag's value; every x then runs
+# body(x, _FLOAT_OPS, *params), the public float call less its checks: the
+# same float bodies of the lam's plan row, so the same bits.
+_EVAL_FUNCTIONS = {
+    "f": (_transform, [_LAMBDA]),
+    "finv": (_transform, [("--lambda", lambda text: -parse_lambda(text))]),
+    "g": (_derivative, [_LAMBDA]),
+    "rho": (_loss, [_LAMBDA, _SCALE]),
+    "k": (_kernel, [_LAMBDA, _SCALE]),
+    "pdf": None,  # bound in _eval_function, which looks Z up once
+    "bump": (_bump, [("--lambda", _shape(_require_bump_lambda))]),
+    "fpm": (_signed, [_LAMBDA, ("--lambda-neg", parse_lambda)]),
+    "softplus": (_softplus, []),
+    "sigmoid": (_sigmoid, []),
+    "tanh": (_tanh, []),
+    "relu": (_relu, [("--lambda-neg", parse_lambda, "0")]),
+    "h": (_boxcox, [("--lambda", _shape(_require_boxcox_lambda))]),
+    "hhat": (_boxcox_normalized, [("--lambda", _shape(_require_boxcox_lambda))]),
+}
 
 
 def _eval_function(args):
     """The body of --fn and its checked parameters."""
     c = _param(args, *_SCALE)  # checked for every --fn
     if args.fn == "pdf":
-        lam = _param(args, "--lambda", dist._require_dist_lambda)
+        lam = _param(args, "--lambda", _shape(dist._require_dist_lambda))
         try:
             table = None if args.ztable is None else dist.ZTable.load(args.ztable)
         except OSError as exc:
@@ -131,11 +144,12 @@ _CHUNK = 4096  # rows per write
 
 
 def _cmd_eval(args) -> int:
+    xs = _param(args, "--x", _parse_xs)
     body, params = _eval_function(args)
     # Only h and hhat fail at an x, and only below a bound, so in ascending
     # order a failure comes in the first chunk, before anything is written.
     rows = ["x,value\n"]
-    for x in _parse_xs(args.x):
+    for x in xs:
         try:
             value = body(x, _FLOAT_OPS, *params)
         except ValueError as exc:
@@ -149,24 +163,24 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_accuracy(args) -> int:
+    from .accuracy import _MIN_SAMPLES, _require_window, error_sweep, report_to_csv
+
     lams = None
     if args.lambdas is not None:
-        lams = [parse_lambda(tok) for tok in args.lambdas.split(",") if tok.strip()]
+        lams = _param(args, "--lambdas",
+                      lambda text: [parse_lambda(tok) for tok in text.split(",") if tok.strip()])
         if not lams:
             raise ValueError("empty --lambdas list")
-    if not (0.0 < args.xmin < args.xmax < math.inf):
-        raise ValueError("need 0 < --xmin < --xmax < inf")
-    from .accuracy import _MIN_SAMPLES, error_sweep, report_to_csv
-
-    n = _require_count(args.n, "--n", _MIN_SAMPLES)
-    report = error_sweep(lams, x_lo=args.xmin, x_hi=args.xmax, n=n)
+    x_lo, x_hi = _require_window(args.xmin, args.xmax, "--xmin", "--xmax")
+    n = _param(args, "--n", _count("n", _MIN_SAMPLES))
+    report = error_sweep(lams, x_lo=x_lo, x_hi=x_hi, n=n)
     sys.stdout.write(report_to_csv(report))
     return 0
 
 
 def _cmd_ztable(args) -> int:
-    grid_size = _require_count(args.grid_size, "--grid-size", dist._MIN_GRID_SIZE)
-    num_points = _require_count(args.num_points, "--num-points", dist._MIN_NUM_POINTS)
+    grid_size = _param(args, "--grid-size", _count("grid_size", dist._MIN_GRID_SIZE))
+    num_points = _param(args, "--num-points", _count("num_points", dist._MIN_NUM_POINTS))
     table = dist.build_table(grid_size, num_points)
     try:
         table.save(args.output)
@@ -208,15 +222,16 @@ def _read_observations(path: str, skip_header: bool) -> list[float]:
 
 
 def _cmd_irls(args) -> int:
-    lam = parse_lambda(args.lam)
-    if lam > 0.0:
-        raise ValueError(f"--lambda must be <= 0 for irls, got {args.lam}")
-    observations = _read_observations(args.data, args.skip_header)
     import json
 
-    from .irls import IrlsProblem, fit_location
+    from .irls import _MIN_ITERS, IrlsProblem, _require_irls_lambda, _require_tol, fit_location
 
-    problem = IrlsProblem(observations, lam, c=args.c, max_iters=args.max_iters, tol=args.tol)
+    lam = _param(args, "--lambda", _shape(_require_irls_lambda))
+    c = _param(args, *_SCALE)
+    tol = _param(args, "--tol", _require_tol)
+    max_iters = _param(args, "--max-iters", _count("max_iters", _MIN_ITERS))
+    observations = _read_observations(args.data, args.skip_header)
+    problem = IrlsProblem(observations, lam, c=c, max_iters=max_iters, tol=tol)
     result = fit_location(problem)
     payload = result._asdict()
     if not math.isfinite(result.grad_norm):
@@ -261,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_irls = sub.add_parser("irls", help="robust location fit, JSON to stdout")
     p_irls.add_argument("--data", required=True, help="one-column CSV of observations")
-    p_irls.add_argument("--lambda", dest="lam", required=True, help="shape, must be <= 0")
+    p_irls.add_argument("--lambda", required=True, help="shape, must be <= 0")
     p_irls.add_argument("--c", type=float, default=1.0)
     p_irls.add_argument("--tol", type=float, default=1e-12)
     p_irls.add_argument("--max-iters", type=int, default=100,

@@ -345,11 +345,14 @@ def _elementwise(body, x, *params):
     numpy ufuncs, overflow to inf expected, as a C-contiguous array of ndim
     >= 1 (a 0-d ufunc result is a scalar, which takes no ``out=``) that the
     body may return but not write into, and gives a new float64 array of x's
-    shape.  A NaN in x raises ValueError.  numpy is never imported here.
+    shape.  A NaN in x, or a complex array, raises ValueError.  numpy is
+    never imported here.
     """
     if type(x) is not float:  # most calls pass a float: test that first
         np = sys.modules.get("numpy")
         if np is not None and isinstance(x, np.ndarray):
+            if x.dtype.kind == "c":  # dtype=float would drop the imaginary part
+                raise ValueError("x must be real, got a complex array")
             a = np.ascontiguousarray(x, dtype=float)
             if np.isnan(a).any():
                 raise ValueError("x must not be NaN")

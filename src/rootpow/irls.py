@@ -46,23 +46,45 @@ __all__ = [
 
 _MAX = sys.float_info.max
 _OPS = _array_ops(np)
+_MIN_ITERS = 1
+
+
+def _require_irls_lambda(lam: float) -> float:
+    # the IRLS shape as a float: lam <= 0, where every sweep is a descent step
+    lam = _require_number(lam)
+    if lam > 0.0:
+        raise ValueError(f"IRLS requires lam <= 0, got {lam!r}")
+    return lam
+
+
+def _require_tol(tol: float) -> float:
+    tol = _require_number(tol, "tol")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    return tol
 
 
 class IrlsProblem(namedtuple("IrlsProblem", "observations lam c max_iters tol")):
     """Observations plus shape, scale, and stopping controls.
 
-    The observations must be finite, and so must their span max - min:
-    every residual of a location inside the data is then a double.  lam
-    must be <= 0 (may be -inf); max_iters is a count (README, Arrays) of at
-    least 1; tol, the relative step threshold |new - old| <= tol * (1 + |new|).
+    The observations must be real and finite, and so must their span
+    max - min: every residual of a location inside the data is then a
+    double.  lam must be <= 0 (may be -inf); max_iters is a count (README,
+    Arrays) of at least 1; tol, the relative step threshold
+    |new - old| <= tol * (1 + |new|), must be positive.
     """
 
     def __new__(cls, observations: tuple[float, ...], lam: float, c: float = 1.0,
                 max_iters: int = 100, tol: float = 1e-12):
+        # dtype=float would drop the imaginary part of a complex array
+        if isinstance(observations, np.ndarray) and observations.dtype.kind == "c":
+            raise ValueError("observations must be real numbers")
         try:
             values = np.array(observations, dtype=float)
         except OverflowError:  # an int past the largest double
             raise ValueError("an observation is too large for a double") from None
+        except TypeError:  # a complex or another non-number
+            raise ValueError("observations must be real numbers") from None
         if values.ndim != 1 or values.size == 0:
             raise ValueError("observations must be a non-empty sequence of numbers")
         lo, hi = float(values.min()), float(values.max())  # NaN propagates
@@ -71,14 +93,10 @@ class IrlsProblem(namedtuple("IrlsProblem", "observations lam c max_iters tol"))
         if math.isinf(hi - lo):
             raise ValueError("observations must span at most the largest double")
         values.flags.writeable = False
-        lam = _require_number(lam)
-        if lam > 0.0:
-            raise ValueError(f"IRLS requires lam <= 0, got {lam!r}")
+        lam = _require_irls_lambda(lam)
         c = _require_scale(c)
-        max_iters = _require_count(max_iters, "max_iters", 1)
-        tol = _require_number(tol, "tol")
-        if not tol > 0.0:
-            raise ValueError("tol must be positive")
+        max_iters = _require_count(max_iters, "max_iters", _MIN_ITERS)
+        tol = _require_tol(tol)
         self = super().__new__(cls, tuple(values.tolist()), lam, c, max_iters, tol)
         # The observations once more, as a read-only float64 array for the
         # vectorized sweeps, and their least and greatest value.

@@ -255,6 +255,20 @@ class TestSweep:
         with pytest.raises(ValueError):
             error_sweep(n=1)
 
+    @pytest.mark.parametrize("lams, want", [
+        ([1, np.float64(0.5), True], [0.5, 1.0, 1.0]),
+        (["0.5"], [0.5]),
+        ([0.5, "0.25"], [0.25, 0.5]),
+    ], ids=["int-numpy-bool", "str", "float-and-str"])
+    def test_each_lam_is_read_as_a_float(self, lams, want):
+        # each lam is read as the shape readers read it, so the rows hold
+        # floats that sort and print whatever spelling came in
+        report = error_sweep(lams, n=2)
+        assert [row.lam for row in report.rows] == want
+        assert all(type(row.lam) is float for row in report.rows)
+        lines = report_to_csv(report).splitlines()[1:]
+        assert [float(line.split(",")[0]) for line in lines] == want
+
     @pytest.mark.parametrize("x_hi", [math.inf, math.nan])
     def test_non_finite_window_rejected(self, x_hi):
         with pytest.raises(ValueError):

@@ -138,7 +138,7 @@ class TestEval:
         code, out, err = run(["eval", "--fn", "f", "--lambda", "0.5", f"--x={spec}"])
         assert code == 2
         assert out == ""
-        assert err == f"error: range needs finite lo, hi and hi - lo, got {spec!r}\n"
+        assert err == f"error: --x: range needs finite lo, hi and hi - lo, got {spec!r}\n"
 
     @pytest.mark.parametrize("flag, reason", [
         ("--lambda=1", "--lambda: bump shape must satisfy 1 < lam < inf"),
@@ -529,25 +529,29 @@ class TestErrorPaths:
     # holds empty.csv, inf.csv and ok.csv.
     @pytest.mark.parametrize("argv, code, line", [
         (["accuracy", "--lambdas", ","], 2, "empty --lambdas list"),
-        (["accuracy", "--n", "1"], 2, "--n must be at least 2, got 1"),
-        (["eval", "--fn", "f", "--lambda=0", "--x", "1,nan"], 2, "x values must not be NaN"),
-        (["eval", "--fn", "f", "--lambda=0", "--x", ","], 2, "empty x samples"),
-        (["eval", "--fn", "f", "--lambda=0", "--x", "1,abc"], 2, "cannot parse x list '1,abc'"),
-        (["eval", "--fn", "f", "--lambda=0", "--x", "0:1:0"], 2, "range count must be at least 1"),
-        (["eval", "--fn", "f", "--lambda=0", "--x", "0:1"], 2, "range must be lo:hi:count, got '0:1'"),
+        (["accuracy", "--n", "1"], 2, "--n: n must be at least 2, got 1"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", "1,nan"], 2, "--x: x values must not be NaN"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", ","], 2, "--x: empty x samples"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", "1,abc"], 2,
+         "--x: cannot parse x list '1,abc'"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", "0:1:0"], 2,
+         "--x: range count must be at least 1, got 0"),
+        (["eval", "--fn", "f", "--lambda=0", "--x", "0:1"], 2,
+         "--x: range must be lo:hi:count, got '0:1'"),
         (["eval", "--fn", "f", "--lambda=0", "--x", "0:1:x"], 2,
-         "range must be lo:hi:count, got '0:1:x'"),
+         "--x: range must be lo:hi:count, got '0:1:x'"),
         (["eval", "--fn", "f", "--x", "1"], 2, "--lambda is required for --fn f"),
         (["eval", "--fn", "fpm", "--lambda=1", "--x", "1"], 2,
          "--lambda-neg is required for --fn fpm"),
         (["irls", "--data", "{tmp}/empty.csv", "--lambda=0"], 2,
          "observations must be a non-empty sequence of numbers"),
         (["irls", "--data", "{tmp}/inf.csv", "--lambda=0"], 2, "observations must all be finite"),
-        (["irls", "--data", "{tmp}/ok.csv", "--lambda=abc"], 2, "cannot parse lam from 'abc'"),
+        (["irls", "--data", "{tmp}/ok.csv", "--lambda=abc"], 2,
+         "--lambda: cannot parse lam from 'abc'"),
         # open rejects a path holding a NUL byte with a ValueError
         (["irls", "--data", "a\0b", "--lambda", "0"], 1, "cannot read a\0b: embedded null byte"),
         (["ztable", "--num-points", "15", "--output", "{tmp}/zt.json"], 2,
-         "--num-points must be at least 16, got 15"),
+         "--num-points: num_points must be at least 16, got 15"),
         (["ztable", "--grid-size", "16", "--num-points", "16", "--output", "a\0b"], 1,
          "cannot write a\0b: embedded null byte"),
         (["eval", "--fn", "pdf", "--lambda", "0", "--x", "1", "--ztable", "a\0b"], 1,
@@ -560,6 +564,35 @@ class TestErrorPaths:
         for name, text in [("empty", ""), ("inf", "1\ninf\n"), ("ok", "1\n2\n")]:
             (tmp_path / f"{name}.csv").write_text(text)
         assert run([arg.format(tmp=tmp_path) for arg in argv]) == (code, "", f"error: {line}\n")
+
+    # One refused value for each value flag of each command: exit 2 and one
+    # stderr line that names the flag and then gives the library's reason.
+    # irls reads a data file that does not exist: its flags come first.
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", "--fn", "f", "--lambda=nan", "--x", "1"], "--lambda"),
+        (["eval", "--fn", "fpm", "--lambda=1", "--lambda-neg=nan", "--x", "1"], "--lambda-neg"),
+        (["eval", "--fn", "rho", "--lambda=1", "--c", "0", "--x", "1"], "--c"),
+        (["eval", "--fn", "f", "--lambda=1", "--x", "0:1:2.5"], "--x"),
+        (["accuracy", "--lambdas=nan"], "--lambdas"),
+        (["accuracy", "--n", "1"], "--n"),
+        (["accuracy", "--xmin", "1", "--xmax", "0.5"], None),
+        (["ztable", "--grid-size", "15", "--output", "{tmp}/zt.json"], "--grid-size"),
+        (["ztable", "--num-points", "15", "--output", "{tmp}/zt.json"], "--num-points"),
+        (["irls", "--data", "{tmp}/absent.csv", "--lambda=nan"], "--lambda"),
+        (["irls", "--data", "{tmp}/absent.csv", "--lambda=-1", "--c", "0"], "--c"),
+        (["irls", "--data", "{tmp}/absent.csv", "--lambda=-1", "--tol=-1"], "--tol"),
+        (["irls", "--data", "{tmp}/absent.csv", "--lambda=-1", "--max-iters", "0"], "--max-iters"),
+    ], ids=["eval-lambda", "eval-lambda-neg", "eval-c", "eval-x", "accuracy-lambdas",
+            "accuracy-n", "accuracy-window", "ztable-grid-size", "ztable-num-points",
+            "irls-lambda", "irls-c", "irls-tol", "irls-max-iters"])
+    def test_refused_flag_is_named(self, run, tmp_path, argv, flag):
+        code, out, err = run([arg.format(tmp=tmp_path) for arg in argv])
+        assert (code, out) == (2, ""), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        if flag is None:  # the window names both of its flags
+            assert err == "error: need 0 < --xmin < --xmax < inf\n"
+        else:
+            assert err.startswith(f"error: {flag}: "), err
 
     @pytest.mark.parametrize("exc, code, line", [
         (ValueError("bad value"), 2, "error: bad value"),

@@ -78,6 +78,13 @@ class TestEvaluatorContract:
         with pytest.raises(ValueError):
             fn(np.array([0.1, math.nan, 0.3]), *args)
 
+    def test_complex_array_raises(self, name, fn, args, tol, outside):
+        # converting it to float64 would drop the imaginary part, with
+        # only a ComplexWarning
+        for xs in ([0.5 + 1j], [0.5 + 0j, 1.0]):
+            with pytest.raises(ValueError, match="^x must be real, got a complex array$"):
+                fn(np.array(xs), *args)
+
     def test_extremes_evaluate_silently(self, name, fn, args, tol, outside):
         xs = [0.0, -0.0, 5e-324, MAX, math.inf]
         if outside is None:
@@ -199,6 +206,7 @@ COUNTS = {
     "ZTable-num_points": (lambda n: rp.ZTable((-0.5, 1.0), (0.0, 0.0), n), "num_points", 16),
     "error_sweep-n": (lambda n: rp.error_sweep([0.5], n=n), "n", 2),
     "IrlsProblem-max_iters": (lambda n: _problem(max_iters=n), "max_iters", 1),
+    "oracle_transform-dps": (lambda n: rp.oracle_transform(0.5, 0.5, n), "dps", 1),
     "cli-accuracy-n": (["accuracy", "--lambdas=0.5", "--n", "{n}"], "--n", 2),
     "cli-ztable-grid_size": (["ztable", "--grid-size", "{n}", "--num-points", "16",
                               "--output", "{out}"], "--grid-size", 16),

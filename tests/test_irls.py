@@ -47,6 +47,15 @@ class TestValidation:
             IrlsProblem(observations=(big, -big, 1e308), lam=-1.0)
         IrlsProblem(observations=(big, 0.0), lam=-1.0)
 
+    @pytest.mark.parametrize("observations", [
+        (1j, 2.0), (2.0 + 0j,), np.array([1.0 + 1j, 2.0]), np.array([1.0, 2.0], dtype=complex),
+    ], ids=["python-complex", "zero-imaginary-part", "complex-array", "real-valued-complex-array"])
+    def test_rejects_complex_observations(self, observations):
+        # a float64 conversion would drop the imaginary parts, with only a
+        # ComplexWarning
+        with pytest.raises(ValueError, match="^observations must be real numbers$"):
+            IrlsProblem(observations, lam=-1.0)
+
     def test_rejects_nested_observations(self):
         with pytest.raises(ValueError):
             IrlsProblem(observations=((1.0, 2.0), (3.0, 4.0)), lam=0.0)
