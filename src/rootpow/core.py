@@ -18,10 +18,13 @@ pole; :func:`classify`, :func:`branch_plan`, :func:`max_domain` and every
 evaluator body read it.
 
 :func:`transform`, :func:`inverse` and :func:`derivative` take a float or
-an ndarray.  An array runs the one array body with numpy ufuncs and gives
-an array of its shape.  A float runs the float body its lam's table row
-picks from the plan's skip flags: the array body's passes on libm, in the
-same order and to the same bits, without its tests for identity passes.
+an ndarray.  A float x goes from the public function straight to the float
+body its lam's table row holds: a closure of x over the row's constants,
+picked from the plan's skip flags, that makes the array body's passes on
+libm, in the same order and to the same bits, without its tests for
+identity passes.  ``_elementwise`` serves an array, which runs the one
+array body with numpy ufuncs and gives an array of its shape, and every
+other scalar kind (an int, a numpy scalar, a float subclass, a NaN).
 Every evaluator in ``families`` is built on ``_transform``/``_derivative``.
 """
 
@@ -84,13 +87,25 @@ class Branch(Enum):
 BranchPlan = namedtuple("BranchPlan", "pre_scale skip_log mid_scale skip_exp post_scale max_domain")
 
 
-def _require_number(value: float, name: str = "shape parameter lam") -> float:
-    # value as a float; an int past the largest double or a NaN is a ValueError
-    # naming it.  Every shape reader's one check is _require_number(lam).
+def _to_float(value, name: str) -> float:
+    # value, which is not a float, as one.  A complex number, numpy's complex
+    # scalars and 0-d arrays included, is a ValueError naming it: float()
+    # would drop its imaginary part with only a ComplexWarning (or raise
+    # TypeError for Python's).  So is an int past the largest double.
+    if isinstance(value, complex) or getattr(getattr(value, "dtype", None), "kind", "") == "c":
+        raise ValueError(f"{name} must be real, got {value!r}")
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:  # an int past the largest double
         raise ValueError(f"{name} is too large for a double") from None
+
+
+def _require_number(value: float, name: str = "shape parameter lam") -> float:
+    # value as a float; a complex number, an int past the largest double or a
+    # NaN is a ValueError naming it.  Every shape reader's one check is
+    # _require_number(lam).
+    if type(value) is not float:
+        value = _to_float(value, name)
     if value != value:  # NaN
         raise ValueError(f"{name} must not be NaN")
     return value
@@ -158,55 +173,70 @@ def _sorted_linspace(lo: float, hi: float, count: int):
 # of the array body below with libm on a float, in the same order, minus its
 # tests for identity passes (times 1 is exact on a non-NaN float).  An expm1
 # or exp past the largest double is inf, as numpy's is, before the
-# post-scale.  The transform's take (x, pre, mid, post, floor), the
-# derivative's (x, pre, dmid, floor).
+# post-scale.  Each is a closure of x alone over its row's constants, which
+# _row builds once per lam: the transform's over (pre, mid, post, floor),
+# the derivative's over (pre, dmid, floor).  transform, inverse and
+# derivative call one on a float x directly; a family's evaluator calls its
+# own body, whose _transform and _derivative steps call them.
 
 
-def _float_log_exp(x: float, pre: float, mid: float, post: float, floor: float) -> float:
-    t = pre * x
-    t = mid * math.log1p(floor if floor > t else t)
-    try:
-        t = math.expm1(t)
-    except OverflowError:
-        t = math.inf
-    return post * t
+def _float_transform(pre: float, skip_log: bool, mid: float, skip_exp: bool, post: float,
+                     floor: float):
+    # the row's float transform body
+    if skip_log and skip_exp:
+        def scale(x: float) -> float:
+            return post * (mid * (pre * x))
+        return scale
+    if skip_log:
+        def exp(x: float) -> float:
+            try:
+                t = math.expm1(mid * (pre * x))
+            except OverflowError:
+                t = math.inf
+            return post * t
+        return exp
+    if skip_exp:
+        def log(x: float) -> float:
+            t = pre * x
+            return post * (mid * math.log1p(floor if floor > t else t))
+        return log
+
+    def log_exp(x: float) -> float:
+        t = pre * x
+        t = mid * math.log1p(floor if floor > t else t)
+        try:
+            t = math.expm1(t)
+        except OverflowError:
+            t = math.inf
+        return post * t
+    return log_exp
 
 
-def _float_log(x: float, pre: float, mid: float, post: float, floor: float) -> float:
-    t = pre * x
-    return post * (mid * math.log1p(floor if floor > t else t))
-
-
-def _float_exp(x: float, pre: float, mid: float, post: float, floor: float) -> float:
-    try:
-        t = math.expm1(mid * (pre * x))
-    except OverflowError:
-        t = math.inf
-    return post * t
-
-
-def _float_scale(x: float, pre: float, mid: float, post: float, floor: float) -> float:
-    return post * (mid * (pre * x))
-
-
-def _float_slope_one(x: float, pre: float, dmid: float, floor: float) -> float:
+def _float_slope_one(x: float) -> float:
+    # the derivative where its power is 1: one function for every such row
     return 1.0
 
 
-def _float_slope_exp(x: float, pre: float, dmid: float, floor: float) -> float:
-    try:
-        return math.exp(pre * x)
-    except OverflowError:
-        return math.inf
+def _float_derivative(pre: float, skip_log: bool, unit: bool, dmid: float, floor: float):
+    # the row's float derivative body
+    if unit:
+        return _float_slope_one
+    if skip_log:
+        def slope_exp(x: float) -> float:
+            try:
+                return math.exp(pre * x)
+            except OverflowError:
+                return math.inf
+        return slope_exp
 
-
-def _float_slope_log(x: float, pre: float, dmid: float, floor: float) -> float:
-    t = pre * x
-    t = dmid * math.log1p(floor if floor > t else t)
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return math.inf
+    def slope_log(x: float) -> float:
+        t = pre * x
+        t = dmid * math.log1p(floor if floor > t else t)
+        try:
+            return math.exp(t)
+        except OverflowError:
+            return math.inf
+    return slope_log
 
 
 def _row(pre, skip_log, mid, skip_exp, post, bound, floor, pole, branch) -> tuple:
@@ -215,15 +245,9 @@ def _row(pre, skip_log, mid, skip_exp, post, bound, floor, pole, branch) -> tupl
     # less 1, or -1 without it).  The power is 1 where both stages run or
     # neither does and mid is 1: lam = 0, or |lam| below ~eps/2, where
     # (mid - 1) * log1p(pre * x) would be 0 * inf for a large pre * x.
-    if skip_log:
-        ft = _float_scale if skip_exp else _float_exp
-    else:
-        ft = _float_log if skip_exp else _float_log_exp
-    if skip_log == skip_exp and mid == 1.0:
-        fd = _float_slope_one
-    else:
-        fd = _float_slope_exp if skip_log else _float_slope_log
     dmid = -1.0 if skip_exp else mid - 1.0
+    ft = _float_transform(pre, skip_log, mid, skip_exp, post, floor)
+    fd = _float_derivative(pre, skip_log, skip_log == skip_exp and mid == 1.0, dmid, floor)
     return pre, skip_log, mid, skip_exp, post, bound, floor, pole, branch, ft, fd, dmid
 
 
@@ -339,33 +363,32 @@ def _array_ops(np) -> _Ops:
 
 
 def _elementwise(body, x, *params):
-    """Evaluate ``body(x, ops, *params)`` for a float or an ndarray x.
+    """Evaluate ``body(x, ops, *params)`` for an ndarray or any scalar x.
 
-    A float runs through libm and gives a float.  An ndarray runs through
-    numpy ufuncs, overflow to inf expected, as a C-contiguous array of ndim
-    >= 1 (a 0-d ufunc result is a scalar, which takes no ``out=``) that the
-    body may return but not write into, and gives a new float64 array of x's
-    shape.  A NaN in x, or a complex array, raises ValueError.  numpy is
-    never imported here.
+    Every public evaluator sends a non-NaN float x straight to its body
+    with the float ops, and everything else here: an ndarray, an int, a
+    numpy scalar, a float subclass, a NaN.  An ndarray runs through numpy
+    ufuncs, overflow to inf expected, as a C-contiguous array of ndim >= 1
+    (a 0-d ufunc result is a scalar, which takes no ``out=``) that the body
+    may return but not write into, and gives a new float64 array of x's
+    shape.  Any other x is read as a float, as a shape parameter is, and runs
+    through libm to give a float, the bits of the float call.  A NaN in x, or
+    a complex x, raises ValueError.  numpy is never imported here.
     """
-    if type(x) is not float:  # most calls pass a float: test that first
-        np = sys.modules.get("numpy")
-        if np is not None and isinstance(x, np.ndarray):
-            if x.dtype.kind == "c":  # dtype=float would drop the imaginary part
-                raise ValueError("x must be real, got a complex array")
-            a = np.ascontiguousarray(x, dtype=float)
-            if np.isnan(a).any():
-                raise ValueError("x must not be NaN")
-            with np.errstate(over="ignore"):
-                out = body(a, _array_ops(np), *params)
-            return (out.copy() if out is a else out).reshape(x.shape)
-        x = _require_number(x, "x")
-    elif x != x:  # NaN, without math.isnan's two lookups and call
-        raise ValueError("x must not be NaN")
-    return body(x, _FLOAT_OPS, *params)
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, np.ndarray):
+        if x.dtype.kind == "c":  # dtype=float would drop the imaginary part
+            raise ValueError("x must be real, got a complex array")
+        a = np.ascontiguousarray(x, dtype=float)
+        if np.isnan(a).any():
+            raise ValueError("x must not be NaN")
+        with np.errstate(over="ignore"):
+            out = body(a, _array_ops(np), *params)
+        return (out.copy() if out is a else out).reshape(x.shape)
+    return body(_require_number(x, "x"), _FLOAT_OPS, *params)
 
 
-# _transform and _derivative hand a float to the row's float body.  Any
+# _transform and _derivative hand a float to the row's float closure.  Any
 # other operand runs the array body, the one statement of the arithmetic:
 # with numpy's ufuncs, or with libm ops on a float for the tests that hold
 # the float bodies to it.  An array body allocates at most one array and
@@ -377,9 +400,9 @@ def _elementwise(body, x, *params):
 
 
 def _transform(x, ops: _Ops, lam: float, out=None):
-    pre, skip_log, mid, skip_exp, post, _, floor, _, _, ft, _, _ = _plan[lam]
     if ops is _FLOAT_OPS:
-        return ft(x, pre, mid, post, floor)
+        return _plan[lam][9](x)
+    pre, skip_log, mid, skip_exp, post, _, floor, _, _, _, _, _ = _plan[lam]
     if pre != 1.0:
         if out is None:
             x = out = pre * x
@@ -398,9 +421,9 @@ def _transform(x, ops: _Ops, lam: float, out=None):
 
 
 def _derivative(x, ops: _Ops, lam: float, out=None):
-    pre, skip_log, _, _, _, _, floor, _, _, _, fd, dmid = _plan[lam]
     if ops is _FLOAT_OPS:
-        return fd(x, pre, dmid, floor)
+        return _plan[lam][10](x)
+    pre, skip_log, _, _, _, _, floor, _, _, _, fd, dmid = _plan[lam]
     if fd is _float_slope_one:  # the power is 1 (0 * inf must not leak NaN)
         return x ** 0.0  # 1 for every x, inf included
     if pre != 1.0:
@@ -423,12 +446,18 @@ def transform(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     x is evaluated through the same branch formulas; inputs beyond the
     negative-side pole saturate the same way the clamped upper edge does.
     """
-    return _elementwise(_transform, x, _require_number(lam))
+    lam = _require_number(lam)
+    if type(x) is float and x == x:
+        return _plan[lam][9](x)
+    return _elementwise(_transform, x, lam)
 
 
 def inverse(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     """Inverse transform; identical to evaluating at -lam."""
-    return _elementwise(_transform, x, -_require_number(lam))
+    lam = -_require_number(lam)
+    if type(x) is float and x == x:
+        return _plan[lam][9](x)
+    return _elementwise(_transform, x, lam)
 
 
 def derivative(x: float | np.ndarray, lam: float) -> float | np.ndarray:
@@ -439,7 +468,10 @@ def derivative(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     expm1 stage is active and exp(-log1p(pre_scale * x)) when it is
     skipped; the accumulated scale factors always cancel to 1.
     """
-    return _elementwise(_derivative, x, _require_number(lam))
+    lam = _require_number(lam)
+    if type(x) is float and x == x:
+        return _plan[lam][10](x)
+    return _elementwise(_derivative, x, lam)
 
 
 def transform_naive(x: float, lam: float) -> float:

@@ -20,7 +20,8 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .core import (
-    EPS, _elementwise, _plan, _require_count, _require_number, _sorted_linspace, transform,
+    _FLOAT_OPS, EPS, _elementwise, _plan, _require_count, _require_number, _sorted_linspace,
+    _to_float, transform,
 )
 from .families import _loss, _require_scale, loss
 
@@ -115,10 +116,8 @@ def _pdf(x, ops, lam: float, c: float, z: float, edge: float):
 def _pdf_params(lam: float, c: float, table: "ZTable | None") -> tuple:
     # check c, then look Z up once, which also checks lam: _pdf's parameters
     c = _require_scale(c)
-    try:
-        lam = float(lam)
-    except OverflowError:  # an int past the largest double
-        raise ValueError("shape parameter lam is too large for a double") from None
+    if type(lam) is not float:
+        lam = _to_float(lam, "shape parameter lam")
     z = table.lookup(lam) if table is not None else partition_function(lam)
     return lam, c, z, c * _halfwidth(lam)
 
@@ -128,7 +127,10 @@ def pdf(x, lam: float, c: float = 1.0, table: "ZTable | None" = None):
     support bound when lam > 1.  Z comes from ``table`` when given, else
     from (cached) quadrature; either lookup also checks lam.
     """
-    return _elementwise(_pdf, x, *_pdf_params(lam, c, table))
+    lam, c, z, edge = _pdf_params(lam, c, table)
+    if type(x) is float and x == x:
+        return _pdf(x, _FLOAT_OPS, lam, c, z, edge)
+    return _elementwise(_pdf, x, lam, c, z, edge)
 
 
 def _compactify(lam: float) -> float:

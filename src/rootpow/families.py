@@ -2,12 +2,13 @@
 kernels, signed transforms and activations, bumps, and the Box-Cox bridge.
 
 Each family is a short composition of the core bodies ``_transform`` and
-``_derivative``.  Each public evaluator checks its parameters once and runs
-its body through ``core._elementwise``, so it takes a float or an ndarray:
-a float runs the body with libm ops, and its ``_transform``/``_derivative``
-steps run the float bodies of the lam's plan row; an array runs it with
-numpy ufuncs.  The comment above each family says why it is computed the
-way it is.
+``_derivative``.  Each public evaluator checks its parameters once, then
+takes a float or an ndarray: a float x goes straight to its body with the
+libm ops, and the body's ``_transform``/``_derivative`` steps call the
+float closures of the lam's plan row; ``core._elementwise`` runs the body
+on an array with numpy ufuncs, and on every other scalar kind (an int, a
+numpy scalar, a float subclass, a NaN) after reading it as a float.  The
+comment above each family says why it is computed the way it is.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import math
 
 from .core import (
-    EPS, TINY, Branch, UnsupportedBranchError, _derivative, _elementwise, _plan,
-    _require_number, _transform,
+    _FLOAT_OPS, EPS, TINY, Branch, UnsupportedBranchError, _derivative, _elementwise, _plan,
+    _require_number, _to_float, _transform,
 )
 
 __all__ = [
@@ -41,10 +42,8 @@ LOSS_REFERENCE_LAMBDAS = {
 
 
 def _require_scale(c: float) -> float:
-    try:
-        c = float(c)
-    except OverflowError:  # an int past the largest double
-        raise ValueError("scale c is too large for a double") from None
+    if type(c) is not float:
+        c = _to_float(c, "scale c")
     if not (c > 0.0) or math.isinf(c):
         raise ValueError(f"scale c must be a positive finite real, got {c!r}")
     return c
@@ -70,7 +69,10 @@ def loss(x, lam: float, c: float = 1.0):
     For lam > 1 the squared argument can pass the transform's pole; the
     core clamp makes the loss saturate at a large finite value there.
     """
-    return _elementwise(_loss, x, _require_number(lam), _require_scale(c))
+    lam, c = _require_number(lam), _require_scale(c)
+    if type(x) is float and x == x:
+        return _loss(x, _FLOAT_OPS, lam, c)
+    return _elementwise(_loss, x, lam, c)
 
 
 # Kernel, x the distance between two points.  Going through the derivative
@@ -95,7 +97,10 @@ def _kernel(x, ops, lam: float, c: float):
 def kernel(x, lam: float, c: float = 1.0):
     """Kernel value at distance x (a float or an ndarray); 1 at the
     origin, strictly positive, even."""
-    return _elementwise(_kernel, x, _require_number(lam), _require_scale(c))
+    lam, c = _require_number(lam), _require_scale(c)
+    if type(x) is float and x == x:
+        return _loss(x, _FLOAT_OPS, lam, c, _derivative)  # _kernel's one line
+    return _elementwise(_kernel, x, lam, c)
 
 
 def irls_weight(residual, lam: float, c: float = 1.0):
@@ -126,7 +131,10 @@ def _signed(x, ops, lam_pos: float, lam_neg: float):
 
 def signed_transform(x, lam_pos: float, lam_neg: float):
     """Odd-style stitching: shape lam_pos for x >= 0, mirrored lam_neg below."""
-    return _elementwise(_signed, x, _require_number(lam_pos), _require_number(lam_neg))
+    lam_pos, lam_neg = _require_number(lam_pos), _require_number(lam_neg)
+    if type(x) is float and x == x:
+        return _signed(x, _FLOAT_OPS, lam_pos, lam_neg)
+    return _elementwise(_signed, x, lam_pos, lam_neg)
 
 
 # The activations are the paper's signed-transform compositions, bit for
@@ -141,6 +149,8 @@ def _softplus(x, ops):
 
 
 def softplus(x):
+    if type(x) is float and x == x:
+        return _softplus(x, _FLOAT_OPS)
     return _elementwise(_softplus, x)
 
 
@@ -149,6 +159,8 @@ def _sigmoid(x, ops):
 
 
 def sigmoid(x):
+    if type(x) is float and x == x:
+        return _sigmoid(x, _FLOAT_OPS)
     return _elementwise(_sigmoid, x)
 
 
@@ -157,6 +169,8 @@ def _tanh(x, ops):
 
 
 def tanh(x):
+    if type(x) is float and x == x:
+        return _tanh(x, _FLOAT_OPS)
     return _elementwise(_tanh, x)
 
 
@@ -171,7 +185,10 @@ def relu(x, lam_neg: float = 0.0):
     the lam_neg shape (always true for lam_neg <= 1); for x <= 0 the
     clamped saturation of the lam = 2 stage is what produces the 0.
     """
-    return _elementwise(_relu, x, _require_number(lam_neg))
+    lam_neg = _require_number(lam_neg)
+    if type(x) is float and x == x:
+        return _relu(x, _FLOAT_OPS, lam_neg)
+    return _elementwise(_relu, x, lam_neg)
 
 
 # Bump: positive exactly on (-1, 1), 1 only at 0.  The argument is scaled by
@@ -197,7 +214,10 @@ def _bump(x, ops, lam: float):
 
 def bump(x, lam: float):
     """Bump value at x (a float or an ndarray); exactly 0 for |x| >= 1."""
-    return _elementwise(_bump, x, _require_bump_lambda(lam))
+    lam = _require_bump_lambda(lam)
+    if type(x) is float and x == x:
+        return _bump(x, _FLOAT_OPS, lam)
+    return _elementwise(_bump, x, lam)
 
 
 # Box-Cox.  Conventions differ by a shift: Box-Cox is the identity at
@@ -209,10 +229,8 @@ def bump(x, lam: float):
 
 
 def _require_boxcox_lambda(lam: float) -> float:
-    try:
-        lam = float(lam)
-    except OverflowError:  # an int past the largest double
-        raise ValueError("Box-Cox parameter lam is too large for a double") from None
+    if type(lam) is not float:
+        lam = _to_float(lam, "Box-Cox parameter lam")
     if math.isnan(lam) or math.isinf(lam):
         raise ValueError(f"Box-Cox parameter must be finite, got {lam!r}")
     return lam
@@ -229,7 +247,10 @@ def _boxcox(x, ops, lam: float):
 def boxcox(x, lam: float):
     """Box-Cox value ((x+1)**lam - 1)/lam, log1p(x) at lam = 0, at x (a
     float or an ndarray); needs x > -1."""
-    return _elementwise(_boxcox, x, _require_boxcox_lambda(lam))
+    lam = _require_boxcox_lambda(lam)
+    if type(x) is float and x == x:
+        return _boxcox(x, _FLOAT_OPS, lam)
+    return _elementwise(_boxcox, x, lam)
 
 
 def _boxcox_normalized(x, ops, lam: float):
@@ -246,7 +267,10 @@ def boxcox_normalized(x, lam: float):
     """Box-Cox rescaled so the slope at 0 is 1 and the curvature sign is
     sign(lam - 1): |1 - lam| * boxcox(x / |1 - lam|, lam), the identity at
     lam = 1; needs x > -|1 - lam|.  Takes a float or an ndarray."""
-    return _elementwise(_boxcox_normalized, x, _require_boxcox_lambda(lam))
+    lam = _require_boxcox_lambda(lam)
+    if type(x) is float and x == x:
+        return _boxcox_normalized(x, _FLOAT_OPS, lam)
+    return _elementwise(_boxcox_normalized, x, lam)
 
 
 def _transform_via_boxcox(x, ops, lam: float):
@@ -269,6 +293,8 @@ def transform_via_boxcox(x, lam: float):
         raise UnsupportedBranchError("no Box-Cox image for extended lam")
     if _plan[lam][8] is Branch.ONE:
         raise UnsupportedBranchError("bridge is singular at lam = 1")
+    if type(x) is float and x == x:
+        return _transform_via_boxcox(x, _FLOAT_OPS, lam)
     return _elementwise(_transform_via_boxcox, x, lam)
 
 
@@ -287,4 +313,7 @@ def boxcox_via_transform(x, lam: float):
     below/above split at 1, not 0, is what makes the two mappings agree
     with the direct evaluator on (0, 1).)
     """
-    return _elementwise(_boxcox_via_transform, x, _require_boxcox_lambda(lam))
+    lam = _require_boxcox_lambda(lam)
+    if type(x) is float and x == x:
+        return _boxcox_via_transform(x, _FLOAT_OPS, lam)
+    return _elementwise(_boxcox_via_transform, x, lam)

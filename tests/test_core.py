@@ -425,19 +425,31 @@ class TestConcurrency:
                 assert parallel == serial
 
 
+def _row_value(row):
+    # a plan row with each float body, a closure that a rebuilt row holds a
+    # new copy of, as its code and the constants it closes over
+    return tuple(
+        (f.__code__, tuple(cell.cell_contents for cell in f.__closure__ or ()))
+        if callable(f) else f
+        for f in row
+    )
+
+
 class TestPlanCache:
     """The per-lam rows: bounded, a hit equal to a fresh row, no NaN key."""
 
     def test_bounded_and_an_evicted_row_comes_back_fresh(self):
         _plan.clear()
         lams = [2.0 + k / 64.0 for k in range(5000)]
-        first = transform(0.5, lams[0]), derivative(0.5, lams[0]), _plan[lams[0]]
+        row = _plan[lams[0]]
+        first = transform(0.5, lams[0]), derivative(0.5, lams[0]), _row_value(row)
         for lam in lams:
             transform(0.5, lam)
         assert len(_plan) <= _PLAN_ROWS == 4096
         assert lams[0] not in _plan and lams[-1] in _plan
-        assert (transform(0.5, lams[0]), derivative(0.5, lams[0]), _plan[lams[0]]) == first
-        assert _plan[lams[0]] == _plan_row(lams[0])
+        again = transform(0.5, lams[0]), derivative(0.5, lams[0]), _row_value(_plan[lams[0]])
+        assert again == first and _plan[lams[0]] is not row
+        assert _row_value(_plan[lams[0]]) == _row_value(_plan_row(lams[0]))
 
     def test_a_nan_lam_never_enters(self):
         for fn in (transform, derivative, loss, kernel):
@@ -466,7 +478,7 @@ class TestPlanCache:
             sys.setswitchinterval(interval)
         assert got == [[transform(0.5, lam) for lam in lams] for lams in chunks]
         assert len(_plan) <= _PLAN_ROWS
-        assert all(row == _plan_row(lam) for lam, row in _plan.items())
+        assert all(_row_value(row) == _row_value(_plan_row(lam)) for lam, row in _plan.items())
 
 
 class TestVectorPath:

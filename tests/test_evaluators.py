@@ -6,6 +6,7 @@ extremes evaluate without a RuntimeWarning."""
 import math
 import re
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -57,11 +58,51 @@ CASES = [
 ]
 
 
+# The argument each shape or scale position names in its ValueError.
+PARAM_NAMES = {name: ("lam", "c") for name in ("loss", "kernel", "pdf", "pdf_fat_tail")}
+# A complex scalar of each kind: numpy's (one with a zero imaginary part),
+# Python's and a 0-d numpy array.
+COMPLEX_SCALARS = [np.complex128(0.5 + 1j), np.complex64(0.5 + 1j), np.complex128(0.5), 0.5 + 1j,
+                   np.array(0.5 + 1j)]
+# Scalars at each sign, zero of both signs, the extremes and inf.
+SCALAR_XS = [-math.inf, -1e300, -3.0, -1.0, -0.5, -0.0, 0.0, 5e-324, 0.25, 1.0, 3.0, 1e300,
+             math.inf]
+
+
+class _Float(float):
+    pass
+
+
+def _outcome(fn, x, args):
+    # the result's float.hex, or the exception type
+    try:
+        value = fn(x, *args)
+    except Exception as exc:
+        return type(exc).__name__
+    assert type(value) is float, (type(x).__name__, x)
+    return value.hex()
+
+
 @pytest.mark.parametrize("name,fn,args,tol,outside", CASES, ids=[c[0] for c in CASES])
 class TestEvaluatorContract:
     def test_float_in_float_out(self, name, fn, args, tol, outside):
         for x in (0.25, 1, np.float64(-0.25)):
             assert type(fn(x, *args)) is float, x
+
+    def test_every_scalar_kind_gives_the_float_bits(self, name, fn, args, tol, outside):
+        # a float takes the public function's own route to its body; an
+        # integral int, an np.float64 and a float subclass take
+        # _elementwise's, and give the same bits or the same exception
+        for v in SCALAR_XS:
+            kinds = [np.float64(v), _Float(v)]
+            if v.is_integer() and float(int(v)).hex() == v.hex():  # not -0.0
+                kinds.append(int(v))
+            want = _outcome(fn, v, args)
+            for x in kinds:
+                assert _outcome(fn, x, args) == want, (type(x).__name__, v)
+        for nan in (math.nan, np.float64(math.nan)):
+            with pytest.raises(ValueError, match="^x must not be NaN$"):
+                fn(nan, *args)
 
     def test_array_matches_float_calls(self, name, fn, args, tol, outside):
         out = fn(XS, *args)
@@ -84,6 +125,15 @@ class TestEvaluatorContract:
         for xs in ([0.5 + 1j], [0.5 + 0j, 1.0]):
             with pytest.raises(ValueError, match="^x must be real, got a complex array$"):
                 fn(np.array(xs), *args)
+        # so would float() a complex scalar, as x or as any shape or scale
+        # parameter; the ValueError names the argument
+        params = PARAM_NAMES.get(name, ("lam",) * len(args))
+        for z in COMPLEX_SCALARS:
+            with pytest.raises(ValueError, match="^x must be real, got "):
+                fn(z, *args)
+            for i, param in enumerate(params):
+                with pytest.raises(ValueError, match=rf"^[\w -]*\b{param} must be real, got "):
+                    fn(0.25, *args[:i], z, *args[i + 1:])
 
     def test_extremes_evaluate_silently(self, name, fn, args, tol, outside):
         xs = [0.0, -0.0, 5e-324, MAX, math.inf]
@@ -436,15 +486,22 @@ def _assert_float_bodies_match(x, lam):
         assert got.hex() == body(x, _LIBM_OPS, lam).hex(), (body.__name__, x, lam)
 
 
+def _bodies(factory):
+    # the code of each float body a factory can build
+    return {c for c in factory.__code__.co_consts if isinstance(c, types.CodeType)}
+
+
 def test_body_lams_take_every_branch_and_float_body():
     rows = [core._plan[lam] for lam in BODY_LAMS]
     assert {row[8] for row in rows} == set(rp.Branch)
-    assert {row[9] for row in rows} == {
-        core._float_log_exp, core._float_log, core._float_exp, core._float_scale,
+    transforms = _bodies(core._float_transform)
+    assert {code.co_name for code in transforms} == {"log_exp", "log", "exp", "scale"}
+    assert {row[9].__code__ for row in rows} == transforms
+    derivatives = _bodies(core._float_derivative) | {core._float_slope_one.__code__}
+    assert {code.co_name for code in derivatives} == {
+        "_float_slope_one", "slope_exp", "slope_log",
     }
-    assert {row[10] for row in rows} == {
-        core._float_slope_one, core._float_slope_exp, core._float_slope_log,
-    }
+    assert {row[10].__code__ for row in rows} == derivatives
 
 
 @pytest.mark.parametrize("lam", BODY_LAMS)

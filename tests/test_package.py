@@ -156,7 +156,8 @@ def _power_writers(tree: ast.Module):
 def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
     # expm1(a * log1p(b)) is spelled out for the transform, its derivative
     # and Box-Cox: in the array bodies, which run the ops they are given,
-    # and in the float bodies a plan row picks, which call libm; every
+    # and in the float bodies a plan row holds, the closures that
+    # _float_transform and _float_derivative build, which call libm; every
     # other evaluator composes one of those bodies.  partition_function's
     # log1p maps its quadrature nodes, u = log1p(x), and is no power.
     written = {
@@ -165,9 +166,24 @@ def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
         for name in _power_writers(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert written == {
-        "core._transform", "core._derivative", "core._float_log_exp", "core._float_log",
-        "core._float_exp", "core._float_slope_log", "families._boxcox",
-        "distribution.partition_function",
+        "core._transform", "core._derivative", "core._float_transform",
+        "core._float_derivative", "families._boxcox", "distribution.partition_function",
+    }
+    # inside the two factories, the three float transform bodies that take
+    # a log1p or an expm1, and the derivative body that takes a log1p
+    core = ast.parse(Path(rootpow.core.__file__).read_text(encoding="utf-8"))
+    factories = {top.name: top for top in core.body if isinstance(top, ast.FunctionDef)}
+    nested = {
+        f"{name}.{node.name}"
+        for name in ("_float_transform", "_float_derivative")
+        for node in ast.walk(factories[name])
+        if isinstance(node, ast.FunctionDef) and node is not factories[name]
+        and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr in _POWER for call in ast.walk(node))
+    }
+    assert nested == {
+        "_float_transform.exp", "_float_transform.log", "_float_transform.log_exp",
+        "_float_derivative.slope_log",
     }
 
 

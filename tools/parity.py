@@ -2,7 +2,10 @@
 
 Prints one ``section sha256 count`` line per section: every public
 evaluator on a shape x input grid (each float call as ``float.hex`` or the
-exception type, then one array call per parameter set), the per-shape
+exception type, then one array call per parameter set, and in one section
+``scalar.int_float64`` each x of the grid again as an ``np.float64`` and,
+where integral, as an int: the kinds that take ``_elementwise``'s route
+where a float takes the evaluator's own), the per-shape
 readers (the branch of every shape, and ``classify``, ``branch_plan`` and
 ``max_domain`` at each spelling of lam they accept), the RobustFit fits
 of the bench's seeds 101-103 with their summed losses, and the exit code,
@@ -94,6 +97,14 @@ class Digest:
             print(f"{section} {h.hexdigest()} {n}")
 
 
+def _other_kinds(x: float):
+    # x as the scalar kinds other than float: an np.float64, and an int
+    # where x is integral
+    yield np.float64(x)
+    if x.is_integer():
+        yield int(x)
+
+
 def _inputs(lam: float) -> list[float]:
     # the clamp edge and past it, where lam > 1 bounds the domain
     if not lam > 1.0:
@@ -125,6 +136,9 @@ def evaluators(digest: Digest) -> None:
                 except Exception as exc:
                     record = type(exc).__name__
                 digest.add(f"float.{fn.__name__}", record)
+                for other in _other_kinds(x):
+                    record = f"{fn.__name__} {type(other).__name__} {_call(fn, other, *args)}"
+                    digest.add("scalar.int_float64", record)
             if fn is not rp.transform_naive:  # it takes floats only
                 digest.add(f"array.{fn.__name__}", _call(fn, np.array(ok), *args))
     for fn in (rp.branch_plan, rp.max_domain, rp.support_halfwidth, rp.partition_function):
