@@ -21,12 +21,11 @@ import math
 import sys
 
 from . import distribution as dist
-from .core import (
-    _FLOAT_OPS, _derivative, _require_count, _sorted_linspace, _transform, parse_lambda,
-)
+from .core import _plan, _require_count, _sorted_linspace, parse_lambda
 from .families import (
-    _boxcox, _boxcox_normalized, _bump, _kernel, _loss, _relu, _require_boxcox_lambda,
-    _require_bump_lambda, _require_scale, _sigmoid, _signed, _softplus, _tanh,
+    _float_bump, _float_kernel, _float_loss, _float_relu, _float_sigmoid, _float_signed,
+    _float_softplus, _float_tanh, _require_boxcox_lambda, _require_bump_lambda, _require_scale,
+    boxcox, boxcox_normalized,
 )
 
 __all__ = ["main", "entrypoint", "build_parser"]
@@ -102,30 +101,32 @@ _LAMBDA = ("--lambda", parse_lambda)
 _SCALE = ("--c", _require_scale)
 
 
-# --fn -> (body, its parameters as (flag, reader[, default])).  Each reader
-# runs once, on the flag's value; every x then runs
-# body(x, _FLOAT_OPS, *params), the public float call less its checks: the
-# same float bodies of the lam's plan row, so the same bits.
+# --fn -> (step, its parameters as (flag, reader[, default])).  Each reader
+# runs once, on the flag's value; every x then runs step(x, *params), the
+# float step the public function calls, less its checks, so the same bits.
+# f, finv and g name a field of the lam's plan row instead: its float
+# transform (9) or derivative (10), which takes x alone.  The Box-Cox
+# functions have no float step; h and hhat run the public call.
 _EVAL_FUNCTIONS = {
-    "f": (_transform, [_LAMBDA]),
-    "finv": (_transform, [("--lambda", lambda text: -parse_lambda(text))]),
-    "g": (_derivative, [_LAMBDA]),
-    "rho": (_loss, [_LAMBDA, _SCALE]),
-    "k": (_kernel, [_LAMBDA, _SCALE]),
+    "f": (9, [_LAMBDA]),
+    "finv": (9, [("--lambda", lambda text: -parse_lambda(text))]),
+    "g": (10, [_LAMBDA]),
+    "rho": (_float_loss, [_LAMBDA, _SCALE]),
+    "k": (_float_kernel, [_LAMBDA, _SCALE]),
     "pdf": None,  # bound in _eval_function, which looks Z up once
-    "bump": (_bump, [("--lambda", _shape(_require_bump_lambda))]),
-    "fpm": (_signed, [_LAMBDA, ("--lambda-neg", parse_lambda)]),
-    "softplus": (_softplus, []),
-    "sigmoid": (_sigmoid, []),
-    "tanh": (_tanh, []),
-    "relu": (_relu, [("--lambda-neg", parse_lambda, "0")]),
-    "h": (_boxcox, [("--lambda", _shape(_require_boxcox_lambda))]),
-    "hhat": (_boxcox_normalized, [("--lambda", _shape(_require_boxcox_lambda))]),
+    "bump": (_float_bump, [("--lambda", _shape(_require_bump_lambda))]),
+    "fpm": (_float_signed, [_LAMBDA, ("--lambda-neg", parse_lambda)]),
+    "softplus": (_float_softplus, []),
+    "sigmoid": (_float_sigmoid, []),
+    "tanh": (_float_tanh, []),
+    "relu": (_float_relu, [("--lambda-neg", parse_lambda, "0")]),
+    "h": (boxcox, [("--lambda", _shape(_require_boxcox_lambda))]),
+    "hhat": (boxcox_normalized, [("--lambda", _shape(_require_boxcox_lambda))]),
 }
 
 
 def _eval_function(args):
-    """The body of --fn and its checked parameters."""
+    """The float step of --fn and its checked parameters."""
     c = _param(args, *_SCALE)  # checked for every --fn
     if args.fn == "pdf":
         lam = _param(args, "--lambda", _shape(dist._require_dist_lambda))
@@ -135,9 +136,12 @@ def _eval_function(args):
             raise CliError(f"cannot load ztable: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"cannot load ztable: {exc}") from None
-        return dist._pdf, dist._pdf_params(lam, c, table)
-    body, params = _EVAL_FUNCTIONS[args.fn]
-    return body, [_param(args, *param) for param in params]
+        return dist._float_pdf, dist._pdf_params(lam, c, table)
+    step, params = _EVAL_FUNCTIONS[args.fn]
+    params = [_param(args, *param) for param in params]
+    if type(step) is int:  # f, finv, g: the row's closure is the step
+        return _plan[params[0]][step], []
+    return step, params
 
 
 _CHUNK = 4096  # rows per write
@@ -145,13 +149,13 @@ _CHUNK = 4096  # rows per write
 
 def _cmd_eval(args) -> int:
     xs = _param(args, "--x", _parse_xs)
-    body, params = _eval_function(args)
+    step, params = _eval_function(args)
     # Only h and hhat fail at an x, and only below a bound, so in ascending
     # order a failure comes in the first chunk, before anything is written.
     rows = ["x,value\n"]
     for x in xs:
         try:
-            value = body(x, _FLOAT_OPS, *params)
+            value = step(x, *params)
         except ValueError as exc:
             raise ValueError(f"at x = {x:.17g}: {exc}") from None
         rows.append(f"{x:.17g},{value:.17g}\n")

@@ -25,7 +25,10 @@ libm, in the same order and to the same bits, without its tests for
 identity passes.  ``_elementwise`` serves an array, which runs the one
 array body with numpy ufuncs and gives an array of its shape, and every
 other scalar kind (an int, a numpy scalar, a float subclass, a NaN).
-Every evaluator in ``families`` is built on ``_transform``/``_derivative``.
+Every family body in ``families`` and ``distribution`` is built on
+``_transform``/``_derivative``, which ``_elementwise`` runs; on a non-NaN
+float each family's evaluator calls its float step instead, which calls the
+row's float bodies directly, and a test holds each step to its body.
 """
 
 from __future__ import annotations
@@ -91,13 +94,21 @@ def _to_float(value, name: str) -> float:
     # value, which is not a float, as one.  A complex number, numpy's complex
     # scalars and 0-d arrays included, is a ValueError naming it: float()
     # would drop its imaginary part with only a ComplexWarning (or raise
-    # TypeError for Python's).  So is an int past the largest double.
+    # TypeError for Python's).  So is what is not a number: a type with
+    # neither __float__ nor __index__ (float() would parse a str or bytes,
+    # and raise TypeError for None or a list), or one whose __float__ raises
+    # TypeError (an ndarray of ndim >= 1).  So is an int past the largest
+    # double.
     if isinstance(value, complex) or getattr(getattr(value, "dtype", None), "kind", "") == "c":
         raise ValueError(f"{name} must be real, got {value!r}")
+    if not (hasattr(type(value), "__float__") or hasattr(type(value), "__index__")):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an int past the largest double
         raise ValueError(f"{name} is too large for a double") from None
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 def _require_number(value: float, name: str = "shape parameter lam") -> float:
@@ -176,8 +187,9 @@ def _sorted_linspace(lo: float, hi: float, count: int):
 # post-scale.  Each is a closure of x alone over its row's constants, which
 # _row builds once per lam: the transform's over (pre, mid, post, floor),
 # the derivative's over (pre, dmid, floor).  transform, inverse and
-# derivative call one on a float x directly; a family's evaluator calls its
-# own body, whose _transform and _derivative steps call them.
+# derivative call one on a float x directly, and so does each family's float
+# step; on any other scalar a body's _transform and _derivative calls reach
+# them.
 
 
 def _float_transform(pre: float, skip_log: bool, mid: float, skip_exp: bool, post: float,

@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .core import (
-    _FLOAT_OPS, EPS, _elementwise, _plan, _require_count, _require_number, _sorted_linspace,
+    EPS, _elementwise, _plan, _require_count, _require_number, _sorted_linspace,
     _to_float, transform,
 )
 from .families import _loss, _require_scale, loss
@@ -113,6 +113,15 @@ def _pdf(x, ops, lam: float, c: float, z: float, edge: float):
     )
 
 
+def _float_pdf(x: float, lam: float, c: float, z: float, edge: float) -> float:
+    # _pdf's float step, with _loss's inlined: the loss is >= 0 (or inf), so
+    # exp never overflows
+    if abs(x) < edge:
+        r = x / c
+        return math.exp(-_plan[lam][9](0.5 * r * r)) / z / c
+    return 0.0
+
+
 def _pdf_params(lam: float, c: float, table: "ZTable | None") -> tuple:
     # check c, then look Z up once, which also checks lam: _pdf's parameters
     c = _require_scale(c)
@@ -129,7 +138,7 @@ def pdf(x, lam: float, c: float = 1.0, table: "ZTable | None" = None):
     """
     lam, c, z, edge = _pdf_params(lam, c, table)
     if type(x) is float and x == x:
-        return _pdf(x, _FLOAT_OPS, lam, c, z, edge)
+        return _float_pdf(x, lam, c, z, edge)
     return _elementwise(_pdf, x, lam, c, z, edge)
 
 

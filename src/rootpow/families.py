@@ -2,13 +2,17 @@
 kernels, signed transforms and activations, bumps, and the Box-Cox bridge.
 
 Each family is a short composition of the core bodies ``_transform`` and
-``_derivative``.  Each public evaluator checks its parameters once, then
-takes a float or an ndarray: a float x goes straight to its body with the
-libm ops, and the body's ``_transform``/``_derivative`` steps call the
-float closures of the lam's plan row; ``core._elementwise`` runs the body
-on an array with numpy ufuncs, and on every other scalar kind (an int, a
-numpy scalar, a float subclass, a NaN) after reading it as a float.  The
-comment above each family says why it is computed the way it is.
+``_derivative``: its body, the one statement of its arithmetic.  Each public
+evaluator checks its parameters once, then takes a float or an ndarray.
+``core._elementwise`` runs the body on an array with numpy ufuncs, and on
+every other scalar kind (an int, a numpy scalar, a float subclass, a NaN)
+after reading it as a float.  A non-NaN float x goes to the family's float
+step instead: a plain function of (x, *params) that calls the float closures
+of the lam's plan row directly and picks a side with an ``if``, making the
+body's passes in the body's order, so it gives the bits of the body run on
+libm; a test holds each step to its body.  The Box-Cox functions have no
+step: a float runs their body with the float ops.  The comment above each
+family says why it is computed the way it is.
 """
 
 from __future__ import annotations
@@ -61,6 +65,18 @@ def _loss(x, ops, lam: float, c: float, power=_transform):
     return power(u, ops, lam, u)
 
 
+# The float steps of _loss and _kernel.  The body skips x / c at c = 1 to
+# save an array pass; on a float, x / 1.0 is x.  0.5 * r * r is the body's u.
+def _float_loss(x: float, lam: float, c: float) -> float:
+    r = x / c
+    return _plan[lam][9](0.5 * r * r)
+
+
+def _float_kernel(x: float, lam: float, c: float) -> float:
+    r = x / c
+    return _plan[lam][10](0.5 * r * r)
+
+
 def loss(x, lam: float, c: float = 1.0):
     """Robust penalty of residual x (a float or an ndarray) at shape lam
     and scale c.
@@ -71,7 +87,7 @@ def loss(x, lam: float, c: float = 1.0):
     """
     lam, c = _require_number(lam), _require_scale(c)
     if type(x) is float and x == x:
-        return _loss(x, _FLOAT_OPS, lam, c)
+        return _float_loss(x, lam, c)
     return _elementwise(_loss, x, lam, c)
 
 
@@ -99,7 +115,7 @@ def kernel(x, lam: float, c: float = 1.0):
     origin, strictly positive, even."""
     lam, c = _require_number(lam), _require_scale(c)
     if type(x) is float and x == x:
-        return _loss(x, _FLOAT_OPS, lam, c, _derivative)  # _kernel's one line
+        return _float_kernel(x, lam, c)
     return _elementwise(_kernel, x, lam, c)
 
 
@@ -129,11 +145,15 @@ def _signed(x, ops, lam_pos: float, lam_neg: float):
     )
 
 
+def _float_signed(x: float, lam_pos: float, lam_neg: float) -> float:
+    return _plan[lam_pos][9](x) if x >= 0.0 else -_plan[lam_neg][9](-x)
+
+
 def signed_transform(x, lam_pos: float, lam_neg: float):
     """Odd-style stitching: shape lam_pos for x >= 0, mirrored lam_neg below."""
     lam_pos, lam_neg = _require_number(lam_pos), _require_number(lam_neg)
     if type(x) is float and x == x:
-        return _signed(x, _FLOAT_OPS, lam_pos, lam_neg)
+        return _float_signed(x, lam_pos, lam_neg)
     return _elementwise(_signed, x, lam_pos, lam_neg)
 
 
@@ -148,9 +168,14 @@ def _softplus(x, ops):
     return ops.maximum(x, 0.0) + _transform(_transform(-abs(x), ops, 1.0) + 1.0, ops, -1.0)
 
 
+def _float_softplus(x: float) -> float:
+    # max(x, 0) as the float ops' maximum takes it
+    return (0.0 if 0.0 > x else x) + _plan[-1.0][9](_plan[1.0][9](-abs(x)) + 1.0)
+
+
 def softplus(x):
     if type(x) is float and x == x:
-        return _softplus(x, _FLOAT_OPS)
+        return _float_softplus(x)
     return _elementwise(_softplus, x)
 
 
@@ -158,9 +183,13 @@ def _sigmoid(x, ops):
     return 0.5 * _transform(_transform(x + _LN2, ops, 1.0) + 1.0, ops, -2.0)
 
 
+def _float_sigmoid(x: float) -> float:
+    return 0.5 * _plan[-2.0][9](_plan[1.0][9](x + _LN2) + 1.0)
+
+
 def sigmoid(x):
     if type(x) is float and x == x:
-        return _sigmoid(x, _FLOAT_OPS)
+        return _float_sigmoid(x)
     return _elementwise(_sigmoid, x)
 
 
@@ -168,14 +197,22 @@ def _tanh(x, ops):
     return 0.5 * _transform(_transform(2.0 * x, ops, 1.0), ops, -2.0)
 
 
+def _float_tanh(x: float) -> float:
+    return 0.5 * _plan[-2.0][9](_plan[1.0][9](2.0 * x))
+
+
 def tanh(x):
     if type(x) is float and x == x:
-        return _tanh(x, _FLOAT_OPS)
+        return _float_tanh(x)
     return _elementwise(_tanh, x)
 
 
 def _relu(x, ops, lam_neg: float):
     return 2.0 - _signed(_signed(2.0 - x, ops, 2.0, lam_neg), ops, -2.0, -lam_neg)
+
+
+def _float_relu(x: float, lam_neg: float) -> float:
+    return 2.0 - _float_signed(_float_signed(2.0 - x, 2.0, lam_neg), -2.0, -lam_neg)
 
 
 def relu(x, lam_neg: float = 0.0):
@@ -187,7 +224,7 @@ def relu(x, lam_neg: float = 0.0):
     """
     lam_neg = _require_number(lam_neg)
     if type(x) is float and x == x:
-        return _relu(x, _FLOAT_OPS, lam_neg)
+        return _float_relu(x, lam_neg)
     return _elementwise(_relu, x, lam_neg)
 
 
@@ -212,11 +249,19 @@ def _bump(x, ops, lam: float):
     )
 
 
+def _float_bump(x: float, lam: float) -> float:
+    # the transform of pole * x * x >= 0 is >= 0 (or inf), so exp never overflows
+    if abs(x) < 1.0:
+        row = _plan[lam]
+        return math.exp(-row[9](row[7] * x * x))
+    return 0.0
+
+
 def bump(x, lam: float):
     """Bump value at x (a float or an ndarray); exactly 0 for |x| >= 1."""
     lam = _require_bump_lambda(lam)
     if type(x) is float and x == x:
-        return _bump(x, _FLOAT_OPS, lam)
+        return _float_bump(x, lam)
     return _elementwise(_bump, x, lam)
 
 

@@ -257,12 +257,17 @@ class TestSweep:
 
     @pytest.mark.parametrize("lams, want", [
         ([1, np.float64(0.5), True], [0.5, 1.0, 1.0]),
-        (["0.5"], [0.5]),
-        ([0.5, "0.25"], [0.25, 0.5]),
+        (["0.5"], None),
+        ([0.5, "0.25"], None),
     ], ids=["int-numpy-bool", "str", "float-and-str"])
     def test_each_lam_is_read_as_a_float(self, lams, want):
         # each lam is read as the shape readers read it, so the rows hold
-        # floats that sort and print whatever spelling came in
+        # floats that sort and print whatever number type came in, and a
+        # str, which is not a number, is refused (want None) as it is there
+        if want is None:
+            with pytest.raises(ValueError, match="^shape parameter lam must be a number, got '"):
+                error_sweep(lams, n=2)
+            return
         report = error_sweep(lams, n=2)
         assert [row.lam for row in report.rows] == want
         assert all(type(row.lam) is float for row in report.rows)

@@ -163,7 +163,13 @@ class TestMaxDomain:
                          ids=["0d-array", "float64", "int", "str"])
 def test_lam_readers_take_what_transform_takes(fn, lam):
     # the readers check and convert lam before the cached per-lam table
-    # sees it, so a 0-d array is not an unhashable key and "2" is 2.0
+    # sees it, so a 0-d array is not an unhashable key; "2" is not a
+    # number, which each reader refuses as transform does
+    if isinstance(lam, str):
+        for read in (fn, lambda v: transform(0.5, v)):
+            with pytest.raises(ValueError, match="^shape parameter lam must be a number, got '2'$"):
+                read(lam)
+        return
     assert fn(lam) == fn(2.0)
 
 

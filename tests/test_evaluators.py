@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rootpow as rp
-from rootpow import core
+from rootpow import core, distribution, families
 from rootpow.cli import main
 from rootpow.core import _require_number
 from rootpow.families import _require_boxcox_lambda
@@ -64,6 +64,8 @@ PARAM_NAMES = {name: ("lam", "c") for name in ("loss", "kernel", "pdf", "pdf_fat
 # Python's and a 0-d numpy array.
 COMPLEX_SCALARS = [np.complex128(0.5 + 1j), np.complex64(0.5 + 1j), np.complex128(0.5), 0.5 + 1j,
                    np.array(0.5 + 1j)]
+# Values that are not numbers: float() parses the first two.
+NOT_NUMBERS = ["0.5", b"0.5", None, [0.5]]
 # Scalars at each sign, zero of both signs, the extremes and inf.
 SCALAR_XS = [-math.inf, -1e300, -3.0, -1.0, -0.5, -0.0, 0.0, 5e-324, 0.25, 1.0, 3.0, 1e300,
              math.inf]
@@ -134,6 +136,21 @@ class TestEvaluatorContract:
             for i, param in enumerate(params):
                 with pytest.raises(ValueError, match=rf"^[\w -]*\b{param} must be real, got "):
                     fn(0.25, *args[:i], z, *args[i + 1:])
+
+    def test_a_value_that_is_not_a_number_raises(self, name, fn, args, tol, outside):
+        # float() would parse a str or bytes, and raise TypeError for None or
+        # a list; as x or as any shape or scale parameter each is a
+        # ValueError that names the argument
+        params = PARAM_NAMES.get(name, ("lam",) * len(args))
+        for v in NOT_NUMBERS:
+            with pytest.raises(ValueError, match=rf"^x must be a number, got {re.escape(repr(v))}$"):
+                fn(v, *args)
+        # an ndarray x is an array call; as a parameter, one of ndim >= 1 is
+        # not a number either
+        for v in [*NOT_NUMBERS, np.array([0.5]), np.array([0.5, 1.0])]:
+            for i, param in enumerate(params):
+                with pytest.raises(ValueError, match=rf"^[\w -]*\b{param} must be a number, got "):
+                    fn(0.25, *args[:i], v, *args[i + 1:])
 
     def test_extremes_evaluate_silently(self, name, fn, args, tol, outside):
         xs = [0.0, -0.0, 5e-324, MAX, math.inf]
@@ -516,6 +533,119 @@ def test_float_bodies_match_the_array_body_bit_for_bit(data):
     lam = data.draw(st.sampled_from(BODY_LAMS) | st.floats(allow_nan=False), label="lam")
     x = data.draw(st.sampled_from(_body_xs(lam)) | st.floats(allow_nan=False), label="x")
     _assert_float_bodies_match(x, lam)
+
+
+# Each family's float step, held to its body run on a float with libm ops:
+# name -> (step, body, the step's parameters from a shape lam, a second
+# shape lam2 and a scale c, or None where lam is outside the family's
+# domain).  pdf's z may be any positive number: both divide by it.
+_STEPS = {
+    "loss": (families._float_loss, families._loss, lambda lam, lam2, c: (lam, c)),
+    "kernel": (families._float_kernel, families._kernel, lambda lam, lam2, c: (lam, c)),
+    "signed_transform": (families._float_signed, families._signed,
+                         lambda lam, lam2, c: (lam, lam2)),
+    "relu": (families._float_relu, families._relu, lambda lam, lam2, c: (lam,)),
+    "bump": (families._float_bump, families._bump,
+             lambda lam, lam2, c: (lam,) if 1.0 < lam < math.inf else None),
+    "pdf": (distribution._float_pdf, distribution._pdf,
+            lambda lam, lam2, c: (lam, c, 0.75, c * distribution._halfwidth(lam))
+            if lam >= -1.0 else None),
+    "softplus": (families._float_softplus, families._softplus, lambda lam, lam2, c: ()),
+    "sigmoid": (families._float_sigmoid, families._sigmoid, lambda lam, lam2, c: ()),
+    "tanh": (families._float_tanh, families._tanh, lambda lam, lam2, c: ()),
+}
+_STEP_SCALES = (1.0, 0.5, 3.0, 1e-300, 1e300)
+
+
+def _step_xs(name, params):
+    # +-0, subnormals, +-1, +-1e300, +-inf; each side of 0 (signed), of 2
+    # (relu's inner 2 - x) and of |x| = 1 (bump); where exp, expm1 or a
+    # doubled x reaches log(MAX); where 0.5 * (x/c)**2 passes the largest
+    # double, and each side of pdf's support edge
+    xs = [0.0, -0.0, 5e-324, -5e-324, _TINY / 2.0, -_TINY / 2.0, 1e300, -1e300, math.inf,
+          -math.inf, *_around(1.0), *_around(-1.0), *_around(2.0)]
+    for v in (_LOG_MAX, _LOG_MAX / 2.0):
+        xs += [*_around(v), *_around(-v)]
+    if name in ("loss", "kernel", "pdf"):
+        v = params[1] * math.sqrt(2.0) * math.sqrt(MAX)
+        xs += [*_around(v), *_around(-v)]
+    if name == "pdf" and params[3] < math.inf:
+        xs += [*_around(params[3]), *_around(-params[3])]
+    return xs
+
+
+def _step_params(name, lam):
+    # the parameter tuples the edge test runs a step with at lam
+    make = _STEPS[name][2]
+    if name == "signed_transform":
+        return [make(lam, lam2, 1.0) for lam2 in BODY_LAMS]
+    return [p for p in {make(lam, None, c) for c in _STEP_SCALES} if p is not None]
+
+
+def _assert_step_matches(name, x, params):
+    step, body, _ = _STEPS[name]
+    got = step(x, *params)
+    assert type(got) is float
+    assert got.hex() == body(x, _LIBM_OPS, *params).hex(), (name, x, params)
+
+
+@pytest.mark.parametrize("lam", BODY_LAMS)
+def test_float_steps_match_their_bodies_at_the_edges(lam):
+    for name in _STEPS:
+        for params in _step_params(name, lam):
+            for x in _step_xs(name, params):
+                _assert_step_matches(name, x, params)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_float_steps_match_their_bodies_bit_for_bit(data):
+    name = data.draw(st.sampled_from(sorted(_STEPS)), label="step")
+    make = _STEPS[name][2]
+    lams = [lam for lam in BODY_LAMS if make(lam, None, 1.0) is not None]
+    lam = data.draw(st.sampled_from(lams), label="lam")
+    lam2 = data.draw(st.sampled_from(BODY_LAMS), label="lam2")
+    c = data.draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), label="c")
+    params = make(lam, lam2, c)
+    x = data.draw(st.sampled_from(_step_xs(name, params)) | st.floats(allow_nan=False), label="x")
+    _assert_step_matches(name, x, params)
+
+
+# A steady-state float call of each evaluator with a float step runs that
+# step and enters no generic body: not the dispatcher, not core's
+# _transform or _derivative, not a family body, not the float ops' select
+# thunks or their saturating exp.
+_GENERIC = {
+    core._elementwise.__code__, core._transform.__code__, core._derivative.__code__,
+    core._FLOAT_OPS.select.__code__, core._FLOAT_OPS.exp.__code__,
+    *(body.__code__ for _, body, _ in _STEPS.values()),
+}
+_STEP_CALLS = [
+    ("loss", rp.loss, (-2.0, 0.5)), ("kernel", rp.kernel, (-1.0, 2.0)),
+    ("kernel", rp.irls_weight, (-math.inf,)), ("pdf", rp.pdf, (3.0, 1.0)),
+    ("pdf", rp.pdf, (-1.0, 0.5, _TABLE)), ("bump", rp.bump, (2.0,)),
+    ("signed_transform", rp.signed_transform, (0.5, -2.0)), ("softplus", rp.softplus, ()),
+    ("sigmoid", rp.sigmoid, ()), ("tanh", rp.tanh, ()), ("relu", rp.relu, (-0.5,)),
+]
+
+
+@pytest.mark.parametrize("name, fn, args", _STEP_CALLS,
+                         ids=[fn.__name__ + ("_table" if _TABLE in args else "")
+                              for _, fn, args in _STEP_CALLS])
+def test_a_float_call_never_enters_a_generic_body(name, fn, args):
+    for x in (-3.0, -0.25, -0.0, 0.0, 0.25, 3.0, math.inf):
+        fn(x, *args)  # fills the caches: the profiled call is a steady-state one
+        entered = set()
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.add(frame.f_code)
+        sys.setprofile(profile)
+        try:
+            fn(x, *args)
+        finally:
+            sys.setprofile(None)
+        assert _STEPS[name][0].__code__ in entered, x
+        assert not entered & _GENERIC, (x, sorted(code.co_name for code in entered & _GENERIC))
 
 
 # Totality: every finite double x, and every positive finite scale c, gives

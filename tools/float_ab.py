@@ -3,9 +3,11 @@
 Loads the package of each tree under its own name (``rootpow_a`` and
 ``rootpow_b``), so both run in one process on the same inputs.  Every
 public evaluator gets a fixed list of float calls spread over the seven
-branches.  Each round times each evaluator's list on both trees, the side
-that goes first alternating by round, as the minimum over ``--repeats``
-passes on the thread CPU clock.  It prints, per evaluator and for the
+branches, with -0.0, +-inf and the points where a family picks its other
+side (bump at |x| = 1, pdf at its support edge for lam > 1).  Each round
+times each evaluator's list on both trees, the side that goes first
+alternating by round, as the minimum over ``--repeats`` passes on the
+thread CPU clock.  It prints, per evaluator and for the
 whole batch, ns per call on each tree and the median over rounds of the
 B/A time ratio with its quartiles.
 
@@ -34,10 +36,12 @@ INF = math.inf
 # every branch: -inf, neg, -1, neg, zero, pos (two), 1, bounded pos, +inf
 CORE_LAMS = [-INF, -1e20, -3.0, -1.0, -0.5, -1e-300, 0.0, 1e-20, 0.5, 1.0, 1.5, 3.0, 1e20, INF]
 FRACTIONS = (-0.3, 0.0, 0.2, 0.5, 0.9, 3.0)
+EDGE_XS = (-0.0, INF, -INF)
 SCALES = (1.0, 2.0)
 BOXCOX_LAMS = (-2.0, 0.0, 0.5, 1.0, 2.0)
-WIDE_XS = (-30.0, -1.0, 0.0, 0.5, 30.0)
-BUMP_XS = (-0.9, -0.3, 0.0, 0.5, 1.2)
+WIDE_XS = (-30.0, -1.0, 0.0, 0.5, 30.0, *EDGE_XS)
+# the bump is 0 from |x| = 1 on
+BUMP_XS = (-1.0, -0.9, -0.3, 0.0, 0.5, math.nextafter(1.0, 0.0), 1.0, 1.2, *EDGE_XS)
 SIGNED_PAIRS = ((0.5, -2.0), (1.0, -INF), (-1.0, 0.0), (3.0, 1.5))
 INNER = 10  # passes over an evaluator's calls per timed sample
 
@@ -59,12 +63,20 @@ def calls(rp) -> dict[str, tuple]:
     def xs(lam):
         # -0.3 to 3, scaled for lam > 1 so that 3 lies at 0.9 of the domain bound
         top = min(1.0, 0.3 * rp.max_domain(lam))
-        return [f * top for f in FRACTIONS]
+        return [*(f * top for f in FRACTIONS), *EDGE_XS]
+
+    def support_edges(lam, c):
+        # just inside and just past the support bound, where pdf turns 0
+        edge = c * rp.support_halfwidth(lam)
+        return [math.nextafter(edge, 0.0), math.nextafter(edge, INF)]
 
     core = [(x, lam) for lam in CORE_LAMS for x in xs(lam)]
     inv = [(x, lam) for lam in CORE_LAMS for x in xs(-lam)]
     scaled = [(x * c, lam, c) for lam in CORE_LAMS for c in SCALES for x in xs(lam)]
-    pdf = [args for args in scaled if args[1] >= -1.0]
+    pdf = [args for args in scaled if args[1] >= -1.0] + [
+        (x, lam, c) for lam in CORE_LAMS if lam > 1.0 for c in SCALES
+        for x in support_edges(lam, c)
+    ]
     boxcox = [(x, lam) for lam in BOXCOX_LAMS for x in (0.0, 0.5, 3.0)]
     return {
         "transform": (rp.transform, core),

@@ -146,7 +146,8 @@ def evaluators(digest: Digest) -> None:
             digest.add(f"shape.{fn.__name__}", _call(fn, lam))
     for lam in SHAPES:
         digest.add("shape.classify", _call(lambda lam: rp.classify(lam).name, lam))
-    # the lam spellings transform accepts: a 0-d array, a numpy scalar, an int, a str
+    # the lam spellings transform accepts, a 0-d array, a numpy scalar and an int, and a str,
+    # which it refuses
     for fn in (rp.classify, rp.branch_plan, rp.max_domain):
         for lam in (np.array(2.0), np.float64(2.0), 2, "2"):
             record = f"{fn.__name__} {type(lam).__name__} {_call(fn, lam)}"
