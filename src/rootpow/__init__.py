@@ -13,9 +13,9 @@ Each layer is one submodule, and every public name is bound here, so
   ``relu``; ``bump``, compactly supported bumps on (-1, 1); ``boxcox`` and
   the exact two-way bridge to the Box-Cox convention.
 - ``distribution``: ``pdf`` / ``partition_function`` / ``ZTable``, the
-  normalized density family with a Simpson normalizer on a uniform log1p
-  grid and a persisted lookup table interpolated by a monotone cubic
-  Hermite.
+  normalized density family with a tanh-sinh normalizer in u = log1p(x)
+  on plain floats and a persisted lookup table interpolated by a monotone
+  cubic Hermite.
 - ``irls``: ``fit_location``, IRLS location estimation with descent
   guarantees.
 - ``accuracy``: ``error_sweep`` / ``oracle_transform``, the naive-vs-stable

@@ -124,12 +124,16 @@ def _require_number(value: float, name: str = "shape parameter lam") -> float:
 
 def _require_count(value: int, name: str, least: int) -> int:
     # value, an int, a numpy integer or an integral float, as an int >= least;
-    # anything else (a bool, a str, 2.5, NaN, inf) is a ValueError naming it
+    # anything else (a bool, a str, 2.5, NaN, inf, an ndarray of ndim >= 1,
+    # whose __index__ raises TypeError) is a ValueError naming it
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = value.__index__()
+    try:
+        if isinstance(value, bool):  # an int, but no count
+            raise TypeError
+        value = value.__index__()
+    except (AttributeError, TypeError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     return value

@@ -13,7 +13,7 @@ import pytest
 import rootpow
 from rootpow import cli
 from rootpow.cli import main
-from rootpow.distribution import build_table
+from rootpow.distribution import ZTable, build_table
 
 # Child interpreters import rootpow from where this process found it, so
 # the console tests also run from a checkout without an install.
@@ -682,6 +682,30 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_the_density_and_its_table_load_no_numpy(self, tmp_path):
+        # Z is a tanh-sinh rule on floats, so a pdf eval with no table, a
+        # table build and the bench's four Z leave numpy out
+        path = tmp_path / "zt.json"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import contextlib, io, sys, rootpow as rp, rootpow.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             "    assert rootpow.cli.main(['eval', '--fn', 'pdf', '--lambda=-0.5', "
+             "'--x=-1:1:9']) == 0\n"
+             "    assert rootpow.cli.main(['ztable', '--grid-size', '16', '--num-points', '16', "
+             f"'--output', {str(path)!r}]) == 0\n"
+             "for lam in (0.0, -1.0, -0.5, float('inf')):\n"
+             "    rp.partition_function(lam)\n"
+             "print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+        assert ZTable.load(path).num_points == 16
 
     @pytest.mark.parametrize("block", [None, "mpmath", "numpy"],
                              ids=["mpmath-importable", "mpmath-blocked", "numpy-blocked"])

@@ -2,7 +2,10 @@
 
 import json
 import math
+import re
 import sys
+import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,6 +16,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from rootpow.distribution import (
+    DEFAULT_NUM_POINTS,
     ZTable,
     _compactify,
     _decompactify,
@@ -67,11 +71,45 @@ class TestPartitionFunction:
     def test_odd_point_normalization(self):
         assert partition_function.__wrapped__(0.0, 64) == partition_function.__wrapped__(0.0, 65)
 
+    def test_default_rule_meets_the_closed_forms(self):
+        # the 205-node tanh-sinh rule lands within a few ulps of each
+        for lam, want in CLOSED_Z.items():
+            got = partition_function(lam)
+            assert abs(got - want) <= 1e-14 * want, (lam, got, want)
+
+    @pytest.mark.parametrize("lam", [
+        -1.0, -0.999, -0.9, -0.5, 1e-300, -1e-300, 0.0, 0.5, 1.0, 1.0 + 1e-7, 1.5, 2.0, 10.0,
+        1e20, math.inf,
+    ])
+    def test_default_rule_agrees_with_half_its_step(self, lam):
+        # the rule's own error estimate: 2 * 205 - 1 nodes halve the step
+        # and add a node between each two of the default rule's
+        fine = partition_function.__wrapped__(lam, 2 * DEFAULT_NUM_POINTS - 1)
+        assert abs(partition_function(lam) - fine) <= 1e-13 * fine
+
+    def test_cached_counts_are_normalized_up_to_odd(self):
+        assert partition_function(0.0, 64) == partition_function.__wrapped__(0.0, 65)
+
+    def test_pdf_reads_the_cache_past_the_argument_checks(self):
+        # pdf's lam is a float by then, and a cache miss checks it: a hit
+        # is the cache's C call, with no Python frame of partition_function
+        pdf(0.25, 0.5)
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
+                       if event == "call" else None)
+        try:
+            pdf(0.25, 0.5)
+        finally:
+            sys.setprofile(None)
+        assert "pdf" in calls
+        assert not {"partition_function", "_quadrature", "_require_dist_lambda"} & set(calls)
+
     # Next to |lam| = TINY the cutoff transform(72.09, -lam) overflows (its
-    # pre-scale is ~1/|lam|), so the grid reaches inf and the quadrature
-    # warns and meets NaN, where the density is the Gaussian's: lam = +/-1e-306
-    # already gives Z = 2.5066282746310073 and pdf(0.5) = 0.3520653267642998.
-    # A log-domain tail for small |lam| makes these pass.
+    # pre-scale is ~1/|lam|), so x_max is inf and the rule has no interval,
+    # where the density is the Gaussian's: lam = +/-1e-306 already gives
+    # Z = 2.5066282746310087 and pdf(0.5) = 0.35206532676429964.  Each call is
+    # refused with a ValueError that names lam; a log-domain tail for small
+    # |lam| makes the xfails pass.
     _TINY_SHAPES = [sys.float_info.min, -sys.float_info.min, 1e-307, -1e-307]
 
     @pytest.mark.xfail(strict=True, reason="the quadrature cutoff overflows at |lam| near TINY")
@@ -83,6 +121,17 @@ class TestPartitionFunction:
     @pytest.mark.parametrize("lam", _TINY_SHAPES)
     def test_gaussian_density_at_tiny_shapes(self, lam):
         assert pdf(0.5, lam) == pytest.approx(0.3520653267642995, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [*_TINY_SHAPES, 5e-308])
+    def test_an_overflowing_cutoff_is_refused(self, lam):
+        # before any node is evaluated: no warning, no NaN, and lam named
+        message = rf"^the quadrature cutoff, .* overflows at lam = {re.escape(repr(lam))}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (partition_function, partition_function.__wrapped__,
+                         lambda lam: pdf(0.5, lam), lambda lam: pdf(np.array([0.5]), lam)):
+                with pytest.raises(ValueError, match=message):
+                    call(lam)
 
 
 class TestSupport:
@@ -409,6 +458,25 @@ class TestZTable:
         assert ZTable.load(path) == table
         assert sys.float_info.min <= table.lookup(lam) < math.inf
         assert not math.isnan(pdf(0.5, lam, table=table))
+
+    def test_a_table_saved_under_simpson_loads_and_looks_up_as_before(self):
+        # build_table(16) saved this when Z came from 4097-node composite
+        # Simpson; num_points records that rule's count.  A lookup reads only
+        # s_grid and log_z, so each keeps the bits it had then.
+        table = ZTable.load(Path(__file__).parent / "data" / "ztable-simpson-4096.json")
+        assert table.num_points == 4096
+        frozen = {
+            -1.0: (4.442882938504486, 0.20007029246377056),
+            -0.999: (4.439430954252328, 0.20022580882947955),
+            -0.5: (3.268543527244488, 0.2718843546223947),
+            0.0: (2.506628274631009, 0.3520653267642983),
+            0.3: (2.168545733329501, 0.4039441680692496),
+            2.0: (1.9667396121917864, 0.44498687758041916),
+            1e5: (1.885620052106654, 0.46403834251429665),
+            math.inf: (1.8856180831641236, 0.46403882515367256),
+        }
+        got = {lam: (table.lookup(lam), pdf(0.5, lam, table=table)) for lam in frozen}
+        assert got == frozen
 
     def test_one_node_rejected(self):
         with pytest.raises(ValueError, match="at least two nodes"):

@@ -190,6 +190,23 @@ def test_each_shape_parameter_is_checked_once(name, fn, args, tol, outside):
         assert len(checks) == _SHAPES.get(name, 1), (type(x).__name__, checks)
 
 
+@pytest.mark.parametrize("fn", [rp.partition_function, _TABLE.lookup],
+                         ids=["partition_function", "ZTable.lookup"])
+def test_a_shape_that_is_not_a_number_raises_before_the_z_cache(fn):
+    # partition_function checks lam before its lru_cache hashes it, so a
+    # list or an ndarray is the ValueError that ZTable.lookup gives, not
+    # the cache's TypeError
+    for v in [*NOT_NUMBERS, np.array([0.5]), np.array([0.5, 1.0])]:
+        with pytest.raises(ValueError, match=r"^shape parameter lam must be a number, got "):
+            fn(v)
+
+
+def test_an_unhashable_count_raises_before_the_z_cache():
+    for v in ([205], np.array([205]), {205: 1}):
+        with pytest.raises(ValueError, match=r"^num_points must be an integer, got "):
+            rp.partition_function(0.5, v)
+
+
 BOUNDED = [c for c in CASES if c[4] is not None]
 
 

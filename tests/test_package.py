@@ -158,8 +158,9 @@ def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
     # and Box-Cox: in the array bodies, which run the ops they are given,
     # and in the float bodies a plan row holds, the closures that
     # _float_transform and _float_derivative build, which call libm; every
-    # other evaluator composes one of those bodies.  partition_function's
-    # log1p maps its quadrature nodes, u = log1p(x), and is no power.
+    # other evaluator composes one of those bodies.  The log1p and expm1 of
+    # _quadrature, partition_function's uncached rule, map its cutoff and
+    # its nodes between x and u = log1p(x), and are no power.
     written = {
         f"{path.stem}.{name}"
         for path in sorted(Path(rootpow.__file__).parent.glob("*.py"))
@@ -167,7 +168,7 @@ def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
     }
     assert written == {
         "core._transform", "core._derivative", "core._float_transform",
-        "core._float_derivative", "families._boxcox", "distribution.partition_function",
+        "core._float_derivative", "families._boxcox", "distribution._quadrature",
     }
     # inside the two factories, the three float transform bodies that take
     # a log1p or an expm1, and the derivative body that takes a log1p

@@ -19,7 +19,8 @@ run, which shows the noise floor of the ratios:
     python tools/float_ab.py <tree_a> <tree_b> [--rounds 30] [--repeats 5]
 
 ``oracle_transform`` is left out: it evaluates in ``decimal``, at
-milliseconds a call.  Needs numpy, which ``pdf``'s quadrature imports.
+milliseconds a call.  It imports no numpy itself, since every call is a
+float call, and neither does a tree whose ``pdf`` takes Z from a float rule.
 """
 
 from __future__ import annotations
