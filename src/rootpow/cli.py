@@ -23,9 +23,9 @@ import sys
 from . import distribution as dist
 from .core import _plan, _require_count, _sorted_linspace, parse_lambda
 from .families import (
-    _float_bump, _float_kernel, _float_loss, _float_relu, _float_sigmoid, _float_signed,
-    _float_softplus, _float_tanh, _require_boxcox_lambda, _require_bump_lambda, _require_scale,
-    boxcox, boxcox_normalized,
+    _float_boxcox, _float_boxcox_normalized, _float_bump, _float_kernel, _float_loss, _float_relu,
+    _float_sigmoid, _float_signed, _float_softplus, _float_tanh, _require_boxcox_lambda,
+    _require_bump_lambda, _require_scale,
 )
 
 __all__ = ["main", "entrypoint", "build_parser"]
@@ -105,8 +105,7 @@ _SCALE = ("--c", _require_scale)
 # runs once, on the flag's value; every x then runs step(x, *params), the
 # float step the public function calls, less its checks, so the same bits.
 # f, finv and g name a field of the lam's plan row instead: its float
-# transform (9) or derivative (10), which takes x alone.  The Box-Cox
-# functions have no float step; h and hhat run the public call.
+# transform (9) or derivative (10), which takes x alone.
 _EVAL_FUNCTIONS = {
     "f": (9, [_LAMBDA]),
     "finv": (9, [("--lambda", lambda text: -parse_lambda(text))]),
@@ -120,8 +119,8 @@ _EVAL_FUNCTIONS = {
     "sigmoid": (_float_sigmoid, []),
     "tanh": (_float_tanh, []),
     "relu": (_float_relu, [("--lambda-neg", parse_lambda, "0")]),
-    "h": (boxcox, [("--lambda", _shape(_require_boxcox_lambda))]),
-    "hhat": (boxcox_normalized, [("--lambda", _shape(_require_boxcox_lambda))]),
+    "h": (_float_boxcox, [("--lambda", _shape(_require_boxcox_lambda))]),
+    "hhat": (_float_boxcox_normalized, [("--lambda", _shape(_require_boxcox_lambda))]),
 }
 
 

@@ -18,17 +18,17 @@ pole; :func:`classify`, :func:`branch_plan`, :func:`max_domain` and every
 evaluator body read it.
 
 :func:`transform`, :func:`inverse` and :func:`derivative` take a float or
-an ndarray.  A float x goes from the public function straight to the float
-body its lam's table row holds: a closure of x over the row's constants,
-picked from the plan's skip flags, that makes the array body's passes on
-libm, in the same order and to the same bits, without its tests for
-identity passes.  ``_elementwise`` serves an array, which runs the one
-array body with numpy ufuncs and gives an array of its shape, and every
-other scalar kind (an int, a numpy scalar, a float subclass, a NaN).
-Every family body in ``families`` and ``distribution`` is built on
-``_transform``/``_derivative``, which ``_elementwise`` runs; on a non-NaN
-float each family's evaluator calls its float step instead, which calls the
-row's float bodies directly, and a test holds each step to its body.
+an ndarray, by one of two routes.  A scalar takes the float body its lam's
+table row holds: a closure of x over the row's constants, picked from the
+plan's skip flags, that makes the array body's passes on libm, in the same
+order and to the same bits, without its tests for identity passes.  A
+float goes there from the public function directly, every other scalar
+kind (an int, a numpy scalar, a float subclass) through ``_elementwise``,
+which reads it as a float.  An array goes through ``_elementwise`` to the
+one array body, which runs numpy's ufuncs.  Every family in ``families``
+and ``distribution`` has the same two: a float step that calls the row's
+float bodies, and an array body built on ``_transform``/``_derivative``;
+a test holds each float body and step to its array body run on libm.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import math
 import sys
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache
 
 __all__ = [
     "Branch",
@@ -191,9 +190,8 @@ def _sorted_linspace(lo: float, hi: float, count: int):
 # post-scale.  Each is a closure of x alone over its row's constants, which
 # _row builds once per lam: the transform's over (pre, mid, post, floor),
 # the derivative's over (pre, dmid, floor).  transform, inverse and
-# derivative call one on a float x directly, and so does each family's float
-# step; on any other scalar a body's _transform and _derivative calls reach
-# them.
+# derivative call one on a float x directly, each family's float step does
+# too, and _elementwise reaches one on any other scalar kind.
 
 
 def _float_transform(pre: float, skip_log: bool, mid: float, skip_exp: bool, post: float,
@@ -346,50 +344,21 @@ def max_domain(lam: float) -> float:
     return _plan[_require_number(lam)][5]
 
 
-def _saturating(f):
-    def call(t: float) -> float:
-        try:
-            return f(t)
-        except OverflowError:
-            return math.inf
-    return call
+def _elementwise(body, step, x, *params):
+    """Evaluate ``step(x, *params)`` for a scalar x, ``body(x, np, *params)``
+    for an ndarray x.
 
-
-# The primitives the bodies compose, for one operand kind.  The array ops
-# log1p(a, out), expm1, exp and maximum(a, b, out) write into an array
-# out, as numpy's ufuncs do; the float ops take no out.
-# select(cond, then, otherwise) takes its two values as thunks: a float
-# evaluates only the one cond picks, an array both, picked elementwise.
-# any(flags) reduces a domain check on x to one bool.
-_Ops = namedtuple("_Ops", "log1p expm1 exp maximum select any")
-# Two-argument max as a conditional: the builtin costs ~150 ns a call.
-_FLOAT_OPS = _Ops(
-    math.log1p, _saturating(math.expm1), _saturating(math.exp), lambda a, b: b if b > a else a,
-    lambda cond, then, otherwise: then() if cond else otherwise(), bool,
-)
-
-
-@lru_cache(maxsize=None)
-def _array_ops(np) -> _Ops:
-    # numpy deprecates a positional out for maximum
-    return _Ops(
-        np.log1p, np.expm1, np.exp, lambda a, b, out=None: np.maximum(a, b, out=out),
-        lambda cond, then, otherwise: np.where(cond, then(), otherwise()), np.any,
-    )
-
-
-def _elementwise(body, x, *params):
-    """Evaluate ``body(x, ops, *params)`` for an ndarray or any scalar x.
-
-    Every public evaluator sends a non-NaN float x straight to its body
-    with the float ops, and everything else here: an ndarray, an int, a
-    numpy scalar, a float subclass, a NaN.  An ndarray runs through numpy
-    ufuncs, overflow to inf expected, as a C-contiguous array of ndim >= 1
-    (a 0-d ufunc result is a scalar, which takes no ``out=``) that the body
-    may return but not write into, and gives a new float64 array of x's
-    shape.  Any other x is read as a float, as a shape parameter is, and runs
-    through libm to give a float, the bits of the float call.  A NaN in x, or
-    a complex x, raises ValueError.  numpy is never imported here.
+    These are the two routes of every public evaluator: its float step for
+    each scalar kind, its body on numpy for an array.  The evaluator takes
+    a non-NaN float x to its step (or the step's float body) itself, and
+    sends everything else here.  An ndarray runs through numpy's ufuncs,
+    overflow to inf expected, as a C-contiguous array of ndim >= 1 (a 0-d
+    ufunc result is a scalar, which takes no ``out=``) that the body may
+    return but not write into, and gives a new float64 array of x's shape.
+    Any other x (an int, a numpy scalar, a float subclass) is read as a
+    float, as a shape parameter is, and runs the step, so it gives the bits
+    of the float call.  A NaN in x, or a complex x, raises ValueError.
+    numpy is never imported here.
     """
     np = sys.modules.get("numpy")
     if np is not None and isinstance(x, np.ndarray):
@@ -399,25 +368,23 @@ def _elementwise(body, x, *params):
         if np.isnan(a).any():
             raise ValueError("x must not be NaN")
         with np.errstate(over="ignore"):
-            out = body(a, _array_ops(np), *params)
+            out = body(a, np, *params)
         return (out.copy() if out is a else out).reshape(x.shape)
-    return body(_require_number(x, "x"), _FLOAT_OPS, *params)
+    return step(_require_number(x, "x"), *params)
 
 
-# _transform and _derivative hand a float to the row's float closure.  Any
-# other operand runs the array body, the one statement of the arithmetic:
-# with numpy's ufuncs, or with libm ops on a float for the tests that hold
-# the float bodies to it.  An array body allocates at most one array and
-# runs every later pass in it: ``out``, None until a pass allocates it, or
-# x itself when the caller hands over an array it owns.  Passes that are
-# exact identities on non-NaN input (times 1) are skipped.  Only the
-# pre-scale can meet x unallocated: a plan that skips the log has mid_scale
-# 1, and one that skips the exp a post_scale of 1 or a log before it.
+# The array bodies, the one statement of the arithmetic, which the float
+# bodies above restate on libm.  Each runs on numpy, handed in as np (the
+# tests hand in a libm namespace of the same names instead, to hold the
+# float bodies to them).  A body allocates at most one array and runs every
+# later pass in it: ``out``, None until a pass allocates it, or x itself
+# when the caller hands over an array it owns.  Passes that are exact
+# identities on non-NaN input (times 1) are skipped.  Only the pre-scale can
+# meet x unallocated: a plan that skips the log has mid_scale 1, and one
+# that skips the exp a post_scale of 1 or a log before it.
 
 
-def _transform(x, ops: _Ops, lam: float, out=None):
-    if ops is _FLOAT_OPS:
-        return _plan[lam][9](x)
+def _transform(x, np, lam: float, out=None):
     pre, skip_log, mid, skip_exp, post, _, floor, _, _, _, _, _ = _plan[lam]
     if pre != 1.0:
         if out is None:
@@ -425,20 +392,18 @@ def _transform(x, ops: _Ops, lam: float, out=None):
         else:
             x *= pre
     if not skip_log:
-        x = out = ops.maximum(x, floor, out)
-        x = ops.log1p(x, out)
+        x = out = np.maximum(x, floor, out=out)
+        x = np.log1p(x, out)
     if mid != 1.0:
         x *= mid
     if not skip_exp:
-        x = ops.expm1(x, out)
+        x = np.expm1(x, out)
     if post != 1.0:
         x *= post
     return x
 
 
-def _derivative(x, ops: _Ops, lam: float, out=None):
-    if ops is _FLOAT_OPS:
-        return _plan[lam][10](x)
+def _derivative(x, np, lam: float, out=None):
     pre, skip_log, _, _, _, _, floor, _, _, _, fd, dmid = _plan[lam]
     if fd is _float_slope_one:  # the power is 1 (0 * inf must not leak NaN)
         return x ** 0.0  # 1 for every x, inf included
@@ -448,10 +413,19 @@ def _derivative(x, ops: _Ops, lam: float, out=None):
         else:
             x *= pre
     if not skip_log:
-        x = out = ops.maximum(x, floor, out)
-        x = ops.log1p(x, out)
+        x = out = np.maximum(x, floor, out=out)
+        x = np.log1p(x, out)
         x *= dmid
-    return ops.exp(x, out)
+    return np.exp(x, out)
+
+
+# The float steps _elementwise runs for transform (inverse: at -lam) and derivative.
+def _transform_step(x: float, lam: float) -> float:
+    return _plan[lam][9](x)
+
+
+def _derivative_step(x: float, lam: float) -> float:
+    return _plan[lam][10](x)
 
 
 def transform(x: float | np.ndarray, lam: float) -> float | np.ndarray:
@@ -465,7 +439,7 @@ def transform(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     lam = _require_number(lam)
     if type(x) is float and x == x:
         return _plan[lam][9](x)
-    return _elementwise(_transform, x, lam)
+    return _elementwise(_transform, _transform_step, x, lam)
 
 
 def inverse(x: float | np.ndarray, lam: float) -> float | np.ndarray:
@@ -473,7 +447,7 @@ def inverse(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     lam = -_require_number(lam)
     if type(x) is float and x == x:
         return _plan[lam][9](x)
-    return _elementwise(_transform, x, lam)
+    return _elementwise(_transform, _transform_step, x, lam)
 
 
 def derivative(x: float | np.ndarray, lam: float) -> float | np.ndarray:
@@ -487,7 +461,7 @@ def derivative(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     lam = _require_number(lam)
     if type(x) is float and x == x:
         return _plan[lam][10](x)
-    return _elementwise(_derivative, x, lam)
+    return _elementwise(_derivative, _derivative_step, x, lam)
 
 
 def transform_naive(x: float, lam: float) -> float:

@@ -155,15 +155,11 @@ partition_function.cache_clear = _cached_quadrature.cache_clear
 partition_function.__wrapped__ = _quadrature
 
 
-def _pdf(x, ops, lam: float, c: float, z: float, edge: float):
+def _pdf(x, np, lam: float, c: float, z: float, edge: float):
     # divide by z then c: loss(x, lam, c) and loss(x/c, lam, 1) are the
     # same float, so this order makes pdf(x, lam, c) == pdf(x/c, lam, 1)/c
     # bit-exact instead of merely close
-    return ops.select(
-        abs(x) < edge,
-        lambda: ops.exp(-_loss(x, ops, lam, c)) / z / c,
-        lambda: 0.0,
-    )
+    return np.where(abs(x) < edge, np.exp(-_loss(x, np, lam, c)) / z / c, 0.0)
 
 
 def _float_pdf(x: float, lam: float, c: float, z: float, edge: float) -> float:
@@ -193,7 +189,7 @@ def pdf(x, lam: float, c: float = 1.0, table: "ZTable | None" = None):
     lam, c, z, edge = _pdf_params(lam, c, table)
     if type(x) is float and x == x:
         return _float_pdf(x, lam, c, z, edge)
-    return _elementwise(_pdf, x, lam, c, z, edge)
+    return _elementwise(_pdf, _float_pdf, x, lam, c, z, edge)
 
 
 def _compactify(lam: float) -> float:

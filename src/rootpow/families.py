@@ -2,17 +2,17 @@
 kernels, signed transforms and activations, bumps, and the Box-Cox bridge.
 
 Each family is a short composition of the core bodies ``_transform`` and
-``_derivative``: its body, the one statement of its arithmetic.  Each public
-evaluator checks its parameters once, then takes a float or an ndarray.
-``core._elementwise`` runs the body on an array with numpy ufuncs, and on
-every other scalar kind (an int, a numpy scalar, a float subclass, a NaN)
-after reading it as a float.  A non-NaN float x goes to the family's float
-step instead: a plain function of (x, *params) that calls the float closures
-of the lam's plan row directly and picks a side with an ``if``, making the
+``_derivative``: its body, the one statement of its arithmetic, which runs
+on numpy alone.  Each public evaluator checks its parameters once, then
+takes one of two routes.  A scalar x takes the family's float step: a
+plain function of (x, *params) that calls the float closures of the lam's
+plan row (Box-Cox: libm) and picks a side with an ``if``, making the
 body's passes in the body's order, so it gives the bits of the body run on
-libm; a test holds each step to its body.  The Box-Cox functions have no
-step: a float runs their body with the float ops.  The comment above each
-family says why it is computed the way it is.
+libm; a test holds each step to its body.  A float goes to the step
+directly, every other scalar kind (an int, a numpy scalar, a float
+subclass) through ``core._elementwise``, which reads it as a float.  An
+array takes ``core._elementwise``'s numpy route, the body on numpy's
+ufuncs.  The comment above each family says why it is computed as it is.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 
 from .core import (
-    _FLOAT_OPS, EPS, TINY, Branch, UnsupportedBranchError, _derivative, _elementwise, _plan,
-    _require_number, _to_float, _transform,
+    EPS, TINY, Branch, UnsupportedBranchError, _derivative, _elementwise, _plan, _require_number,
+    _to_float, _transform,
 )
 
 __all__ = [
@@ -53,7 +53,7 @@ def _require_scale(c: float) -> float:
     return c
 
 
-def _loss(x, ops, lam: float, c: float, power=_transform):
+def _loss(x, np, lam: float, c: float, power=_transform):
     # power(0.5 * (x/c)**2): the loss, or with _derivative the kernel.
     # r * r, not r ** 2: past the binary64 range a float product gives inf,
     # which the transform maps to its limit, where ** raises OverflowError;
@@ -62,7 +62,7 @@ def _loss(x, ops, lam: float, c: float, power=_transform):
     r = x / c if c != 1.0 else x
     u = 0.5 * r
     u *= r
-    return power(u, ops, lam, u)
+    return power(u, np, lam, u)
 
 
 # The float steps of _loss and _kernel.  The body skips x / c at c = 1 to
@@ -88,7 +88,7 @@ def loss(x, lam: float, c: float = 1.0):
     lam, c = _require_number(lam), _require_scale(c)
     if type(x) is float and x == x:
         return _float_loss(x, lam, c)
-    return _elementwise(_loss, x, lam, c)
+    return _elementwise(_loss, _float_loss, x, lam, c)
 
 
 # Kernel, x the distance between two points.  Going through the derivative
@@ -106,8 +106,8 @@ KERNEL_REFERENCE_LAMBDAS = {
 }
 
 
-def _kernel(x, ops, lam: float, c: float):
-    return _loss(x, ops, lam, c, _derivative)
+def _kernel(x, np, lam: float, c: float):
+    return _loss(x, np, lam, c, _derivative)
 
 
 def kernel(x, lam: float, c: float = 1.0):
@@ -116,7 +116,7 @@ def kernel(x, lam: float, c: float = 1.0):
     lam, c = _require_number(lam), _require_scale(c)
     if type(x) is float and x == x:
         return _float_kernel(x, lam, c)
-    return _elementwise(_kernel, x, lam, c)
+    return _elementwise(_kernel, _float_kernel, x, lam, c)
 
 
 def irls_weight(residual, lam: float, c: float = 1.0):
@@ -137,12 +137,8 @@ def irls_weight(residual, lam: float, c: float = 1.0):
 _LN2 = math.log(2.0)
 
 
-def _signed(x, ops, lam_pos: float, lam_neg: float):
-    return ops.select(
-        x >= 0.0,
-        lambda: _transform(x, ops, lam_pos),
-        lambda: -_transform(-x, ops, lam_neg),
-    )
+def _signed(x, np, lam_pos: float, lam_neg: float):
+    return np.where(x >= 0.0, _transform(x, np, lam_pos), -_transform(-x, np, lam_neg))
 
 
 def _float_signed(x: float, lam_pos: float, lam_neg: float) -> float:
@@ -154,7 +150,7 @@ def signed_transform(x, lam_pos: float, lam_neg: float):
     lam_pos, lam_neg = _require_number(lam_pos), _require_number(lam_neg)
     if type(x) is float and x == x:
         return _float_signed(x, lam_pos, lam_neg)
-    return _elementwise(_signed, x, lam_pos, lam_neg)
+    return _elementwise(_signed, _float_signed, x, lam_pos, lam_neg)
 
 
 # The activations are the paper's signed-transform compositions, bit for
@@ -163,24 +159,24 @@ def signed_transform(x, lam_pos: float, lam_neg: float):
 # both halves agree), so every stage is a single _transform.
 
 
-def _softplus(x, ops):
+def _softplus(x, np):
     # as max(x, 0) + softplus(-|x|) the inner expm1 never sees x > 0, so cannot overflow
-    return ops.maximum(x, 0.0) + _transform(_transform(-abs(x), ops, 1.0) + 1.0, ops, -1.0)
+    return np.maximum(x, 0.0) + _transform(_transform(-abs(x), np, 1.0) + 1.0, np, -1.0)
 
 
 def _float_softplus(x: float) -> float:
-    # max(x, 0) as the float ops' maximum takes it
+    # max(x, 0) as a conditional: the builtin costs ~150 ns a call
     return (0.0 if 0.0 > x else x) + _plan[-1.0][9](_plan[1.0][9](-abs(x)) + 1.0)
 
 
 def softplus(x):
     if type(x) is float and x == x:
         return _float_softplus(x)
-    return _elementwise(_softplus, x)
+    return _elementwise(_softplus, _float_softplus, x)
 
 
-def _sigmoid(x, ops):
-    return 0.5 * _transform(_transform(x + _LN2, ops, 1.0) + 1.0, ops, -2.0)
+def _sigmoid(x, np):
+    return 0.5 * _transform(_transform(x + _LN2, np, 1.0) + 1.0, np, -2.0)
 
 
 def _float_sigmoid(x: float) -> float:
@@ -190,11 +186,11 @@ def _float_sigmoid(x: float) -> float:
 def sigmoid(x):
     if type(x) is float and x == x:
         return _float_sigmoid(x)
-    return _elementwise(_sigmoid, x)
+    return _elementwise(_sigmoid, _float_sigmoid, x)
 
 
-def _tanh(x, ops):
-    return 0.5 * _transform(_transform(2.0 * x, ops, 1.0), ops, -2.0)
+def _tanh(x, np):
+    return 0.5 * _transform(_transform(2.0 * x, np, 1.0), np, -2.0)
 
 
 def _float_tanh(x: float) -> float:
@@ -204,11 +200,11 @@ def _float_tanh(x: float) -> float:
 def tanh(x):
     if type(x) is float and x == x:
         return _float_tanh(x)
-    return _elementwise(_tanh, x)
+    return _elementwise(_tanh, _float_tanh, x)
 
 
-def _relu(x, ops, lam_neg: float):
-    return 2.0 - _signed(_signed(2.0 - x, ops, 2.0, lam_neg), ops, -2.0, -lam_neg)
+def _relu(x, np, lam_neg: float):
+    return 2.0 - _signed(_signed(2.0 - x, np, 2.0, lam_neg), np, -2.0, -lam_neg)
 
 
 def _float_relu(x: float, lam_neg: float) -> float:
@@ -225,7 +221,7 @@ def relu(x, lam_neg: float = 0.0):
     lam_neg = _require_number(lam_neg)
     if type(x) is float and x == x:
         return _float_relu(x, lam_neg)
-    return _elementwise(_relu, x, lam_neg)
+    return _elementwise(_relu, _float_relu, x, lam_neg)
 
 
 # Bump: positive exactly on (-1, 1), 1 only at 0.  The argument is scaled by
@@ -241,12 +237,8 @@ def _require_bump_lambda(lam: float) -> float:
     return lam
 
 
-def _bump(x, ops, lam: float):
-    return ops.select(
-        abs(x) < 1.0,
-        lambda: ops.exp(-_transform(_plan[lam][7] * x * x, ops, lam)),
-        lambda: 0.0,
-    )
+def _bump(x, np, lam: float):
+    return np.where(abs(x) < 1.0, np.exp(-_transform(_plan[lam][7] * x * x, np, lam)), 0.0)
 
 
 def _float_bump(x: float, lam: float) -> float:
@@ -262,14 +254,15 @@ def bump(x, lam: float):
     lam = _require_bump_lambda(lam)
     if type(x) is float and x == x:
         return _float_bump(x, lam)
-    return _elementwise(_bump, x, lam)
+    return _elementwise(_bump, _float_bump, x, lam)
 
 
 # Box-Cox.  Conventions differ by a shift: Box-Cox is the identity at
 # parameter 1, the transform at 0.  Each direction of the bridge delegates
-# to the other side's evaluator body, which doubles as a cross-check of the
-# case tables.  The normalized variant's scale is exact next to lam = 1 (it
-# stays within 64 ulps there).  The one power step, in _boxcox, goes through
+# to the other side's body, or its step to the other side's step, which
+# doubles as a cross-check of the case tables.  The normalized variant's
+# scale is exact next to lam = 1 (it stays within 64 ulps there).  The one
+# power step, in _boxcox and _float_boxcox, goes through
 # expm1(a * log1p(b)) rather than raw pow.
 
 
@@ -281,12 +274,23 @@ def _require_boxcox_lambda(lam: float) -> float:
     return lam
 
 
-def _boxcox(x, ops, lam: float):
-    if ops.any(x <= -1.0):
+def _boxcox(x, np, lam: float):
+    if np.any(x <= -1.0):
         raise ValueError(f"Box-Cox domain requires x > -1, got {x!r}")
     if abs(lam) < TINY:
-        return ops.log1p(x)
-    return ops.expm1(lam * ops.log1p(x)) / lam
+        return np.log1p(x)
+    return np.expm1(lam * np.log1p(x)) / lam
+
+
+def _float_boxcox(x: float, lam: float) -> float:
+    if x <= -1.0:
+        raise ValueError(f"Box-Cox domain requires x > -1, got {x!r}")
+    if abs(lam) < TINY:
+        return math.log1p(x)
+    try:
+        return math.expm1(lam * math.log1p(x)) / lam
+    except OverflowError:  # numpy's expm1 gives inf there
+        return math.inf / lam
 
 
 def boxcox(x, lam: float):
@@ -294,17 +298,27 @@ def boxcox(x, lam: float):
     float or an ndarray); needs x > -1."""
     lam = _require_boxcox_lambda(lam)
     if type(x) is float and x == x:
-        return _boxcox(x, _FLOAT_OPS, lam)
-    return _elementwise(_boxcox, x, lam)
+        return _float_boxcox(x, lam)
+    return _elementwise(_boxcox, _float_boxcox, x, lam)
 
 
-def _boxcox_normalized(x, ops, lam: float):
+def _boxcox_normalized(x, np, lam: float):
     if abs(lam - 1.0) < EPS:
         return x
     denom = abs(1.0 - lam)
     try:
-        return denom * _boxcox(x / denom, ops, lam)
+        return denom * _boxcox(x / denom, np, lam)
     except ValueError:  # _boxcox's domain check, on x / denom
+        raise ValueError(f"x = {x!r} outside the lam = {lam!r} branch domain") from None
+
+
+def _float_boxcox_normalized(x: float, lam: float) -> float:
+    if abs(lam - 1.0) < EPS:
+        return x
+    denom = abs(1.0 - lam)
+    try:
+        return denom * _float_boxcox(x / denom, lam)
+    except ValueError:  # _float_boxcox's domain check, on x / denom
         raise ValueError(f"x = {x!r} outside the lam = {lam!r} branch domain") from None
 
 
@@ -314,16 +328,24 @@ def boxcox_normalized(x, lam: float):
     lam = 1; needs x > -|1 - lam|.  Takes a float or an ndarray."""
     lam = _require_boxcox_lambda(lam)
     if type(x) is float and x == x:
-        return _boxcox_normalized(x, _FLOAT_OPS, lam)
-    return _elementwise(_boxcox_normalized, x, lam)
+        return _float_boxcox_normalized(x, lam)
+    return _elementwise(_boxcox_normalized, _float_boxcox_normalized, x, lam)
 
 
-def _transform_via_boxcox(x, ops, lam: float):
+def _transform_via_boxcox(x, np, lam: float):
     if _plan[lam][8] is Branch.ZERO:
-        return _boxcox(x, ops, 1.0)
+        return _boxcox(x, np, 1.0)
     if lam < 0.0:
-        return -lam * _boxcox(-x / lam, ops, lam + 1.0)
-    return lam / (1.0 - lam) * _boxcox((1.0 - lam) / lam * x, ops, 1.0 / (1.0 - lam))
+        return -lam * _boxcox(-x / lam, np, lam + 1.0)
+    return lam / (1.0 - lam) * _boxcox((1.0 - lam) / lam * x, np, 1.0 / (1.0 - lam))
+
+
+def _float_transform_via_boxcox(x: float, lam: float) -> float:
+    if _plan[lam][8] is Branch.ZERO:
+        return _float_boxcox(x, 1.0)
+    if lam < 0.0:
+        return -lam * _float_boxcox(-x / lam, lam + 1.0)
+    return lam / (1.0 - lam) * _float_boxcox((1.0 - lam) / lam * x, 1.0 / (1.0 - lam))
 
 
 def transform_via_boxcox(x, lam: float):
@@ -339,15 +361,22 @@ def transform_via_boxcox(x, lam: float):
     if _plan[lam][8] is Branch.ONE:
         raise UnsupportedBranchError("bridge is singular at lam = 1")
     if type(x) is float and x == x:
-        return _transform_via_boxcox(x, _FLOAT_OPS, lam)
-    return _elementwise(_transform_via_boxcox, x, lam)
+        return _float_transform_via_boxcox(x, lam)
+    return _elementwise(_transform_via_boxcox, _float_transform_via_boxcox, x, lam)
 
 
-def _boxcox_via_transform(x, ops, lam: float):
+def _boxcox_via_transform(x, np, lam: float):
     if abs(lam - 1.0) < EPS:
-        return _transform(x, ops, 0.0)
+        return _transform(x, np, 0.0)
     k = abs(1.0 - lam)
-    return _transform(k * x, ops, lam - 1.0 if lam < 1.0 else 1.0 - 1.0 / lam) / k
+    return _transform(k * x, np, lam - 1.0 if lam < 1.0 else 1.0 - 1.0 / lam) / k
+
+
+def _float_boxcox_via_transform(x: float, lam: float) -> float:
+    if abs(lam - 1.0) < EPS:
+        return _plan[0.0][9](x)
+    k = abs(1.0 - lam)
+    return _plan[lam - 1.0 if lam < 1.0 else 1.0 - 1.0 / lam][9](k * x) / k
 
 
 def boxcox_via_transform(x, lam: float):
@@ -360,5 +389,5 @@ def boxcox_via_transform(x, lam: float):
     """
     lam = _require_boxcox_lambda(lam)
     if type(x) is float and x == x:
-        return _boxcox_via_transform(x, _FLOAT_OPS, lam)
-    return _elementwise(_boxcox_via_transform, x, lam)
+        return _float_boxcox_via_transform(x, lam)
+    return _elementwise(_boxcox_via_transform, _float_boxcox_via_transform, x, lam)

@@ -32,7 +32,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import _array_ops, _require_count, _require_number
+from .core import _require_count, _require_number
 from .families import _kernel, _loss, _require_scale
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 _MAX = sys.float_info.max
-_OPS = _array_ops(np)
 _MIN_ITERS = 1
 
 
@@ -135,7 +134,7 @@ def _weighted_shift(r: np.ndarray, problem: IrlsProblem) -> tuple[float, float]:
     The mean is summed over the normalized weights w / total, so no
     partial sum passes max|r|.  Both are 0.0 when every weight is 0.
     """
-    w = _kernel(r, _OPS, problem.lam, problem.c)  # r is finite: no NaN scan
+    w = _kernel(r, np, problem.lam, problem.c)  # r is finite: no NaN scan
     total = float(w.sum())
     if not total > 0.0:
         return 0.0, 0.0
@@ -200,7 +199,7 @@ def _exact_sweep(mu: float, problem: IrlsProblem) -> float:
     """irls_step with both sums exactly rounded by _exact_sum:
     fsum(w * x) / fsum(w)."""
     mu = problem._clamp(mu)
-    w = _kernel(problem._values - mu, _OPS, problem.lam, problem.c)
+    w = _kernel(problem._values - mu, np, problem.lam, problem.c)
     total = _exact_sum(w)
     if not total > 0.0:
         return mu
@@ -221,7 +220,7 @@ def loss_objective(mu: float, problem: IrlsProblem) -> float:
     _exact_sum); inf once the sum passes the largest double.  A NaN mu
     raises ValueError."""
     with np.errstate(over="ignore"):  # the residuals are finite: no NaN scan
-        terms = _loss(_residuals(_require_number(mu, "mu"), problem), _OPS, problem.lam, problem.c)
+        terms = _loss(_residuals(_require_number(mu, "mu"), problem), np, problem.lam, problem.c)
     try:
         return _exact_sum(terms)
     except OverflowError:  # the terms are >= 0
@@ -256,7 +255,7 @@ def _median(values: np.ndarray) -> float:
 def _pass_loss(mu: float, problem: IrlsProblem) -> float:
     """loss_objective summed by numpy's pairwise sum: one pass over the
     observations, about the cost of a sweep; inf past the largest double."""
-    return float(_loss(_residuals(mu, problem), _OPS, problem.lam, problem.c).sum())
+    return float(_loss(_residuals(mu, problem), np, problem.lam, problem.c).sum())
 
 
 def fit_location(problem: IrlsProblem) -> IrlsResult:

@@ -197,6 +197,24 @@ class TestEval:
         assert out.count("\n") == 1001
         assert calls == [0.3]
 
+    @pytest.mark.parametrize("fn", ["h", "hhat"])
+    def test_boxcox_reads_its_lambda_once(self, run, fn):
+        # the Box-Cox rows run their float step at each x, past the check
+        from rootpow.families import _require_boxcox_lambda
+
+        calls = []
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is _require_boxcox_lambda.__code__:
+                calls.append(frame.f_locals["lam"])
+        sys.setprofile(profile)
+        try:
+            code, out, _ = run(["eval", "--fn", fn, "--lambda", "0.5", "--x=-0.25:3:100"])
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+        assert out.count("\n") == 101
+        assert calls == [0.5]
+
 
 # Every --fn against the public float call it stands for: the eval table
 # restates the library's signatures, and this keeps the two from drifting.

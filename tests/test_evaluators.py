@@ -3,6 +3,7 @@ ndarray in gives a float64 array of its shape that agrees with the float
 calls, NaN or an out-of-domain element raises ValueError, and the binary64
 extremes evaluate without a RuntimeWarning."""
 
+import contextlib
 import math
 import re
 import sys
@@ -458,8 +459,10 @@ def test_fused_bodies_match_unfused_bit_for_bit(lam):
 
 
 # The float bodies a plan row picks, held to the array body run on a float
-# with libm ops: one shared statement of the arithmetic, its expm1 and exp
-# saturating to inf as numpy's do.
+# with libm: one shared statement of the arithmetic.  _LIBM stands in for
+# the numpy module a body is handed, with the names the bodies call; its
+# expm1 and exp saturate to inf as numpy's do, and its where, like
+# numpy's, takes both values already evaluated.
 def _saturating(f):
     def call(t, out=None):
         try:
@@ -469,10 +472,10 @@ def _saturating(f):
     return call
 
 
-_LIBM_OPS = core._Ops(
-    lambda t, out=None: math.log1p(t), _saturating(math.expm1), _saturating(math.exp),
-    lambda a, b, out=None: b if b > a else a,
-    lambda cond, then, otherwise: then() if cond else otherwise(), bool,
+_LIBM = types.SimpleNamespace(
+    log1p=lambda t, out=None: math.log1p(t), expm1=_saturating(math.expm1),
+    exp=_saturating(math.exp), maximum=lambda a, b, out=None: b if b > a else a,
+    where=lambda cond, then, otherwise: then if cond else otherwise, any=bool,
 )
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
@@ -514,10 +517,12 @@ def _body_xs(lam):
 
 
 def _assert_float_bodies_match(x, lam):
-    for body in (core._transform, core._derivative):
-        got = body(x, core._FLOAT_OPS, lam)
+    # each through the step _elementwise runs, which calls the row's body
+    for step, body in ((core._transform_step, core._transform),
+                       (core._derivative_step, core._derivative)):
+        got = step(x, lam)
         assert type(got) is float
-        assert got.hex() == body(x, _LIBM_OPS, lam).hex(), (body.__name__, x, lam)
+        assert got.hex() == body(x, _LIBM, lam).hex(), (body.__name__, x, lam)
 
 
 def _bodies(factory):
@@ -552,10 +557,14 @@ def test_float_bodies_match_the_array_body_bit_for_bit(data):
     _assert_float_bodies_match(x, lam)
 
 
-# Each family's float step, held to its body run on a float with libm ops:
+# Each family's float step, held to its body run on a float with libm:
 # name -> (step, body, the step's parameters from a shape lam, a second
 # shape lam2 and a scale c, or None where lam is outside the family's
 # domain).  pdf's z may be any positive number: both divide by it.
+def _boxcox_shape(lam, lam2, c):
+    return (lam,) if math.isfinite(lam) else None
+
+
 _STEPS = {
     "loss": (families._float_loss, families._loss, lambda lam, lam2, c: (lam, c)),
     "kernel": (families._float_kernel, families._kernel, lambda lam, lam2, c: (lam, c)),
@@ -570,7 +579,17 @@ _STEPS = {
     "softplus": (families._float_softplus, families._softplus, lambda lam, lam2, c: ()),
     "sigmoid": (families._float_sigmoid, families._sigmoid, lambda lam, lam2, c: ()),
     "tanh": (families._float_tanh, families._tanh, lambda lam, lam2, c: ()),
+    "boxcox": (families._float_boxcox, families._boxcox, _boxcox_shape),
+    "boxcox_normalized": (families._float_boxcox_normalized, families._boxcox_normalized,
+                          _boxcox_shape),
+    "transform_via_boxcox": (families._float_transform_via_boxcox,
+                             families._transform_via_boxcox,
+                             lambda lam, lam2, c: (lam,) if math.isfinite(lam)
+                             and core._plan[lam][8] is not rp.Branch.ONE else None),
+    "boxcox_via_transform": (families._float_boxcox_via_transform,
+                             families._boxcox_via_transform, _boxcox_shape),
 }
+_BOXCOX = {"boxcox", "boxcox_normalized", "transform_via_boxcox", "boxcox_via_transform"}
 _STEP_SCALES = (1.0, 0.5, 3.0, 1e-300, 1e300)
 
 
@@ -588,6 +607,39 @@ def _step_xs(name, params):
         xs += [*_around(v), *_around(-v)]
     if name == "pdf" and params[3] < math.inf:
         xs += [*_around(params[3]), *_around(-params[3])]
+    if name in _BOXCOX:
+        xs += _boxcox_xs(name, params[0])
+    return xs
+
+
+def _boxcox_xs(name, lam):
+    # Box-Cox steps and bodies run their own tests of the lam windows, whose
+    # sides BODY_LAMS takes.  In x: where the inner Box-Cox argument s * x
+    # meets the domain edge -1, and where a * log1p(s * x) reaches log(MAX),
+    # past which expm1 overflows, each with one step to either side; for
+    # boxcox_via_transform, the edges its inner transform's float bodies
+    # are tested at.
+    if name == "boxcox_via_transform":
+        if abs(lam - 1.0) < _EPS:
+            return []
+        k = abs(1.0 - lam)
+        return [x / k for x in _body_xs(lam - 1.0 if lam < 1.0 else 1.0 - 1.0 / lam)]
+    s, a = 1.0, lam
+    if name == "boxcox_normalized" and abs(lam - 1.0) >= _EPS:
+        s = 1.0 / abs(1.0 - lam)
+    elif name == "transform_via_boxcox":
+        if core._plan[lam][8] is rp.Branch.ZERO:
+            a = 1.0
+        elif lam < 0.0:
+            s, a = -1.0 / lam, lam + 1.0
+        else:
+            s, a = (1.0 - lam) / lam, 1.0 / (1.0 - lam)
+    xs = _around(-1.0 / s)
+    if a != 0.0:
+        try:
+            xs += _around(math.expm1(_LOG_MAX / a) / s)
+        except OverflowError:  # no such x
+            pass
     return xs
 
 
@@ -601,9 +653,17 @@ def _step_params(name, lam):
 
 def _assert_step_matches(name, x, params):
     step, body, _ = _STEPS[name]
+    try:
+        want = body(x, _LIBM, *params).hex()
+    except ValueError as exc:  # a Box-Cox domain check: the step's is the same
+        assert name in _BOXCOX, (name, x, params)
+        with pytest.raises(ValueError) as raised:
+            step(x, *params)
+        assert str(raised.value) == str(exc), (name, x, params)
+        return
     got = step(x, *params)
     assert type(got) is float
-    assert got.hex() == body(x, _LIBM_OPS, *params).hex(), (name, x, params)
+    assert got.hex() == want, (name, x, params)
 
 
 @pytest.mark.parametrize("lam", BODY_LAMS)
@@ -628,41 +688,81 @@ def test_float_steps_match_their_bodies_bit_for_bit(data):
     _assert_step_matches(name, x, params)
 
 
-# A steady-state float call of each evaluator with a float step runs that
-# step and enters no generic body: not the dispatcher, not core's
-# _transform or _derivative, not a family body, not the float ops' select
-# thunks or their saturating exp.
-_GENERIC = {
-    core._elementwise.__code__, core._transform.__code__, core._derivative.__code__,
-    core._FLOAT_OPS.select.__code__, core._FLOAT_OPS.exp.__code__,
+# A steady-state scalar call of each evaluator with a float step runs that
+# step and enters no array body: not core's _transform or _derivative, not
+# a family body.  A float does not enter the dispatcher either.
+_ARRAY_BODIES = {
+    core._transform.__code__, core._derivative.__code__,
     *(body.__code__ for _, body, _ in _STEPS.values()),
 }
+_GENERIC = {core._elementwise.__code__, *_ARRAY_BODIES}
 _STEP_CALLS = [
     ("loss", rp.loss, (-2.0, 0.5)), ("kernel", rp.kernel, (-1.0, 2.0)),
     ("kernel", rp.irls_weight, (-math.inf,)), ("pdf", rp.pdf, (3.0, 1.0)),
     ("pdf", rp.pdf, (-1.0, 0.5, _TABLE)), ("bump", rp.bump, (2.0,)),
     ("signed_transform", rp.signed_transform, (0.5, -2.0)), ("softplus", rp.softplus, ()),
     ("sigmoid", rp.sigmoid, ()), ("tanh", rp.tanh, ()), ("relu", rp.relu, (-0.5,)),
+    ("boxcox", rp.boxcox, (2.0,)), ("boxcox_normalized", rp.boxcox_normalized, (0.5,)),
+    ("transform_via_boxcox", rp.transform_via_boxcox, (-0.5,)),
+    ("boxcox_via_transform", rp.boxcox_via_transform, (3.0,)),
 ]
+# Every x is in every Box-Cox domain here but -3, where boxcox,
+# boxcox_normalized and transform_via_boxcox raise from their step.
+_STEP_CALL_XS = (-3.0, -0.25, -0.0, 0.0, 0.25, 3.0, math.inf)
+
+
+def _entered(name, fn, x, args):
+    # the code objects a steady-state call fn(x, *args) enters; only a
+    # Box-Cox domain check may raise
+    allowed = (ValueError,) if name in _BOXCOX else ()
+    with contextlib.suppress(*allowed):
+        fn(x, *args)  # fills the caches
+    entered = set()
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+    sys.setprofile(profile)
+    try:
+        fn(x, *args)
+    except allowed:
+        pass
+    finally:
+        sys.setprofile(None)
+    return entered
 
 
 @pytest.mark.parametrize("name, fn, args", _STEP_CALLS,
                          ids=[fn.__name__ + ("_table" if _TABLE in args else "")
                               for _, fn, args in _STEP_CALLS])
 def test_a_float_call_never_enters_a_generic_body(name, fn, args):
-    for x in (-3.0, -0.25, -0.0, 0.0, 0.25, 3.0, math.inf):
-        fn(x, *args)  # fills the caches: the profiled call is a steady-state one
-        entered = set()
-        def profile(frame, event, arg):
-            if event == "call":
-                entered.add(frame.f_code)
-        sys.setprofile(profile)
-        try:
-            fn(x, *args)
-        finally:
-            sys.setprofile(None)
+    for x in _STEP_CALL_XS:
+        entered = _entered(name, fn, x, args)
         assert _STEPS[name][0].__code__ in entered, x
         assert not entered & _GENERIC, (x, sorted(code.co_name for code in entered & _GENERIC))
+
+
+# transform, inverse and derivative call the row's float body directly on a
+# float, and on another scalar kind through the step _elementwise runs
+_SCALAR_CALLS = [(name, _STEPS[name][0], fn, args) for name, fn, args in _STEP_CALLS] + [
+    ("transform", core._transform_step, rp.transform, (0.5,)),
+    ("inverse", core._transform_step, rp.inverse, (-2.0,)),
+    ("derivative", core._derivative_step, rp.derivative, (3.0,)),
+]
+
+
+@pytest.mark.parametrize("name, step, fn, args", _SCALAR_CALLS,
+                         ids=[fn.__name__ + ("_table" if _TABLE in args else "")
+                              for _, _, fn, args in _SCALAR_CALLS])
+def test_every_scalar_kind_takes_the_float_step(name, step, fn, args):
+    # an int, an np.float64 and a float subclass run the step and enter no
+    # array body (TestEvaluatorContract holds them to the float call's bits)
+    for v in _STEP_CALL_XS:
+        for x in [np.float64(v), _Float(v)] + ([int(v)] if v.is_integer() else []):
+            entered = _entered(name, fn, x, args)
+            assert step.__code__ in entered, (type(x).__name__, v)
+            assert not entered & _ARRAY_BODIES, (
+                type(x).__name__, v, sorted(code.co_name for code in entered & _ARRAY_BODIES)
+            )
 
 
 # Totality: every finite double x, and every positive finite scale c, gives

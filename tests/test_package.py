@@ -129,8 +129,9 @@ _POWER = ("log1p", "expm1")
 
 def _power_writers(tree: ast.Module):
     """The top-level definitions of a module that call log1p or expm1:
-    through ops, through math (under any name it is imported as), or
-    through a module-level alias of math's."""
+    through np (the numpy module an array body is handed), through math
+    (under any name it is imported as), or through a module-level alias of
+    math's."""
     maths, aliases = set(), set()
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -148,17 +149,17 @@ def _power_writers(tree: ast.Module):
                 continue
             func = node.func
             if (isinstance(func, ast.Attribute) and func.attr in _POWER
-                    and isinstance(func.value, ast.Name) and func.value.id in maths | {"ops"}
+                    and isinstance(func.value, ast.Name) and func.value.id in maths | {"np"}
                     or isinstance(func, ast.Name) and func.id in aliases):
                 yield getattr(top, "name", "<module>")
 
 
 def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
     # expm1(a * log1p(b)) is spelled out for the transform, its derivative
-    # and Box-Cox: in the array bodies, which run the ops they are given,
-    # and in the float bodies a plan row holds, the closures that
-    # _float_transform and _float_derivative build, which call libm; every
-    # other evaluator composes one of those bodies.  The log1p and expm1 of
+    # and Box-Cox: in the array bodies, which run the numpy they are handed,
+    # in the float bodies a plan row holds, the closures that
+    # _float_transform and _float_derivative build, and in Box-Cox's float
+    # step, which call libm; every other evaluator composes one of those.  The log1p and expm1 of
     # _quadrature, partition_function's uncached rule, map its cutoff and
     # its nodes between x and u = log1p(x), and are no power.
     written = {
@@ -168,7 +169,8 @@ def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
     }
     assert written == {
         "core._transform", "core._derivative", "core._float_transform",
-        "core._float_derivative", "families._boxcox", "distribution._quadrature",
+        "core._float_derivative", "families._boxcox", "families._float_boxcox",
+        "distribution._quadrature",
     }
     # inside the two factories, the three float transform bodies that take
     # a log1p or an expm1, and the derivative body that takes a log1p
@@ -190,8 +192,9 @@ def test_the_power_is_written_only_in_the_transform_and_boxcox_bodies():
 
 def test_the_lam_windows_are_tested_only_in_the_plan():
     # core._plan_row decides each lam's branch, constants and pole once, and
-    # every other reader takes them from its table; the Box-Cox bodies
-    # compare their own parameter, whose windows are not the transform's
+    # every other reader takes them from its table; the Box-Cox bodies and
+    # their float steps compare their own parameter, whose windows are not
+    # the transform's
     threshold, windows = set(), set()
     for path in sorted(Path(rootpow.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -207,7 +210,9 @@ def test_the_lam_windows_are_tested_only_in_the_plan():
                     windows.add(where)
     assert threshold == {"core._plan_row"}
     assert windows == {"core._plan_row", "families._boxcox", "families._boxcox_normalized",
-                       "families._boxcox_via_transform"}
+                       "families._boxcox_via_transform", "families._float_boxcox",
+                       "families._float_boxcox_normalized",
+                       "families._float_boxcox_via_transform"}
 
 
 # One keyword construction per record.
@@ -317,7 +322,7 @@ def _float_ab(tree_a, tree_b):
 
 def test_float_ab_gates_on_bits_only(tmp_path):
     # an A/A run passes and prints its ratios; a tree whose log+exp float
-    # body is one ulp off fails, whatever the timing
+    # body is one ulp off fails, whatever the timing, after its ratios
     same = _float_ab(_ROOT, _ROOT)
     assert same.returncode == 0, same.stderr[-2000:]
     assert "give the same bits on both trees" in same.stdout
@@ -334,3 +339,4 @@ def test_float_ab_gates_on_bits_only(tmp_path):
     differ = _float_ab(_ROOT, tmp_path)
     assert differ.returncode == 1
     assert "float calls differ between the trees" in differ.stdout
+    assert differ.stdout.splitlines()[-1].startswith("batch")

@@ -12,9 +12,12 @@ whole batch, ns per call on each tree and the median over rounds of the
 B/A time ratio with its quartiles.
 
 Before timing it checks that the two trees give the same ``float.hex`` (or
-the same exception type) on every call, and exits 1 if any differs.  The
-timing never changes the exit status.  Run the same tree twice for an A/A
-run, which shows the noise floor of the ratios:
+the same exception type) on every call, and lists the calls that differ.
+It still times every evaluator, over the calls that return on both trees,
+so a change that moves some values on purpose gets its ratios too, and
+then exits 1 if any call differed.  The timing never changes the exit
+status.  Run the same tree twice for an A/A run, which shows the noise
+floor of the ratios:
 
     python tools/float_ab.py <tree_a> <tree_b> [--rounds 30] [--repeats 5]
 
@@ -151,13 +154,17 @@ def main(argv=None) -> int:
         records = [(_record(fn_a, a), _record(fn_b, a)) for a in arg_list]
         differ += [f"{name}{a}: {ra[1]} != {rb[1]}" for a, (ra, rb) in zip(arg_list, records)
                    if ra != rb]
-        # only the calls that return are timed: raising is not the path to time
-        timed[name] = (fn_a, fn_b, [a for a, (ra, _) in zip(arg_list, records) if ra[0]])
+        # only the calls that return on both trees are timed: raising is not
+        # the path to time
+        returned = [a for a, (ra, rb) in zip(arg_list, records) if ra[0] and rb[0]]
+        if returned:
+            timed[name] = (fn_a, fn_b, returned)
+    total = sum(len(v[2]) for v in timed.values())
     if differ:
         print(f"{len(differ)} float calls differ between the trees:", *differ[:20], sep="\n")
-        return 1
-    total = sum(len(v[2]) for v in timed.values())
-    print(f"{total} float calls over {len(timed)} evaluators give the same bits on both trees")
+        print(f"timing {total} float calls over {len(timed)} evaluators that return on both trees")
+    else:
+        print(f"{total} float calls over {len(timed)} evaluators give the same bits on both trees")
 
     per = {name: ([], [], []) for name in timed}  # ns on A, ns on B, B/A
     batch = [], [], []
@@ -186,7 +193,7 @@ def main(argv=None) -> int:
         q1, med, q3 = _quartiles(ratio)
         print(f"{name:<22}{statistics.median(ns_a):>11.0f}{statistics.median(ns_b):>11.0f}"
               f"{med:>8.3f}  [{q1:.3f}, {q3:.3f}]")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Prints one ``section sha256 count`` line per section: every public
 evaluator on a shape x input grid (each float call as ``float.hex`` or the
 exception type, then one array call per parameter set, and in one section
 ``scalar.int_float64`` each x of the grid again as an ``np.float64`` and,
-where integral, as an int: the kinds that take ``_elementwise``'s route
-where a float takes the evaluator's own), the per-shape
+where integral, as an int: the kinds that reach the evaluator's float step
+through ``_elementwise``, where a float goes to it directly), the per-shape
 readers (the branch of every shape, and ``classify``, ``branch_plan`` and
 ``max_domain`` at each spelling of lam they accept), the RobustFit fits
 of the bench's seeds 101-103 with their summed losses, and the exit code,
