@@ -183,8 +183,7 @@ def _cmd_accuracy(args) -> int:
 
 def _cmd_ztable(args) -> int:
     grid_size = _param(args, "--grid-size", _count("grid_size", dist._MIN_GRID_SIZE))
-    num_points = _param(args, "--num-points", _count("num_points", dist._MIN_NUM_POINTS))
-    table = dist.build_table(grid_size, num_points)
+    table = dist.build_table(grid_size)
     try:
         table.save(args.output)
     except (OSError, ValueError) as exc:  # ValueError: a path open rejects (a NUL byte)
@@ -194,10 +193,10 @@ def _cmd_ztable(args) -> int:
     for i in range(0, len(table.s_grid) - 1, len(table.s_grid) // dist._MIN_GRID_SIZE):
         s_mid = 0.5 * (table.s_grid[i] + table.s_grid[i + 1])
         lam = dist._decompactify(s_mid)
-        direct = dist.partition_function(lam, num_points)
+        direct = dist.partition_function(lam)
         worst = max(worst, abs(table.lookup(lam) - direct) / direct)
     print(
-        f"ztable: {len(table.s_grid)} nodes, {num_points} quadrature points, "
+        f"ztable: {len(table.s_grid)} nodes, {table.num_points} quadrature points, "
         f"spot-check max rel err {worst:.3e}",
         file=sys.stderr,
     )
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_zt = sub.add_parser("ztable", help="build and save a partition-function table")
     p_zt.add_argument("--grid-size", type=int, default=dist.DEFAULT_GRID_SIZE)
-    p_zt.add_argument("--num-points", type=int, default=dist.DEFAULT_NUM_POINTS)
     p_zt.add_argument("--output", required=True, help="path for the JSON table")
     p_zt.set_defaults(func=_cmd_ztable)
 

@@ -4,15 +4,15 @@ pdf(x) = exp(-loss(x, lam, c)) / (c * Z(lam)) for lam >= -1.  The
 normalizer Z has no tractable closed form; :func:`partition_function`
 integrates it in u = log1p(x), so that the fat-tailed members near
 lam = -1 (whose support is effectively [0, ~6e15]) get logarithmically
-spaced samples in x, with the tanh-sinh rule on plain floats: num_points
-nodes, rounded up to odd, at t_k = k T/m for k = -m..m with T = 3.1875,
+spaced samples in x, with the tanh-sinh rule on plain floats: 205 nodes
+at t_k = k T/m for k = -m..m with m = 102 and T = 3.1875 (a step of 1/32),
 whose images crowd doubly exponentially toward both ends of [0, u_max].
-The default, 205 nodes, is a step of 1/32.  Where x_max, the point at
-which the density falls to eps**2, overflows (|lam| below ~4e-307), Z is
-refused with a ValueError.  The module imports no numpy.  For
-repeated or table-driven use, :func:`build_table` precomputes log Z on a
-uniform grid over the compactified coordinate s = lam / (1 + |lam|), which
-maps lam in [-1, +inf] onto [-1/2, 1], and :class:`ZTable` interpolates it
+Z is one cached number per lam.  Where x_max, the point at which the
+density falls to eps**2, overflows (|lam| below ~4e-307), Z is refused
+with a ValueError.  The module imports no numpy.  For repeated or
+table-driven use, :func:`build_table` precomputes log Z on a uniform grid
+over the compactified coordinate s = lam / (1 + |lam|), which maps lam in
+[-1, +inf] onto [-1/2, 1], and :class:`ZTable` interpolates it
 with the monotone cubic Hermite (PCHIP) of Fritsch and Carlson, SIAM J.
 Numer. Anal. 17 (1980).
 """
@@ -110,7 +110,7 @@ _DEFAULT_RULE = tuple(_tanh_sinh(DEFAULT_NUM_POINTS // 2))
 
 
 def _quadrature(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> float:
-    # partition_function's rule, uncached: it checks both arguments itself
+    # partition_function's rule, uncached, at any count: it checks both arguments
     lam = _require_dist_lambda(lam)
     m = _require_count(num_points, "num_points", _MIN_NUM_POINTS) // 2
     u_max = math.log1p(math.sqrt(2.0 * _plan[-lam][9](_CUTOFF_LOSS)))
@@ -132,22 +132,18 @@ def _quadrature(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> float:
 _cached_quadrature = lru_cache(maxsize=4096)(_quadrature)
 
 
-def partition_function(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> float:
+def partition_function(lam: float) -> float:
     """Normalizing integral of exp(-loss(x, lam, 1)) over the real line.
 
     The tanh-sinh rule over [0, x_max] doubled for symmetry, where x_max is
     the point at which the unnormalized density falls below eps**2.  The
     rule runs in u = log1p(x), so the integrand carries the Jacobian
-    dx/du = e**u, on the 2m+1 nodes t_k = k T/m, T = 3.1875, of the map
-    u = u_max (1 + tanh(pi/2 sinh t)) / 2.  num_points, a count (README,
-    Arrays) of at least 16, is that node count, normalized up to odd; the
-    default, 205, puts the step at 1/32.  Where x_max overflows, at
-    |lam| below ~4e-307, a ValueError names lam.  Cached: both arguments
-    are checked before the cache sees them, and ``cache_clear`` empties it.
+    dx/du = e**u, on the 205 nodes t_k = k/32, |k| <= 102, of the map
+    u = u_max (1 + tanh(pi/2 sinh t)) / 2.  Where x_max overflows, at
+    |lam| below ~4e-307, a ValueError names lam.  Cached per lam: lam is
+    checked before the cache sees it, and ``cache_clear`` empties it.
     """
-    lam = _require_dist_lambda(lam)
-    num_points = _require_count(num_points, "num_points", _MIN_NUM_POINTS)
-    return _cached_quadrature(lam, num_points | 1)
+    return _cached_quadrature(_require_dist_lambda(lam))
 
 
 # lru_cache's handles on the function that checks before the cache hashes
@@ -172,19 +168,20 @@ def _float_pdf(x: float, lam: float, c: float, z: float, edge: float) -> float:
 
 
 def _pdf_params(lam: float, c: float, table: "ZTable | None") -> tuple:
-    # check c, then look Z up once, which also checks lam: _pdf's parameters
+    # check c and table, then look Z up once, which also checks lam: _pdf's parameters
     c = _require_scale(c)
     if type(lam) is not float:
         lam = _to_float(lam, "shape parameter lam")
-    # the default count is odd: the cache key of partition_function(lam)
-    z = table.lookup(lam) if table is not None else _cached_quadrature(lam, DEFAULT_NUM_POINTS)
+    if table is not None and not isinstance(table, ZTable):
+        raise ValueError(f"table must be a ZTable or None, got {type(table).__name__}")
+    z = table.lookup(lam) if table is not None else _cached_quadrature(lam)
     return lam, c, z, c * _halfwidth(lam)
 
 
 def pdf(x, lam: float, c: float = 1.0, table: "ZTable | None" = None):
     """Density at x (a float or an ndarray); exactly 0 at and beyond the
-    support bound when lam > 1.  Z comes from ``table`` when given, else
-    from (cached) quadrature; either lookup also checks lam.
+    support bound when lam > 1.  Z comes from ``table``, a ZTable, when
+    given, else from (cached) quadrature; either lookup also checks lam.
     """
     lam, c, z, edge = _pdf_params(lam, c, table)
     if type(x) is float and x == x:
@@ -241,7 +238,7 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
     loads and looks up as before).  Every field rule is checked here:
     s_grid and log_z are lists or tuples of numbers, stored as float
     tuples, log_z within [-700, 700], so that every lookup is a positive
-    normal double, and num_points an int that partition_function accepts."""
+    normal double, and num_points a count of at least 16."""
 
     def __new__(cls, s_grid, log_z, num_points: int):
         s_grid = _floats(s_grid, "s_grid")
@@ -341,19 +338,19 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
         return cls(*map(payload.get, cls._fields))
 
 
-def build_table(grid_size: int = DEFAULT_GRID_SIZE, num_points: int = DEFAULT_NUM_POINTS) -> ZTable:
+def build_table(grid_size: int = DEFAULT_GRID_SIZE) -> ZTable:
     """Evaluate the partition function over a uniform s grid.
 
-    Deterministic for fixed arguments.  grid_size is normalized up so that
-    s = 0 lands exactly on a node (log Z has its lam = 0 kink there, and a
-    node on the kink keeps the fit one-sided).  The default size is what
-    the steep stretch approaching lam = -1 needs for about 4e-7 worst-case
-    interpolation error; 512 nodes leave roughly 6e-5 there.  Both
-    arguments are counts (README, Arrays) of at least 16.
+    Deterministic for a fixed size.  grid_size, a count (README, Arrays)
+    of at least 16, is normalized up so that s = 0 lands exactly on a node
+    (log Z has its lam = 0 kink there, and a node on the kink keeps the fit
+    one-sided).  The default size is what the steep stretch approaching
+    lam = -1 needs for about 4e-7 worst-case interpolation error; 512 nodes
+    leave roughly 6e-5 there.  The table records partition_function's node
+    count, 205.
     """
     grid_size = _require_count(grid_size, "grid_size", _MIN_GRID_SIZE)
-    num_points = _require_count(num_points, "num_points", _MIN_NUM_POINTS)
     grid_size += -(grid_size - 1) % 3
     s_grid = list(_sorted_linspace(-0.5, 1.0, grid_size))
-    log_z = [math.log(partition_function(_decompactify(s), num_points)) for s in s_grid]
-    return ZTable(s_grid, log_z, num_points)
+    log_z = [math.log(partition_function(_decompactify(s))) for s in s_grid]
+    return ZTable(s_grid, log_z, DEFAULT_NUM_POINTS)

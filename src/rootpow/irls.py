@@ -272,7 +272,8 @@ def fit_location(problem: IrlsProblem) -> IrlsResult:
     higher than at mu, and from m2 otherwise.  The loss at mu is computed
     only when a's passes that test, and after an accepted a it is a's.
     Every iterate the fit continues from thus has an objective no higher
-    than the one before it.
+    than the one before it.  After a point whose summed loss is inf (an
+    outlier that squares past the largest double), the fit tries no more.
 
     ``iterations`` counts the passes over the observations, sweeps and
     loss evaluations alike, and never exceeds ``max_iters``.  After them
@@ -283,6 +284,7 @@ def fit_location(problem: IrlsProblem) -> IrlsResult:
     mu = _median(problem._values)
     mu_loss = None  # _pass_loss(mu), once computed
     passes = 0
+    extrapolate = True  # until a point's summed loss is inf
     converged = False
     with np.errstate(over="ignore"):
         while passes < budget:
@@ -302,10 +304,11 @@ def fit_location(problem: IrlsProblem) -> IrlsResult:
             d1, d2 = m1 - mu, m2 - m1
             a = m2 - d2 * d2 / (d2 - d1) if d2 != d1 else math.nan
             # the comparison is False for NaN and for +-inf
-            if lo <= a <= hi and passes + 1 + (mu_loss is None) <= budget:
+            if extrapolate and lo <= a <= hi and passes + 1 + (mu_loss is None) <= budget:
                 a_loss = _pass_loss(a, problem)
                 passes += 1
-                if math.isfinite(a_loss):
+                extrapolate = math.isfinite(a_loss)
+                if extrapolate:
                     if mu_loss is None:
                         mu_loss = _pass_loss(mu, problem)
                         passes += 1

@@ -184,7 +184,7 @@ class TestEval:
 
     def test_pdf_ztable_looks_z_up_once(self, run, tmp_path, monkeypatch):
         path = tmp_path / "zt.json"
-        rootpow.build_table(64, 256).save(path)
+        rootpow.build_table(64).save(path)
         calls = []
         lookup = rootpow.ZTable.lookup
         monkeypatch.setattr(
@@ -253,7 +253,7 @@ _DRIFT = [
 def test_eval_prints_the_public_float_call_bit_for_bit(run, tmp_path, fn, flags, public):
     table = None
     if "--ztable" in flags:  # the flag comes last; its path follows here
-        table = rootpow.build_table(16, 256)
+        table = rootpow.build_table(16)
         table.save(tmp_path / "zt.json")
         flags = flags + [str(tmp_path / "zt.json")]
     xs = _BOXCOX_XS if fn in ("h", "hhat") else _XS
@@ -357,9 +357,7 @@ class TestAccuracyCommand:
 class TestZTableCommand:
     def test_build_and_reuse(self, run, tmp_path):
         path = tmp_path / "zt.json"
-        code, out, err = run(
-            ["ztable", "--grid-size", "64", "--num-points", "512", "--output", str(path)]
-        )
+        code, out, err = run(["ztable", "--grid-size", "64", "--output", str(path)])
         assert code == 0
         assert out == ""
         assert "spot-check" in err
@@ -372,7 +370,7 @@ class TestZTableCommand:
 
     def test_rebuild_is_byte_identical(self, run, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["ztable", "--grid-size", "64", "--num-points", "256"]
+        args = ["ztable", "--grid-size", "64"]
         assert run(args + ["--output", str(p1)])[0] == 0
         assert run(args + ["--output", str(p2)])[0] == 0
         assert p1.read_bytes() == p2.read_bytes()
@@ -436,8 +434,7 @@ class TestZTableCommand:
 
     def test_unwritable_output(self, run, tmp_path):
         code, _, err = run(
-            ["ztable", "--grid-size", "16", "--num-points", "64",
-             "--output", str(tmp_path / "nope" / "x.json")]
+            ["ztable", "--grid-size", "16", "--output", str(tmp_path / "nope" / "x.json")]
         )
         assert code == 1
         assert "cannot write" in err
@@ -568,16 +565,16 @@ class TestErrorPaths:
          "--lambda: cannot parse lam from 'abc'"),
         # open rejects a path holding a NUL byte with a ValueError
         (["irls", "--data", "a\0b", "--lambda", "0"], 1, "cannot read a\0b: embedded null byte"),
-        (["ztable", "--num-points", "15", "--output", "{tmp}/zt.json"], 2,
-         "--num-points: num_points must be at least 16, got 15"),
-        (["ztable", "--grid-size", "16", "--num-points", "16", "--output", "a\0b"], 1,
+        (["ztable", "--grid-size", "15", "--output", "{tmp}/zt.json"], 2,
+         "--grid-size: grid_size must be at least 16, got 15"),
+        (["ztable", "--grid-size", "16", "--output", "a\0b"], 1,
          "cannot write a\0b: embedded null byte"),
         (["eval", "--fn", "pdf", "--lambda", "0", "--x", "1", "--ztable", "a\0b"], 1,
          "cannot load ztable: embedded null byte"),
     ], ids=["empty-lambdas", "n-1", "nan-in-x", "empty-x", "x-does-not-parse", "range-count-0",
             "range-two-parts", "range-count-not-int", "missing-lambda", "missing-lambda-neg",
             "irls-empty-file", "irls-inf-in-file", "irls-lambda-abc", "irls-nul-in-path",
-            "ztable-num-points-15", "ztable-nul-in-path", "eval-ztable-nul-in-path"])
+            "ztable-grid-size-15", "ztable-nul-in-path", "eval-ztable-nul-in-path"])
     def test_exit_code_and_line(self, run, tmp_path, argv, code, line):
         for name, text in [("empty", ""), ("inf", "1\ninf\n"), ("ok", "1\n2\n")]:
             (tmp_path / f"{name}.csv").write_text(text)
@@ -586,6 +583,7 @@ class TestErrorPaths:
     # One refused value for each value flag of each command: exit 2 and one
     # stderr line that names the flag and then gives the library's reason.
     # irls reads a data file that does not exist: its flags come first.
+    # ztable has no --num-points: Z has one rule, so the flag is a usage error.
     @pytest.mark.parametrize("argv, flag", [
         (["eval", "--fn", "f", "--lambda=nan", "--x", "1"], "--lambda"),
         (["eval", "--fn", "fpm", "--lambda=1", "--lambda-neg=nan", "--x", "1"], "--lambda-neg"),
@@ -609,6 +607,8 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and err.endswith("\n"), err
         if flag is None:  # the window names both of its flags
             assert err == "error: need 0 < --xmin < --xmax < inf\n"
+        elif flag == "--num-points":
+            assert err == "error: rootpow: unrecognized arguments: --num-points 15\n"
         else:
             assert err.startswith(f"error: {flag}: "), err
 
@@ -665,7 +665,7 @@ class TestConsoleEntry:
         # need; nor dataclasses and the inspect it loads (~10 ms),
         # since every record is a named tuple
         path = tmp_path / "zt.json"
-        build_table(16, 64).save(path)
+        build_table(16).save(path)
         evals = [["eval", "--fn", fn, *flags, "--x=-0.5:0.5:9"] for fn, flags in [
             ("f", ["--lambda=2"]), ("finv", ["--lambda=2"]), ("g", ["--lambda=2"]),
             ("rho", ["--lambda=-2", "--c=2"]), ("k", ["--lambda=-2"]),
@@ -712,7 +712,7 @@ class TestConsoleEntry:
              "contextlib.redirect_stderr(io.StringIO()):\n"
              "    assert rootpow.cli.main(['eval', '--fn', 'pdf', '--lambda=-0.5', "
              "'--x=-1:1:9']) == 0\n"
-             "    assert rootpow.cli.main(['ztable', '--grid-size', '16', '--num-points', '16', "
+             "    assert rootpow.cli.main(['ztable', '--grid-size', '16', "
              f"'--output', {str(path)!r}]) == 0\n"
              "for lam in (0.0, -1.0, -0.5, float('inf')):\n"
              "    rp.partition_function(lam)\n"
@@ -723,7 +723,7 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
-        assert ZTable.load(path).num_points == 16
+        assert ZTable.load(path).num_points == 205
 
     @pytest.mark.parametrize("block", [None, "mpmath", "numpy"],
                              ids=["mpmath-importable", "mpmath-blocked", "numpy-blocked"])

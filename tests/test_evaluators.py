@@ -202,10 +202,14 @@ def test_a_shape_that_is_not_a_number_raises_before_the_z_cache(fn):
             fn(v)
 
 
-def test_an_unhashable_count_raises_before_the_z_cache():
-    for v in ([205], np.array([205]), {205: 1}):
-        with pytest.raises(ValueError, match=r"^num_points must be an integer, got "):
-            rp.partition_function(0.5, v)
+@pytest.mark.parametrize("call", [
+    lambda: rp.partition_function(0.5, 205), lambda: rp.partition_function(0.5, num_points=205),
+    lambda: rp.build_table(16, 205), lambda: rp.build_table(num_points=205),
+], ids=["partition_function", "partition_function-keyword", "build_table", "build_table-keyword"])
+def test_a_node_count_is_not_an_argument(call):
+    # Z has one rule, whose node count no caller sets
+    with pytest.raises(TypeError):
+        call()
 
 
 BOUNDED = [c for c in CASES if c[4] is not None]
@@ -286,17 +290,18 @@ def test_an_irls_argument_past_the_largest_double_is_a_value_error(case, sign):
 COUNTS = {
     "partition_function-num_points": (lambda n: rp.partition_function.__wrapped__(0.5, n),
                                       "num_points", 16),
-    "build_table-grid_size": (lambda n: rp.build_table(n, 16), "grid_size", 16),
-    "build_table-num_points": (lambda n: rp.build_table(16, n), "num_points", 16),
+    "build_table-grid_size": (lambda n: rp.build_table(n), "grid_size", 16),
     "ZTable-num_points": (lambda n: rp.ZTable((-0.5, 1.0), (0.0, 0.0), n), "num_points", 16),
     "error_sweep-n": (lambda n: rp.error_sweep([0.5], n=n), "n", 2),
     "IrlsProblem-max_iters": (lambda n: _problem(max_iters=n), "max_iters", 1),
     "oracle_transform-dps": (lambda n: rp.oracle_transform(0.5, 0.5, n), "dps", 1),
     "cli-accuracy-n": (["accuracy", "--lambdas=0.5", "--n", "{n}"], "--n", 2),
-    "cli-ztable-grid_size": (["ztable", "--grid-size", "{n}", "--num-points", "16",
-                              "--output", "{out}"], "--grid-size", 16),
-    "cli-ztable-num_points": (["ztable", "--grid-size", "16", "--num-points", "{n}",
-                               "--output", "{out}"], "--num-points", 16),
+    "cli-ztable-grid_size": (["ztable", "--grid-size", "{n}", "--output", "{out}"],
+                             "--grid-size", 16),
+    # {data} holds 1, 2 and 3, which converge in one pass
+    "cli-irls-max_iters": (["irls", "--data", "{data}", "--lambda=0", "--max-iters", "{n}"],
+                           "--max-iters", 1),
+    "cli-eval-range_count": (["eval", "--fn=f", "--lambda=0.5", "--x", "0:1:{n}"], "--x", 1),
 }
 
 
@@ -320,7 +325,9 @@ COUNT_CASES = list(_count_cases())
 def test_every_count_argument_follows_the_count_rule(case, value, accepted, tmp_path, capsys):
     call, name, least = COUNTS[case]
     if isinstance(call, list):  # exit 2 and one error line naming the flag
-        code = main([arg.format(n=value, out=tmp_path / "zt.json") for arg in call])
+        data = tmp_path / "obs.csv"
+        data.write_text("1\n2\n3\n")
+        code = main([arg.format(n=value, out=tmp_path / "zt.json", data=data) for arg in call])
         out, err = capsys.readouterr()
         if accepted:
             assert code == 0, err
@@ -338,7 +345,7 @@ def test_every_count_argument_follows_the_count_rule(case, value, accepted, tmp_
 
 
 def test_pdf_with_table_takes_arrays():
-    table = rp.build_table(16, 256)
+    table = rp.build_table(16)
     xs = np.linspace(-3.0, 3.0, 13)
     out = rp.pdf(xs, 0.5, 2.0, table)
     want = [rp.pdf(float(x), 0.5, 2.0, table) for x in xs]

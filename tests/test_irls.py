@@ -420,7 +420,7 @@ def _public_fit(problem):
 
     mu = float(np.median(values))
     path, candidates = [mu], []
-    mu_loss, passes, converged = None, 0, False
+    mu_loss, passes, converged, extrapolate = None, 0, False, True
     while passes < budget:
         m1 = irls_step(mu, problem)
         passes += 1
@@ -437,10 +437,11 @@ def _public_fit(problem):
         d1, d2 = m1 - mu, m2 - m1
         a = m2 - d2 * d2 / (d2 - d1) if d2 - d1 != 0.0 else math.nan
         taken = False
-        if lo <= a <= hi and passes + 1 + (mu_loss is None) <= budget:
+        if extrapolate and lo <= a <= hi and passes + 1 + (mu_loss is None) <= budget:
             a_loss = summed_loss(a)
             passes += 1
-            if math.isfinite(a_loss):
+            extrapolate = math.isfinite(a_loss)  # no more points after an inf loss
+            if extrapolate:
                 if mu_loss is None:
                     mu_loss = summed_loss(mu)
                     passes += 1
@@ -534,6 +535,24 @@ class TestExtrapolationGuard:
         candidates = self._candidates(problem)
         assert candidates and not any(ok for _, ok in candidates)
         assert fit_location(problem).converged
+
+    @pytest.mark.parametrize("lam", [-1.0, -0.5])
+    def test_an_infinite_loss_ends_the_extrapolation(self, lam):
+        # after the first point whose summed loss is inf the fit tries no
+        # more, so it pays one pass on top of the plain sweeps and lands
+        # where they do
+        rng = np.random.default_rng(2025)
+        datasets = [(-0.5, 0.25, 0.0, 0.5, -0.25, 1e300)]
+        for sign in (1.0, -1.0, 1.0):
+            obs = _bench_data(rng, 2000)
+            obs[int(rng.integers(2000))] = sign * 1e300
+            datasets.append(tuple(obs.tolist()))
+        for obs in datasets:
+            result = fit_location(IrlsProblem(observations=obs, lam=lam))
+            mu, iterations, converged = _fsum_fit(obs, lam)
+            assert result.iterations <= iterations + 1, (result.iterations, iterations)
+            assert result.converged == converged
+            assert abs(result.mu - mu) <= 1e-10
 
 
 def _sum_or_overflow(summer, a):

@@ -1,6 +1,7 @@
 """The package namespace, and a smoke run of the benchmark that reads it."""
 
 import ast
+import inspect
 import json
 import math
 import os
@@ -340,3 +341,33 @@ def test_float_ab_gates_on_bits_only(tmp_path):
     assert differ.returncode == 1
     assert "float calls differ between the trees" in differ.stdout
     assert differ.stdout.splitlines()[-1].startswith("batch")
+
+
+def test_the_tools_cover_every_public_evaluator():
+    # every public function of x (or of a residual) is timed by float_ab and
+    # digested by parity, so that neither drifts behind a new evaluator;
+    # both leave out oracle_transform, which takes milliseconds a call.
+    # parity puts bench/ on sys.path as it loads, so a child reads it.
+    public = {
+        name for name in rootpow.__all__
+        if callable(fn := getattr(rootpow, name)) and not isinstance(fn, type)
+        and next(iter(inspect.signature(fn).parameters), None) in ("x", "residual")
+    }
+    assert "oracle_transform" in public and len(public) >= 19
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "sys.path.insert(0, 'tools')\n"
+         "import float_ab, parity, rootpow\n"
+         "print(' '.join(float_ab.calls(rootpow)))\n"
+         "print(' '.join(fn.__name__ for fn, _ in parity.EVALUATORS\n"
+         "               if getattr(rootpow, fn.__name__, None) is fn))"],
+        capture_output=True,
+        text=True,
+        cwd=_ROOT,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    timed, digested = (set(line.split()) for line in proc.stdout.splitlines())
+    assert public - timed == {"oracle_transform"}
+    assert public - digested == {"oracle_transform"}

@@ -113,19 +113,23 @@ def _inputs(lam: float) -> list[float]:
     return XS + [math.nextafter(b, -INF), b, math.nextafter(b, INF), 2.0 * b]
 
 
+_SHAPED = [(lam,) for lam in SHAPES]
+_SCALED = [(lam, c) for lam in SHAPES for c in SCALES]
+# Every public evaluator of x and its parameter sets, but oracle_transform,
+# which evaluates in decimal at milliseconds a call.
+EVALUATORS = [
+    (rp.transform, _SHAPED), (rp.inverse, _SHAPED), (rp.derivative, _SHAPED),
+    (rp.transform_naive, _SHAPED), (rp.loss, _SCALED), (rp.kernel, _SCALED),
+    (rp.irls_weight, _SCALED), (rp.pdf, _SCALED),
+    (rp.signed_transform, [(lam, neg) for lam in SHAPES for neg in NEG_SHAPES]),
+    (rp.softplus, [()]), (rp.sigmoid, [()]), (rp.tanh, [()]), (rp.relu, _SHAPED),
+    (rp.bump, _SHAPED), (rp.boxcox, _SHAPED), (rp.boxcox_normalized, _SHAPED),
+    (rp.transform_via_boxcox, _SHAPED), (rp.boxcox_via_transform, _SHAPED),
+]
+
+
 def evaluators(digest: Digest) -> None:
-    shaped = [(lam,) for lam in SHAPES]
-    scaled = [(lam, c) for lam in SHAPES for c in SCALES]
-    table = [
-        (rp.transform, shaped), (rp.inverse, shaped), (rp.derivative, shaped),
-        (rp.transform_naive, shaped), (rp.loss, scaled), (rp.kernel, scaled),
-        (rp.irls_weight, scaled), (rp.pdf, scaled),
-        (rp.signed_transform, [(lam, neg) for lam in SHAPES for neg in NEG_SHAPES]),
-        (rp.softplus, [()]), (rp.sigmoid, [()]), (rp.tanh, [()]), (rp.relu, shaped),
-        (rp.bump, shaped), (rp.boxcox, shaped), (rp.boxcox_normalized, shaped),
-        (rp.transform_via_boxcox, shaped), (rp.boxcox_via_transform, shaped),
-    ]
-    for fn, params in table:
+    for fn, params in EVALUATORS:
         for args in params:
             xs = _inputs(args[0]) if args else XS
             ok = []
@@ -152,7 +156,7 @@ def evaluators(digest: Digest) -> None:
         for lam in (np.array(2.0), np.float64(2.0), 2, "2"):
             record = f"{fn.__name__} {type(lam).__name__} {_call(fn, lam)}"
             digest.add("shape.lam_spellings", record)
-    small = rp.build_table(64, 256)
+    small = rp.build_table(64)
     for lam in SHAPES:
         digest.add("shape.ZTable.lookup", _call(small.lookup, lam))
 
@@ -198,7 +202,7 @@ def cli(digest: Digest) -> None:
                 for x in grids:
                     argv = ["eval", f"--fn={fn}", *(f.format(value) for f in flags), f"--x={x}"]
                     _cli(digest, f"cli.eval.{fn}", argv)
-    rp.build_table(64, 256).save("ztable.json")
+    rp.build_table(64).save("ztable.json")
     for value in lams:
         argv = ["eval", "--fn=pdf", f"--lambda={value}", "--ztable=ztable.json", f"--x={grids[0]}"]
         _cli(digest, "cli.eval.pdf_ztable", argv)
