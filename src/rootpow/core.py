@@ -379,12 +379,14 @@ def _elementwise(body, step, x, *params):
 # float bodies to them).  A body allocates at most one array and runs every
 # later pass in it: ``out``, None until a pass allocates it, or x itself
 # when the caller hands over an array it owns.  Passes that are exact
-# identities on non-NaN input (times 1) are skipped.  Only the pre-scale can
-# meet x unallocated: a plan that skips the log has mid_scale 1, and one
-# that skips the exp a post_scale of 1 or a log before it.
+# identities on non-NaN input (times 1) are skipped, and so is the floor of
+# log1p's argument at pre > 0 when the caller says x >= 0 or +inf (nonneg).
+# Only the pre-scale, or log1p after a skipped floor, can meet x unallocated:
+# a plan that skips the log has mid_scale 1, and one that skips the exp a
+# post_scale of 1 or a log before it.
 
 
-def _transform(x, np, lam: float, out=None):
+def _transform(x, np, lam: float, out=None, nonneg=False):
     pre, skip_log, mid, skip_exp, post, _, floor, _, _, _, _, _ = _plan[lam]
     if pre != 1.0:
         if out is None:
@@ -392,8 +394,9 @@ def _transform(x, np, lam: float, out=None):
         else:
             x *= pre
     if not skip_log:
-        x = out = np.maximum(x, floor, out=out)
-        x = np.log1p(x, out)
+        if not (nonneg and pre > 0.0):
+            x = out = np.maximum(x, floor, out=out)
+        x = out = np.log1p(x, out)
     if mid != 1.0:
         x *= mid
     if not skip_exp:
@@ -403,7 +406,7 @@ def _transform(x, np, lam: float, out=None):
     return x
 
 
-def _derivative(x, np, lam: float, out=None):
+def _derivative(x, np, lam: float, out=None, nonneg=False):
     pre, skip_log, _, _, _, _, floor, _, _, _, fd, dmid = _plan[lam]
     if fd is _float_slope_one:  # the power is 1 (0 * inf must not leak NaN)
         return x ** 0.0  # 1 for every x, inf included
@@ -413,8 +416,9 @@ def _derivative(x, np, lam: float, out=None):
         else:
             x *= pre
     if not skip_log:
-        x = out = np.maximum(x, floor, out=out)
-        x = np.log1p(x, out)
+        if not (nonneg and pre > 0.0):
+            x = out = np.maximum(x, floor, out=out)
+        x = out = np.log1p(x, out)
         x *= dmid
     return np.exp(x, out)
 

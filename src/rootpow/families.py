@@ -58,11 +58,12 @@ def _loss(x, np, lam: float, c: float, power=_transform):
     # r * r, not r ** 2: past the binary64 range a float product gives inf,
     # which the transform maps to its limit, where ** raises OverflowError;
     # and the product is correctly rounded, which libm's pow(r, 2.0) is not
-    # on about 1 input in 1000.  u is the one new array power runs in.
+    # on about 1 input in 1000.  u, the one new array power runs in, is >= 0
+    # or +inf: nonneg=True, so power skips an identity floor on log1p's argument.
     r = x / c if c != 1.0 else x
     u = 0.5 * r
     u *= r
-    return power(u, np, lam, u)
+    return power(u, np, lam, u, nonneg=True)
 
 
 # The float steps of _loss and _kernel.  The body skips x / c at c = 1 to

@@ -79,14 +79,20 @@ class IrlsProblem(namedtuple("IrlsProblem", "observations lam c max_iters tol"))
         if isinstance(observations, np.ndarray) and observations.dtype.kind == "c":
             raise ValueError("observations must be real numbers")
         try:
-            values = np.array(observations, dtype=float)
+            if isinstance(observations, (tuple, list)):  # fromiter: ~20% faster
+                try:
+                    values = np.fromiter(observations, float, len(observations))
+                except ValueError:  # a nested sequence: np.array gives its refusal
+                    values = np.array(observations, dtype=float)
+            else:
+                values = np.array(observations, dtype=float)
         except OverflowError:  # an int past the largest double
             raise ValueError("an observation is too large for a double") from None
         except TypeError:  # a complex or another non-number
             raise ValueError("observations must be real numbers") from None
         if values.ndim != 1 or values.size == 0:
             raise ValueError("observations must be a non-empty sequence of numbers")
-        lo, hi = float(values.min()), float(values.max())  # NaN propagates
+        lo, hi = float(np.minimum.reduce(values)), float(np.maximum.reduce(values))  # NaN too
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("observations must all be finite")
         if math.isinf(hi - lo):
@@ -135,12 +141,12 @@ def _weighted_shift(r: np.ndarray, problem: IrlsProblem) -> tuple[float, float]:
     partial sum passes max|r|.  Both are 0.0 when every weight is 0.
     """
     w = _kernel(r, np, problem.lam, problem.c)  # r is finite: no NaN scan
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     if not total > 0.0:
         return 0.0, 0.0
     w /= total
     w *= r
-    return total, float(w.sum())
+    return total, float(np.add.reduce(w))
 
 
 def _step(mu: float, problem: IrlsProblem) -> float:
@@ -177,14 +183,14 @@ def _exact_sum(a: np.ndarray) -> float:
     an exact double), sigma past 2**1023 and n from 2**26.
     """
     n = a.size
-    m = max(float(a.max()), -float(a.min()))
+    m = max(float(np.maximum.reduce(a)), -float(np.minimum.reduce(a)))
     k = math.frexp(m)[1] + (n + 2).bit_length()
     if 2.0 ** -960 <= m < math.inf and k <= 1023 and n < 2 ** 26:
         sigma = math.ldexp(1.0, k)
         q = a + sigma
         q -= sigma
-        t1 = float(q.sum())
-        t2 = float(np.subtract(a, q, out=q).sum())
+        t1 = float(np.add.reduce(q))
+        t2 = float(np.add.reduce(np.subtract(a, q, out=q)))
         s = t1 + t2
         z = s - t1
         e = (t1 - (s - z)) + (t2 - z)
@@ -244,10 +250,12 @@ def objective_gradient(mu: float, problem: IrlsProblem) -> float:
 def _median(values: np.ndarray) -> float:
     """Median of a non-empty array, the mean of the middle two for even n
     (as statistics.median and np.median), halved before the sum where
-    that sum would overflow."""
-    lo, hi = (values.size - 1) // 2, values.size // 2
-    part = np.partition(values, (lo, hi))
-    a, b = float(part[lo]), float(part[hi])
+    that sum would overflow.  One partition at the upper middle hi puts the
+    lower half in part[:hi], so for even n the lower middle is its max."""
+    hi = values.size // 2
+    part = np.partition(values, hi)
+    b = float(part[hi])
+    a = float(np.maximum.reduce(part[:hi])) if values.size % 2 == 0 else b
     mid = (a + b) / 2.0
     return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
 
@@ -255,7 +263,7 @@ def _median(values: np.ndarray) -> float:
 def _pass_loss(mu: float, problem: IrlsProblem) -> float:
     """loss_objective summed by numpy's pairwise sum: one pass over the
     observations, about the cost of a sweep; inf past the largest double."""
-    return float(_loss(_residuals(mu, problem), np, problem.lam, problem.c).sum())
+    return float(np.add.reduce(_loss(_residuals(mu, problem), np, problem.lam, problem.c)))
 
 
 def fit_location(problem: IrlsProblem) -> IrlsResult:
@@ -317,9 +325,11 @@ def fit_location(problem: IrlsProblem) -> IrlsResult:
                         continue
             mu, mu_loss = m2, None
         mu = _exact_sweep(mu, problem)
+        # objective_gradient's sum, mu being a float inside the data
+        total, shift = _weighted_shift(problem._values - mu, problem)
     return IrlsResult(
         mu=mu,
         iterations=passes,
-        grad_norm=abs(objective_gradient(mu, problem)),
+        grad_norm=abs(total * shift) / problem.c / problem.c,
         converged=converged,
     )

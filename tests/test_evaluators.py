@@ -695,6 +695,75 @@ def test_float_steps_match_their_bodies_bit_for_bit(data):
     _assert_step_matches(name, x, params)
 
 
+# The loss body hands its power the half square u >= 0 (or +inf) with
+# nonneg=True, and the power skips the floor of log1p's argument where
+# pre > 0: an identity there.  On numpy the array loss, kernel and pdf give
+# the bits of the same bodies with the floor run; on libm the skipping body
+# still gives its float step's bits.  BODY_LAMS takes every branch, and x
+# runs from 0 past the pole of a lam > 1, where pre < 0 and the floor stays.
+def _floored(power):
+    # power with the floor always run, whatever the caller says of u
+    return lambda u, np, lam, out, nonneg: power(u, np, lam, out)
+
+
+def _skip_xs(lam, c):
+    pole = core._plan[lam][7]
+    top = 3.0 * c * math.sqrt(2.0 * min(pole, 50.0))  # u = 0.5 (x/c)**2 to 9 * min(pole, 50)
+    xs = [*np.linspace(0.0, top, 301).tolist(), 5e-324, _TINY, 1e-200, 1e200, MAX, math.inf]
+    if pole < math.inf:
+        xs += _around(c * math.sqrt(2.0 * pole))
+    return np.array([*xs, *(-x for x in xs)])
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0])
+@pytest.mark.parametrize("lam", BODY_LAMS)
+def test_the_skipped_floor_changes_no_bit(lam, c, monkeypatch):
+    xs = _skip_xs(lam, c)
+    floored_loss = _floored(core._transform)
+    with np.errstate(over="ignore"):
+        want = {"loss": families._loss(xs, np, lam, c, floored_loss),
+                "kernel": families._loss(xs, np, lam, c, _floored(core._derivative))}
+    got = {"loss": rp.loss(xs, lam, c), "kernel": rp.kernel(xs, lam, c)}
+    steps = {"loss": families._float_loss, "kernel": families._float_kernel}
+    bodies = {"loss": families._loss, "kernel": families._kernel}
+    if lam >= -1.0:  # pdf's route past _pdf_params, with any Z, as in _STEPS
+        params = (lam, c, 0.75, c * distribution._halfwidth(lam))
+        got["pdf"] = core._elementwise(distribution._pdf, distribution._float_pdf, xs, *params)
+        monkeypatch.setattr(distribution, "_loss",
+                            lambda x, np, lam, c: families._loss(x, np, lam, c, floored_loss))
+        with np.errstate(over="ignore"):
+            want["pdf"] = distribution._pdf(xs, np, *params)
+        monkeypatch.undo()
+    for name in want:
+        assert _hex(got[name]) == _hex(want[name]), name
+    for x in xs.tolist():
+        for name in steps:
+            assert steps[name](x, lam, c).hex() == bodies[name](x, _LIBM, lam, c).hex(), (name, x)
+        if lam >= -1.0:
+            want_pdf = distribution._pdf(x, _LIBM, *params).hex()
+            assert distribution._float_pdf(x, *params).hex() == want_pdf, ("pdf", x)
+
+
+# where pre > 0 and the log runs, x < -1/pre takes log1p's floor: the public
+# transform, inverse and derivative arrays still run it
+@pytest.mark.parametrize("lam", [lam for lam in BODY_LAMS
+                                 if core._plan[lam][0] > 0.0 and not core._plan[lam][1]])
+def test_public_arrays_keep_the_floor_past_minus_one_over_pre(lam):
+    edge = -1.0 / core._plan[lam][0]
+    xs = np.array([x for x in (math.nextafter(edge, -math.inf), 1.5 * edge, 1e10 * edge,
+                               -1e300, -MAX, -math.inf) if x < edge])
+    with np.errstate(over="ignore"):
+        want = {"transform": _unfused_transform(xs, lam), "inverse": _unfused_transform(xs, lam),
+                "derivative": _unfused_derivative(xs, lam)}
+    for name, fn, shape in (("transform", rp.transform, lam), ("inverse", rp.inverse, -lam),
+                            ("derivative", rp.derivative, lam)):
+        got = fn(xs, shape)
+        assert _hex(got) == _hex(want[name]), name
+        floats = np.array([fn(x, shape) for x in xs.tolist()])
+        assert not np.isnan(floats).any()
+        np.testing.assert_allclose(got, floats, rtol=1e-12, atol=0.0)
+
+
 # A steady-state scalar call of each evaluator with a float step runs that
 # step and enters no array body: not core's _transform or _derivative, not
 # a family body.  A float does not enter the dispatcher either.

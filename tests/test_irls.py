@@ -4,6 +4,7 @@ import math
 import statistics
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rootpow.families import irls_weight, loss
 from rootpow.irls import (
     IrlsProblem,
     _exact_sum,
+    _median,
     fit_location,
     irls_step,
     loss_objective,
@@ -80,6 +82,55 @@ class TestValidation:
             IrlsProblem(observations=(1.0,), lam=0.0, max_iters=0)
         with pytest.raises(ValueError):
             IrlsProblem(observations=(1.0,), lam=0.0, tol=0.0)
+
+    # a tuple or a list is read by np.fromiter, with np.array's refusal for
+    # a nested one, anything else by np.array: every refusal has one text
+    @pytest.mark.parametrize("observations, text", [
+        ((), "observations must be a non-empty sequence of numbers"),
+        (((1.0, 2.0), (3.0, 4.0)), "observations must be a non-empty sequence of numbers"),
+        (([1.0], [2.0]), "observations must be a non-empty sequence of numbers"),
+        (((1.0, 2.0), (3.0,)), None),
+        ((1.0, (2.0, 3.0)), None),
+        ((1j, 2.0), "observations must be real numbers"),
+        ((2.0 + 0j,), "observations must be real numbers"),
+        ((10 ** 400, 1.0), "an observation is too large for a double"),
+        ((1.0, -(10 ** 400)), "an observation is too large for a double"),
+        ((1.0, math.nan), "observations must all be finite"),
+        ((math.inf, 1.0), "observations must all be finite"),
+        ((-math.inf,), "observations must all be finite"),
+        ((sys.float_info.max, 0.0, -sys.float_info.max),
+         "observations must span at most the largest double"),
+    ], ids=["empty", "nested", "nested-lists", "ragged", "ragged-scalar-first", "complex",
+            "zero-imaginary-part", "int-too-large", "negative-int-too-large", "nan", "inf",
+            "minus-inf", "span"])
+    def test_tuple_and_list_keep_every_refusal(self, observations, text):
+        if text is None:  # a ragged sequence: numpy's own refusal, as before
+            with pytest.raises(ValueError) as numpy_refusal:
+                np.array(observations, dtype=float)
+            text = str(numpy_refusal.value)
+        for obs in (tuple(observations), list(observations)):
+            with pytest.raises(ValueError) as raised:
+                IrlsProblem(obs, lam=-1.0)
+            assert str(raised.value) == text
+
+    def test_a_generator_is_refused(self):
+        with pytest.raises(ValueError, match="^observations must be real numbers$"):
+            IrlsProblem((v for v in (1.0, 2.0)), lam=-1.0)
+
+    @pytest.mark.parametrize("values", [
+        [1, 2.5, np.float32(0.5), np.float64(-3.25), np.int64(7), Fraction(1, 3)],
+        [-0.0, 0.0, 5e-324, -5e-324, sys.float_info.max, 1.0, 2.0 ** -1074],
+        np.random.default_rng(4).standard_normal(2000).tolist(),
+    ], ids=["mixed-kinds", "edges", "normal-2000"])
+    def test_tuple_list_and_array_read_alike(self, values):
+        problems = [IrlsProblem(obs, lam=-1.0) for obs in
+                    (tuple(values), list(values), np.array(values, dtype=float))]
+        bits = {p._values.tobytes() for p in problems}
+        assert len(bits) == 1
+        assert {tuple(v.hex() for v in p.observations) for p in problems} == {
+            tuple(v.hex() for v in problems[0]._values.tolist())
+        }
+        assert all(type(v) is float for p in problems for v in p.observations)
 
 
 class TestExamples:
@@ -567,6 +618,68 @@ def _count_fsum(monkeypatch):
     calls, fsum = [], math.fsum
     monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
     return calls
+
+
+class TestMedianStart:
+    """fit_location's start, from one partition at the upper middle, is
+    statistics.median's value: the mean of the middle two for even n, and
+    where their sum overflows (statistics.median gives inf there) the
+    exactly rounded mean, halved before the sum."""
+
+    @staticmethod
+    def _assert_median(values):
+        values = np.asarray(values, dtype=float)
+        got = _median(values)
+        assert type(got) is float
+        want = statistics.median(values.tolist())
+        if math.isinf(want):  # the two middles sum past the largest double
+            want = float(statistics.median(Fraction(v) for v in values.tolist()))
+        assert got == want, (values, got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 1999, 2000])
+    def test_sizes(self, n):
+        rng = np.random.default_rng(n)
+        self._assert_median(rng.standard_normal(n))
+        self._assert_median(np.sort(rng.standard_normal(n))[::-1])
+
+    @pytest.mark.parametrize("values", [
+        (2.0, 2.0), (1.0, 2.0, 2.0, 3.0), (5.0, 1.0, 5.0, 1.0), (3.0, 3.0, 3.0),
+        (0.0, -0.0, 0.0, -0.0), (7.0,) * 2000, (1.0,) * 1000 + (2.0,) * 1000,
+        (1.0,) * 999 + (2.0,) * 1001,
+    ], ids=["pair", "middle-tie", "two-values", "all-equal", "signed-zeros", "2000-equal",
+            "2000-halves", "2000-uneven-halves"])
+    def test_ties(self, values):
+        self._assert_median(values)
+
+    @pytest.mark.parametrize("values", [
+        (1e308, 1.5e308), (-1e308, -1.5e308), (BIG, BIG), (-BIG, -BIG),
+        (1.5e308, 0.0, 1e308, 1.7e308), (-1.5e308, -1.7e308, 5.0, -1e308),
+    ])
+    def test_halving(self, values):
+        self._assert_median(values)
+        assert math.isfinite(_median(np.array(values)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 80), elements=st.floats(
+        allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308])))
+    def test_any_finite_data(self, values):
+        self._assert_median(values)
+
+    def test_the_fit_starts_there(self):
+        # a lam = -inf fit whose weights all underflow stays at its start
+        problem = IrlsProblem((0.0, 10.0, 30.0, 100.0), lam=-math.inf, c=1e-300)
+        assert fit_location(problem).mu == 20.0 == _median(problem._values)
+
+
+class TestClosingGradient:
+    @pytest.mark.parametrize("lam, c", [(0.0, 1.0), (-0.5, 2.0), (-2.0, 1e-300), (-math.inf, 0.5)])
+    def test_grad_norm_is_the_public_gradient(self, lam, c):
+        # fit_location sums the closing gradient itself, with the helpers
+        # objective_gradient calls: the same bits
+        obs = tuple(np.random.default_rng(6).standard_normal(500).tolist()) + (40.0, -25.0)
+        problem = IrlsProblem(obs, lam=lam, c=c)
+        result = fit_location(problem)
+        assert result.grad_norm.hex() == abs(objective_gradient(result.mu, problem)).hex()
 
 
 class TestExactSum:

@@ -343,6 +343,38 @@ def test_float_ab_gates_on_bits_only(tmp_path):
     assert differ.stdout.splitlines()[-1].startswith("batch")
 
 
+def _irls_ab(tree_a, tree_b):
+    return subprocess.run(
+        [sys.executable, str(_ROOT / "tools" / "irls_ab.py"), str(tree_a), str(tree_b),
+         "--seeds", "101", "--rounds", "1", "--repeats", "1"],
+        capture_output=True,
+        text=True,
+        cwd=_ROOT,
+    )
+
+
+def test_irls_ab_gates_on_bits_only(tmp_path):
+    # an A/A run passes and prints its ratio; a tree whose median start is
+    # one ulp off fails, whatever the timing, after its ratio
+    same = _irls_ab(_ROOT, _ROOT)
+    assert same.returncode == 0, same.stderr[-2000:]
+    assert same.stdout.startswith("100 fits give the same results on both trees")
+    assert " B/A " in same.stdout.splitlines()[-1]
+    package = tmp_path / "src" / "rootpow"
+    shutil.copytree(_ROOT / "src" / "rootpow", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    irls = package / "irls.py"
+    text = irls.read_text(encoding="utf-8")
+    off = text.replace("    return mid if math.isfinite(mid)",
+                       "    return math.nextafter(mid, math.inf) if math.isfinite(mid)", 1)
+    assert off != text
+    irls.write_text(off, encoding="utf-8")
+    differ = _irls_ab(_ROOT, tmp_path)
+    assert differ.returncode == 1
+    assert "fits differ between the trees" in differ.stdout
+    assert " B/A " in differ.stdout.splitlines()[-1]
+
+
 def test_the_tools_cover_every_public_evaluator():
     # every public function of x (or of a residual) is timed by float_ab and
     # digested by parity, so that neither drifts behind a new evaluator;

@@ -1,0 +1,116 @@
+"""Interleaved in-process A/B of rootpow's IRLS fits on two source trees.
+
+Loads the package of each tree under its own name (``rootpow_a`` and
+``rootpow_b``), so both run in one process on the same inputs: the
+bench's RobustFit pools of ``--seeds`` (100 problems of 2000 observations
+each, lam rotating over -inf, -2, -1, -0.5 and 0, one problem in 25 with
+an observation at +-1e300), built by this checkout's
+``bench/workloads.py``.  One op is what the bench's robust_fit workload
+times: ``IrlsProblem(observations, lam)`` from a tuple, then
+``fit_location``.
+
+Before timing it checks that the two trees give the same result on every
+problem, ``(mu, iterations, grad_norm, converged)`` with each float as
+``float.hex``, or the same exception type, and lists the problems that
+differ.  Each round then times every problem that returns on both trees,
+on each tree, the side that goes first alternating by round, as the
+minimum over ``--repeats`` ops on the thread CPU clock, and takes the B/A
+ratio of the summed times.  It prints us per op on each tree and the
+median over rounds of the B/A ratio with its quartiles, then exits 1 if
+any result differed.  The timing never changes the exit status.  Run the
+same tree twice for an A/A run, which shows the noise floor of the ratio:
+
+    python tools/irls_ab.py <tree_a> <tree_b> [--seeds 101 102 103] [--rounds 20] [--repeats 3]
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+from float_ab import _quartiles, load
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def pools(seeds) -> list[tuple[tuple, float]]:
+    """(observations as a tuple, lam) of every RobustFit problem of the seeds."""
+    # the bench's workloads import rootpow: this checkout's, only to build data
+    sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "bench")]
+    from workloads import RobustFit
+
+    return [(p["tuple"], p["lam"]) for seed in seeds for p in RobustFit(seed).problems]
+
+
+def _op(rp, observations, lam):
+    return rp.fit_location(rp.IrlsProblem(observations, lam))
+
+
+def _record(rp, observations, lam) -> tuple[bool, str]:
+    """Whether the fit returned, and its fields (floats as their bits) or
+    its exception type."""
+    try:
+        res = _op(rp, observations, lam)
+    except Exception as exc:  # the exception type is part of the output
+        return False, type(exc).__name__
+    return True, repr(tuple(v.hex() if isinstance(v, float) else v for v in res))
+
+
+def _sample(rp, observations, lam, repeats: int) -> int:
+    best = None
+    for _ in range(repeats):
+        start = time.thread_time_ns()
+        _op(rp, observations, lam)
+        elapsed = time.thread_time_ns() - start
+        best = elapsed if best is None or elapsed < best else best
+    return best
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree_a")
+    parser.add_argument("tree_b")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args(argv)
+    sides = [load(args.tree_a, "rootpow_a"), load(args.tree_b, "rootpow_b")]
+    problems = pools(args.seeds)
+
+    differ = []
+    timed = []  # only the fits that return on both trees: raising is not the path to time
+    for k, (obs, lam) in enumerate(problems):
+        ra, rb = (_record(rp, obs, lam) for rp in sides)
+        if ra != rb:
+            differ.append(f"problem {k} (lam = {lam!r}): {ra[1]} != {rb[1]}")
+        if ra[0] and rb[0]:
+            timed.append((obs, lam))
+    if differ:
+        print(f"{len(differ)} of {len(problems)} fits differ between the trees:",
+              *differ[:20], sep="\n")
+        print(f"timing the {len(timed)} fits that return on both trees")
+    else:
+        print(f"{len(problems)} fits give the same results on both trees")
+
+    per_op = [], []  # µs per op on A and on B
+    ratio = []
+    for r in range(args.rounds):
+        order = (1, 0) if r % 2 else (0, 1)
+        total = [0, 0]
+        for obs, lam in timed:
+            for side in order:
+                total[side] += _sample(sides[side], obs, lam, args.repeats)
+        per_op[0].append(total[0] / len(timed) / 1e3)
+        per_op[1].append(total[1] / len(timed) / 1e3)
+        ratio.append(total[1] / total[0])
+    q1, med, q3 = _quartiles(ratio)
+    print(f"A {statistics.median(per_op[0]):.1f} us/op, B {statistics.median(per_op[1]):.1f} "
+          f"us/op, B/A {med:.3f} [{q1:.3f}, {q3:.3f}] over {args.rounds} rounds")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
