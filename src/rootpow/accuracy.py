@@ -77,18 +77,21 @@ def _expm1(z: Decimal) -> Decimal:
             return total
 
 
-def oracle_transform(x: float, lam: float, dps: int = ORACLE_DPS) -> float:
+def oracle_transform(x: float, lam: float) -> float:
     """Ground-truth transform value, correctly rounded to binary64.
 
     Evaluates the closed form of the branch that the working-precision
-    classifier assigns to lam in ``decimal`` arithmetic: ``dps`` significant
+    classifier assigns to lam in ``decimal`` arithmetic: 50 significant
     digits plus guard digits, with an exponent range far past binary64 (an
-    exp too large even for that gives inf).  Doubling ``dps`` must not move
-    the rounded result by more than the final rounding itself; tests
-    assert this; ``dps`` is a count (README, Arrays) of at least 1.  An x
-    past the transform's pole at lam raises ValueError; an exact zero comes
-    back as +0.0.
+    exp too large even for that gives inf); doubling the digits does not
+    move the rounded result.  An x past the transform's pole at lam raises
+    ValueError; an exact zero comes back as +0.0.
     """
+    return _oracle(x, lam, ORACLE_DPS)
+
+
+def _oracle(x: float, lam: float, dps: int) -> float:
+    # oracle_transform at dps digits, a count of at least 1: tests double it
     x, lam = _require_number(x, "x"), _require_number(lam)
     dps = _require_count(dps, "dps", 1)
     row = _plan[lam]

@@ -112,7 +112,7 @@ _EVAL_FUNCTIONS = {
     "g": (10, [_LAMBDA]),
     "rho": (_float_loss, [_LAMBDA, _SCALE]),
     "k": (_float_kernel, [_LAMBDA, _SCALE]),
-    "pdf": None,  # bound in _eval_function, which looks Z up once
+    "pdf": (None, [("--lambda",), ("--ztable",)]),  # flags only: _eval_function reads them
     "bump": (_float_bump, [("--lambda", _shape(_require_bump_lambda))]),
     "fpm": (_float_signed, [_LAMBDA, ("--lambda-neg", parse_lambda)]),
     "softplus": (_float_softplus, []),
@@ -147,6 +147,11 @@ _CHUNK = 4096  # rows per write
 
 
 def _cmd_eval(args) -> int:
+    # a shape or table flag that --fn does not read is refused, not dropped
+    reads = [param[0] for param in _EVAL_FUNCTIONS[args.fn][1]]
+    for flag in ("--lambda", "--lambda-neg", "--ztable"):
+        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag}: --fn {args.fn} does not read it")
     xs = _param(args, "--x", _parse_xs)
     step, params = _eval_function(args)
     # Only h and hhat fail at an x, and only below a bound, so in ascending

@@ -80,16 +80,15 @@ class IrlsProblem(namedtuple("IrlsProblem", "observations lam c max_iters tol"))
             raise ValueError("observations must be real numbers")
         try:
             if isinstance(observations, (tuple, list)):  # fromiter: ~20% faster
-                try:
-                    values = np.fromiter(observations, float, len(observations))
-                except ValueError:  # a nested sequence: np.array gives its refusal
-                    values = np.array(observations, dtype=float)
+                values = np.fromiter(observations, float, len(observations))
             else:
                 values = np.array(observations, dtype=float)
         except OverflowError:  # an int past the largest double
             raise ValueError("an observation is too large for a double") from None
         except TypeError:  # a complex or another non-number
             raise ValueError("observations must be real numbers") from None
+        except ValueError:  # a nested or ragged sequence, or text that is no number
+            raise ValueError("observations must be a non-empty sequence of numbers") from None
         if values.ndim != 1 or values.size == 0:
             raise ValueError("observations must be a non-empty sequence of numbers")
         lo, hi = float(np.minimum.reduce(values)), float(np.maximum.reduce(values))  # NaN too

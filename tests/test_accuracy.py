@@ -13,6 +13,7 @@ import numpy as np
 
 import rootpow.accuracy
 from rootpow.accuracy import (
+    _oracle,
     default_lambda_grid,
     error_sweep,
     oracle_transform,
@@ -37,7 +38,15 @@ class TestOracle:
         # so the log1p forms are what keep the two precisions together
         for lam in [0.25, -0.75, 1.0 + 1e-8, -1.0 - 1e-8, 3.0, -1e6, -1.0, math.inf]:
             for x in [1e-60, 0.01, 0.37, 1.0]:
-                assert oracle_transform(x, lam, dps=50) == oracle_transform(x, lam, dps=100)
+                assert oracle_transform(x, lam) == _oracle(x, lam, 100)
+
+    @pytest.mark.parametrize("call", [lambda: oracle_transform(0.5, 0.5, 100),
+                                      lambda: oracle_transform(0.5, 0.5, dps=100)],
+                             ids=["positional", "keyword"])
+    def test_the_precision_is_not_an_argument(self, call):
+        # only the tests set the digits, through _oracle
+        with pytest.raises(TypeError):
+            call()
 
     def test_rejects_nan_x(self):
         with pytest.raises(ValueError, match="x must not be NaN"):

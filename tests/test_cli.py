@@ -24,6 +24,17 @@ CHILD_ENV = {
 }
 
 
+# the shape and table flags each --fn reads; eval refuses the others
+_OPTIONAL_FLAGS = ("--lambda", "--lambda-neg", "--ztable")
+_EVAL_READS = {
+    **dict.fromkeys(["f", "finv", "g", "rho", "k", "bump", "h", "hhat"], ("--lambda",)),
+    "pdf": ("--lambda", "--ztable"),
+    "fpm": ("--lambda", "--lambda-neg"),
+    "relu": ("--lambda-neg",),
+    **dict.fromkeys(["softplus", "sigmoid", "tanh"], ()),
+}
+
+
 @pytest.fixture
 def run(capsys):
     def invoke(argv):
@@ -151,6 +162,20 @@ class TestEval:
         assert out == ""
         assert err.startswith(f"error: {reason}")
         assert err.count("\n") == 1
+
+    # a shape or table flag that --fn does not read is refused, not dropped,
+    # before the x list is parsed or a table is loaded
+    @pytest.mark.parametrize("fn, flag", [
+        (fn, flag) for fn, reads in _EVAL_READS.items() for flag in _OPTIONAL_FLAGS
+        if flag not in reads
+    ])
+    def test_unread_flag_is_refused(self, run, fn, flag):
+        assert set(_EVAL_READS) == set(cli._EVAL_FUNCTIONS)
+        read = [f"{f}=-0.5" for f in _EVAL_READS[fn] if f != "--ztable"]
+        value = "no-such-table.json" if flag == "--ztable" else "-0.5"
+        code, out, err = run(["eval", "--fn", fn, *read, f"{flag}={value}", "--x=nonsense"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag}: --fn {fn} does not read it\n"
 
     def test_descending_range_is_sorted_like_linspace(self, run):
         # lo = 3 subnormals down to hi = -0.0 puts a +0.0 node next to hi,

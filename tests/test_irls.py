@@ -83,14 +83,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             IrlsProblem(observations=(1.0,), lam=0.0, tol=0.0)
 
-    # a tuple or a list is read by np.fromiter, with np.array's refusal for
-    # a nested one, anything else by np.array: every refusal has one text
+    # a tuple or a list is read by np.fromiter alone, anything else by
+    # np.array: every refusal is one of the library's texts, never numpy's,
+    # which changes with its version
     @pytest.mark.parametrize("observations, text", [
         ((), "observations must be a non-empty sequence of numbers"),
         (((1.0, 2.0), (3.0, 4.0)), "observations must be a non-empty sequence of numbers"),
         (([1.0], [2.0]), "observations must be a non-empty sequence of numbers"),
-        (((1.0, 2.0), (3.0,)), None),
-        ((1.0, (2.0, 3.0)), None),
+        (((1.0, 2.0), (3.0,)), "observations must be a non-empty sequence of numbers"),
+        ((1.0, (2.0, 3.0)), "observations must be a non-empty sequence of numbers"),
+        (("abc", 1.0), "observations must be a non-empty sequence of numbers"),
         ((1j, 2.0), "observations must be real numbers"),
         ((2.0 + 0j,), "observations must be real numbers"),
         ((10 ** 400, 1.0), "an observation is too large for a double"),
@@ -100,18 +102,28 @@ class TestValidation:
         ((-math.inf,), "observations must all be finite"),
         ((sys.float_info.max, 0.0, -sys.float_info.max),
          "observations must span at most the largest double"),
-    ], ids=["empty", "nested", "nested-lists", "ragged", "ragged-scalar-first", "complex",
-            "zero-imaginary-part", "int-too-large", "negative-int-too-large", "nan", "inf",
-            "minus-inf", "span"])
+    ], ids=["empty", "nested", "nested-lists", "ragged", "ragged-scalar-first", "not-a-number",
+            "complex", "zero-imaginary-part", "int-too-large", "negative-int-too-large", "nan",
+            "inf", "minus-inf", "span"])
     def test_tuple_and_list_keep_every_refusal(self, observations, text):
-        if text is None:  # a ragged sequence: numpy's own refusal, as before
-            with pytest.raises(ValueError) as numpy_refusal:
-                np.array(observations, dtype=float)
-            text = str(numpy_refusal.value)
         for obs in (tuple(observations), list(observations)):
             with pytest.raises(ValueError) as raised:
                 IrlsProblem(obs, lam=-1.0)
             assert str(raised.value) == text
+
+    # np.fromiter parses a str or bytes observation as a number
+    @pytest.mark.xfail(strict=True, reason="np.fromiter reads '1.5' and b'2' as floats")
+    def test_text_observations_are_refused(self):
+        with pytest.raises(ValueError, match="^observations must be real numbers$"):
+            IrlsProblem(("1.5", b"2"), lam=-1.0)
+
+    # np.fromiter casts a numpy complex scalar to float with only a
+    # ComplexWarning, which the suite raises as an error
+    @pytest.mark.xfail(strict=True, reason="np.fromiter drops the imaginary part of a "
+                       "numpy complex scalar")
+    def test_numpy_complex_scalars_are_refused(self):
+        with pytest.raises(ValueError, match="^observations must be real numbers$"):
+            IrlsProblem([np.complex128(1 + 2j), np.complex128(3.0)], lam=-1.0)
 
     def test_a_generator_is_refused(self):
         with pytest.raises(ValueError, match="^observations must be real numbers$"):

@@ -21,6 +21,11 @@ floor of the ratios:
 
     python tools/float_ab.py <tree_a> <tree_b> [--rounds 30] [--repeats 5]
 
+The check and the timing are ``compare(sides, rounds, repeats, inner)``,
+which takes any two op sets (``tools/irls_ab.py`` passes one per IRLS
+problem): a sample is ``inner`` passes over an op's calls, and ``main``
+here only builds the float calls and prints.
+
 ``oracle_transform`` is left out: it evaluates in ``decimal``, at
 milliseconds a call.  It imports no numpy itself, since every call is a
 float call, and neither does a tree whose ``pdf`` takes Z from a float rule.
@@ -116,14 +121,18 @@ def _record(fn, args) -> tuple[bool, str]:
         value = fn(*args)
     except Exception as exc:  # the exception type is part of the output
         return False, type(exc).__name__
-    return True, value.hex() if isinstance(value, float) else repr(value)
+    if isinstance(value, float):
+        return True, value.hex()
+    if isinstance(value, tuple):  # a result record: each float field as its bits
+        value = tuple(v.hex() if isinstance(v, float) else v for v in value)
+    return True, repr(value)
 
 
-def _sample(fn, arg_list, repeats: int) -> int:
+def _sample(fn, arg_list, repeats: int, inner: int) -> int:
     best = None
     for _ in range(repeats):
         start = time.thread_time_ns()
-        for _ in range(INNER):
+        for _ in range(inner):
             for args in arg_list:
                 fn(*args)
         elapsed = time.thread_time_ns() - start
@@ -138,6 +147,54 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def compare(sides, rounds: int, repeats: int, inner: int):
+    """Check, then time, two op sets of the same names and argument lists.
+
+    ``sides`` is a pair of dicts, op name -> (function, its argument
+    tuples), one per tree.  Returns ``(differ, timed, per, batch)``:
+    ``differ`` lists each call whose record differs as ``(name, args,
+    record on A, record on B)``; ``timed`` maps each op that has calls
+    returning on both trees to their count; ``per`` maps it, and
+    ``batch`` holds the sums over all ops, as three lists over rounds: ns
+    per call on A, ns per call on B, and the B/A time ratio.
+    """
+    differ = []
+    timed = {}
+    for name, (fn_a, arg_list) in sides[0].items():
+        fn_b = sides[1][name][0]
+        records = [(_record(fn_a, a), _record(fn_b, a)) for a in arg_list]
+        differ += [(name, a, ra[1], rb[1]) for a, (ra, rb) in zip(arg_list, records)
+                   if ra != rb]
+        # only the calls that return on both trees are timed: raising is not
+        # the path to time
+        returned = [a for a, (ra, rb) in zip(arg_list, records) if ra[0] and rb[0]]
+        if returned:
+            timed[name] = (fn_a, fn_b, returned)
+    total = sum(len(v[2]) for v in timed.values())
+
+    per = {name: ([], [], []) for name in timed}  # ns on A, ns on B, B/A
+    batch = [], [], []
+    for r in range(rounds):
+        sum_a = sum_b = 0
+        for name, (fn_a, fn_b, arg_list) in timed.items():
+            if r % 2:
+                t_b = _sample(fn_b, arg_list, repeats, inner)
+                t_a = _sample(fn_a, arg_list, repeats, inner)
+            else:
+                t_a = _sample(fn_a, arg_list, repeats, inner)
+                t_b = _sample(fn_b, arg_list, repeats, inner)
+            n = inner * len(arg_list)
+            per[name][0].append(t_a / n)
+            per[name][1].append(t_b / n)
+            per[name][2].append(t_b / t_a)
+            sum_a += t_a
+            sum_b += t_b
+        batch[0].append(sum_a / (inner * total))
+        batch[1].append(sum_b / (inner * total))
+        batch[2].append(sum_b / sum_a)
+    return differ, {name: len(v[2]) for name, v in timed.items()}, per, batch
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a")
@@ -146,47 +203,15 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     sides = [calls(load(args.tree_a, "rootpow_a")), calls(load(args.tree_b, "rootpow_b"))]
+    differ, timed, per, batch = compare(sides, args.rounds, args.repeats, INNER)
 
-    differ = []
-    timed = {}
-    for name, (fn_a, arg_list) in sides[0].items():
-        fn_b = sides[1][name][0]
-        records = [(_record(fn_a, a), _record(fn_b, a)) for a in arg_list]
-        differ += [f"{name}{a}: {ra[1]} != {rb[1]}" for a, (ra, rb) in zip(arg_list, records)
-                   if ra != rb]
-        # only the calls that return on both trees are timed: raising is not
-        # the path to time
-        returned = [a for a, (ra, rb) in zip(arg_list, records) if ra[0] and rb[0]]
-        if returned:
-            timed[name] = (fn_a, fn_b, returned)
-    total = sum(len(v[2]) for v in timed.values())
+    total = sum(timed.values())
     if differ:
-        print(f"{len(differ)} float calls differ between the trees:", *differ[:20], sep="\n")
+        print(f"{len(differ)} float calls differ between the trees:",
+              *(f"{name}{a}: {ra} != {rb}" for name, a, ra, rb in differ[:20]), sep="\n")
         print(f"timing {total} float calls over {len(timed)} evaluators that return on both trees")
     else:
         print(f"{total} float calls over {len(timed)} evaluators give the same bits on both trees")
-
-    per = {name: ([], [], []) for name in timed}  # ns on A, ns on B, B/A
-    batch = [], [], []
-    for r in range(args.rounds):
-        sum_a = sum_b = 0
-        for name, (fn_a, fn_b, arg_list) in timed.items():
-            if r % 2:
-                t_b = _sample(fn_b, arg_list, args.repeats)
-                t_a = _sample(fn_a, arg_list, args.repeats)
-            else:
-                t_a = _sample(fn_a, arg_list, args.repeats)
-                t_b = _sample(fn_b, arg_list, args.repeats)
-            n = INNER * len(arg_list)
-            per[name][0].append(t_a / n)
-            per[name][1].append(t_b / n)
-            per[name][2].append(t_b / t_a)
-            sum_a += t_a
-            sum_b += t_b
-        batch[0].append(sum_a / (INNER * total))
-        batch[1].append(sum_b / (INNER * total))
-        batch[2].append(sum_b / sum_a)
-
     print(f"{'evaluator':<22}{'A ns/call':>11}{'B ns/call':>11}{'B/A':>8}"
           f"  [q1, q3] over {args.rounds} rounds")
     for name, (ns_a, ns_b, ratio) in [*per.items(), ("batch", batch)]:

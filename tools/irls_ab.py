@@ -9,6 +9,7 @@ an observation at +-1e300), built by this checkout's
 times: ``IrlsProblem(observations, lam)`` from a tuple, then
 ``fit_location``.
 
+It checks and times on ``float_ab.compare``, with one op set per problem.
 Before timing it checks that the two trees give the same result on every
 problem, ``(mu, iterations, grad_norm, converged)`` with each float as
 ``float.hex``, or the same exception type, and lists the problems that
@@ -28,10 +29,9 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-import time
 from pathlib import Path
 
-from float_ab import _quartiles, load
+from float_ab import _quartiles, compare, load
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,28 +45,8 @@ def pools(seeds) -> list[tuple[tuple, float]]:
     return [(p["tuple"], p["lam"]) for seed in seeds for p in RobustFit(seed).problems]
 
 
-def _op(rp, observations, lam):
-    return rp.fit_location(rp.IrlsProblem(observations, lam))
-
-
-def _record(rp, observations, lam) -> tuple[bool, str]:
-    """Whether the fit returned, and its fields (floats as their bits) or
-    its exception type."""
-    try:
-        res = _op(rp, observations, lam)
-    except Exception as exc:  # the exception type is part of the output
-        return False, type(exc).__name__
-    return True, repr(tuple(v.hex() if isinstance(v, float) else v for v in res))
-
-
-def _sample(rp, observations, lam, repeats: int) -> int:
-    best = None
-    for _ in range(repeats):
-        start = time.thread_time_ns()
-        _op(rp, observations, lam)
-        elapsed = time.thread_time_ns() - start
-        best = elapsed if best is None or elapsed < best else best
-    return best
+def _op(rp):
+    return lambda observations, lam: rp.fit_location(rp.IrlsProblem(observations, lam))
 
 
 def main(argv=None) -> int:
@@ -77,38 +57,23 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
-    sides = [load(args.tree_a, "rootpow_a"), load(args.tree_b, "rootpow_b")]
+    ops = [_op(load(args.tree_a, "rootpow_a")), _op(load(args.tree_b, "rootpow_b"))]
     problems = pools(args.seeds)
+    # one op set per problem: each fit's time is its own minimum over repeats
+    sides = [{f"problem {k} (lam = {lam!r})": (op, [(obs, lam)])
+              for k, (obs, lam) in enumerate(problems)} for op in ops]
+    differ, timed, _, batch = compare(sides, args.rounds, args.repeats, inner=1)
 
-    differ = []
-    timed = []  # only the fits that return on both trees: raising is not the path to time
-    for k, (obs, lam) in enumerate(problems):
-        ra, rb = (_record(rp, obs, lam) for rp in sides)
-        if ra != rb:
-            differ.append(f"problem {k} (lam = {lam!r}): {ra[1]} != {rb[1]}")
-        if ra[0] and rb[0]:
-            timed.append((obs, lam))
     if differ:
         print(f"{len(differ)} of {len(problems)} fits differ between the trees:",
-              *differ[:20], sep="\n")
+              *(f"{name}: {ra} != {rb}" for name, _, ra, rb in differ[:20]), sep="\n")
         print(f"timing the {len(timed)} fits that return on both trees")
     else:
         print(f"{len(problems)} fits give the same results on both trees")
-
-    per_op = [], []  # µs per op on A and on B
-    ratio = []
-    for r in range(args.rounds):
-        order = (1, 0) if r % 2 else (0, 1)
-        total = [0, 0]
-        for obs, lam in timed:
-            for side in order:
-                total[side] += _sample(sides[side], obs, lam, args.repeats)
-        per_op[0].append(total[0] / len(timed) / 1e3)
-        per_op[1].append(total[1] / len(timed) / 1e3)
-        ratio.append(total[1] / total[0])
-    q1, med, q3 = _quartiles(ratio)
-    print(f"A {statistics.median(per_op[0]):.1f} us/op, B {statistics.median(per_op[1]):.1f} "
-          f"us/op, B/A {med:.3f} [{q1:.3f}, {q3:.3f}] over {args.rounds} rounds")
+    q1, med, q3 = _quartiles(batch[2])
+    print(f"A {statistics.median(batch[0]) / 1e3:.1f} us/op, B "
+          f"{statistics.median(batch[1]) / 1e3:.1f} us/op, B/A {med:.3f} [{q1:.3f}, {q3:.3f}] "
+          f"over {args.rounds} rounds")
     return 1 if differ else 0
 
 
