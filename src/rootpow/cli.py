@@ -98,7 +98,7 @@ def _count(name: str, least: int):
 
 
 _LAMBDA = ("--lambda", parse_lambda)
-_SCALE = ("--c", _require_scale)
+_SCALE = ("--c", _require_scale, 1.0)
 
 
 # --fn -> (step, its parameters as (flag, reader[, default])).  Each reader
@@ -112,7 +112,8 @@ _EVAL_FUNCTIONS = {
     "g": (10, [_LAMBDA]),
     "rho": (_float_loss, [_LAMBDA, _SCALE]),
     "k": (_float_kernel, [_LAMBDA, _SCALE]),
-    "pdf": (None, [("--lambda",), ("--ztable",)]),  # flags only: _eval_function reads them
+    "pdf": (dist._float_pdf, [("--lambda", _shape(dist._require_dist_lambda)), _SCALE,
+                              ("--ztable",)]),  # no reader: _eval_function loads it
     "bump": (_float_bump, [("--lambda", _shape(_require_bump_lambda))]),
     "fpm": (_float_signed, [_LAMBDA, ("--lambda-neg", parse_lambda)]),
     "softplus": (_float_softplus, []),
@@ -126,18 +127,16 @@ _EVAL_FUNCTIONS = {
 
 def _eval_function(args):
     """The float step of --fn and its checked parameters."""
-    c = _param(args, *_SCALE)  # checked for every --fn
+    step, flags = _EVAL_FUNCTIONS[args.fn]
+    params = [_param(args, *flag) for flag in flags if flag[0] != "--ztable"]
     if args.fn == "pdf":
-        lam = _param(args, "--lambda", _shape(dist._require_dist_lambda))
         try:
             table = None if args.ztable is None else dist.ZTable.load(args.ztable)
         except OSError as exc:
             raise CliError(f"cannot load ztable: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"cannot load ztable: {exc}") from None
-        return dist._float_pdf, dist._pdf_params(lam, c, table)
-    step, params = _EVAL_FUNCTIONS[args.fn]
-    params = [_param(args, *param) for param in params]
+        return step, dist._pdf_params(*params, table)
     if type(step) is int:  # f, finv, g: the row's closure is the step
         return _plan[params[0]][step], []
     return step, params
@@ -147,9 +146,9 @@ _CHUNK = 4096  # rows per write
 
 
 def _cmd_eval(args) -> int:
-    # a shape or table flag that --fn does not read is refused, not dropped
+    # an optional flag that --fn does not read is refused, not dropped
     reads = [param[0] for param in _EVAL_FUNCTIONS[args.fn][1]]
-    for flag in ("--lambda", "--lambda-neg", "--ztable"):
+    for flag in ("--lambda", "--lambda-neg", "--c", "--ztable"):
         if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ValueError(f"{flag}: --fn {args.fn} does not read it")
     xs = _param(args, "--x", _parse_xs)
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help='shape parameter ("inf", "-inf", or a decimal)')
     p_eval.add_argument("--lambda-neg", default=None,
                         help="negative-side shape for fpm/relu")
-    p_eval.add_argument("--c", type=float, default=1.0, help="scale (default 1)")
+    p_eval.add_argument("--c", type=float, help="scale for rho, k and pdf (default 1)")
     p_eval.add_argument("--x", required=True,
                         help="samples: comma list or inclusive lo:hi:count range")
     p_eval.add_argument("--ztable", default=None,
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_irls = sub.add_parser("irls", help="robust location fit, JSON to stdout")
     p_irls.add_argument("--data", required=True, help="one-column CSV of observations")
     p_irls.add_argument("--lambda", required=True, help="shape, must be <= 0")
-    p_irls.add_argument("--c", type=float, default=1.0)
+    p_irls.add_argument("--c", type=float, help="scale (default 1)")
     p_irls.add_argument("--tol", type=float, default=1e-12)
     p_irls.add_argument("--max-iters", type=int, default=100,
                         help="cap on the passes over the observations")

@@ -216,8 +216,10 @@ def relu(x, lam_neg: float = 0.0):
     """max(0, x) rebuilt from two signed transforms.
 
     Exact up to round-off whenever x - 2 stays below the domain bound of
-    the lam_neg shape (always true for lam_neg <= 1); for x <= 0 the
-    clamped saturation of the lam = 2 stage is what produces the 0.
+    the lam_neg shape (always true for lam_neg <= 1).  The round-off is
+    absolute: for x <= 0, and for 0 < x <= 2**-53, where 2 - x rounds to
+    2, the lam = 2 stage clamps just below its pole, 2, rather than
+    saturate at inf, so the result is 2**-52, not 0.
     """
     lam_neg = _require_number(lam_neg)
     if type(x) is float and x == x:

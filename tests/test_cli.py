@@ -24,11 +24,12 @@ CHILD_ENV = {
 }
 
 
-# the shape and table flags each --fn reads; eval refuses the others
-_OPTIONAL_FLAGS = ("--lambda", "--lambda-neg", "--ztable")
+# the optional flags each --fn reads; eval refuses the others
+_OPTIONAL_FLAGS = ("--lambda", "--lambda-neg", "--c", "--ztable")
 _EVAL_READS = {
-    **dict.fromkeys(["f", "finv", "g", "rho", "k", "bump", "h", "hhat"], ("--lambda",)),
-    "pdf": ("--lambda", "--ztable"),
+    **dict.fromkeys(["f", "finv", "g", "bump", "h", "hhat"], ("--lambda",)),
+    **dict.fromkeys(["rho", "k"], ("--lambda", "--c")),
+    "pdf": ("--lambda", "--c", "--ztable"),
     "fpm": ("--lambda", "--lambda-neg"),
     "relu": ("--lambda-neg",),
     **dict.fromkeys(["softplus", "sigmoid", "tanh"], ()),
@@ -151,19 +152,19 @@ class TestEval:
         assert out == ""
         assert err == f"error: --x: range needs finite lo, hi and hi - lo, got {spec!r}\n"
 
-    @pytest.mark.parametrize("flag, reason", [
-        ("--lambda=1", "--lambda: bump shape must satisfy 1 < lam < inf"),
-        ("--c=inf", "--c: scale c must be a positive finite real"),
-        ("--lambda=abc", "--lambda: cannot parse lam from 'abc'"),
+    @pytest.mark.parametrize("fn, flag, reason", [
+        ("bump", "--lambda=1", "--lambda: bump shape must satisfy 1 < lam < inf"),
+        ("rho", "--c=inf", "--c: scale c must be a positive finite real"),
+        ("bump", "--lambda=abc", "--lambda: cannot parse lam from 'abc'"),
     ])
-    def test_parameter_error_carries_library_reason(self, run, flag, reason):
-        code, out, err = run(["eval", "--fn", "bump", "--lambda=2", flag, "--x", "0"])
+    def test_parameter_error_carries_library_reason(self, run, fn, flag, reason):
+        code, out, err = run(["eval", "--fn", fn, "--lambda=2", flag, "--x", "0"])
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {reason}")
         assert err.count("\n") == 1
 
-    # a shape or table flag that --fn does not read is refused, not dropped,
+    # an optional flag that --fn does not read is refused, not dropped,
     # before the x list is parsed or a table is loaded
     @pytest.mark.parametrize("fn, flag", [
         (fn, flag) for fn, reads in _EVAL_READS.items() for flag in _OPTIONAL_FLAGS
@@ -176,6 +177,20 @@ class TestEval:
         code, out, err = run(["eval", "--fn", fn, *read, f"{flag}={value}", "--x=nonsense"])
         assert (code, out) == (2, "")
         assert err == f"error: {flag}: --fn {fn} does not read it\n"
+
+    # --c is 1 unless set, for the table-less density and the tabled one too
+    @pytest.mark.parametrize("fn, flags", [
+        ("rho", ["--lambda=-2"]), ("k", ["--lambda=-1"]), ("pdf", ["--lambda=0.5"]),
+        ("pdf", ["--lambda=3", "--ztable"]),
+    ], ids=["rho", "k", "pdf", "pdf-ztable"])
+    def test_unset_scale_prints_the_bytes_of_scale_one(self, run, tmp_path, fn, flags):
+        if "--ztable" in flags:  # the flag comes last; its path follows here
+            rootpow.build_table(16).save(tmp_path / "zt.json")
+            flags = flags + [str(tmp_path / "zt.json")]
+        argv = ["eval", "--fn", fn, *flags, "--x=-1e200,-2.5,-0,0,5e-324,0.3,1.7,1e200"]
+        code, out, err = run(argv)
+        assert (code, err) == (0, "") and out.count("\n") == 9
+        assert run([*argv, "--c=1"]) == (code, out, err)
 
     def test_descending_range_is_sorted_like_linspace(self, run):
         # lo = 3 subnormals down to hi = -0.0 puts a +0.0 node next to hi,

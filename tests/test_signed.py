@@ -167,6 +167,17 @@ class TestRelu:
                 assert abs(relu(x, lam_neg)) <= 1e-9, (lam_neg, x)
 
 
+@pytest.mark.parametrize("lam_neg", [0.0, -0.5, -1.0, -2.0, 0.5, 1.0])
+def test_relu_of_a_nonpositive_x_is_tiny_but_not_zero(lam_neg):
+    # the lam = 2 stage clamps just below its pole, 2, and does not
+    # saturate at inf, so the outer 2 - ... leaves 2**-52, not 0
+    xs = [-math.inf, -1e300, -10.0, -1.0, -1e-300, -5e-324, -0.0, 0.0]
+    for x in xs:
+        assert 0.0 < relu(x, lam_neg) <= 2.0**-50, (lam_neg, x)
+    values = relu(np.array(xs), lam_neg)
+    assert np.all((0.0 < values) & (values <= 2.0**-50)), (lam_neg, values)
+
+
 class TestElu:
     def test_reference(self):
         assert elu_reference(1.0) == 1.0
