@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import islice, repeat
 
 from . import distribution as dist
 from .core import _plan, _require_count, _sorted_linspace, parse_lambda
@@ -145,27 +146,36 @@ def _eval_function(args):
 _CHUNK = 4096  # rows per write
 
 
+def _value_at(step, x, params):
+    # one x's value, its refusal naming the x
+    try:
+        return step(x, *params)
+    except ValueError as exc:
+        raise ValueError(f"at x = {x:.17g}: {exc}") from None
+
+
 def _cmd_eval(args) -> int:
     # an optional flag that --fn does not read is refused, not dropped
     reads = [param[0] for param in _EVAL_FUNCTIONS[args.fn][1]]
     for flag in ("--lambda", "--lambda-neg", "--c", "--ztable"):
         if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ValueError(f"{flag}: --fn {args.fn} does not read it")
-    xs = _param(args, "--x", _parse_xs)
+    xs = iter(_param(args, "--x", _parse_xs))
     step, params = _eval_function(args)
     # Only h and hhat fail at an x, and only below a bound, so in ascending
-    # order a failure comes in the first chunk, before anything is written.
-    rows = ["x,value\n"]
-    for x in xs:
+    # order a failure comes in the first chunk, before anything is written;
+    # the header goes out with that chunk.
+    header = "x,value\n"
+    while chunk := list(islice(xs, _CHUNK)):
+        row = [None] * (2 * len(chunk))  # x, value, x, value, ...
+        row[0::2] = chunk
         try:
-            value = step(x, *params)
-        except ValueError as exc:
-            raise ValueError(f"at x = {x:.17g}: {exc}") from None
-        rows.append(f"{x:.17g},{value:.17g}\n")
-        if len(rows) == _CHUNK:
-            sys.stdout.write("".join(rows))
-            rows.clear()
-    sys.stdout.write("".join(rows))
+            row[1::2] = map(step, chunk, *map(repeat, params))
+        except ValueError:  # again x by x, to name the x that fails
+            row[1::2] = [_value_at(step, x, params) for x in chunk]
+        # %.17g and {:.17g} print a float through the same call
+        sys.stdout.write((header + "%.17g,%.17g\n" * len(chunk)) % tuple(row))
+        header = ""
     return 0
 
 

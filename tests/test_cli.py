@@ -131,6 +131,12 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    def test_failing_x_writes_nothing(self, run):
+        # the failure is found before the header goes out with the first chunk
+        code, out, err = run(["eval", "--fn", "h", "--lambda", "2", "--x=-3,-0.5,1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: at x = -3: ") and err.count("\n") == 1
+
     def test_loss_past_binary64_square(self, run):
         code, out, err = run(["eval", "--fn", "rho", "--lambda=-2", "--x", "1e200"])
         assert code == 0
@@ -305,6 +311,37 @@ def test_eval_prints_the_public_float_call_bit_for_bit(run, tmp_path, fn, flags,
         x_text, value_text = row.split(",")
         x = float(x_text)
         assert float(value_text).hex() == public(x, table).hex(), (fn, x)
+
+
+# Whole outputs, built from the public float calls, at range counts on each
+# side of the rows one write holds (cli._CHUNK, 4096), and on specials.
+_CHUNKED = [
+    ("f", ["--lambda=0.5"], lambda x: rootpow.transform(x, 0.5)),
+    ("rho", ["--lambda=-2", "--c=2"], lambda x: rootpow.loss(x, -2.0, 2.0)),
+    ("fpm", ["--lambda=0.5", "--lambda-neg=-2"], lambda x: rootpow.signed_transform(x, 0.5, -2.0)),
+    ("pdf", ["--lambda=0.5"], lambda x: rootpow.pdf(x, 0.5)),
+]
+
+
+def _csv(xs, public):
+    return "x,value\n" + "".join(f"{x:.17g},{public(x):.17g}\n" for x in xs)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("fn, flags, public", _CHUNKED, ids=[case[0] for case in _CHUNKED])
+def test_eval_range_output_across_chunks(run, fn, flags, public, count):
+    xs = sorted(np.linspace(-3.0, 3.0, count).tolist())
+    code, out, err = run(["eval", "--fn", fn, *flags, f"--x=-3:3:{count}"])
+    assert (code, err) == (0, "")
+    assert out == _csv(xs, public)
+
+
+@pytest.mark.parametrize("fn, flags, public", _CHUNKED, ids=[case[0] for case in _CHUNKED])
+def test_eval_list_output_on_specials(run, fn, flags, public):
+    xs = [-0.0, 5e-324, 1e308, math.inf, -math.inf]
+    code, out, err = run(["eval", "--fn", fn, *flags, "--x=" + ",".join(map(repr, xs))])
+    assert (code, err) == (0, "")
+    assert out == _csv(sorted(xs), public)
 
 
 def _fuzz_grids(seed, n):

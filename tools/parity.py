@@ -202,6 +202,8 @@ def cli(digest: Digest) -> None:
                 for x in grids:
                     argv = ["eval", f"--fn={fn}", *(f.format(value) for f in flags), f"--x={x}"]
                     _cli(digest, f"cli.eval.{fn}", argv)
+    # past two 4096-row chunks, so a lost tail chunk or a second header shows
+    _cli(digest, "cli.eval.rho_chunks", ["eval", "--fn=rho", "--lambda=-2", "--x=-1e3:1e3:8193"])
     rp.build_table(64).save("ztable.json")
     for value in lams:
         argv = ["eval", "--fn=pdf", f"--lambda={value}", "--ztable=ztable.json", f"--x={grids[0]}"]
