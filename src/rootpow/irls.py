@@ -1,27 +1,27 @@
 """Location estimation by iteratively reweighted least squares.
 
 Minimizes the summed robust loss of (x_i - mu) by alternating between
-kernel weights at the current residuals and the weighted mean.  For
-lam <= 0 each sweep is a majorize-minimize step, so the objective never
-increases.  lam > 0 is rejected: there the weights grow with the residual
-and the scheme stops being a descent method.
+kernel weights k_i at the current residuals and a step toward their
+weighted mean.  lam > 0 is rejected: there the weights grow with the
+residual and the scheme stops being a descent method.
 
-The sweeps converge only linearly, so a fit runs them in cycles of two
-and then tries the Aitken extrapolation of the pair (SQUAREM in one
-dimension, Varadhan & Roland 2008).  The extrapolated point is taken
-only when it lies in [min, max] of the data and its summed loss is
-finite and no higher than at the cycle's start, so the fit stays a
-descent method: the objective never rises from one accepted iterate to
-the next.
+For lam <= 0 the transform f is concave in u = r**2 / 2, so the objective
+lies under the sweep's quadratic majorizer F(mu) - g*s + K*s**2/2 of the
+step s (K = sum k_i, g = sum k_i * r_i), and every s between 0 and twice
+the weighted-mean step g/K is a descent step (Heiser 1995; Lange, MM
+Optimization Algorithms, 2016).  A sweep takes s = omega * g/K with
+Newton's factor omega = K/h, h = K + sum r_i**2 * f''(u_i) <= K, capped
+at 2, and 2 where h <= 0: descent by construction, with no loss pass to
+guard it.  Where the kernel is 1 (lam = 0) omega is 1.
 
-A sweep is one run of the kernel body plus numpy's pairwise sums, which
-are accurate to O(eps * log n) of the summed magnitudes, far inside the
-stopping tolerance.  A fit ends with one more sweep whose sums are
-exactly rounded, so its result is the exactly rounded weighted mean at
-the final weights: a lam = 0 fit returns ``math.fsum(observations) / n``.
-Each of those sums is split into two numpy sums, one exact and one with
-an error bound, and taken from them where the bound proves it equal to
-``math.fsum``'s, from ``math.fsum`` elsewhere (Rump, Ogita & Oishi 2008).
+The sweeps sum with numpy's pairwise sums, accurate to O(eps * log n) of
+the summed magnitudes, far inside the stopping tolerance.  A fit ends with
+one plain sweep whose sums are exactly rounded, so its result is the
+exactly rounded weighted mean at the final weights: a lam = 0 fit returns
+``math.fsum(observations) / n``.  Each of those sums is split into two
+numpy sums, one exact and one with an error bound, and taken from them
+where the bound proves it equal to ``math.fsum``'s, from ``math.fsum``
+elsewhere (Rump, Ogita & Oishi 2008).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import _require_count, _require_number
+from .core import _derivative, _float_slope_one, _plan, _require_count, _require_number
 from .families import _kernel, _loss, _require_scale
 
 __all__ = [
@@ -165,12 +165,6 @@ def _weighted_shift(r: np.ndarray, problem: IrlsProblem) -> tuple[float, float]:
     return total, float(np.add.reduce(w))
 
 
-def _step(mu: float, problem: IrlsProblem) -> float:
-    # irls_step, run inside the caller's np.errstate(over="ignore")
-    mu = problem._clamp(mu)
-    return mu + _weighted_shift(problem._values - mu, problem)[1]
-
-
 def irls_step(mu: float, problem: IrlsProblem) -> float:
     """One reweighting sweep: kernel weights at the current residuals,
     then the weighted mean, as mu plus the weighted mean residual.
@@ -179,8 +173,9 @@ def irls_step(mu: float, problem: IrlsProblem) -> float:
     which shrinks every residual and so cannot raise the objective.  A NaN
     mu raises ValueError.
     """
+    mu = problem._clamp(_require_number(mu, "mu"))
     with np.errstate(over="ignore"):
-        return _step(_require_number(mu, "mu"), problem)
+        return mu + _weighted_shift(problem._values - mu, problem)[1]
 
 
 def _exact_sum(a: np.ndarray) -> float:
@@ -276,10 +271,43 @@ def _median(values: np.ndarray) -> float:
     return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
 
 
-def _pass_loss(mu: float, problem: IrlsProblem) -> float:
-    """loss_objective summed by numpy's pairwise sum: one pass over the
-    observations, about the cost of a sweep; inf past the largest double."""
-    return float(np.add.reduce(_loss(_residuals(mu, problem), np, problem.lam, problem.c)))
+def _kernel_keeping_u(u, np, lam, out, nonneg):
+    # _loss's power for the Newton sweep: the kernel in a new array, and u
+    return u, _derivative(u, np, lam, nonneg=nonneg)
+
+
+def _newton_step(mu: float, problem: IrlsProblem) -> float:
+    """One safeguarded Newton sweep from a mu inside the data:
+    mu + omega * g/K, clamped to [min, max] of the data.
+
+    g/K is summed as sum (k/K) * r, as _weighted_shift sums it, so no
+    partial sum passes max|r|, and h/K as 1 + sum (k/K) * q, where
+    2u * f''(u) = q * k.  With t = pre * u, q is 2 * dmid * (1 - 1/(1 + t))
+    on the log branches (2 * dmid at t = inf, not inf/inf), and 2 * t at
+    lam = -inf, t floored at -MAX so that k = 0 at u = inf gives 0, not NaN.
+    """
+    r = problem._values - mu
+    u, k = _loss(r, np, problem.lam, problem.c, _kernel_keeping_u)
+    total = float(np.add.reduce(k))
+    if not total > 0.0:
+        return mu
+    k /= total
+    pre, skip_log, _, _, _, _, _, _, _, _, fd, dmid = _plan[problem.lam]
+    if fd is _float_slope_one:  # the kernel is 1: f'' = 0
+        omega = 1.0
+    else:
+        u *= pre  # t, in u's buffer
+        if skip_log:  # f'(u) = exp(t)
+            np.maximum(u, -_MAX, out=u)
+            u *= k
+            h = 1.0 + 2.0 * float(np.add.reduce(u))
+        else:  # f'(u) = (1 + t)**dmid
+            u += 1.0
+            np.divide(k, u, out=u)
+            h = 1.0 + 2.0 * dmid * (1.0 - float(np.add.reduce(u)))
+        omega = 1.0 / h if h > 0.5 else 2.0
+    k *= r
+    return problem._clamp(mu + omega * float(np.add.reduce(k)))
 
 
 def fit_location(problem: IrlsProblem) -> IrlsResult:
@@ -289,57 +317,25 @@ def fit_location(problem: IrlsProblem) -> IrlsResult:
     lam < -1 makes the objective multimodal; the returned gradient norm
     is the caller's stationarity check.
 
-    Each cycle takes two sweeps, mu -> m1 -> m2, each under the stopping
-    test, then forms the Aitken point a = m2 - d2**2 / (d2 - d1) of the
-    steps d1 = m1 - mu, d2 = m2 - m1.  The next cycle starts from a when
-    a lies in [min, max] of the data and its summed loss is finite and no
-    higher than at mu, and from m2 otherwise.  The loss at mu is computed
-    only when a's passes that test, and after an accepted a it is a's.
-    Every iterate the fit continues from thus has an objective no higher
-    than the one before it.  After a point whose summed loss is inf (an
-    outlier that squares past the largest double), the fit tries no more.
-
-    ``iterations`` counts the passes over the observations, sweeps and
-    loss evaluations alike, and never exceeds ``max_iters``.  After them
-    one exactly rounded sweep fixes the returned mu; it is itself a
-    majorize-minimize step and is not counted.
+    Each pass is one safeguarded Newton sweep (module docstring), so the
+    objective never rises from one iterate to the next; the fit stops at
+    the first step of at most tol * (1 + |mu|).  ``iterations`` counts
+    these passes over the observations and never exceeds ``max_iters``.
+    After them one exactly rounded plain sweep fixes the returned mu; it
+    is itself a majorize-minimize step and is not counted.
     """
-    lo, hi, tol, budget = problem._lo, problem._hi, problem.tol, problem.max_iters
+    tol, budget = problem.tol, problem.max_iters
     mu = _median(problem._values)
-    mu_loss = None  # _pass_loss(mu), once computed
     passes = 0
-    extrapolate = True  # until a point's summed loss is inf
     converged = False
     with np.errstate(over="ignore"):
         while passes < budget:
-            m1 = _step(mu, problem)
+            new = _newton_step(mu, problem)
             passes += 1
-            if abs(m1 - mu) <= tol * (1.0 + abs(m1)):
-                mu, converged = m1, True
+            converged = abs(new - mu) <= tol * (1.0 + abs(new))
+            mu = new
+            if converged:
                 break
-            if passes == budget:
-                mu = m1
-                break
-            m2 = _step(m1, problem)
-            passes += 1
-            if abs(m2 - m1) <= tol * (1.0 + abs(m2)):
-                mu, converged = m2, True
-                break
-            d1, d2 = m1 - mu, m2 - m1
-            a = m2 - d2 * d2 / (d2 - d1) if d2 != d1 else math.nan
-            # the comparison is False for NaN and for +-inf
-            if extrapolate and lo <= a <= hi and passes + 1 + (mu_loss is None) <= budget:
-                a_loss = _pass_loss(a, problem)
-                passes += 1
-                extrapolate = math.isfinite(a_loss)
-                if extrapolate:
-                    if mu_loss is None:
-                        mu_loss = _pass_loss(mu, problem)
-                        passes += 1
-                    if a_loss <= mu_loss:
-                        mu, mu_loss = a, a_loss
-                        continue
-            mu, mu_loss = m2, None
         mu = _exact_sweep(mu, problem)
         # objective_gradient's sum, mu being a float inside the data
         total, shift = _weighted_shift(problem._values - mu, problem)

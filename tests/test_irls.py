@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rootpow.families import irls_weight, loss
+from rootpow.core import _plan
+from rootpow.families import irls_weight
 from rootpow.irls import (
     IrlsProblem,
     _exact_sum,
@@ -207,12 +208,12 @@ class TestDescent:
                 assert cur <= prev * (1.0 + 1e-12) + 1e-12, (lam, obs[:3])
                 prev = cur
 
-    def test_objective_never_increases_across_accepted_iterates(self):
-        # fit_location's cycles as the public copy runs them: the iterate
-        # each cycle continues from, an Aitken point or a second sweep,
-        # holds the exact objective or lowers it
+    def test_objective_never_increases_across_iterates(self):
+        # fit_location's iterates as the public copy takes them, each a
+        # Newton step stretched up to twice the plain step, hold the exact
+        # objective or lower it
         rng = np.random.default_rng(2024)
-        taken = 0
+        stretched = 0
         for trial in range(40):
             if trial % 4 == 0:
                 obs = tuple(_bench_data(rng, 2000).tolist())
@@ -223,14 +224,15 @@ class TestDescent:
                     obs = obs + tuple(map(float, rng.uniform(15.0, 60.0, size=2)))
             lam = float(rng.choice([0.0, -0.3, -1.0, -2.0, -7.0, -math.inf]))
             problem = IrlsProblem(observations=obs, lam=lam)
-            _, _, _, path, candidates = _public_fit(problem)
-            taken += sum(ok for _, ok in candidates)
+            _fit_equals_the_public_copy(problem)
+            _, _, _, path, steps = _public_fit(problem)
+            stretched += sum(omega > 1.5 for omega, _ in steps)
             prev = loss_objective(path[0], problem)
             for mu in path[1:]:
                 cur = loss_objective(mu, problem)
                 assert cur <= prev * (1.0 + 1e-12) + 1e-12, (lam, obs[:3])
                 prev = cur
-        assert taken >= 20
+        assert stretched >= 20
 
     def test_step_outside_data_moves_in(self):
         # a start past the data is moved to its nearest end first, which
@@ -278,7 +280,6 @@ class TestConvergence:
 
     @pytest.mark.parametrize("max_iters", [1, 2, 3, 4])
     def test_passes_never_exceed_the_cap(self, max_iters):
-        # the loss evaluations of the extrapolation guard count as passes
         problem = IrlsProblem(
             observations=(0.0, 0.0, 10.0), lam=-math.inf, max_iters=max_iters, tol=1e-300
         )
@@ -418,7 +419,7 @@ class TestExactness:
 
     @pytest.mark.parametrize("lam", [-math.inf, -2.0, -1.0, -0.5, 0.0])
     def test_matches_fsum_sweeps(self, lam):
-        # the extrapolated fit lands on the plain fixpoint in no more passes
+        # the Newton steps land on the plain fixpoint in no more passes
         rng = np.random.default_rng(31)
         for _ in range(4):
             obs = tuple(_bench_data(rng, 2000).tolist())
@@ -429,9 +430,9 @@ class TestExactness:
             assert abs(result.mu - mu) <= 1e-10
 
     @pytest.mark.parametrize("lam", [-math.inf, -2.0, -1.0, -0.5])
-    def test_extrapolation_cuts_the_passes(self, lam):
-        # plain sweeps take 20-34 passes a fit on this data, the
-        # extrapolated cycles 8-9; the count is exact and deterministic
+    def test_newton_steps_cut_the_passes(self, lam):
+        # plain sweeps take 20-34 passes a fit on this data, the Newton
+        # steps 3-5; the count is exact and deterministic
         rng = np.random.default_rng(61)
         passes = [
             fit_location(IrlsProblem(observations=tuple(_bench_data(rng, 2000).tolist()), lam=lam)).iterations
@@ -464,56 +465,56 @@ def _public_gradient(mu, problem):
     return -(total * shift) / problem.c / problem.c
 
 
-def _public_fit(problem):
-    """fit_location up to its closing exact sweep, rebuilt from the public
-    irls_step and loss: (mu, iterations, converged, path, candidates).
+def _public_newton_step(mu, problem):
+    """fit_location's sweep from a mu inside the data, rebuilt from the
+    public irls_weight and irls_step and the plan row: (the clamped point,
+    omega, the point before the clamp).
 
-    path lists every iterate the fit continued from, the start first and
-    the returned mu last; candidates lists each cycle's Aitken point with
-    whether it was taken (NaN where the two steps are equal)."""
+    The point is mu + omega * g/K, omega = min(K/h, 2) for h > 0 and 2
+    otherwise, h/K = 1 + sum (w/K) * q where (x/c)**2 * f''(u) = q * w,
+    u = (x/c)**2 / 2 and t = pre * u: q = 2 * dmid * t/(1 + t) on the log
+    branches, 2 * t (t >= -BIG) at lam = -inf.  Where the kernel is 1 the
+    step is irls_step's."""
     values = np.array(problem.observations)
-    lo, hi, budget = float(values.min()), float(values.max()), problem.max_iters
+    lo, hi = float(values.min()), float(values.max())
+    pre, skip_log, _, skip_exp, _, _, _, _, _, _, _, dmid = _plan[problem.lam]
+    if skip_log and skip_exp:  # lam = 0: kernel 1, f'' = 0
+        raw = irls_step(mu, problem)
+        return min(max(raw, lo), hi), 1.0, raw
+    r = values - mu
+    w = irls_weight(r, problem.lam, problem.c)
+    total = float(w.sum())
+    if not total > 0.0:
+        return mu, 1.0, mu
+    w = w / total
+    with np.errstate(over="ignore"):
+        x = r / problem.c
+        t = pre * (0.5 * x * x)
+        if skip_log:
+            h = 1.0 + 2.0 * float((np.maximum(t, -BIG) * w).sum())
+        else:
+            h = 1.0 + 2.0 * dmid * (1.0 - float((w / (t + 1.0)).sum()))
+        omega = 1.0 / h if h > 0.5 else 2.0
+        raw = mu + omega * float((w * r).sum())
+    return min(max(raw, lo), hi), omega, raw
 
-    def summed_loss(mu):
-        with np.errstate(over="ignore"):
-            r = np.clip(values - mu, -BIG, BIG)
-        return float(loss(r, problem.lam, problem.c).sum())
 
-    def settled(old, new):
-        return abs(new - old) <= problem.tol * (1.0 + abs(new))
+def _public_fit(problem):
+    """fit_location up to its closing exact sweep, rebuilt from
+    _public_newton_step: (mu, iterations, converged, path, steps).
 
-    mu = float(np.median(values))
-    path, candidates = [mu], []
-    mu_loss, passes, converged, extrapolate = None, 0, False, True
-    while passes < budget:
-        m1 = irls_step(mu, problem)
+    path lists every iterate, the start first and the returned mu last;
+    steps lists each pass's (omega, point before the clamp)."""
+    mu = float(np.median(np.array(problem.observations)))
+    path, steps, converged, passes = [mu], [], False, 0
+    while passes < problem.max_iters and not converged:
+        new, omega, raw = _public_newton_step(mu, problem)
         passes += 1
-        if settled(mu, m1) or passes == budget:
-            mu, converged = m1, settled(mu, m1)
-            path.append(mu)
-            break
-        m2 = irls_step(m1, problem)
-        passes += 1
-        if settled(m1, m2):
-            mu, converged = m2, True
-            path.append(mu)
-            break
-        d1, d2 = m1 - mu, m2 - m1
-        a = m2 - d2 * d2 / (d2 - d1) if d2 - d1 != 0.0 else math.nan
-        taken = False
-        if extrapolate and lo <= a <= hi and passes + 1 + (mu_loss is None) <= budget:
-            a_loss = summed_loss(a)
-            passes += 1
-            extrapolate = math.isfinite(a_loss)  # no more points after an inf loss
-            if extrapolate:
-                if mu_loss is None:
-                    mu_loss = summed_loss(mu)
-                    passes += 1
-                taken = a_loss <= mu_loss
-        candidates.append((a, taken))
-        mu, mu_loss = (a, a_loss) if taken else (m2, None)
+        converged = abs(new - mu) <= problem.tol * (1.0 + abs(new))
+        mu = new
         path.append(mu)
-    return mu, passes, converged, path, candidates
+        steps.append((omega, raw))
+    return mu, passes, converged, path, steps
 
 
 def _public_exact_sweep(mu, problem):
@@ -526,6 +527,19 @@ def _public_exact_sweep(mu, problem):
     if not total > 0.0:
         return mu
     return float(min(max(math.fsum((w * values).tolist()) / total, lo), hi))
+
+
+def _fit_equals_the_public_copy(problem):
+    """fit_location's result, checked bit for bit against the public copy's;
+    returns the copy's steps."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_location(problem)
+    mu, iterations, converged, _, steps = _public_fit(problem)
+    assert (result.mu.hex(), result.iterations, result.converged) == (
+        _public_exact_sweep(mu, problem).hex(), iterations, converged)
+    assert min(problem.observations) <= result.mu <= max(problem.observations)
+    return steps
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-300])
@@ -541,70 +555,77 @@ def test_sweeps_equal_the_public_weight_composition(lam, c):
         mu = new_mu
     for at in (mu, 3.0, -60.0, BIG, -BIG):
         assert objective_gradient(at, problem).hex() == _public_gradient(at, problem).hex()
-    # fit_location runs the same sweeps and summed losses inline, then
-    # one fsum sweep
-    mu, iterations = _public_fit(problem)[:2]
-    result = fit_location(problem)
-    assert (result.mu.hex(), result.iterations) == (_public_exact_sweep(mu, problem).hex(), iterations)
+    # fit_location runs the same Newton sweeps inline, then one fsum sweep
+    _fit_equals_the_public_copy(problem)
 
 
-class TestExtrapolationGuard:
-    """An Aitken point is taken only inside [min, max] of the data, with
-    a finite summed loss no higher than at its cycle's start.  Each fit
-    equals the public copy, which spends no pass on a point outside the
-    data, so fit_location rejects such points as the copy does."""
+class TestNewtonStep:
+    """Each pass is mu + omega * g/K with omega = min(K/h, 2), a descent
+    step by the sweep's majorizer: fit_location equals the public copy bit
+    for bit, also where a step leaves the data, at binary64 extremes and
+    in the rounding noise around the fixpoint."""
 
-    @staticmethod
-    def _candidates(problem):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = fit_location(problem)
-        mu, iterations, converged, _, candidates = _public_fit(problem)
-        assert (result.mu.hex(), result.iterations, result.converged) == (
-            _public_exact_sweep(mu, problem).hex(), iterations, converged)
-        assert min(problem.observations) <= result.mu <= max(problem.observations)
-        return candidates
+    def test_a_step_past_the_data_is_clamped(self):
+        # a stretched step from the median overshoots the data
+        steps = _fit_equals_the_public_copy(IrlsProblem(observations=(2.5, 2.5, -1.8, -0.2), lam=-math.inf))
+        assert any(not -1.8 <= raw <= 2.5 for _, raw in steps)
 
-    def test_point_past_the_data(self):
-        # slowly shrinking steps in one direction put the Aitken point
-        # past the greatest observation (near 24)
-        candidates = self._candidates(IrlsProblem(observations=(-2.0, -1.6, 1.2, 5.4), lam=-1.0))
-        assert any(10.0 < a < 30.0 for a, _ in candidates)
-
-    def test_infinite_point(self):
-        # the same data at 2**1000: d2 * d2 overflows and the point is inf
+    def test_scaled_data_takes_the_scaled_steps(self):
+        # at 2**1000 with c scaled alike, every residual over c, weight and
+        # omega is the unscaled one's, so each iterate is the unscaled one
+        # scaled (tol = 1e-300 stops neither fit before max_iters, where
+        # the 1 in 1 + |mu| would tell the scales apart)
         scale = 2.0 ** 1000
-        obs = tuple(v * scale for v in (-2.0, -1.6, 1.2, 5.4))
-        candidates = self._candidates(IrlsProblem(observations=obs, lam=-1.0, c=scale))
-        assert any(math.isinf(a) for a, _ in candidates)
+        base = (-2.0, -1.6, 1.2, 5.4)
+        for lam in (-0.5, -1.0, -2.0, -math.inf):
+            scaled = IrlsProblem(observations=tuple(v * scale for v in base), lam=lam, c=scale,
+                                 tol=1e-300, max_iters=40)
+            _fit_equals_the_public_copy(scaled)
+            plain = fit_location(scaled._replace(observations=base, c=1.0))
+            result = fit_location(scaled)
+            assert (result.mu, result.iterations) == (plain.mu * scale, plain.iterations)
 
-    def test_equal_steps_around_the_fixpoint(self):
+    def test_rounding_noise_around_the_fixpoint(self):
         # at tol = 1e-300 the sweeps run on through the rounding noise
-        # around the fixpoint, their steps straddling it; where two steps
-        # are equal, d2 - d1 = 0 and the point is NaN (how often depends
-        # on the host's rounding; here on about 1 fit in 10)
+        # around the fixpoint to max_iters, every step a descent step
         rng = np.random.default_rng(3)
-        nans = 0
         for trial in range(200):
             obs = tuple(rng.standard_normal(7).tolist())
             lam = (-0.5, -1.0, -2.0, -math.inf)[trial % 4]
-            candidates = self._candidates(IrlsProblem(observations=obs, lam=lam, tol=1e-300))
-            nans += sum(math.isnan(a) for a, _ in candidates)
-        assert nans > 0
+            problem = IrlsProblem(observations=obs, lam=lam, tol=1e-300, max_iters=12)
+            steps = _fit_equals_the_public_copy(problem)
+            assert all(1.0 - 1e-15 <= omega <= 2.0 for omega, _ in steps)
 
-    def test_infinite_objective_converges_by_plain_steps(self):
-        # the 1e300 residual squares to inf from every location, so every
-        # summed loss is inf and no Aitken point is taken
-        problem = IrlsProblem(observations=(-0.5, 0.25, 0.0, 0.5, -0.25, 1e300), lam=-1.0)
-        candidates = self._candidates(problem)
-        assert candidates and not any(ok for _, ok in candidates)
+    def test_omega_is_one_for_a_unit_kernel_and_capped_at_two(self):
+        rng = np.random.default_rng(19)
+        obs = tuple(_bench_data(rng, 2000).tolist())
+        steps = _fit_equals_the_public_copy(IrlsProblem(observations=obs, lam=0.0))
+        assert {omega for omega, _ in steps} == {1.0}
+        for lam in (-math.inf, -2.0, -1.0, -0.5):  # omega 1.99, 1.72, 1.56, 1.41
+            steps = _fit_equals_the_public_copy(IrlsProblem(observations=obs, lam=lam))
+            assert all(1.0 < omega < 2.0 for omega, _ in steps)
+        # four spread points: Newton asks for more than twice the plain
+        # step at every pass, and the capped steps still converge
+        problem = IrlsProblem(observations=(-2.0, -1.6, 1.2, 5.4), lam=-0.5)
+        steps = _fit_equals_the_public_copy(problem)
+        assert {omega for omega, _ in steps} == {2.0}
         assert fit_location(problem).converged
 
+    def test_infinite_objective_converges(self):
+        # the 1e300 residual squares to inf from every location, so the
+        # summed loss is inf everywhere; its weight is 0 and no step needs it
+        obs = (-0.5, 0.25, 0.0, 0.5, -0.25, 1e300)
+        problem = IrlsProblem(observations=obs, lam=-1.0)
+        assert loss_objective(0.0, problem) == math.inf
+        _fit_equals_the_public_copy(problem)
+        result = fit_location(problem)
+        assert result.converged
+        assert abs(result.mu - _fsum_fit(obs, -1.0)[0]) <= 1e-10
+
     @pytest.mark.parametrize("lam", [-1.0, -0.5])
-    def test_an_infinite_loss_ends_the_extrapolation(self, lam):
-        # after the first point whose summed loss is inf the fit tries no
-        # more, so it pays one pass on top of the plain sweeps and lands
-        # where they do
+    def test_an_infinite_loss_needs_no_rule(self, lam):
+        # a fit whose summed loss is inf takes its Newton steps as any
+        # other and lands where the plain sweeps do, in no more passes
         rng = np.random.default_rng(2025)
         datasets = [(-0.5, 0.25, 0.0, 0.5, -0.25, 1e300)]
         for sign in (1.0, -1.0, 1.0):
@@ -617,6 +638,55 @@ class TestExtrapolationGuard:
             assert result.iterations <= iterations + 1, (result.iterations, iterations)
             assert result.converged == converged
             assert abs(result.mu - mu) <= 1e-10
+
+
+def _bench_pools(seeds=(101, 102, 103)):
+    """(observations, lam) of the bench's RobustFit problems of the seeds:
+    100 a seed, lam rotating over -inf, -2, -1, -0.5 and 0, the 23rd of
+    every 25 (lam = -1) with one observation at +-1e300."""
+    pools = []
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 2])
+        for k in range(100):
+            obs = _bench_data(rng, 2000)
+            if k % 25 == 22:
+                obs[int(rng.integers(2000))] = 1e300 if rng.random() < 0.5 else -1e300
+            pools.append((tuple(obs.tolist()), (-math.inf, -2.0, -1.0, -0.5, 0.0)[k % 5]))
+    return pools
+
+
+class TestBenchPools:
+    """The 300 fits the bench's robust_fit workload times (seeds 101-103)."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        return [(obs, lam, fit_location(IrlsProblem(observations=obs, lam=lam)))
+                for obs, lam in _bench_pools()]
+
+    def test_passes_per_lam(self, fits):
+        # the means are 4.75, 3.08, 3.02, 3.03 and 2 (lam = -inf, -2, -1,
+        # -0.5, 0); the count is exact and deterministic
+        passes = {}
+        for _, lam, result in fits:
+            passes.setdefault(lam, []).append(result.iterations)
+        bound = {-math.inf: 5.0, -2.0: 4.0, -1.0: 4.0, -0.5: 4.0}
+        for lam, counts in passes.items():
+            if lam == 0.0:
+                assert set(counts) == {2}
+            else:
+                assert sum(counts) / len(counts) <= bound[lam], (lam, counts)
+
+    def test_every_fit_converges_to_the_plain_fixpoint(self, fits):
+        for obs, lam, result in fits:
+            scale = 1.0 + math.fsum(map(abs, obs))
+            assert result.converged
+            assert result.grad_norm <= 1e-14 * scale, (lam, result)
+
+    def test_infinite_loss_fits_reach_the_fsum_fixpoint(self, fits):
+        defects = [(obs, lam, result) for obs, lam, result in fits if max(map(abs, obs)) == 1e300]
+        assert len(defects) == 12
+        for obs, lam, result in defects:
+            assert abs(result.mu - _fsum_fit(obs, lam)[0]) <= 1e-10
 
 
 def _sum_or_overflow(summer, a):

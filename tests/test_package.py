@@ -372,7 +372,39 @@ def test_irls_ab_gates_on_bits_only(tmp_path):
     differ = _irls_ab(_ROOT, tmp_path)
     assert differ.returncode == 1
     assert "fits differ between the trees" in differ.stdout
+    # the move a by-design change quotes: every even-n start moved one ulp
+    assert "largest |mu_B - mu_A| / (1 + |mu_A|): " in differ.stdout
+    assert differ.stdout.count(" iterations in all, worst grad_norm / (1 + sum |x|) ") == 2
     assert " B/A " in differ.stdout.splitlines()[-1]
+
+
+def test_bench_record_writes_its_schema(tmp_path):
+    # one pair of the shortest robust_fit runs, the tree as its own parent:
+    # the file holds every metric BENCHMARK.json declares, for both sides
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "tools" / "bench_record.py"), str(_ROOT), "--parent", str(_ROOT),
+         "--output", str(out), "--pairs", "1", "--seconds", "0", "--workloads", "robust_fit",
+         "--irls-rounds", "1"],
+        capture_output=True,
+        text=True,
+        cwd=_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    record = json.loads(out.read_text())
+    assert sorted(record) == ["bench", "host", "irls", "lines", "parent", "schema", "tree"]
+    fit = record["bench"]["workloads"]["robust_fit"]
+    assert fit["correct"] == {"tree": [True], "parent": [True]}
+    declared = json.loads((_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for metric in declared:
+        row = fit[metric["name"]]
+        assert len(row["tree"]["runs"]) == len(row["parent"]["runs"]) == 1
+        assert row["wins"] in (0, 1)
+    irls = record["irls"]
+    assert irls["fits_differ"] == 0 and irls["largest_move"] == 0.0
+    assert irls["tree"] == irls["parent"]
+    assert sorted(irls["tree"]["passes"]) == sorted(map(repr, (-math.inf, -2.0, -1.0, -0.5, 0.0)))
+    assert record["lines"]["tree"]["src/rootpow/irls.py"] > 0
 
 
 def test_the_tools_cover_every_public_evaluator():

@@ -18,8 +18,12 @@ on each tree, the side that goes first alternating by round, as the
 minimum over ``--repeats`` ops on the thread CPU clock, and takes the B/A
 ratio of the summed times.  It prints us per op on each tree and the
 median over rounds of the B/A ratio with its quartiles, then exits 1 if
-any result differed.  The timing never changes the exit status.  Run the
-same tree twice for an A/A run, which shows the noise floor of the ratio:
+any result differed.  When fits differ and all return, it also prints,
+so that a change that moves fits on purpose can quote its move, the largest
+|mu_B - mu_A| / (1 + |mu_A|), and on each tree the summed ``iterations``
+and the worst ``grad_norm / (1 + sum |x|)``.  The timing never changes the
+exit status.  Run the same tree twice for an A/A run, which shows the
+noise floor of the ratio:
 
     python tools/irls_ab.py <tree_a> <tree_b> [--seeds 101 102 103] [--rounds 20] [--repeats 3]
 """
@@ -27,6 +31,7 @@ same tree twice for an A/A run, which shows the noise floor of the ratio:
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -49,6 +54,29 @@ def _op(rp):
     return lambda observations, lam: rp.fit_location(rp.IrlsProblem(observations, lam))
 
 
+def fit_summary(rp, problems) -> dict:
+    """One tree's fits of the problems: each mu, the mean and the greatest
+    ``iterations`` per lam, their sum, and the worst
+    ``grad_norm / (1 + sum |x|)``."""
+    op, mus, passes, worst = _op(rp), [], {}, 0.0
+    for obs, lam in problems:
+        result = op(obs, lam)
+        mus.append(result.mu)
+        passes.setdefault(repr(lam), []).append(result.iterations)
+        worst = max(worst, result.grad_norm / (1.0 + math.fsum(map(abs, obs))))
+    return {
+        "mu": mus,
+        "passes": {lam: {"mean": statistics.mean(n), "max": max(n)} for lam, n in passes.items()},
+        "iterations": sum(sum(n) for n in passes.values()),
+        "worst_grad_ratio": worst,
+    }
+
+
+def largest_move(mus_a, mus_b) -> float:
+    """The largest |mu_B - mu_A| / (1 + |mu_A|)."""
+    return max(abs(b - a) / (1.0 + abs(a)) for a, b in zip(mus_a, mus_b))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a")
@@ -57,7 +85,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
-    ops = [_op(load(args.tree_a, "rootpow_a")), _op(load(args.tree_b, "rootpow_b"))]
+    packages = [load(args.tree_a, "rootpow_a"), load(args.tree_b, "rootpow_b")]
+    ops = [_op(rp) for rp in packages]
     problems = pools(args.seeds)
     # one op set per problem: each fit's time is its own minimum over repeats
     sides = [{f"problem {k} (lam = {lam!r})": (op, [(obs, lam)])
@@ -67,6 +96,12 @@ def main(argv=None) -> int:
     if differ:
         print(f"{len(differ)} of {len(problems)} fits differ between the trees:",
               *(f"{name}: {ra} != {rb}" for name, _, ra, rb in differ[:20]), sep="\n")
+        if len(timed) == len(problems):  # every fit returns on both trees
+            a, b = (fit_summary(rp, problems) for rp in packages)
+            print(f"largest |mu_B - mu_A| / (1 + |mu_A|): {largest_move(a['mu'], b['mu']):.3g}")
+            for side, summary in (("A", a), ("B", b)):
+                print(f"{side}: {summary['iterations']} iterations in all, worst grad_norm / "
+                      f"(1 + sum |x|) {summary['worst_grad_ratio']:.3g}")
         print(f"timing the {len(timed)} fits that return on both trees")
     else:
         print(f"{len(problems)} fits give the same results on both trees")
