@@ -11,8 +11,9 @@ step s (K = sum k_i, g = sum k_i * r_i), and every s between 0 and twice
 the weighted-mean step g/K is a descent step (Heiser 1995; Lange, MM
 Optimization Algorithms, 2016).  A sweep takes s = omega * g/K with
 Newton's factor omega = K/h, h = K + sum r_i**2 * f''(u_i) <= K, capped
-at 2, and 2 where h <= 0: descent by construction, with no loss pass to
-guard it.  Where the kernel is 1 (lam = 0) omega is 1.
+at 2: descent by construction, with no loss pass to guard it.  omega is 1
+where h <= 0, as twice the step would leap to and fro across a narrow
+basin, and where the kernel is 1 (lam = 0).
 
 The sweeps sum with numpy's pairwise sums, accurate to O(eps * log n) of
 the summed magnitudes, far inside the stopping tolerance.  A fit ends with
@@ -271,43 +272,36 @@ def _median(values: np.ndarray) -> float:
     return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
 
 
-def _kernel_keeping_u(u, np, lam, out, nonneg):
-    # _loss's power for the Newton sweep: the kernel in a new array, and u
-    return u, _derivative(u, np, lam, nonneg=nonneg)
-
-
-def _newton_step(mu: float, problem: IrlsProblem) -> float:
-    """One safeguarded Newton sweep from a mu inside the data:
-    mu + omega * g/K, clamped to [min, max] of the data.
-
-    g/K is summed as sum (k/K) * r, as _weighted_shift sums it, so no
-    partial sum passes max|r|, and h/K as 1 + sum (k/K) * q, where
-    2u * f''(u) = q * k.  With t = pre * u, q is 2 * dmid * (1 - 1/(1 + t))
-    on the log branches (2 * dmid at t = inf, not inf/inf), and 2 * t at
-    lam = -inf, t floored at -MAX so that k = 0 at u = inf gives 0, not NaN.
-    """
+def _newton_sweep(mu: float, problem: IrlsProblem) -> tuple[float, float]:
+    """g/K and h/K from a mu inside the data, g/K summed as sum (k/K) * r as
+    _weighted_shift sums it, and h/K as 1 + sum (k/K) * q, 2u * f''(u) =
+    q * k.  With t = pre * u, q is 2 * dmid * (1 - 1/(1 + t)) on the log
+    branches (2 * dmid at t = inf, not inf/inf), and 2 * t at lam = -inf,
+    t floored at -MAX so that k = 0 at u = inf gives 0, not NaN."""
     r = problem._values - mu
-    u, k = _loss(r, np, problem.lam, problem.c, _kernel_keeping_u)
+    x = r / problem.c if problem.c != 1.0 else r
+    u = 0.5 * x
+    u *= x
+    k = _derivative(u, np, problem.lam, nonneg=True)  # a new array: u stays
     total = float(np.add.reduce(k))
     if not total > 0.0:
-        return mu
+        return 0.0, 1.0
     k /= total
     pre, skip_log, _, _, _, _, _, _, _, _, fd, dmid = _plan[problem.lam]
     if fd is _float_slope_one:  # the kernel is 1: f'' = 0
-        omega = 1.0
+        curvature = 1.0
     else:
         u *= pre  # t, in u's buffer
         if skip_log:  # f'(u) = exp(t)
             np.maximum(u, -_MAX, out=u)
             u *= k
-            h = 1.0 + 2.0 * float(np.add.reduce(u))
+            curvature = 1.0 + 2.0 * float(np.add.reduce(u))
         else:  # f'(u) = (1 + t)**dmid
             u += 1.0
             np.divide(k, u, out=u)
-            h = 1.0 + 2.0 * dmid * (1.0 - float(np.add.reduce(u)))
-        omega = 1.0 / h if h > 0.5 else 2.0
+            curvature = 1.0 + 2.0 * dmid * (1.0 - float(np.add.reduce(u)))
     k *= r
-    return problem._clamp(mu + omega * float(np.add.reduce(k)))
+    return float(np.add.reduce(k)), curvature
 
 
 def fit_location(problem: IrlsProblem) -> IrlsResult:
@@ -319,29 +313,38 @@ def fit_location(problem: IrlsProblem) -> IrlsResult:
 
     Each pass is one safeguarded Newton sweep (module docstring), so the
     objective never rises from one iterate to the next; the fit stops at
-    the first step of at most tol * (1 + |mu|).  ``iterations`` counts
-    these passes over the observations and never exceeds ``max_iters``.
-    After them one exactly rounded plain sweep fixes the returned mu; it
-    is itself a majorize-minimize step and is not counted.
+    the first step of at most tol * (1 + |mu|).  The capped steps shrink by
+    about 1 - 2h/K a pass, slowly on a flat minimum: after two passes in a
+    row with K/h > 8/3, Newton's point mu + g/h is tried by two loss passes
+    and taken where its summed loss is finite and at most the capped
+    point's.  ``iterations`` counts the sweeps and loss passes and never
+    exceeds ``max_iters``.  One exactly rounded plain sweep then fixes the
+    returned mu; it is itself a majorize-minimize step and is not counted.
     """
     tol, budget = problem.tol, problem.max_iters
     mu = _median(problem._values)
-    passes = 0
-    converged = False
+    passes, converged, capped = 0, False, False
     with np.errstate(over="ignore"):
         while passes < budget:
-            new = _newton_step(mu, problem)
+            shift, curvature = _newton_sweep(mu, problem)
             passes += 1
+            omega = 1.0 / curvature if curvature > 0.5 else 2.0 if curvature > 0.0 else 1.0
+            new = problem._clamp(mu + omega * shift)
             converged = abs(new - mu) <= tol * (1.0 + abs(new))
+            stretched = 0.0 < curvature < 0.375  # K/h > 8/3
+            if stretched and capped and not converged and passes + 2 <= budget:
+                far = problem._clamp(mu + shift / curvature)
+                if far != new:
+                    passes += 2
+                    far_loss = loss_objective(far, problem)
+                    if far_loss < math.inf and far_loss <= loss_objective(new, problem):
+                        new = far
+            capped = stretched
             mu = new
             if converged:
                 break
         mu = _exact_sweep(mu, problem)
         # objective_gradient's sum, mu being a float inside the data
         total, shift = _weighted_shift(problem._values - mu, problem)
-    return IrlsResult(
-        mu=mu,
-        iterations=passes,
-        grad_norm=abs(total * shift) / problem.c / problem.c,
-        converged=converged,
-    )
+    grad_norm = abs(total * shift) / problem.c / problem.c
+    return IrlsResult(mu=mu, iterations=passes, grad_norm=grad_norm, converged=converged)

@@ -465,52 +465,60 @@ def _public_gradient(mu, problem):
     return -(total * shift) / problem.c / problem.c
 
 
-def _public_newton_step(mu, problem):
+def _public_sweep(mu, problem):
     """fit_location's sweep from a mu inside the data, rebuilt from the
-    public irls_weight and irls_step and the plan row: (the clamped point,
-    omega, the point before the clamp).
+    public irls_weight and the plan row: (g/K, h/K).
 
-    The point is mu + omega * g/K, omega = min(K/h, 2) for h > 0 and 2
-    otherwise, h/K = 1 + sum (w/K) * q where (x/c)**2 * f''(u) = q * w,
-    u = (x/c)**2 / 2 and t = pre * u: q = 2 * dmid * t/(1 + t) on the log
-    branches, 2 * t (t >= -BIG) at lam = -inf.  Where the kernel is 1 the
-    step is irls_step's."""
-    values = np.array(problem.observations)
-    lo, hi = float(values.min()), float(values.max())
+    g/K is the weighted mean residual, h/K = 1 + sum (w/K) * q where
+    (x/c)**2 * f''(u) = q * w, u = (x/c)**2 / 2 and t = pre * u:
+    q = 2 * dmid * t/(1 + t) on the log branches, 2 * t (t >= -BIG) at
+    lam = -inf, and h/K = 1 where the kernel is 1."""
+    r = np.array(problem.observations) - mu
+    total, shift = _public_sweep_parts(r, problem.lam, problem.c)
     pre, skip_log, _, skip_exp, _, _, _, _, _, _, _, dmid = _plan[problem.lam]
-    if skip_log and skip_exp:  # lam = 0: kernel 1, f'' = 0
-        raw = irls_step(mu, problem)
-        return min(max(raw, lo), hi), 1.0, raw
-    r = values - mu
-    w = irls_weight(r, problem.lam, problem.c)
-    total = float(w.sum())
-    if not total > 0.0:
-        return mu, 1.0, mu
-    w = w / total
+    if not total > 0.0 or (skip_log and skip_exp):  # lam = 0: kernel 1, f'' = 0
+        return shift, 1.0
+    w = irls_weight(r, problem.lam, problem.c) / total
     with np.errstate(over="ignore"):
         x = r / problem.c
         t = pre * (0.5 * x * x)
         if skip_log:
-            h = 1.0 + 2.0 * float((np.maximum(t, -BIG) * w).sum())
-        else:
-            h = 1.0 + 2.0 * dmid * (1.0 - float((w / (t + 1.0)).sum()))
-        omega = 1.0 / h if h > 0.5 else 2.0
-        raw = mu + omega * float((w * r).sum())
-    return min(max(raw, lo), hi), omega, raw
+            return shift, 1.0 + 2.0 * float((np.maximum(t, -BIG) * w).sum())
+        return shift, 1.0 + 2.0 * dmid * (1.0 - float((w / (t + 1.0)).sum()))
 
 
 def _public_fit(problem):
     """fit_location up to its closing exact sweep, rebuilt from
-    _public_newton_step: (mu, iterations, converged, path, steps).
+    _public_sweep and the public loss_objective:
+    (mu, iterations, converged, path, steps).
 
-    path lists every iterate, the start first and the returned mu last;
-    steps lists each pass's (omega, point before the clamp)."""
-    mu = float(np.median(np.array(problem.observations)))
-    path, steps, converged, passes = [mu], [], False, 0
+    Each pass steps by omega * g/K, omega = K/h capped at 2, and 1 where
+    h <= 0.  After two passes in a row with 0 < h/K < 3/8, Newton's point
+    mu + g/h is tried by two loss passes and taken where its loss is
+    finite and at most the capped point's.  path lists every iterate, the
+    start first and the returned mu last; steps lists each pass's (omega
+    taken, point before the clamp)."""
+    values = np.array(problem.observations)
+    lo, hi = float(values.min()), float(values.max())
+    mu = float(np.median(values))
+    path, steps, converged, passes, capped = [mu], [], False, 0, False
     while passes < problem.max_iters and not converged:
-        new, omega, raw = _public_newton_step(mu, problem)
+        shift, h = _public_sweep(mu, problem)
         passes += 1
+        omega = 1.0 / h if h > 0.5 else 2.0 if h > 0.0 else 1.0
+        raw = mu + omega * shift
+        new = min(max(raw, lo), hi)
         converged = abs(new - mu) <= problem.tol * (1.0 + abs(new))
+        stretched = 0.0 < h < 0.375
+        if stretched and capped and not converged and passes + 2 <= problem.max_iters:
+            far_raw = mu + shift / h
+            far = min(max(far_raw, lo), hi)
+            if far != new:
+                passes += 2
+                far_loss = loss_objective(far, problem)
+                if far_loss < math.inf and far_loss <= loss_objective(new, problem):
+                    new, omega, raw = far, 1.0 / h, far_raw
+        capped = stretched
         mu = new
         path.append(mu)
         steps.append((omega, raw))
@@ -587,14 +595,18 @@ class TestNewtonStep:
 
     def test_rounding_noise_around_the_fixpoint(self):
         # at tol = 1e-300 the sweeps run on through the rounding noise
-        # around the fixpoint to max_iters, every step a descent step
+        # around the fixpoint to max_iters, every step a majorizer step
+        # (omega in [1, 2]) or a Newton point (omega > 8/3) the loss took
         rng = np.random.default_rng(3)
+        newton = 0
         for trial in range(200):
             obs = tuple(rng.standard_normal(7).tolist())
             lam = (-0.5, -1.0, -2.0, -math.inf)[trial % 4]
             problem = IrlsProblem(observations=obs, lam=lam, tol=1e-300, max_iters=12)
             steps = _fit_equals_the_public_copy(problem)
-            assert all(1.0 - 1e-15 <= omega <= 2.0 for omega, _ in steps)
+            assert all(1.0 - 1e-15 <= omega <= 2.0 or omega > 8.0 / 3.0 for omega, _ in steps)
+            newton += sum(omega > 2.0 for omega, _ in steps)
+        assert newton > 0
 
     def test_omega_is_one_for_a_unit_kernel_and_capped_at_two(self):
         rng = np.random.default_rng(19)
@@ -604,12 +616,38 @@ class TestNewtonStep:
         for lam in (-math.inf, -2.0, -1.0, -0.5):  # omega 1.99, 1.72, 1.56, 1.41
             steps = _fit_equals_the_public_copy(IrlsProblem(observations=obs, lam=lam))
             assert all(1.0 < omega < 2.0 for omega, _ in steps)
-        # four spread points: Newton asks for more than twice the plain
-        # step at every pass, and the capped steps still converge
-        problem = IrlsProblem(observations=(-2.0, -1.6, 1.2, 5.4), lam=-0.5)
+
+    @pytest.mark.parametrize("obs, max_passes", [
+        ((-2.0, -1.6, 1.2, 5.4), 14),  # K/h 3.6: 32 passes by capped steps alone
+        ((-10.0, -9.0, 10.0, 12.0), 8),  # K/h 100: capped steps need about 1000
+    ])
+    def test_a_flat_minimum_takes_newton_points(self, obs, max_passes):
+        # Newton asks for more than twice the plain step at every pass:
+        # from the second capped pass on its own point is tried, taken
+        # where the loss allows, and the loss never rises along the path
+        # (but for rounding at the fixpoint)
+        problem = IrlsProblem(observations=obs, lam=-0.5)
         steps = _fit_equals_the_public_copy(problem)
-        assert {omega for omega, _ in steps} == {2.0}
-        assert fit_location(problem).converged
+        assert steps[0][0] == 2.0
+        assert all(omega > 8.0 / 3.0 for omega, _ in steps[1:3])
+        result = fit_location(problem)
+        assert result.converged and result.iterations <= max_passes
+        assert abs(result.mu - minimize_objective(obs, -0.5)) <= 1e-8
+        path = _public_fit(problem)[3]
+        losses = [loss_objective(mu, problem) for mu in path]
+        assert all(b <= a * (1.0 + 1e-12) for a, b in zip(losses, losses[1:]))
+
+    def test_a_concave_stretch_takes_the_plain_step(self):
+        # h < 0 from the median: twice the plain step leaps across the
+        # narrow basin of the pair at -11.8, to and fro for 100 passes;
+        # the plain step lands in it
+        obs = (-34.0, -11.8, -11.8, 20.4, 15.4, 10.1)
+        problem = IrlsProblem(observations=obs, lam=-5.0)
+        steps = _fit_equals_the_public_copy(problem)
+        assert steps[0][0] == 1.0
+        result = fit_location(problem)
+        assert result.converged and result.iterations <= 6
+        assert abs(result.mu - minimize_objective(obs, -5.0)) <= 1e-8
 
     def test_infinite_objective_converges(self):
         # the 1e300 residual squares to inf from every location, so the

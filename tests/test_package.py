@@ -378,21 +378,28 @@ def test_irls_ab_gates_on_bits_only(tmp_path):
     assert " B/A " in differ.stdout.splitlines()[-1]
 
 
-def test_bench_record_writes_its_schema(tmp_path):
+def test_bench_record_writes_its_schema():
     # one pair of the shortest robust_fit runs, the tree as its own parent:
-    # the file holds every metric BENCHMARK.json declares, for both sides
-    out = tmp_path / "BENCH.json"
+    # the record holds every metric BENCHMARK.json declares, for both sides
     proc = subprocess.run(
-        [sys.executable, str(_ROOT / "tools" / "bench_record.py"), str(_ROOT), "--parent", str(_ROOT),
-         "--output", str(out), "--pairs", "1", "--seconds", "0", "--workloads", "robust_fit",
-         "--irls-rounds", "1"],
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from pathlib import Path\n"
+         "sys.path.insert(0, 'tools')\n"
+         "import bench_record\n"
+         "root = Path.cwd()\n"
+         "print(json.dumps(bench_record.record(root, root, workloads=('robust_fit',), pairs=1,\n"
+         "                                     seconds=0.0, irls_rounds=1)))"],
         capture_output=True,
         text=True,
         cwd=_ROOT,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    record = json.loads(out.read_text())
+    record = json.loads(proc.stdout)
     assert sorted(record) == ["bench", "host", "irls", "lines", "parent", "schema", "tree"]
+    # the copies' content hash names the code measured, in or out of git
+    assert record["tree"] == record["parent"] and len(record["tree"]["sha256"]) == 64
     fit = record["bench"]["workloads"]["robust_fit"]
     assert fit["correct"] == {"tree": [True], "parent": [True]}
     declared = json.loads((_ROOT / "BENCHMARK.json").read_text())["end_to_end"]

@@ -1,23 +1,26 @@
 """Record a tree's benchmark, against a parent tree when one is given, as
 one JSON file: the ``BENCH_<pr>.json`` a change that claims speed commits.
 
-    python tools/bench_record.py <tree> [--parent <tree>] --output BENCH_<pr>.json
-        [--pairs 10] [--seconds 20] [--seed 7301] [--workloads robust_fit ...]
+    python tools/bench_record.py <tree> [--parent <tree>] > BENCH_<pr>.json
 
 Each tree's ``bench/bench.py`` runs as it is, in a copy of the tree's
 ``src`` and ``bench`` under a temporary directory, so neither checkout gets
-a ``bench/out``.  Pair k runs every workload at seed ``--seed + k`` on both
-trees, the parent first in even pairs and the change first in odd ones;
-without ``--parent`` only the tree runs.  The IRLS fits then run through
-``tools/irls_ab.py``'s engine on the bench's RobustFit pools of seeds
-101-103, the tree against the parent; without ``--parent`` the tree
-stands in for it, which makes the IRLS rows an A/A run.
+a ``bench/out``.  Pair k of the 10 runs every workload for 20 s at seed
+7301 + k on both trees, the parent first in even pairs and the change
+first in odd ones; without ``--parent`` only the tree runs.  The IRLS fits
+then run through ``tools/irls_ab.py``'s engine on the bench's RobustFit
+pools of seeds 101-103, over 20 rounds, the tree against the parent;
+without ``--parent`` the tree stands in for it, which makes the IRLS rows
+an A/A run.  Progress goes to stderr, the record to stdout.
 
-The file holds one object:
+The record is one object:
 
     schema      1
-    tree, parent        {"commit", "dirty"} (null outside a git checkout);
-                parent is null without --parent
+    tree, parent        {"sha256", "commit", "dirty"}; sha256 is over the
+                sorted relative paths and bytes of the copied src and bench
+                files, the code measured; commit is HEAD and dirty whether
+                git sees src or bench changed (both null outside a git
+                checkout); parent is null without --parent
     host        {"python", "numpy", "machine", "cpu", "nproc"}
     bench       {"seconds", "pairs", "seeds": [...], "workloads": {name: {
                     "correct": {"tree": [bool per pair], "parent": [...]},
@@ -43,6 +46,7 @@ fit timed as its minimum over repeats on the thread CPU clock.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -57,7 +61,8 @@ import irls_ab
 from float_ab import _quartiles, compare, load
 
 WORKLOADS = ("cli_batch", "robust_fit", "scalar_mix")
-IRLS_SEEDS = (101, 102, 103)
+PAIRS, SECONDS, SEED = 10, 20.0, 7301
+IRLS_SEEDS, IRLS_ROUNDS = (101, 102, 103), 20
 
 
 def _copy(tree: Path, into: Path) -> Path:
@@ -83,13 +88,18 @@ def _stats(runs: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": runs}
 
 
-def _tree_facts(tree: Path) -> dict:
+def _tree_facts(tree: Path, copy: Path) -> dict:
     def git(*args):
         done = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
         return done.stdout.strip() if done.returncode == 0 else None
 
+    digest = hashlib.sha256()
+    for path in sorted(p for p in copy.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(copy).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
     commit = git("rev-parse", "HEAD")
-    return {"commit": commit, "dirty": bool(git("status", "--porcelain")) if commit else None}
+    dirty = bool(git("status", "--porcelain", "--", "src", "bench")) if commit else None
+    return {"sha256": digest.hexdigest(), "commit": commit, "dirty": dirty}
 
 
 def _lines(tree: Path) -> dict:
@@ -113,15 +123,17 @@ def _host() -> dict:
             "machine": platform.machine(), "cpu": cpu, "nproc": os.cpu_count()}
 
 
-def record_bench(tree: Path, parent: Path | None, workloads, pairs: int, seconds: float,
-                 seed: int) -> dict:
+def record_bench(tree: Path, parent: Path | None, workloads=WORKLOADS, pairs: int = PAIRS,
+                 seconds: float = SECONDS, seed: int = SEED) -> tuple[dict, dict]:
+    """The ``bench`` entry of the record, and the ``tree`` and ``parent``
+    entries of the copies it ran."""
     end_to_end = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    sides = ("tree", "parent") if parent else ("tree",)
-    runs = {w: {side: [] for side in sides} for w in workloads}
+    trees = {"tree": tree, "parent": parent} if parent else {"tree": tree}
+    runs = {w: {side: [] for side in trees} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
-        copies = {"tree": _copy(tree, Path(tmp) / "tree")}
-        if parent:
-            copies["parent"] = _copy(parent, Path(tmp) / "parent")
+        copies = {side: _copy(path, Path(tmp) / side) for side, path in trees.items()}
+        facts = {side: _tree_facts(trees[side], copy) for side, copy in copies.items()}
+        sides = tuple(trees)
         for k in range(pairs):
             order = sides if k % 2 else sides[::-1]
             for workload in workloads:
@@ -145,11 +157,12 @@ def record_bench(tree: Path, parent: Path | None, workloads, pairs: int, seconds
                 if parent else None,
             }
         table[workload] = entry
-    return {"seconds": seconds, "pairs": pairs, "seeds": [seed + k for k in range(pairs)],
-            "workloads": table}
+    bench = {"seconds": seconds, "pairs": pairs, "seeds": [seed + k for k in range(pairs)],
+             "workloads": table}
+    return bench, facts
 
 
-def record_irls(tree: Path, parent: Path | None, rounds: int) -> dict:
+def record_irls(tree: Path, parent: Path | None, rounds: int = IRLS_ROUNDS) -> dict:
     packages = {"tree": load(str(tree), "rootpow_tree"),
                 "parent": load(str(parent or tree), "rootpow_parent")}
     problems = irls_ab.pools(IRLS_SEEDS)
@@ -170,29 +183,27 @@ def record_irls(tree: Path, parent: Path | None, rounds: int) -> dict:
     }
 
 
+def record(tree: Path, parent: Path | None, workloads=WORKLOADS, pairs: int = PAIRS,
+           seconds: float = SECONDS, irls_rounds: int = IRLS_ROUNDS) -> dict:
+    bench, facts = record_bench(tree, parent, workloads, pairs, seconds)
+    return {
+        "schema": 1,
+        "tree": facts["tree"],
+        "parent": facts.get("parent"),
+        "host": _host(),
+        "bench": bench,
+        "irls": record_irls(tree, parent, irls_rounds),
+        "lines": {"tree": _lines(tree), "parent": _lines(parent) if parent else None},
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree")
     parser.add_argument("--parent")
-    parser.add_argument("--output", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed", type=int, default=7301)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--irls-rounds", type=int, default=20)
     args = parser.parse_args(argv)
-    tree = Path(args.tree).resolve()
     parent = Path(args.parent).resolve() if args.parent else None
-    record = {
-        "schema": 1,
-        "tree": _tree_facts(tree),
-        "parent": _tree_facts(parent) if parent else None,
-        "host": _host(),
-        "bench": record_bench(tree, parent, args.workloads, args.pairs, args.seconds, args.seed),
-        "irls": record_irls(tree, parent, args.irls_rounds),
-        "lines": {"tree": _lines(tree), "parent": _lines(parent) if parent else None},
-    }
-    Path(args.output).write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
+    print(json.dumps(record(Path(args.tree).resolve(), parent), indent=1))
     return 0
 
 
