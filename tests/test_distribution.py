@@ -5,6 +5,8 @@ import math
 import re
 import sys
 import warnings
+from bisect import bisect_right
+from operator import mul
 from pathlib import Path
 
 import mpmath
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from rootpow.distribution import (
     DEFAULT_NUM_POINTS,
@@ -227,6 +229,83 @@ class TestCompactification:
         assert _decompactify(-0.5) == -1.0
 
 
+def _smoothed(table):
+    # the nodes and their log Z with the kink subtracted
+    return list(table.s_grid), [v - _interpolation_kink(t) for t, v in zip(table.s_grid, table.log_z)]
+
+
+def _limited_slopes(nodes):
+    """Node slopes of the limited cubic Hermite on node values, written from
+    the difference rules, and the set of rules and limiter branches taken."""
+    s, y = nodes
+    n, h = len(y), (s[-1] - s[0]) / (len(y) - 1)
+    if n == 2:
+        rule, raw = "secant", [(y[1] - y[0]) / h] * 2
+    elif n < 5:
+        rule = "three-point"
+        raw = [(-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)]
+        raw += [(y[k + 1] - y[k - 1]) / (2.0 * h) for k in range(1, n - 1)]
+        raw += [(3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)]
+    else:
+        rule, raw = "five-point", []
+        one_sided = {0: (-25.0, 48.0, -36.0, 16.0, -3.0), 1: (-3.0, -10.0, 18.0, -6.0, 1.0)}
+        for k in range(n):
+            if k < 2:
+                raw.append(math.fsum(map(mul, one_sided[k], y)) / (12.0 * h))
+            elif k > n - 3:  # the mirror image: the slope changes sign
+                raw.append(-math.fsum(map(mul, one_sided[n - 1 - k], y[::-1])) / (12.0 * h))
+            else:
+                raw.append((y[k - 2] - 8.0 * y[k - 1] + 8.0 * y[k + 1] - y[k + 2]) / (12.0 * h))
+    taken, slopes = {rule}, []
+    for k, d in enumerate(raw):
+        left = (y[max(k, 1)] - y[max(k, 1) - 1]) / h
+        right = (y[min(k, n - 2) + 1] - y[min(k, n - 2)]) / h
+        if left == 0.0 or right == 0.0:
+            branch, d = "flat", 0.0
+        elif (left > 0.0) != (right > 0.0):
+            branch, d = "extremum", 0.0
+        elif d == 0.0 or (d > 0.0) != (left > 0.0):
+            branch, d = "against", 0.0
+        elif abs(d) > 3.0 * min(abs(left), abs(right)):
+            branch, d = "clipped", math.copysign(3.0 * min(abs(left), abs(right)), left)
+        else:
+            branch = "kept"
+        taken.add(branch)
+        slopes.append(d)
+    return slopes, taken
+
+
+def _assert_lookups_match_the_reference(table, probes):
+    nodes = _smoothed(table)
+    reference = CubicHermiteSpline(*nodes, _limited_slopes(nodes)[0])
+    for probe in probes:
+        lam = _decompactify(float(probe))
+        s_lam = _compactify(lam)
+        want = math.exp(float(reference(s_lam)) + _interpolation_kink(s_lam))
+        assert abs(table.lookup(lam) - want) <= 1e-12 * want, lam
+
+
+# kink-subtracted node values of small uniform tables
+SMALL_TABLES = {
+    "two-nodes": [0.0, 1.0],
+    "three-nodes": [0.0, 1.0, 3.0],
+    "four-nodes-extremum": [0.0, 2.0, 1.0, 3.0],
+    "four-nodes-clipped": [0.0, 0.1, 5.0, 5.1],
+    "flat-run": [0.0, 1.0, 1.0, 1.0, 2.0, 3.0],
+    "interior-sign-change": [0.0, 2.0, 1.0, 3.0, 4.0, 5.0],
+    "step": [0.0, 0.01, 0.02, 5.0, 5.01, 5.02],
+    "against-the-secants": [0.0, 1.0, 1.01, 1.02, 5.0, 5.5, 6.0],
+    "ends-against": [0.0, 1.0, 5.0, 6.0, 7.0, 5.0, 4.0, 0.0, -1.0],
+    "falling": [3.0, 2.5, 2.2, 2.0, 1.9, 1.85, 1.82],
+}
+
+
+def _small_table(y):
+    s = np.linspace(-0.5, 1.0, len(y)).tolist()
+    log_z = np.add(y, [_interpolation_kink(t) for t in s]).tolist()
+    return ZTable(s_grid=tuple(s), log_z=tuple(log_z), num_points=64)
+
+
 @pytest.fixture(scope="module")
 def table():
     return build_table(256)
@@ -267,42 +346,61 @@ class TestZTable:
             direct = partition_function.__wrapped__(lam, 2048)
             assert table.lookup(lam) == pytest.approx(direct, rel=1e-5)
 
-    def test_lookup_matches_scipy_pchip(self, table):
-        # scipy's PchipInterpolator on the same kink-subtracted nodes is the
-        # reference for the hand-written monotone cubic Hermite
-        s = np.asarray(table.s_grid)
-        kink = np.array([_interpolation_kink(t) for t in table.s_grid])
-        smoothed = np.asarray(table.log_z) - kink
-        reference = PchipInterpolator(s, smoothed)
+    def test_lookup_matches_a_limited_hermite_reference(self, table):
+        # scipy's cubic Hermite on the same kink-subtracted nodes, with the
+        # slopes _limited_slopes writes out, is the reference for the cells
+        assert "five-point" in _limited_slopes(_smoothed(table))[1]
         rng = np.random.default_rng(2718)
         probes = [*rng.uniform(-0.5, 1.0, 1000), -0.5, 1.0, 1.0 - 1e-12, -0.5 + 1e-12]
-        for probe in probes:
-            lam = _decompactify(float(probe))
-            s_lam = _compactify(lam)
-            want = math.exp(float(reference(s_lam)) + _interpolation_kink(s_lam))
-            assert abs(table.lookup(lam) - want) <= 1e-12 * want, lam
+        _assert_lookups_match_the_reference(table, probes)
 
-    @pytest.mark.parametrize("y", [
-        [0.0, 1.0],
-        [0.0, 1.0, 1.0, 1.0, 2.0],
-        [0.0, 2.0, 1.0, 3.0],
-        [0.0, 1.0, 5.0, 6.0],
-        [0.0, 1.0, -5.0, -4.0],
-    ], ids=["two-nodes", "flat-run", "interior-sign-change", "ends-zeroed", "ends-clamped"])
-    def test_lookup_matches_scipy_pchip_on_every_branch(self, y):
-        # real tables have no zero secant and end slopes that need neither
-        # end rule, so these small uniform tables take the other branches:
-        # the end slopes of ends-zeroed point against the end secants, and
-        # those of ends-clamped overshoot 3 times them
-        s = np.linspace(-0.5, 1.0, len(y)).tolist()
-        kink = [_interpolation_kink(t) for t in s]
-        table = ZTable(s_grid=tuple(s), log_z=tuple(np.add(y, kink).tolist()), num_points=64)
-        reference = PchipInterpolator(s, np.subtract(table.log_z, kink))
-        for probe in np.linspace(-0.5, 1.0, 301):
-            lam = _decompactify(float(probe))
-            s_lam = _compactify(lam)
-            want = math.exp(float(reference(s_lam)) + _interpolation_kink(s_lam))
-            assert abs(table.lookup(lam) - want) <= 1e-12 * want, lam
+    @pytest.mark.parametrize("y", SMALL_TABLES.values(), ids=SMALL_TABLES.keys())
+    def test_lookup_matches_the_reference_on_every_branch(self, y):
+        _assert_lookups_match_the_reference(_small_table(y), np.linspace(-0.5, 1.0, 301))
+
+    def test_the_small_tables_take_every_rule_and_branch(self):
+        # real tables take the five-point rules; the small ones take every
+        # rule, and every branch of the limiter
+        taken = set()
+        for y in SMALL_TABLES.values():
+            taken |= _limited_slopes(_smoothed(_small_table(y)))[1]
+        assert taken == {
+            "secant", "three-point", "five-point",
+            "kept", "clipped", "against", "extremum", "flat",
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_z=st.lists(st.floats(-700.0, 700.0), min_size=2, max_size=64),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    def test_every_cell_stays_within_its_node_values(self, log_z, fractions):
+        # the limiter keeps each cell's cubic monotone, so within its two
+        # kink-subtracted node values (up to rounding, 1e-11 in log Z), and a
+        # lookup is a positive normal double: _MAX_ABS_LOG_Z rests on this
+        table = ZTable(np.linspace(-0.5, 1.0, len(log_z)).tolist(), log_z, 64)
+        s, y = _smoothed(table)
+        for k in range(len(s) - 1):
+            for f in (*fractions, 0.5):
+                lam = _decompactify(s[k] + f * (s[k + 1] - s[k]))
+                s_lam = _compactify(lam)
+                i = min(bisect_right(s, s_lam), len(s) - 1) - 1
+                got = table.lookup(lam)
+                assert sys.float_info.min <= got < math.inf
+                cubic = math.log(got) - _interpolation_kink(s_lam)
+                assert min(y[i], y[i + 1]) - 1e-11 <= cubic <= max(y[i], y[i + 1]) + 1e-11
+
+    def test_default_table_fidelity(self):
+        # the worst relative error at 3 points inside every cell reads 2.05e-7;
+        # the bound is the 3301-node PCHIP table's 4.3e-7 it replaced
+        table = build_table()
+        worst = 0.0
+        for a, b in zip(table.s_grid, table.s_grid[1:]):
+            for f in (0.25, 0.5, 0.75):
+                lam = _decompactify(a + f * (b - a))
+                direct = partition_function.__wrapped__(lam)
+                worst = max(worst, abs(table.lookup(lam) - direct) / direct)
+        assert worst <= 4.3e-7
 
     def test_lookup_domain(self, table):
         with pytest.raises(ValueError):
@@ -456,20 +554,21 @@ class TestZTable:
         assert sys.float_info.min <= table.lookup(lam) < math.inf
         assert not math.isnan(pdf(0.5, lam, table=table))
 
-    def test_a_table_saved_under_simpson_loads_and_looks_up_as_before(self):
+    def test_a_table_saved_under_simpson_loads_and_looks_up(self):
         # build_table(16) saved this when Z came from 4097-node composite
         # Simpson; num_points records that rule's count.  A lookup reads only
-        # s_grid and log_z, so each keeps the bits it had then.
+        # s_grid and log_z: the nodes (lam = -1, 0, inf) keep the bits they
+        # had then, and the cells are frozen under the limited slopes
         table = ZTable.load(Path(__file__).parent / "data" / "ztable-simpson-4096.json")
         assert table.num_points == 4096
         frozen = {
             -1.0: (4.442882938504486, 0.20007029246377056),
-            -0.999: (4.439430954252328, 0.20022580882947955),
-            -0.5: (3.268543527244488, 0.2718843546223947),
+            -0.999: (4.438727293557926, 0.200257550142329),
+            -0.5: (3.282567328159107, 0.270722808893137),
             0.0: (2.506628274631009, 0.3520653267642983),
-            0.3: (2.168545733329501, 0.4039441680692496),
-            2.0: (1.9667396121917864, 0.44498687758041916),
-            1e5: (1.885620052106654, 0.46403834251429665),
+            0.3: (2.1668378898361413, 0.4042625460256042),
+            2.0: (1.9667592065827109, 0.4449824442736847),
+            1e5: (1.8856200230055589, 0.4640383496758794),
             math.inf: (1.8856180831641236, 0.46403882515367256),
         }
         got = {lam: (table.lookup(lam), pdf(0.5, lam, table=table)) for lam in frozen}
