@@ -203,8 +203,10 @@ def _cmd_ztable(args) -> int:
     except (OSError, ValueError) as exc:  # ValueError: a path open rejects (a NUL byte)
         raise CliError(f"cannot write {args.output}: {exc}") from None
     worst = 0.0
-    # about as many evenly spaced cells as the smallest table has nodes
-    for i in range(0, len(table.s_grid) - 1, len(table.s_grid) // dist._MIN_GRID_SIZE):
+    # about as many evenly spaced cells as the smallest table has nodes, the
+    # last cell, and the two beside s = 0, where the error is largest
+    cells, zero = len(table.s_grid) - 1, table.s_grid.index(0.0)
+    for i in {*range(0, cells, len(table.s_grid) // dist._MIN_GRID_SIZE), zero - 1, zero, cells - 1}:
         s_mid = 0.5 * (table.s_grid[i] + table.s_grid[i + 1])
         lam = dist._decompactify(s_mid)
         direct = dist.partition_function(lam)

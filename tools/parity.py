@@ -7,11 +7,12 @@ exception type, then one array call per parameter set, and in one section
 where integral, as an int: the kinds that reach the evaluator's float step
 through ``_elementwise``, where a float goes to it directly), the per-shape
 readers (the branch of every shape, and ``classify``, ``branch_plan`` and
-``max_domain`` at each spelling of lam they accept), the RobustFit fits
-of the bench's seeds 101-103 with their summed losses, and the exit code,
-stdout and stderr of ``rootpow.cli.main`` for every ``eval --fn``, for
-``eval --fn pdf --ztable`` and for the default ``accuracy``.  Run it
-against two source trees and diff the outputs:
+``max_domain`` at each spelling of lam they accept), log Z at every node
+of the default ``build_table``, the RobustFit fits of the bench's seeds
+101-103 with their summed losses, and the exit code, stdout and stderr of
+``rootpow.cli.main`` for every ``eval --fn``, for ``eval --fn pdf
+--ztable`` and for the default ``accuracy``.  Run it against two source
+trees and diff the outputs:
 
     PYTHONPATH=<parent>/src python tools/parity.py > parent.txt
     PYTHONPATH=<change>/src python tools/parity.py > change.txt
@@ -159,6 +160,9 @@ def evaluators(digest: Digest) -> None:
     small = rp.build_table(64)
     for lam in SHAPES:
         digest.add("shape.ZTable.lookup", _call(small.lookup, lam))
+    # every node of the default table, each one quadrature
+    for log_z in rp.build_table().log_z:
+        digest.add("distribution.build_table", log_z.hex())
 
 
 def fits(digest: Digest) -> None:
