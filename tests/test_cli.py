@@ -13,7 +13,7 @@ import pytest
 import rootpow
 from rootpow import cli
 from rootpow.cli import main
-from rootpow.distribution import ZTable, build_table
+from rootpow.distribution import ZTable, _decompactify, build_table, partition_function
 
 # Child interpreters import rootpow from where this process found it, so
 # the console tests also run from a checkout without an install.
@@ -444,6 +444,21 @@ class TestZTableCommand:
         assert code == 0
         value = float(out.strip().split("\n")[1].split(",")[1])
         assert value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-4)
+
+    def test_spot_check_reads_the_cells_beside_zero(self, run, tmp_path):
+        # the default table's worst cells are the two beside s = 0, so the
+        # printed figure is at least the error at the midpoint of each
+        path = tmp_path / "zt.json"
+        code, _, err = run(["ztable", "--output", str(path)])
+        assert code == 0
+        printed = float(err.split("spot-check max rel err ")[1])
+        table = ZTable.load(path)
+        i = table.s_grid.index(0.0)
+        for a, b in (table.s_grid[i - 1:i + 1], table.s_grid[i:i + 2]):
+            lam = _decompactify(0.5 * (a + b))
+            direct = partition_function(lam)
+            assert printed >= float(f"{abs(table.lookup(lam) - direct) / direct:.3e}"), lam
+        assert printed <= 4.3e-7
 
     def test_rebuild_is_byte_identical(self, run, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

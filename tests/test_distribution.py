@@ -17,12 +17,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
+from oracles import tanh_sinh_reference
+from rootpow.accuracy import default_lambda_grid
+from rootpow.core import _plan, transform
 from rootpow.distribution import (
     DEFAULT_NUM_POINTS,
     ZTable,
     _compactify,
     _decompactify,
+    _DEFAULT_RULE,
     _interpolation_kink,
+    _tanh_sinh,
     build_table,
     partition_function,
     pdf,
@@ -131,6 +136,91 @@ class TestPartitionFunction:
                          lambda lam: pdf(0.5, lam), lambda lam: pdf(np.array([0.5]), lam)):
                 with pytest.raises(ValueError, match=message):
                     call(lam)
+
+
+def _assert_the_full_sum(lam, num_points=DEFAULT_NUM_POINTS):
+    # the stopped sum against every node's, bit for bit, or both refuse lam
+    try:
+        want = tanh_sinh_reference(lam, num_points)
+    except ValueError:
+        with pytest.raises(ValueError):
+            partition_function.__wrapped__(lam, num_points)
+        return
+    assert partition_function.__wrapped__(lam, num_points).hex() == want.hex(), (lam, num_points)
+
+
+_EDGE_SHAPES = [-1.0, 0.0, 1.0, math.inf, 1.0 + 2.0**-52, 1.0 - 2.0**-52, 1e-300, 1e308]
+
+
+class TestTheUpperTailStop:
+    """The quadrature stops evaluating the upper side once its terms cannot
+    change the sum; these pin the result to the sum over every node, bit for
+    bit, and check the two premises of the proof on the computed values."""
+
+    def test_every_node_of_the_default_table(self):
+        for s in build_table().s_grid:
+            _assert_the_full_sum(_decompactify(s))
+
+    def test_the_accuracy_grid(self):
+        for lam in default_lambda_grid():
+            if lam >= -1.0:
+                _assert_the_full_sum(lam)
+
+    @pytest.mark.parametrize("lam", _EDGE_SHAPES)
+    def test_edge_shapes(self, lam):
+        _assert_the_full_sum(lam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=st.floats(min_value=-1.0, allow_nan=False))
+    def test_any_shape(self, lam):
+        _assert_the_full_sum(lam)
+
+    @pytest.mark.parametrize("num_points", [16, 64, 409])
+    def test_other_node_counts(self, num_points):
+        # the rule _tanh_sinh makes as it is summed
+        for lam in [*_EDGE_SHAPES, -0.999, -0.5, 0.3, 2.0, 1e6]:
+            _assert_the_full_sum(lam, num_points)
+
+    def test_the_stop_fires(self):
+        # the full 205-node rule calls the row's transform closure 205 times,
+        # plus once for the cutoff; at lam = 0 the upper side stops early
+        closure = _plan[0.0][9].__code__
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code)
+                       if event == "call" else None)
+        try:
+            partition_function.__wrapped__(0.0)
+        finally:
+            sys.setprofile(None)
+        assert calls.count(closure) <= 140
+
+    @pytest.mark.parametrize("m", [8, 102, 204])
+    def test_the_weights_decrease_in_k(self, m):
+        # the middle node's weight, then those of k = 1..m, each shared by
+        # the lower node and its upper mirror
+        rule = list(_tanh_sinh(m))
+        if m == 102:
+            assert tuple(rule) == _DEFAULT_RULE
+        assert all(w == rule[2 * k][1] for k, (_, w) in enumerate(rule[1::2], 1))
+        weights = [rule[0][1], *(w for _, w in rule[1::2])]
+        assert all(a > b for a, b in zip(weights, weights[1:]))
+
+    @pytest.mark.parametrize("lam", [
+        -1.0, -0.999, -0.5, -1e-8, 0.0, 1e-8, 0.5, 1.0, 1.0 + 2.0**-52, 1.5, 2.0, 10.0, 1e6,
+        1e308, math.inf,
+    ])
+    def test_the_upper_integrand_decreases_past_the_threshold(self, lam):
+        # past x = sqrt(3) - 1 the computed integrand of the upper nodes,
+        # in the order they are summed, rises by no more than rounding
+        u_max = math.log1p(math.sqrt(2.0 * transform(-math.log(sys.float_info.epsilon**2), -lam)))
+        for m in (102, 204):
+            upper = [(1.0 - v) * u_max for v, _ in list(_tanh_sinh(m))[1::2]]
+            values = [
+                math.exp(u - transform(0.5 * math.expm1(u) ** 2, lam))
+                for u in upper if math.expm1(u) > math.sqrt(3.0) - 1.0
+            ]
+            assert len(values) > m // 2
+            assert all(b <= a * (1.0 + 1e-10) for a, b in zip(values, values[1:])), lam
 
 
 class TestSupport:
