@@ -14,8 +14,7 @@ Each layer is one submodule, and every public name is bound here, so
   the exact two-way bridge to the Box-Cox convention.
 - ``distribution``: ``pdf`` / ``partition_function`` / ``ZTable``, the
   normalized density family with a tanh-sinh normalizer in u = log1p(x)
-  on plain floats and a persisted lookup table interpolated by a monotone
-  cubic Hermite.
+  on plain floats, and a persisted table of its values at grid nodes.
 - ``irls``: ``fit_location``, IRLS location estimation with descent
   guarantees.
 - ``accuracy``: ``error_sweep`` / ``oracle_transform``, the naive-vs-stable

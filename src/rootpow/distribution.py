@@ -15,12 +15,11 @@ upper term would round away; the result is the full sum's, bit for bit,
 at about 133 of the 205 evaluations on the default table's grid.
 Z is one cached number per lam.  Where x_max, the point at which the
 density falls to eps**2, overflows (|lam| below ~4e-307), Z is refused
-with a ValueError.  The module imports no numpy.  For repeated or
-table-driven use, :func:`build_table` precomputes log Z on a uniform grid
-over the compactified coordinate s = lam / (1 + |lam|), which maps lam in
-[-1, +inf] onto [-1/2, 1], and :class:`ZTable` interpolates it
-with a cubic Hermite on fourth-order slopes, passed through the
-monotonicity limiter of Hyman, SIAM J. Sci. Stat. Comput. 4 (1983).
+with a ValueError.  The module imports no numpy.  :func:`build_table`
+stores log Z on a uniform grid over the compactified coordinate
+s = lam / (1 + |lam|), which maps lam in [-1, +inf] onto [-1/2, 1], and
+:class:`ZTable` persists it: a lookup returns a node's stored value, and
+the cached quadrature everywhere else, so Z has one rule.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 
 from .core import (
@@ -51,26 +50,9 @@ DEFAULT_NUM_POINTS = 205
 DEFAULT_GRID_SIZE = 1651
 _MIN_NUM_POINTS = 16
 _MIN_GRID_SIZE = 16
-# The cubic of a limited Hermite cell stays within its two node values and
-# the kink term lies in [-0.44, 0.52], so a lookup lies within 0.96 of the
-# nodes' log Z range; below this bound its exp is a positive normal double.
+# A node lookup is exp(log Z): below this bound a positive normal double.
 # Built tables hold log Z in [0.63, 1.49].
 _MAX_ABS_LOG_Z = 700.0
-
-
-def _interpolation_kink(s: float) -> float:
-    # log Z is not smooth at lam = 0.  Expanding the transform in lam to
-    # second order and averaging over the Gaussian gives
-    #   log Z = a + lam/2 log|lam| + k lam**2 log|lam| + (analytic terms),
-    # k = 1 for lam > 0 and -3/2 below, and no lam**2 log**2|lam| term
-    # (its coefficients cancel, as E[u**2] = E[u] + E[u]**2 for u = x**2/2).
-    # In s = lam / (1 + |lam|) that is s log|s| (1/2 + c s), c = 3/2 for
-    # s > 0 and -2 below.  Subtracting it before fitting the cubic and adding
-    # it back on lookup leaves a C1 remainder whose second derivative jumps
-    # by ~4.8 at s = 0.
-    if s == 0.0:
-        return 0.0
-    return s * math.log(abs(s)) * (0.5 + (1.5 if s > 0.0 else -2.0) * s)
 
 
 def _require_dist_lambda(lam: float) -> float:
@@ -124,17 +106,15 @@ def _tanh_sinh(m: int):
 _DEFAULT_RULE = tuple(_tanh_sinh(DEFAULT_NUM_POINTS // 2))
 
 
-def _quadrature(lam: float, num_points: int = DEFAULT_NUM_POINTS) -> float:
-    # partition_function's rule, uncached, at any count: it checks both arguments
+def _quadrature(lam: float) -> float:
+    # partition_function's rule, uncached: it checks lam
     lam = _require_dist_lambda(lam)
-    m = _require_count(num_points, "num_points", _MIN_NUM_POINTS) // 2
     u_max = math.log1p(math.sqrt(2.0 * _plan[-lam][9](_CUTOFF_LOSS)))
     if u_max == math.inf:
         raise ValueError(
             f"the quadrature cutoff, where exp(-loss) falls to eps**2, overflows at lam = {lam!r}"
         )
-    # a rule of more nodes is made as it is summed, not kept
-    nodes = iter(_DEFAULT_RULE if 2 * m + 1 == len(_DEFAULT_RULE) else _tanh_sinh(m))
+    nodes = iter(_DEFAULT_RULE)
     ft, exp, expm1 = _plan[lam][9], math.exp, math.expm1
     total = 0.0
     for v, w in nodes:
@@ -177,9 +157,9 @@ def partition_function(lam: float) -> float:
     There the integrand decreases in u for every lam >= -1 (f'(y) >=
     1/(1 + y)) and the weights decrease in k, so no later upper term
     reaches half an ulp of the total: the value is the full rule's, bit
-    for bit, at any node count.  Where x_max overflows, at |lam| below
-    ~4e-307, a ValueError names lam.  Cached per lam: lam is checked
-    before the cache sees it, and ``cache_clear`` empties it.
+    for bit.  Where x_max overflows, at |lam| below ~4e-307, a ValueError
+    names lam.  Cached per lam: lam is checked before the cache sees it,
+    and ``cache_clear`` empties it.
     """
     return _cached_quadrature(_require_dist_lambda(lam))
 
@@ -241,45 +221,6 @@ def _decompactify(s: float) -> float:
     return s / (1.0 + s)
 
 
-def _sign(v: float) -> int:
-    return (v > 0.0) - (v < 0.0)
-
-
-def _end_slopes(m) -> tuple[float, float]:
-    # the end node's and its neighbour's slopes from the secants m next to
-    # that end, nearest first: the one-sided five-point rules
-    # (-25, 48, -36, 16, -3) / 12h and (-3, -10, 18, -6, 1) / 12h on node values
-    return (
-        (25.0 * m[0] - 23.0 * m[1] + 13.0 * m[2] - 3.0 * m[3]) / 12.0,
-        (3.0 * m[0] + 13.0 * m[1] - 5.0 * m[2] + m[3]) / 12.0,
-    )
-
-
-def _node_slopes(m) -> list[float]:
-    # the unlimited slope at every node from the n - 1 secants of an equally
-    # spaced table: fourth-order differences from 5 nodes up, the three-point
-    # rules below, the secant for 2 nodes
-    if len(m) == 1:
-        return [m[0], m[0]]
-    if len(m) < 4:
-        inner = [(m0 + m1) / 2.0 for m0, m1 in zip(m, m[1:])]
-        return [(3.0 * m[0] - m[1]) / 2.0, *inner, (3.0 * m[-1] - m[-2]) / 2.0]
-    # (1, -8, 0, 8, -1) / 12h on node values
-    inner = [(7.0 * (m1 + m2) - (m0 + m3)) / 12.0 for m0, m1, m2, m3 in zip(m, m[1:], m[2:], m[3:])]
-    left, right = _end_slopes(m), _end_slopes(m[::-1])
-    return [*left, *inner, *reversed(right)]
-
-
-def _limited(d: float, m0: float, m1: float) -> float:
-    # Hyman's limiter on a node slope d between secants m0 and m1: 0 where
-    # they differ in sign or one is 0, else d clipped to [0, 3 min(|m0|, |m1|)]
-    # with their sign, which keeps both cells' cubics monotone
-    if _sign(m0) * _sign(m1) <= 0 or _sign(d) != _sign(m0):
-        return 0.0
-    cap = 3.0 * min(abs(m0), abs(m1))
-    return d if abs(d) <= cap else math.copysign(cap, m0)
-
-
 def _floats(values, name: str) -> tuple[float, ...]:
     # each element type checked once; JSON true/false load as bool, an int
     if not isinstance(values, (list, tuple)) or not all(
@@ -296,11 +237,11 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
     """Precomputed log Z on a uniform, strictly increasing grid of the
     compactified coordinate from -0.5 to 1, plus the quadrature node count
     that produced it (a table saved when Z came from composite Simpson
-    records that rule's count; lookups read only the grid and log Z, so it
-    loads and looks up as before).  Every field rule is checked here:
-    s_grid and log_z are lists or tuples of numbers, stored as float
-    tuples, log_z within [-700, 700], so that every lookup is a positive
-    normal double, and num_points a count of at least 16."""
+    records that rule's count, and loads as before: a lookup never reads
+    num_points).  Every field rule is checked here: s_grid and log_z are
+    lists or tuples of numbers, stored as float tuples, log_z within
+    [-700, 700], so that every node lookup is a positive normal double,
+    and num_points a count of at least 16."""
 
     def __new__(cls, s_grid, log_z, num_points: int):
         s_grid = _floats(s_grid, "s_grid")
@@ -318,8 +259,8 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
             raise ValueError(f"log_z values must lie in [-{_MAX_ABS_LOG_Z:g}, {_MAX_ABS_LOG_Z:g}]")
         if s_grid[0] != -0.5 or s_grid[-1] != 1.0:  # lam in [-1, inf]
             raise ValueError("s_grid must run from -0.5 to 1.0")
-        # _cells uses the equal-spacing forms of the difference rules; a NaN,
-        # inf or out-of-order node fails too
+        # uniform spacing is a rule of the file format; a NaN, inf or
+        # out-of-order node fails it too
         diffs = [b - a for a, b in zip(s_grid, s_grid[1:])]
         if not all(abs(h - diffs[0]) <= 1e-9 * diffs[0] for h in diffs):
             raise ValueError("s_grid must be uniformly spaced")
@@ -328,44 +269,15 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
     # namedtuple's _make, which _replace calls, would skip the checks
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    @cached_property
-    def _cells(self) -> tuple[tuple[float, float, float, float], ...]:
-        """Per cell, the kink-subtracted cubic in powers of s - s_k,
-        highest first.
-
-        The node slopes are fourth-order differences of the kink-subtracted
-        values: the five-point centred rule inside, the one-sided five-point
-        rules at each end and at the node next to it; tables of 3 or 4
-        nodes take the three-point rules, and of 2 nodes the secant.  Each
-        slope then passes Hyman's limiter: 0 where the two adjacent secants
-        differ in sign or one is 0 (an end node has one), else clipped to
-        [0, 3 min|secant|] with the secants' sign.  So every cell's cubic is
-        monotone and stays within its two node values.
-        """
-        s = self.s_grid
-        y = [v - _interpolation_kink(t) for t, v in zip(s, self.log_z)]
-        h = [b - a for a, b in zip(s, s[1:])]
-        m = [(y1 - y0) / hk for y0, y1, hk in zip(y, y[1:], h)]
-        sides = zip([m[0], *m], [*m, m[-1]])
-        d = [_limited(dk, m0, m1) for dk, (m0, m1) in zip(_node_slopes(m), sides)]
-        cells = []
-        for k, hk in enumerate(h):
-            t = (d[k] + d[k + 1] - 2.0 * m[k]) / hk
-            cells.append((t / hk, (m[k] - d[k]) / hk - t, d[k], y[k]))
-        return tuple(cells)
-
     def lookup(self, lam: float) -> float:
-        """Interpolated Z; exact at grid nodes, domain lam >= -1."""
+        """Z, domain lam >= -1: the stored value at a grid node, and
+        partition_function's (cached) value everywhere else."""
         lam = _require_dist_lambda(lam)
         s = _compactify(lam)
-        grid = self.s_grid
-        # s = 1 (lam = inf) is the last node: it returns before _cells is built
-        i = bisect_right(grid, s) - 1
-        if s == grid[i]:
+        i = bisect_right(self.s_grid, s) - 1
+        if s == self.s_grid[i]:
             return math.exp(self.log_z[i])
-        a, b, c, d = self._cells[i]
-        t = s - grid[i]
-        return math.exp(((a * t + b) * t + c) * t + d + _interpolation_kink(s))
+        return _cached_quadrature(lam)
 
     def save(self, path) -> None:
         import json
@@ -396,13 +308,8 @@ def build_table(grid_size: int = DEFAULT_GRID_SIZE) -> ZTable:
     """Evaluate the partition function over a uniform s grid.
 
     Deterministic for a fixed size.  grid_size, a count (README, Arrays)
-    of at least 16, is normalized up so that s = 0 lands exactly on a node
-    (log Z has its lam = 0 kink there, and a node on the kink keeps the fit
-    one-sided).  At the default size the worst interpolation error
-    against partition_function is 2.2e-7 relative, in the cells beside
-    s = 0; 826 nodes leave 2.4e-6, at s = -0.33, where the limiter
-    flattens the slope at an extremum of the kink-subtracted values.  The
-    table records partition_function's node count, 205.
+    of at least 16, is normalized up to 1 (mod 3), so that lam = 0 is a
+    node.  The table records partition_function's node count, 205.
     """
     grid_size = _require_count(grid_size, "grid_size", _MIN_GRID_SIZE)
     grid_size += -(grid_size - 1) % 3

@@ -13,7 +13,7 @@ import pytest
 import rootpow
 from rootpow import cli
 from rootpow.cli import main
-from rootpow.distribution import ZTable, _decompactify, build_table, partition_function
+from rootpow.distribution import ZTable, _compactify, _decompactify, build_table, partition_function
 
 # Child interpreters import rootpow from where this process found it, so
 # the console tests also run from a checkout without an install.
@@ -437,7 +437,7 @@ class TestZTableCommand:
         code, out, err = run(["ztable", "--grid-size", "64", "--output", str(path)])
         assert code == 0
         assert out == ""
-        assert "spot-check" in err
+        assert err == "ztable: 64 nodes, 205 quadrature points\n"
         code, out, _ = run(
             ["eval", "--fn", "pdf", "--lambda", "0", "--ztable", str(path), "--x", "0"]
         )
@@ -445,20 +445,26 @@ class TestZTableCommand:
         value = float(out.strip().split("\n")[1].split(",")[1])
         assert value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-4)
 
-    def test_spot_check_reads_the_cells_beside_zero(self, run, tmp_path):
-        # the default table's worst cells are the two beside s = 0, so the
-        # printed figure is at least the error at the midpoint of each
+    def test_eval_reads_the_table_at_nodes_only(self, run, tmp_path):
+        # off node, Z is the quadrature's, so stdout is the no-table bytes;
+        # at a node the density's peak is 1 / exp(log_z[i]): at lam = 0, and
+        # at the first node where that is not 1 / partition_function(lam)
         path = tmp_path / "zt.json"
-        code, _, err = run(["ztable", "--output", str(path)])
-        assert code == 0
-        printed = float(err.split("spot-check max rel err ")[1])
+        assert run(["ztable", "--output", str(path)])[0] == 0
         table = ZTable.load(path)
-        i = table.s_grid.index(0.0)
-        for a, b in (table.s_grid[i - 1:i + 1], table.s_grid[i:i + 2]):
-            lam = _decompactify(0.5 * (a + b))
-            direct = partition_function(lam)
-            assert printed >= float(f"{abs(table.lookup(lam) - direct) / direct:.3e}"), lam
-        assert printed <= 4.3e-7
+        for lam in ("-0.5", "0.3", "2.5"):
+            argv = ["eval", "--fn", "pdf", f"--lambda={lam}", "--x=-3:3:41"]
+            code, out, err = run([*argv, "--ztable", str(path)])
+            assert (code, err) == (0, "")
+            assert out == run(argv)[1]
+        i = next(i for i, s in enumerate(table.s_grid)
+                 if _compactify(_decompactify(s)) == s
+                 and math.exp(table.log_z[i]) != partition_function(_decompactify(s)))
+        for k in (table.s_grid.index(0.0), i):
+            lam = _decompactify(table.s_grid[k])
+            code, out, _ = run(["eval", "--fn", "pdf", f"--lambda={lam!r}", "--x=0", "--ztable", str(path)])
+            assert code == 0
+            assert float(out.splitlines()[1].split(",")[1]) == 1.0 / math.exp(table.log_z[k])
 
     def test_rebuild_is_byte_identical(self, run, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,12 +1,10 @@
-"""Density family: partition constants, normalization, table fidelity."""
+"""Density family: partition constants, normalization, the Z table."""
 
 import json
 import math
 import re
 import sys
 import warnings
-from bisect import bisect_right
-from operator import mul
 from pathlib import Path
 
 import mpmath
@@ -15,18 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline
 
 from oracles import tanh_sinh_reference
 from rootpow.accuracy import default_lambda_grid
-from rootpow.core import _plan, transform
+from rootpow.core import Branch, _plan, classify, transform
 from rootpow.distribution import (
     DEFAULT_NUM_POINTS,
     ZTable,
     _compactify,
     _decompactify,
     _DEFAULT_RULE,
-    _interpolation_kink,
     _tanh_sinh,
     build_table,
     partition_function,
@@ -40,7 +36,7 @@ SMALL_TABLE = dict(s_grid=(-0.5, 0.25, 1.0), log_z=(1.0, 0.5, 0.25), num_points=
 # The smooth-Laplace member carries exp(+1) relative to its printed closed
 # form because the matching loss is sqrt(1 + u^2) - 1, so the normalizer is
 # 2 e K1(1); frozen from mpmath.besselk(1, 1) and cross-checked against a
-# 2**20-node quadrature in test_high_node_oracle.
+# 2**20-node tanh-sinh sum in test_high_node_oracle.
 TWO_E_K1 = 2.0 * math.e * float(mpmath.besselk(1, 1))
 
 CLOSED_Z = {
@@ -66,17 +62,14 @@ class TestPartitionFunction:
     def test_high_node_oracle(self):
         # Independent pin of the smooth-Laplace constant: a 2**20-node run
         # agrees with the Bessel value to well under the family tolerance.
-        z_hi = partition_function.__wrapped__(-0.5, 2**20 + 1)
+        z_hi = tanh_sinh_reference(-0.5, 2**20 + 1)
         assert abs(z_hi - TWO_E_K1) <= 1e-9 * TWO_E_K1
 
     def test_domain(self):
         with pytest.raises(ValueError):
             partition_function(-1.0 - 1e-9)
         with pytest.raises(ValueError):
-            partition_function.__wrapped__(0.0, 8)
-
-    def test_odd_point_normalization(self):
-        assert partition_function.__wrapped__(0.0, 64) == partition_function.__wrapped__(0.0, 65)
+            partition_function.__wrapped__(-1.0 - 1e-9)
 
     def test_default_rule_meets_the_closed_forms(self):
         # the 205-node tanh-sinh rule lands within a few ulps of each
@@ -91,7 +84,7 @@ class TestPartitionFunction:
     def test_default_rule_agrees_with_half_its_step(self, lam):
         # the rule's own error estimate: 2 * 205 - 1 nodes halve the step
         # and add a node between each two of the default rule's
-        fine = partition_function.__wrapped__(lam, 2 * DEFAULT_NUM_POINTS - 1)
+        fine = tanh_sinh_reference(lam, 2 * DEFAULT_NUM_POINTS - 1)
         assert abs(partition_function(lam) - fine) <= 1e-13 * fine
 
     def test_pdf_reads_the_cache_past_the_argument_checks(self):
@@ -138,15 +131,15 @@ class TestPartitionFunction:
                     call(lam)
 
 
-def _assert_the_full_sum(lam, num_points=DEFAULT_NUM_POINTS):
+def _assert_the_full_sum(lam):
     # the stopped sum against every node's, bit for bit, or both refuse lam
     try:
-        want = tanh_sinh_reference(lam, num_points)
+        want = tanh_sinh_reference(lam)
     except ValueError:
         with pytest.raises(ValueError):
-            partition_function.__wrapped__(lam, num_points)
+            partition_function.__wrapped__(lam)
         return
-    assert partition_function.__wrapped__(lam, num_points).hex() == want.hex(), (lam, num_points)
+    assert partition_function.__wrapped__(lam).hex() == want.hex(), lam
 
 
 _EDGE_SHAPES = [-1.0, 0.0, 1.0, math.inf, 1.0 + 2.0**-52, 1.0 - 2.0**-52, 1e-300, 1e308]
@@ -174,12 +167,6 @@ class TestTheUpperTailStop:
     @given(lam=st.floats(min_value=-1.0, allow_nan=False))
     def test_any_shape(self, lam):
         _assert_the_full_sum(lam)
-
-    @pytest.mark.parametrize("num_points", [16, 64, 409])
-    def test_other_node_counts(self, num_points):
-        # the rule _tanh_sinh makes as it is summed
-        for lam in [*_EDGE_SHAPES, -0.999, -0.5, 0.3, 2.0, 1e6]:
-            _assert_the_full_sum(lam, num_points)
 
     def test_the_stop_fires(self):
         # the full 205-node rule calls the row's transform closure 205 times,
@@ -319,86 +306,39 @@ class TestCompactification:
         assert _decompactify(-0.5) == -1.0
 
 
-def _smoothed(table):
-    # the nodes and their log Z with the kink subtracted
-    return list(table.s_grid), [v - _interpolation_kink(t) for t, v in zip(table.s_grid, table.log_z)]
-
-
-def _limited_slopes(nodes):
-    """Node slopes of the limited cubic Hermite on node values, written from
-    the difference rules, and the set of rules and limiter branches taken."""
-    s, y = nodes
-    n, h = len(y), (s[-1] - s[0]) / (len(y) - 1)
-    if n == 2:
-        rule, raw = "secant", [(y[1] - y[0]) / h] * 2
-    elif n < 5:
-        rule = "three-point"
-        raw = [(-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)]
-        raw += [(y[k + 1] - y[k - 1]) / (2.0 * h) for k in range(1, n - 1)]
-        raw += [(3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)]
-    else:
-        rule, raw = "five-point", []
-        one_sided = {0: (-25.0, 48.0, -36.0, 16.0, -3.0), 1: (-3.0, -10.0, 18.0, -6.0, 1.0)}
-        for k in range(n):
-            if k < 2:
-                raw.append(math.fsum(map(mul, one_sided[k], y)) / (12.0 * h))
-            elif k > n - 3:  # the mirror image: the slope changes sign
-                raw.append(-math.fsum(map(mul, one_sided[n - 1 - k], y[::-1])) / (12.0 * h))
-            else:
-                raw.append((y[k - 2] - 8.0 * y[k - 1] + 8.0 * y[k + 1] - y[k + 2]) / (12.0 * h))
-    taken, slopes = {rule}, []
-    for k, d in enumerate(raw):
-        left = (y[max(k, 1)] - y[max(k, 1) - 1]) / h
-        right = (y[min(k, n - 2) + 1] - y[min(k, n - 2)]) / h
-        if left == 0.0 or right == 0.0:
-            branch, d = "flat", 0.0
-        elif (left > 0.0) != (right > 0.0):
-            branch, d = "extremum", 0.0
-        elif d == 0.0 or (d > 0.0) != (left > 0.0):
-            branch, d = "against", 0.0
-        elif abs(d) > 3.0 * min(abs(left), abs(right)):
-            branch, d = "clipped", math.copysign(3.0 * min(abs(left), abs(right)), left)
-        else:
-            branch = "kept"
-        taken.add(branch)
-        slopes.append(d)
-    return slopes, taken
-
-
-def _assert_lookups_match_the_reference(table, probes):
-    nodes = _smoothed(table)
-    reference = CubicHermiteSpline(*nodes, _limited_slopes(nodes)[0])
-    for probe in probes:
-        lam = _decompactify(float(probe))
-        s_lam = _compactify(lam)
-        want = math.exp(float(reference(s_lam)) + _interpolation_kink(s_lam))
-        assert abs(table.lookup(lam) - want) <= 1e-12 * want, lam
-
-
-# kink-subtracted node values of small uniform tables
-SMALL_TABLES = {
-    "two-nodes": [0.0, 1.0],
-    "three-nodes": [0.0, 1.0, 3.0],
-    "four-nodes-extremum": [0.0, 2.0, 1.0, 3.0],
-    "four-nodes-clipped": [0.0, 0.1, 5.0, 5.1],
-    "flat-run": [0.0, 1.0, 1.0, 1.0, 2.0, 3.0],
-    "interior-sign-change": [0.0, 2.0, 1.0, 3.0, 4.0, 5.0],
-    "step": [0.0, 0.01, 0.02, 5.0, 5.01, 5.02],
-    "against-the-secants": [0.0, 1.0, 1.01, 1.02, 5.0, 5.5, 6.0],
-    "ends-against": [0.0, 1.0, 5.0, 6.0, 7.0, 5.0, 4.0, 0.0, -1.0],
-    "falling": [3.0, 2.5, 2.2, 2.0, 1.9, 1.85, 1.82],
-}
-
-
-def _small_table(y):
-    s = np.linspace(-0.5, 1.0, len(y)).tolist()
-    log_z = np.add(y, [_interpolation_kink(t) for t in s]).tolist()
-    return ZTable(s_grid=tuple(s), log_z=tuple(log_z), num_points=64)
-
-
 @pytest.fixture(scope="module")
 def table():
     return build_table(256)
+
+
+def _assert_one_rule(table, lam):
+    """A lookup is the node's stored value at a node, and elsewhere
+    partition_function's bits or exactly its ValueError; True off node."""
+    s = _compactify(lam)
+    if s in table.s_grid:
+        stored = math.exp(table.log_z[table.s_grid.index(s)])
+        assert table.lookup(lam).hex() == stored.hex(), lam
+        return False
+    try:
+        want = partition_function(lam)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            table.lookup(lam)
+    else:
+        assert table.lookup(lam).hex() == want.hex(), lam
+    return True
+
+
+# shapes of each branch the density takes, lam >= -1; at +/-1e-307 the
+# quadrature cutoff overflows, so an off-node lookup raises
+BRANCH_SHAPES = {
+    Branch.NEG_ONE: [-1.0],
+    Branch.NEG: [-0.999, -0.5, -1e-8, -1e-300, -1e-307],
+    Branch.ZERO: [0.0, -0.0],
+    Branch.POS: [1e-307, 1e-300, 1e-8, 0.3, 1.0 + 2.0**-52, 2.0, 1e6],
+    Branch.ONE: [1.0],
+    Branch.POS_INF: [5e15, 1e16, 1e308, math.inf],
+}
 
 
 class TestZTable:
@@ -428,69 +368,35 @@ class TestZTable:
         i = len(table.s_grid) // 2
         s_mid = 0.5 * (table.s_grid[i] + table.s_grid[i + 1])
         lam = _decompactify(s_mid)
-        direct = partition_function.__wrapped__(lam, 2048)
-        assert table.lookup(lam) == pytest.approx(direct, rel=1e-6)
+        direct = tanh_sinh_reference(lam, 2048)
+        assert table.lookup(lam) == pytest.approx(direct, rel=1e-12)
 
     def test_interior_probe(self, table):
         for lam in [3.7, -0.3, 0.9, 12.0]:
-            direct = partition_function.__wrapped__(lam, 2048)
-            assert table.lookup(lam) == pytest.approx(direct, rel=1e-5)
+            direct = tanh_sinh_reference(lam, 2048)
+            assert table.lookup(lam) == pytest.approx(direct, rel=1e-12)
 
-    def test_lookup_matches_a_limited_hermite_reference(self, table):
-        # scipy's cubic Hermite on the same kink-subtracted nodes, with the
-        # slopes _limited_slopes writes out, is the reference for the cells
-        assert "five-point" in _limited_slopes(_smoothed(table))[1]
-        rng = np.random.default_rng(2718)
-        probes = [*rng.uniform(-0.5, 1.0, 1000), -0.5, 1.0, 1.0 - 1e-12, -0.5 + 1e-12]
-        _assert_lookups_match_the_reference(table, probes)
-
-    @pytest.mark.parametrize("y", SMALL_TABLES.values(), ids=SMALL_TABLES.keys())
-    def test_lookup_matches_the_reference_on_every_branch(self, y):
-        _assert_lookups_match_the_reference(_small_table(y), np.linspace(-0.5, 1.0, 301))
-
-    def test_the_small_tables_take_every_rule_and_branch(self):
-        # real tables take the five-point rules; the small ones take every
-        # rule, and every branch of the limiter
-        taken = set()
-        for y in SMALL_TABLES.values():
-            taken |= _limited_slopes(_smoothed(_small_table(y)))[1]
-        assert taken == {
-            "secant", "three-point", "five-point",
-            "kept", "clipped", "against", "extremum", "flat",
-        }
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        log_z=st.lists(st.floats(-700.0, 700.0), min_size=2, max_size=64),
-        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-    )
-    def test_every_cell_stays_within_its_node_values(self, log_z, fractions):
-        # the limiter keeps each cell's cubic monotone, so within its two
-        # kink-subtracted node values (up to rounding, 1e-11 in log Z), and a
-        # lookup is a positive normal double: _MAX_ABS_LOG_Z rests on this
-        table = ZTable(np.linspace(-0.5, 1.0, len(log_z)).tolist(), log_z, 64)
-        s, y = _smoothed(table)
-        for k in range(len(s) - 1):
-            for f in (*fractions, 0.5):
-                lam = _decompactify(s[k] + f * (s[k + 1] - s[k]))
-                s_lam = _compactify(lam)
-                i = min(bisect_right(s, s_lam), len(s) - 1) - 1
-                got = table.lookup(lam)
-                assert sys.float_info.min <= got < math.inf
-                cubic = math.log(got) - _interpolation_kink(s_lam)
-                assert min(y[i], y[i + 1]) - 1e-11 <= cubic <= max(y[i], y[i + 1]) + 1e-11
-
-    def test_default_table_fidelity(self):
-        # the worst relative error at 3 points inside every cell reads 2.05e-7;
-        # the bound is the 3301-node PCHIP table's 4.3e-7 it replaced
+    def test_one_rule_on_the_accuracy_grid(self):
+        # the default table at every lam >= -1 of the accuracy grid
         table = build_table()
-        worst = 0.0
-        for a, b in zip(table.s_grid, table.s_grid[1:]):
-            for f in (0.25, 0.5, 0.75):
-                lam = _decompactify(a + f * (b - a))
-                direct = partition_function.__wrapped__(lam)
-                worst = max(worst, abs(table.lookup(lam) - direct) / direct)
-        assert worst <= 4.3e-7
+        off_node = [_assert_one_rule(table, lam) for lam in default_lambda_grid() if lam >= -1.0]
+        assert 0 < sum(off_node) < len(off_node)
+
+    @pytest.mark.parametrize("branch", BRANCH_SHAPES, ids=[b.name for b in BRANCH_SHAPES])
+    def test_one_rule_on_every_branch(self, table, branch):
+        # on the fixture's table and on SMALL_TABLE, whose grid misses
+        # lam = 0 and lam = 1; s = -0.5 (lam = -1) is a node of every table
+        off_node = []
+        for each in (table, ZTable(**SMALL_TABLE)):
+            for lam in BRANCH_SHAPES[branch]:
+                assert classify(lam) is branch
+                off_node.append(_assert_one_rule(each, lam))
+        assert any(off_node) or branch is Branch.NEG_ONE
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=st.floats(min_value=-1.0))
+    def test_one_rule_at_any_shape(self, table, lam):
+        _assert_one_rule(table, lam)
 
     def test_lookup_domain(self, table):
         with pytest.raises(ValueError):
@@ -636,29 +542,37 @@ class TestZTable:
     ):
         # the constructor accepts every log_z in [-700, 700], and every
         # lookup on such a table is a positive normal double, so pdf divides
-        # by it without overflow or ZeroDivisionError
+        # by it without overflow or ZeroDivisionError, or it is exactly the
+        # ValueError partition_function raises (its cutoff overflows at
+        # |lam| below ~4e-307)
         table = ZTable(np.linspace(-0.5, 1.0, size).tolist(), log_z[:size], num_points)
         path = tmp_path_factory.mktemp("zt") / "zt.json"
         table.save(path)
         assert ZTable.load(path) == table
-        assert sys.float_info.min <= table.lookup(lam) < math.inf
+        try:
+            z = table.lookup(lam)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                partition_function(lam)
+            return
+        assert sys.float_info.min <= z < math.inf
         assert not math.isnan(pdf(0.5, lam, table=table))
 
     def test_a_table_saved_under_simpson_loads_and_looks_up(self):
         # build_table(16) saved this when Z came from 4097-node composite
-        # Simpson; num_points records that rule's count.  A lookup reads only
-        # s_grid and log_z: the nodes (lam = -1, 0, inf) keep the bits they
-        # had then, and the cells are frozen under the limited slopes
+        # Simpson; num_points records that rule's count, which a lookup never
+        # reads.  The nodes (lam = -1, 0, inf) keep the bits they had then;
+        # off node, Z is partition_function's
         table = ZTable.load(Path(__file__).parent / "data" / "ztable-simpson-4096.json")
         assert table.num_points == 4096
         frozen = {
             -1.0: (4.442882938504486, 0.20007029246377056),
-            -0.999: (4.438727293557926, 0.200257550142329),
-            -0.5: (3.282567328159107, 0.270722808893137),
+            -0.999: (4.435312311611763, 0.2004117390404881),
+            -0.5: (3.272306972526515, 0.2715716633314335),
             0.0: (2.506628274631009, 0.3520653267642983),
-            0.3: (2.1668378898361413, 0.4042625460256042),
-            2.0: (1.9667592065827109, 0.4449824442736847),
-            1e5: (1.8856200230055589, 0.4640383496758794),
+            0.3: (2.1668013752787503, 0.4042693585872475),
+            2.0: (1.9667616258254526, 0.44498189691678375),
+            1e5: (1.8856200260078466, 0.4640383489370367),
             math.inf: (1.8856180831641236, 0.46403882515367256),
         }
         got = {lam: (table.lookup(lam), pdf(0.5, lam, table=table)) for lam in frozen}
@@ -687,13 +601,6 @@ class TestZTable:
             want = hexes(np.linspace(-0.5, 1.0, size))
             assert hexes(_sorted_linspace(-0.5, 1.0, size)) == want, size
 
-    def test_lam_inf_and_minus_one_leave_the_cells_unbuilt(self, table):
-        # both are nodes, so neither lookup needs the cubic of any cell
-        fresh = ZTable(s_grid=table.s_grid, log_z=table.log_z, num_points=table.num_points)
-        fresh.lookup(math.inf)
-        fresh.lookup(-1.0)
-        assert "_cells" not in vars(fresh)
-
     def test_build_validation(self):
         with pytest.raises(ValueError):
             build_table(8)
@@ -701,7 +608,16 @@ class TestZTable:
     def test_pdf_through_table(self, table):
         direct = pdf(0.7, 0.3, 1.0)
         via_table = pdf(0.7, 0.3, 1.0, table=table)
-        assert via_table == pytest.approx(direct, rel=1e-5)
+        assert via_table.hex() == direct.hex()
+
+    @pytest.mark.parametrize("lam", [-0.999, -0.5, 0.3, 1.0 + 2.0**-52, 2.0, 1e6, 5e15])
+    def test_off_node_pdf_is_the_pdf_without_a_table(self, table, lam):
+        # float and array, at two scales: the same bits, since Z is one rule
+        assert _compactify(lam) not in table.s_grid
+        xs = np.linspace(-3.0, 3.0, 61)
+        for c in (1.0, 2.5):
+            assert pdf(0.7, lam, c, table=table).hex() == pdf(0.7, lam, c).hex()
+            assert pdf(xs, lam, c, table=table).tobytes() == pdf(xs, lam, c).tobytes()
 
     @pytest.mark.parametrize("x", [0.7, np.array([0.7, -1.5])], ids=["float", "array"])
     def test_pdf_refuses_a_table_that_is_not_a_ztable(self, x):

@@ -289,8 +289,6 @@ def test_an_irls_argument_past_the_largest_double_is_a_value_error(case, sign):
 # The count rule (README, Arrays) at every count argument: (call, the name
 # its ValueError gives, least).  A CLI argv takes the flag's text at {n}.
 COUNTS = {
-    "partition_function-num_points": (lambda n: rp.partition_function.__wrapped__(0.5, n),
-                                      "num_points", 16),
     "build_table-grid_size": (lambda n: rp.build_table(n), "grid_size", 16),
     "ZTable-num_points": (lambda n: rp.ZTable((-0.5, 1.0), (0.0, 0.0), n), "num_points", 16),
     "error_sweep-n": (lambda n: rp.error_sweep([0.5], n=n), "n", 2),
