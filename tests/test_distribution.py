@@ -23,6 +23,7 @@ from rootpow.distribution import (
     _compactify,
     _decompactify,
     _DEFAULT_RULE,
+    _cached_quadrature,
     _tanh_sinh,
     build_table,
     partition_function,
@@ -397,6 +398,62 @@ class TestZTable:
     @given(lam=st.floats(min_value=-1.0))
     def test_one_rule_at_any_shape(self, table, lam):
         _assert_one_rule(table, lam)
+
+    @pytest.mark.parametrize("size", range(2, 10))
+    def test_one_rule_on_a_small_table_of_every_size(self, size):
+        # log Z far from the rule's, so a lookup that read a neighbouring
+        # node, or the wrong node, off the grid would show
+        rng = np.random.default_rng(size)
+        s_grid = np.linspace(-0.5, 1.0, size).tolist()
+        table = ZTable(s_grid, rng.uniform(-5.0, 5.0, size).tolist(), 64)
+        probes = [*s_grid, *np.linspace(-0.5, 1.0, 151).tolist()]
+        off_node = [_assert_one_rule(table, _decompactify(s)) for s in probes]
+        # a node is off node only where s fails to round-trip through lam
+        assert off_node[:size] == [_compactify(_decompactify(s)) != s for s in s_grid]
+        assert any(off_node[size:])
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, -0.0, math.inf])
+    def test_a_node_lookup_never_runs_the_quadrature(self, lam):
+        # the stored value, even where it is far from the rule's, and
+        # partition_function's cache is neither read nor filled
+        table = ZTable((-0.5, 0.0, 0.5, 1.0), (3.0, -2.0, 1.0, 0.5), 64)
+        stored = math.exp(table.log_z[table.s_grid.index(_compactify(lam))])
+        before = _cached_quadrature.cache_info()
+        assert table.lookup(lam).hex() == stored.hex()
+        assert _cached_quadrature.cache_info() == before
+
+    def test_an_off_node_lookup_shares_partition_functions_cache(self, table):
+        # one cached number per lam: the lookup's quadrature is the one
+        # partition_function then reads, a cache hit
+        lam = 0.123456789
+        assert _compactify(lam) not in table.s_grid
+        z = table.lookup(lam)
+        before = _cached_quadrature.cache_info()
+        assert partition_function(lam).hex() == z.hex()
+        after = _cached_quadrature.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    @pytest.mark.parametrize("lam", [*TestPartitionFunction._TINY_SHAPES, 5e-308, -5e-308, 4e-307])
+    def test_an_off_node_tiny_shape_raises_the_quadrature_error(self, table, lam):
+        # where the cutoff overflows, a table gives the no-table verdict:
+        # partition_function's ValueError, word for word, and pdf's
+        with pytest.raises(ValueError) as want:
+            partition_function(lam)
+        message = f"^{re.escape(str(want.value))}$"
+        for each in (table, ZTable(**SMALL_TABLE)):
+            with pytest.raises(ValueError, match=message):
+                each.lookup(lam)
+            with pytest.raises(ValueError, match=message):
+                pdf(0.5, lam, table=each)
+        assert table.lookup(0.0).hex() == math.exp(table.log_z[table.s_grid.index(0.0)]).hex()
+
+    def test_default_table_nodes_hold_the_rule(self):
+        # a lookup reads the table only at its nodes; there each stored
+        # log Z is the rule's Z through one log and one exp, within 2 ulps
+        table = build_table()
+        for s, log_z in zip(table.s_grid, table.log_z):
+            want = partition_function(_decompactify(s))
+            assert abs(math.exp(log_z) - want) <= 2.0 * math.ulp(want), s
 
     def test_lookup_domain(self, table):
         with pytest.raises(ValueError):
