@@ -14,8 +14,9 @@ weights decrease in k, so once a term falls below total 2**-56 each later
 upper term would round away; the result is the full sum's, bit for bit,
 at about 133 of the 205 evaluations on the default table's grid.
 Z is one cached number per lam.  Where x_max, the point at which the
-density falls to eps**2, overflows (|lam| below ~4e-307), Z is refused
-with a ValueError.  The module imports no numpy.  :func:`build_table`
+density falls to eps**2, overflows (the smallest normal double
+<= |lam| <= 4.0099895460609535e-307), Z is refused with a ValueError; a
+subnormal lam takes the lam = 0 branch and its Z, sqrt(2 pi).  The module imports no numpy.  :func:`build_table`
 stores log Z on a uniform grid over the compactified coordinate
 s = lam / (1 + |lam|), which maps lam in [-1, +inf] onto [-1/2, 1], and
 :class:`ZTable` persists it: a lookup returns a node's stored value, and
@@ -157,8 +158,9 @@ def partition_function(lam: float) -> float:
     There the integrand decreases in u for every lam >= -1 (f'(y) >=
     1/(1 + y)) and the weights decrease in k, so no later upper term
     reaches half an ulp of the total: the value is the full rule's, bit
-    for bit.  Where x_max overflows, at |lam| below ~4e-307, a ValueError
-    names lam.  Cached per lam: lam is checked before the cache sees it,
+    for bit.  Where x_max overflows, at the smallest normal double <= |lam|
+    <= 4.0099895460609535e-307, a ValueError names lam; a subnormal lam
+    takes the lam = 0 branch and returns sqrt(2 pi).  Cached per lam: lam is checked before the cache sees it,
     and ``cache_clear`` empties it.
     """
     return _cached_quadrature(_require_dist_lambda(lam))

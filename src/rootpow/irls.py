@@ -15,6 +15,15 @@ at 2: descent by construction, with no loss pass to guard it.  omega is 1
 where h <= 0, as twice the step would leap to and fro across a narrow
 basin, and where the kernel is 1 (lam = 0).
 
+Past the cap, where 0 < h/K < 1/2, Newton's own point mu + g/h is taken
+when a cubic bound proves it a descent step (Nesterov & Polyak, Math.
+Program. 108, 2006), from numbers the sweep already has.  The objective F
+has F' = -g/c**2, F'' = h/c**2 and |F'''| <= n * L3/c**3, where L3 = 2
+lies above sup |rho'''| of the loss at c = 1 over every lam <= 0 (1.3801,
+at lam = -inf).  So F(mu + g/h) - F(mu) <= -g**2/(2 h c**2)
++ n * L3 * |g|**3/(6 h**3 c**3), which is <= 0 where
+n * L3 * |g/K| <= 3 * K * (h/K)**2 * c.  Elsewhere the step stays capped.
+
 The sweeps sum with numpy's pairwise sums, accurate to O(eps * log n) of
 the summed magnitudes, far inside the stopping tolerance.  A fit ends with
 one plain sweep whose sums are exactly rounded, so its result is the
@@ -48,6 +57,9 @@ __all__ = [
 
 _MAX = sys.float_info.max
 _MIN_ITERS = 1
+# above sup |d3/dr3 loss(r, lam)| at c = 1 over every lam <= 0, which is
+# 1.3801 and is reached at lam = -inf (module docstring)
+_L3 = 2.0
 
 
 def _require_irls_lambda(lam: float) -> float:
@@ -272,12 +284,13 @@ def _median(values: np.ndarray) -> float:
     return mid if math.isfinite(mid) else a / 2.0 + b / 2.0
 
 
-def _newton_sweep(mu: float, problem: IrlsProblem) -> tuple[float, float]:
-    """g/K and h/K from a mu inside the data, g/K summed as sum (k/K) * r as
-    _weighted_shift sums it, and h/K as 1 + sum (k/K) * q, 2u * f''(u) =
-    q * k.  With t = pre * u, q is 2 * dmid * (1 - 1/(1 + t)) on the log
-    branches (2 * dmid at t = inf, not inf/inf), and 2 * t at lam = -inf,
-    t floored at -MAX so that k = 0 at u = inf gives 0, not NaN."""
+def _newton_sweep(mu: float, problem: IrlsProblem) -> tuple[float, float, float]:
+    """g/K, h/K and K from a mu inside the data, g/K summed as
+    sum (k/K) * r as _weighted_shift sums it, and h/K as 1 + sum (k/K) * q,
+    2u * f''(u) = q * k.  With t = pre * u, q is 2 * dmid * (1 - 1/(1 + t))
+    on the log branches (2 * dmid at t = inf, not inf/inf), and 2 * t at
+    lam = -inf, t floored at -MAX so that k = 0 at u = inf gives 0, not
+    NaN."""
     r = problem._values - mu
     x = r / problem.c if problem.c != 1.0 else r
     u = 0.5 * x
@@ -285,7 +298,7 @@ def _newton_sweep(mu: float, problem: IrlsProblem) -> tuple[float, float]:
     k = _derivative(u, np, problem.lam, nonneg=True)  # a new array: u stays
     total = float(np.add.reduce(k))
     if not total > 0.0:
-        return 0.0, 1.0
+        return 0.0, 1.0, 0.0
     k /= total
     pre, skip_log, _, _, _, _, _, _, _, _, fd, dmid = _plan[problem.lam]
     if fd is _float_slope_one:  # the kernel is 1: f'' = 0
@@ -301,7 +314,7 @@ def _newton_sweep(mu: float, problem: IrlsProblem) -> tuple[float, float]:
             np.divide(k, u, out=u)
             curvature = 1.0 + 2.0 * dmid * (1.0 - float(np.add.reduce(u)))
     k *= r
-    return float(np.add.reduce(k)), curvature
+    return float(np.add.reduce(k)), curvature, total
 
 
 def fit_location(problem: IrlsProblem) -> IrlsResult:
@@ -311,28 +324,38 @@ def fit_location(problem: IrlsProblem) -> IrlsResult:
     lam < -1 makes the objective multimodal; the returned gradient norm
     is the caller's stationarity check.
 
-    Each pass is one safeguarded Newton sweep (module docstring), so the
-    objective never rises from one iterate to the next; the fit stops at
-    the first step of at most tol * (1 + |mu|).  The capped steps shrink by
-    about 1 - 2h/K a pass, slowly on a flat minimum: after two passes in a
-    row with K/h > 8/3, Newton's point mu + g/h is tried by two loss passes
-    and taken where its summed loss is finite and at most the capped
-    point's.  ``iterations`` counts the sweeps and loss passes and never
-    exceeds ``max_iters``.  One exactly rounded plain sweep then fixes the
-    returned mu; it is itself a majorize-minimize step and is not counted.
+    Each pass is one safeguarded Newton sweep (module docstring): Newton's
+    point where K/h <= 2 or where the cubic bound certifies it, twice the
+    plain step elsewhere for h > 0, and the plain step where h <= 0.  So
+    the objective never rises from one iterate to the next; the fit stops
+    at the first step of at most tol * (1 + |mu|).  The capped steps shrink
+    by about 1 - 2h/K a pass, slowly on a flat minimum: after two passes in
+    a row with K/h > 8/3, the second capped, Newton's point mu + g/h is
+    tried by two loss passes and taken where its summed loss is finite and
+    at most the capped point's.  ``iterations`` counts the sweeps and loss
+    passes and never exceeds ``max_iters``.  One exactly rounded plain sweep
+    then fixes the returned mu; it is itself a majorize-minimize step and is
+    not counted.
     """
-    tol, budget = problem.tol, problem.max_iters
+    tol, budget, c = problem.tol, problem.max_iters, problem.c
     mu = _median(problem._values)
+    bound = problem._values.size * _L3
     passes, converged, capped = 0, False, False
     with np.errstate(over="ignore"):
         while passes < budget:
-            shift, curvature = _newton_sweep(mu, problem)
+            shift, curvature, total = _newton_sweep(mu, problem)
             passes += 1
-            omega = 1.0 / curvature if curvature > 0.5 else 2.0 if curvature > 0.0 else 1.0
+            if curvature > 0.5:
+                omega = 1.0 / curvature
+            elif curvature > 0.0:  # Newton's point where the cubic bound certifies it
+                certified = abs(shift) / c * bound <= 3.0 * total * curvature * curvature
+                omega = 1.0 / curvature if certified else 2.0
+            else:
+                omega = 1.0
             new = problem._clamp(mu + omega * shift)
             converged = abs(new - mu) <= tol * (1.0 + abs(new))
             stretched = 0.0 < curvature < 0.375  # K/h > 8/3
-            if stretched and capped and not converged and passes + 2 <= budget:
+            if stretched and capped and omega == 2.0 and not converged and passes + 2 <= budget:
                 far = problem._clamp(mu + shift / curvature)
                 if far != new:
                     passes += 2

@@ -600,8 +600,8 @@ class TestZTable:
         # the constructor accepts every log_z in [-700, 700], and every
         # lookup on such a table is a positive normal double, so pdf divides
         # by it without overflow or ZeroDivisionError, or it is exactly the
-        # ValueError partition_function raises (its cutoff overflows at
-        # |lam| below ~4e-307)
+        # ValueError partition_function raises (its cutoff overflows for
+        # |lam| from the smallest normal double to 4.0099895460609535e-307)
         table = ZTable(np.linspace(-0.5, 1.0, size).tolist(), log_z[:size], num_points)
         path = tmp_path_factory.mktemp("zt") / "zt.json"
         table.save(path)

@@ -359,6 +359,9 @@ def test_irls_ab_gates_on_bits_only(tmp_path):
     same = _irls_ab(_ROOT, _ROOT)
     assert same.returncode == 0, same.stderr[-2000:]
     assert same.stdout.startswith("100 fits give the same results on both trees")
+    # each tree's greatest passes per lam and 95th percentile, for a tail claim
+    assert same.stdout.count(" iterations per lam, mean/max: -inf ") == 2
+    assert "\np95 over the fits: A " in same.stdout
     assert " B/A " in same.stdout.splitlines()[-1]
     package = tmp_path / "src" / "rootpow"
     shutil.copytree(_ROOT / "src" / "rootpow", package,

@@ -17,13 +17,16 @@ differ.  Each round then times every problem that returns on both trees,
 on each tree, the side that goes first alternating by round, as the
 minimum over ``--repeats`` ops on the thread CPU clock, and takes the B/A
 ratio of the summed times.  It prints us per op on each tree and the
-median over rounds of the B/A ratio with its quartiles, then exits 1 if
-any result differed.  When fits differ and all return, it also prints,
-so that a change that moves fits on purpose can quote its move, the largest
-|mu_B - mu_A| / (1 + |mu_A|), and on each tree the summed ``iterations``
-and the worst ``grad_norm / (1 + sum |x|)``.  The timing never changes the
-exit status.  Run the same tree twice for an A/A run, which shows the
-noise floor of the ratio:
+median over rounds of the B/A ratio with its quartiles, and each tree's
+95th percentile over the problems of their median us per op (the
+percentile at which the bench reads robust_fit's op_tail_ms), then exits
+1 if any result differed.  When every fit returns on both trees it prints
+each tree's mean and greatest ``iterations`` per lam; when fits differ
+it also prints, so that a change that moves fits on purpose can quote its
+move, the largest |mu_B - mu_A| / (1 + |mu_A|), and on each tree the
+summed ``iterations`` and the worst ``grad_norm / (1 + sum |x|)``.  The
+timing never changes the exit status.  Run the same tree twice for an
+A/A run, which shows the noise floor of the ratio:
 
     python tools/irls_ab.py <tree_a> <tree_b> [--seeds 101 102 103] [--rounds 20] [--repeats 3]
 """
@@ -72,6 +75,12 @@ def fit_summary(rp, problems) -> dict:
     }
 
 
+def p95_op(rounds_per_op) -> float:
+    """The 95th percentile over ops of each op's median over rounds."""
+    medians = [statistics.median(times) for times in rounds_per_op]
+    return statistics.quantiles(medians, n=20)[-1] if len(medians) > 1 else medians[0]
+
+
 def largest_move(mus_a, mus_b) -> float:
     """The largest |mu_B - mu_A| / (1 + |mu_A|)."""
     return max(abs(b - a) / (1.0 + abs(a)) for a, b in zip(mus_a, mus_b))
@@ -91,20 +100,27 @@ def main(argv=None) -> int:
     # one op set per problem: each fit's time is its own minimum over repeats
     sides = [{f"problem {k} (lam = {lam!r})": (op, [(obs, lam)])
               for k, (obs, lam) in enumerate(problems)} for op in ops]
-    differ, timed, _, batch = compare(sides, args.rounds, args.repeats, inner=1)
+    differ, timed, per, batch = compare(sides, args.rounds, args.repeats, inner=1)
 
+    # every fit returns on both trees
+    summaries = [fit_summary(rp, problems) for rp in packages] if len(timed) == len(problems) else []
     if differ:
         print(f"{len(differ)} of {len(problems)} fits differ between the trees:",
               *(f"{name}: {ra} != {rb}" for name, _, ra, rb in differ[:20]), sep="\n")
-        if len(timed) == len(problems):  # every fit returns on both trees
-            a, b = (fit_summary(rp, problems) for rp in packages)
+        if summaries:
+            a, b = summaries
             print(f"largest |mu_B - mu_A| / (1 + |mu_A|): {largest_move(a['mu'], b['mu']):.3g}")
-            for side, summary in (("A", a), ("B", b)):
+            for side, summary in zip("AB", summaries):
                 print(f"{side}: {summary['iterations']} iterations in all, worst grad_norm / "
                       f"(1 + sum |x|) {summary['worst_grad_ratio']:.3g}")
         print(f"timing the {len(timed)} fits that return on both trees")
     else:
         print(f"{len(problems)} fits give the same results on both trees")
+    for side, summary in zip("AB", summaries):
+        print(f"{side} iterations per lam, mean/max: " + ", ".join(
+            f"{lam} {p['mean']:.2f}/{p['max']}" for lam, p in summary["passes"].items()))
+    p95 = [p95_op(times[k] for times in per.values()) / 1e3 for k in (0, 1)]
+    print(f"p95 over the fits: A {p95[0]:.1f} us/op, B {p95[1]:.1f} us/op")
     q1, med, q3 = _quartiles(batch[2])
     print(f"A {statistics.median(batch[0]) / 1e3:.1f} us/op, B "
           f"{statistics.median(batch[1]) / 1e3:.1f} us/op, B/A {med:.3f} [{q1:.3f}, {q3:.3f}] "
