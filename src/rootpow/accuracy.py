@@ -87,18 +87,12 @@ def oracle_transform(x: float, lam: float) -> float:
     move the rounded result.  An x past the transform's pole at lam raises
     ValueError; an exact zero comes back as +0.0.
     """
-    return _oracle(x, lam, ORACLE_DPS)
-
-
-def _oracle(x: float, lam: float, dps: int) -> float:
-    # oracle_transform at dps digits, a count of at least 1: tests double it
     x, lam = _require_number(x, "x"), _require_number(lam)
-    dps = _require_count(dps, "dps", 1)
     row = _plan[lam]
     branch, x = row[8], min(x, row[5])  # the branch, and x clamped to the bound
     if branch is Branch.ZERO:
         return x
-    with decimal.localcontext(_wide(dps)):
+    with decimal.localcontext(_wide(ORACLE_DPS)):  # read per call: tests double it
         xm, lm = Decimal(x), Decimal(lam)
         if branch is Branch.POS_INF:
             val = -_log1p(-xm)

@@ -131,12 +131,16 @@ def _eval_function(args):
     step, flags = _EVAL_FUNCTIONS[args.fn]
     params = [_param(args, *flag) for flag in flags if flag[0] != "--ztable"]
     if args.fn == "pdf":
-        try:
-            table = None if args.ztable is None else dist.ZTable.load(args.ztable)
-        except OSError as exc:
-            raise CliError(f"cannot load ztable: {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"cannot load ztable: {exc}") from None
+        table = None
+        if args.ztable is not None:
+            import json
+
+            try:
+                table = dist.ZTable.load(args.ztable)
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise CliError(f"cannot load ztable: {exc}") from None
+            except ValueError as exc:  # a parsed payload the table refuses
+                raise ValueError(f"cannot load ztable: {exc}") from None
         return step, dist._pdf_params(*params, table)
     if type(step) is int:  # f, finv, g: the row's closure is the step
         return _plan[params[0]][step], []

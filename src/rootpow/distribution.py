@@ -16,17 +16,17 @@ at about 133 of the 205 evaluations on the default table's grid.
 Z is one cached number per lam.  Where x_max, the point at which the
 density falls to eps**2, overflows (the smallest normal double
 <= |lam| <= 4.0099895460609535e-307), Z is refused with a ValueError; a
-subnormal lam takes the lam = 0 branch and its Z, sqrt(2 pi).  The module imports no numpy.  :func:`build_table`
-stores log Z on a uniform grid over the compactified coordinate
-s = lam / (1 + |lam|), which maps lam in [-1, +inf] onto [-1/2, 1], and
-:class:`ZTable` persists it: a lookup returns a node's stored value, and
-the cached quadrature everywhere else, so Z has one rule.
+subnormal lam takes the lam = 0 branch and its Z, sqrt(2 pi).  The module
+imports no numpy.  :func:`build_table` stores log Z on a uniform grid over
+the compactified coordinate s = lam / (1 + |lam|), which maps lam in
+[-1, +inf] onto [-1/2, 1], and :class:`ZTable` persists it as a checked
+file record; a lookup is partition_function's cached value at every lam,
+nodes included, so Z has one rule.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from itertools import islice
@@ -51,8 +51,9 @@ DEFAULT_NUM_POINTS = 205
 DEFAULT_GRID_SIZE = 1651
 _MIN_NUM_POINTS = 16
 _MIN_GRID_SIZE = 16
-# A node lookup is exp(log Z): below this bound a positive normal double.
-# Built tables hold log Z in [0.63, 1.49].
+# A rule of the file format: exp of every stored log Z is then a positive
+# normal double, for any reader of the file.  Built tables hold log Z in
+# [0.63, 1.49].
 _MAX_ABS_LOG_Z = 700.0
 
 
@@ -160,8 +161,8 @@ def partition_function(lam: float) -> float:
     reaches half an ulp of the total: the value is the full rule's, bit
     for bit.  Where x_max overflows, at the smallest normal double <= |lam|
     <= 4.0099895460609535e-307, a ValueError names lam; a subnormal lam
-    takes the lam = 0 branch and returns sqrt(2 pi).  Cached per lam: lam is checked before the cache sees it,
-    and ``cache_clear`` empties it.
+    takes the lam = 0 branch and returns sqrt(2 pi).  Cached per lam: lam
+    is checked before the cache sees it, and ``cache_clear`` empties it.
     """
     return _cached_quadrature(_require_dist_lambda(lam))
 
@@ -209,12 +210,6 @@ def pdf(x, lam: float, c: float = 1.0, table: "ZTable | None" = None):
     return _elementwise(_pdf, _float_pdf, x, lam, c, z, edge)
 
 
-def _compactify(lam: float) -> float:
-    if lam == math.inf:
-        return 1.0
-    return lam / (1.0 + abs(lam))
-
-
 def _decompactify(s: float) -> float:
     if s >= 1.0:
         return math.inf
@@ -239,11 +234,12 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
     """Precomputed log Z on a uniform, strictly increasing grid of the
     compactified coordinate from -0.5 to 1, plus the quadrature node count
     that produced it (a table saved when Z came from composite Simpson
-    records that rule's count, and loads as before: a lookup never reads
-    num_points).  Every field rule is checked here: s_grid and log_z are
-    lists or tuples of numbers, stored as float tuples, log_z within
-    [-700, 700], so that every node lookup is a positive normal double,
-    and num_points a count of at least 16."""
+    records that rule's count, and loads as before).  The record is what
+    the file holds; a lookup reads none of its fields.  Every field rule is
+    checked here, since a table comes from outside the program: s_grid
+    and log_z are lists or tuples of numbers, stored as float tuples,
+    log_z within [-700, 700], so that exp of every stored value is a
+    positive normal double, and num_points a count of at least 16."""
 
     def __new__(cls, s_grid, log_z, num_points: int):
         s_grid = _floats(s_grid, "s_grid")
@@ -272,14 +268,9 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def lookup(self, lam: float) -> float:
-        """Z, domain lam >= -1: the stored value at a grid node, and
-        partition_function's (cached) value everywhere else."""
-        lam = _require_dist_lambda(lam)
-        s = _compactify(lam)
-        i = bisect_right(self.s_grid, s) - 1
-        if s == self.s_grid[i]:
-            return math.exp(self.log_z[i])
-        return _cached_quadrature(lam)
+        """Z, domain lam >= -1: partition_function's (cached) value at every
+        lam, a grid node or not, and its ValueError where it raises one."""
+        return partition_function(lam)
 
     def save(self, path) -> None:
         import json

@@ -13,7 +13,6 @@ import numpy as np
 
 import rootpow.accuracy
 from rootpow.accuracy import (
-    _oracle,
     default_lambda_grid,
     error_sweep,
     oracle_transform,
@@ -33,18 +32,41 @@ class TestOracle:
         # benign region.
         assert ulps_apart(transform(0.5, 0.25), oracle_transform(0.5, 0.25)) <= 2.0
 
-    def test_precision_self_consistency(self):
+    def test_precision_self_consistency(self, monkeypatch):
         # x = 1e-60 at lam = -1 and inf: 1 +- x rounds to 1 at 50 digits,
         # so the log1p forms are what keep the two precisions together
-        for lam in [0.25, -0.75, 1.0 + 1e-8, -1.0 - 1e-8, 3.0, -1e6, -1.0, math.inf]:
-            for x in [1e-60, 0.01, 0.37, 1.0]:
-                assert oracle_transform(x, lam) == _oracle(x, lam, 100)
+        lams = [0.25, -0.75, 1.0 + 1e-8, -1.0 - 1e-8, 3.0, -1e6, -1.0, math.inf]
+        cases = [(x, lam) for lam in lams for x in [1e-60, 0.01, 0.37, 1.0]]
+        at_50 = [oracle_transform(x, lam) for x, lam in cases]
+        monkeypatch.setattr(rootpow.accuracy, "ORACLE_DPS", 100)
+        assert [oracle_transform(x, lam) for x, lam in cases] == at_50
+        # the count is read per call: at 1 digit (11 with the guards) some move
+        monkeypatch.setattr(rootpow.accuracy, "ORACLE_DPS", 1)
+        assert [oracle_transform(x, lam) for x, lam in cases] != at_50
+
+    def test_error_sweep_reads_the_precision_per_call(self, monkeypatch):
+        # the x grid is built in ORACLE_DPS's context as it stands at the
+        # call: doubling the digits moves no x and no number in the report,
+        # and 1 digit (11 with the guards) moves the grid
+        oracle, xs = rootpow.accuracy.oracle_transform, []
+        monkeypatch.setattr(rootpow.accuracy, "oracle_transform",
+                            lambda x, lam: xs.append(x) or oracle(x, lam))
+
+        def sweep():
+            xs.clear()
+            return error_sweep([-math.inf, -1.0, 0.25, 3.0], x_lo=0.001, n=16), list(xs)
+
+        report, grid = sweep()
+        monkeypatch.setattr(rootpow.accuracy, "ORACLE_DPS", 100)
+        assert sweep() == (report, grid)
+        monkeypatch.setattr(rootpow.accuracy, "ORACLE_DPS", 1)
+        assert sweep()[1] != grid
 
     @pytest.mark.parametrize("call", [lambda: oracle_transform(0.5, 0.5, 100),
                                       lambda: oracle_transform(0.5, 0.5, dps=100)],
                              ids=["positional", "keyword"])
     def test_the_precision_is_not_an_argument(self, call):
-        # only the tests set the digits, through _oracle
+        # only the tests set the digits, through ORACLE_DPS
         with pytest.raises(TypeError):
             call()
 

@@ -13,7 +13,7 @@ import pytest
 import rootpow
 from rootpow import cli
 from rootpow.cli import main
-from rootpow.distribution import ZTable, _compactify, _decompactify, build_table, partition_function
+from rootpow.distribution import ZTable, _decompactify, build_table, partition_function
 
 # Child interpreters import rootpow from where this process found it, so
 # the console tests also run from a checkout without an install.
@@ -445,26 +445,21 @@ class TestZTableCommand:
         value = float(out.strip().split("\n")[1].split(",")[1])
         assert value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-4)
 
-    def test_eval_reads_the_table_at_nodes_only(self, run, tmp_path):
-        # off node, Z is the quadrature's, so stdout is the no-table bytes;
-        # at a node the density's peak is 1 / exp(log_z[i]): at lam = 0, and
-        # at the first node where that is not 1 / partition_function(lam)
+    def test_eval_with_a_table_prints_the_no_table_bytes(self, run, tmp_path):
+        # Z is partition_function's at every lam, so stdout is the no-table
+        # bytes off node and at the nodes lam = 0 and node 13, where
+        # exp(log_z) is an ulp off the rule's Z
         path = tmp_path / "zt.json"
         assert run(["ztable", "--output", str(path)])[0] == 0
         table = ZTable.load(path)
-        for lam in ("-0.5", "0.3", "2.5"):
+        node_13 = -0.9538188277087033
+        assert _decompactify(table.s_grid[13]) == node_13 and 0.0 in table.s_grid
+        assert math.exp(table.log_z[13]) != partition_function(node_13)
+        for lam in ("-0.5", "0.3", "2.5", "0", repr(node_13)):
             argv = ["eval", "--fn", "pdf", f"--lambda={lam}", "--x=-3:3:41"]
             code, out, err = run([*argv, "--ztable", str(path)])
             assert (code, err) == (0, "")
             assert out == run(argv)[1]
-        i = next(i for i, s in enumerate(table.s_grid)
-                 if _compactify(_decompactify(s)) == s
-                 and math.exp(table.log_z[i]) != partition_function(_decompactify(s)))
-        for k in (table.s_grid.index(0.0), i):
-            lam = _decompactify(table.s_grid[k])
-            code, out, _ = run(["eval", "--fn", "pdf", f"--lambda={lam!r}", "--x=0", "--ztable", str(path)])
-            assert code == 0
-            assert float(out.splitlines()[1].split(",")[1]) == 1.0 / math.exp(table.log_z[k])
 
     def test_rebuild_is_byte_identical(self, run, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -547,6 +542,29 @@ class TestZTableCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: cannot load ztable")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [
+        b"\xff" * 16,
+        b'{"s_grid": [-0.5, 1.0], "log_z": [1.',
+        b"",
+        b"s_grid,log_z\n-0.5,1.0\n",
+        b'{"precision": "binary64"} {}',
+        '{"precision": "bin\u00e4ry64"}'.encode("utf-8"),
+        b'\xef\xbb\xbf{"precision": "binary64"}',
+    ], ids=["undecodable", "truncated-json", "empty", "csv", "trailing-data", "utf8-not-ascii",
+            "utf8-bom"])
+    def test_a_table_file_that_cannot_be_parsed_exits_1(self, run, tmp_path, content):
+        # a file the CLI cannot decode or parse is a data failure, exit 1,
+        # as for irls --data; a parsed payload the table refuses exits 2
+        path = tmp_path / "zt.json"
+        path.write_bytes(content)
+        code, out, err = run(
+            ["eval", "--fn", "pdf", "--lambda", "0", "--ztable", str(path), "--x", "0"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot load ztable: ")
         assert err.count("\n") == 1
 
 
@@ -798,6 +816,30 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_json_loads_only_for_a_table(self, tmp_path):
+        # an eval reads json only to load its --ztable file, so no other
+        # eval pays for the import; the table eval shows the probe sees it
+        path = tmp_path / "zt.json"
+        build_table(16).save(path)
+        plain = [["eval", "--fn", fn, *flags, "--x=-0.5:0.5:9"] for fn, flags in [
+            ("f", ["--lambda=2"]), ("rho", ["--lambda=-2", "--c=2"]), ("k", ["--lambda=-2"]),
+            ("h", ["--lambda=2"]), ("pdf", ["--lambda=0.3"]), ("pdf", ["--lambda=0"]),
+        ]]
+        table = ["eval", "--fn", "pdf", "--lambda=0.3", f"--ztable={path}", "--x=0"]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import contextlib, io, sys, rootpow.cli\n"
+             f"for argv in {plain!r} + [{table!r}]:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert rootpow.cli.main(argv) == 0, argv\n"
+             "    print('json' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n" * len(plain) + "True\n"
 
     def test_the_density_and_its_table_load_no_numpy(self, tmp_path):
         # Z is a tanh-sinh rule on floats, so a pdf eval with no table, a

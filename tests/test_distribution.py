@@ -20,7 +20,6 @@ from rootpow.core import Branch, _plan, classify, transform
 from rootpow.distribution import (
     DEFAULT_NUM_POINTS,
     ZTable,
-    _compactify,
     _decompactify,
     _DEFAULT_RULE,
     _cached_quadrature,
@@ -298,11 +297,16 @@ class TestPdf:
             pdf(0.0, 0.0, -1.0)
 
 
+def compactify(lam: float) -> float:
+    # the table's coordinate s, written out again: a lookup never forms it
+    return 1.0 if lam == math.inf else lam / (1.0 + abs(lam))
+
+
 class TestCompactification:
     def test_endpoints(self):
-        assert _compactify(-1.0) == -0.5
-        assert _compactify(0.0) == 0.0
-        assert _compactify(math.inf) == 1.0
+        assert compactify(-1.0) == -0.5
+        assert compactify(0.0) == 0.0
+        assert compactify(math.inf) == 1.0
         assert _decompactify(1.0) == math.inf
         assert _decompactify(-0.5) == -1.0
 
@@ -313,13 +317,9 @@ def table():
 
 
 def _assert_one_rule(table, lam):
-    """A lookup is the node's stored value at a node, and elsewhere
-    partition_function's bits or exactly its ValueError; True off node."""
-    s = _compactify(lam)
-    if s in table.s_grid:
-        stored = math.exp(table.log_z[table.s_grid.index(s)])
-        assert table.lookup(lam).hex() == stored.hex(), lam
-        return False
+    """A lookup is partition_function's bits or exactly its ValueError, at
+    a node and off one alike; True off node, so a caller can show that it
+    probed both."""
     try:
         want = partition_function(lam)
     except ValueError as exc:
@@ -327,7 +327,7 @@ def _assert_one_rule(table, lam):
             table.lookup(lam)
     else:
         assert table.lookup(lam).hex() == want.hex(), lam
-    return True
+    return compactify(lam) not in table.s_grid
 
 
 # shapes of each branch the density takes, lam >= -1; at +/-1e-307 the
@@ -351,19 +351,20 @@ class TestZTable:
         assert all(b > a for a, b in zip(table.s_grid, table.s_grid[1:]))
         assert all(map(math.isfinite, table.log_z))
 
-    def test_node_lookup_returns_stored_value(self, table):
-        # every node, because the cell search must land on each node exactly,
-        # including those that linspace rounded off the ideal uniform grid
-        for idx in range(len(table.s_grid)):
-            lam = _decompactify(table.s_grid[idx])
-            stored = math.exp(table.log_z[idx])
-            if _compactify(lam) == table.s_grid[idx]:
-                assert table.lookup(lam) == stored
-            else:  # coordinate fails to round-trip; continuity still holds
-                assert table.lookup(lam) == pytest.approx(stored, rel=1e-12)
+    def test_node_lookup_is_the_rule(self, table):
+        # every node, those that linspace rounded off the ideal uniform grid
+        # included, on the fixture's grid with log Z moved far from the
+        # rule's: a lookup that read a node would show
+        moved = table._replace(log_z=[v + 1.0 for v in table.log_z])
+        for s in moved.s_grid:
+            lam = _decompactify(s)
+            assert moved.lookup(lam).hex() == partition_function(lam).hex(), s
 
     def test_node_values_match_quadrature(self, table):
-        assert table.lookup(0.0) == partition_function(0.0)
+        # the nodes every built table has: lam = -1, 0 and inf
+        for lam in (-1.0, 0.0, -0.0, math.inf):
+            assert compactify(lam) in table.s_grid
+            assert table.lookup(lam).hex() == partition_function(lam).hex(), lam
 
     def test_midpoint_matches_direct_quadrature(self, table):
         i = len(table.s_grid) // 2
@@ -386,7 +387,8 @@ class TestZTable:
     @pytest.mark.parametrize("branch", BRANCH_SHAPES, ids=[b.name for b in BRANCH_SHAPES])
     def test_one_rule_on_every_branch(self, table, branch):
         # on the fixture's table and on SMALL_TABLE, whose grid misses
-        # lam = 0 and lam = 1; s = -0.5 (lam = -1) is a node of every table
+        # lam = 0 and lam = 1 and whose log Z is far from the rule's at its
+        # nodes (lam = -1, 1/3 and inf), so a lookup that read one would show
         off_node = []
         for each in (table, ZTable(**SMALL_TABLE)):
             for lam in BRANCH_SHAPES[branch]:
@@ -401,32 +403,35 @@ class TestZTable:
 
     @pytest.mark.parametrize("size", range(2, 10))
     def test_one_rule_on_a_small_table_of_every_size(self, size):
-        # log Z far from the rule's, so a lookup that read a neighbouring
-        # node, or the wrong node, off the grid would show
+        # log Z far from the rule's, so a lookup that read a node, or a
+        # neighbouring one, would show
         rng = np.random.default_rng(size)
         s_grid = np.linspace(-0.5, 1.0, size).tolist()
         table = ZTable(s_grid, rng.uniform(-5.0, 5.0, size).tolist(), 64)
         probes = [*s_grid, *np.linspace(-0.5, 1.0, 151).tolist()]
         off_node = [_assert_one_rule(table, _decompactify(s)) for s in probes]
         # a node is off node only where s fails to round-trip through lam
-        assert off_node[:size] == [_compactify(_decompactify(s)) != s for s in s_grid]
+        assert off_node[:size] == [compactify(_decompactify(s)) != s for s in s_grid]
         assert any(off_node[size:])
 
     @pytest.mark.parametrize("lam", [-1.0, 0.0, -0.0, math.inf])
-    def test_a_node_lookup_never_runs_the_quadrature(self, lam):
-        # the stored value, even where it is far from the rule's, and
-        # partition_function's cache is neither read nor filled
+    def test_a_node_lookup_is_a_hit_on_partition_functions_cache(self, lam):
+        # at a node whose log Z is far from the rule's, the lookup is
+        # partition_function's number, read from the same cache
         table = ZTable((-0.5, 0.0, 0.5, 1.0), (3.0, -2.0, 1.0, 0.5), 64)
-        stored = math.exp(table.log_z[table.s_grid.index(_compactify(lam))])
+        stored = math.exp(table.log_z[table.s_grid.index(compactify(lam))])
+        want = partition_function(lam)
+        assert stored != want
         before = _cached_quadrature.cache_info()
-        assert table.lookup(lam).hex() == stored.hex()
-        assert _cached_quadrature.cache_info() == before
+        assert table.lookup(lam).hex() == want.hex()
+        after = _cached_quadrature.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_an_off_node_lookup_shares_partition_functions_cache(self, table):
         # one cached number per lam: the lookup's quadrature is the one
         # partition_function then reads, a cache hit
         lam = 0.123456789
-        assert _compactify(lam) not in table.s_grid
+        assert compactify(lam) not in table.s_grid
         z = table.lookup(lam)
         before = _cached_quadrature.cache_info()
         assert partition_function(lam).hex() == z.hex()
@@ -445,11 +450,25 @@ class TestZTable:
                 each.lookup(lam)
             with pytest.raises(ValueError, match=message):
                 pdf(0.5, lam, table=each)
-        assert table.lookup(0.0).hex() == math.exp(table.log_z[table.s_grid.index(0.0)]).hex()
+        assert table.lookup(0.0).hex() == partition_function(0.0).hex()
+
+    def test_default_table_lookup_is_the_rule_at_every_node(self):
+        # all 1651 nodes of the default table, node 13 (lam =
+        # -0.9538188277087033) among them, where exp(log_z) is an ulp off
+        # the rule's Z: lookup and pdf give the no-table bits
+        table = build_table()
+        lams = [_decompactify(s) for s in table.s_grid]
+        assert len(lams) == 1651 and lams[13] == -0.9538188277087033
+        assert math.exp(table.log_z[13]) != partition_function(lams[13])
+        xs = np.linspace(-3.0, 3.0, 13)
+        for lam in lams:
+            assert table.lookup(lam).hex() == partition_function(lam).hex(), lam
+            assert pdf(0.7, lam, table=table).hex() == pdf(0.7, lam).hex(), lam
+            assert pdf(xs, lam, table=table).tobytes() == pdf(xs, lam).tobytes(), lam
 
     def test_default_table_nodes_hold_the_rule(self):
-        # a lookup reads the table only at its nodes; there each stored
-        # log Z is the rule's Z through one log and one exp, within 2 ulps
+        # what the file holds: each stored log Z is the rule's Z through one
+        # log and one exp, within 2 ulps
         table = build_table()
         for s, log_z in zip(table.s_grid, table.log_z):
             want = partition_function(_decompactify(s))
@@ -617,20 +636,20 @@ class TestZTable:
 
     def test_a_table_saved_under_simpson_loads_and_looks_up(self):
         # build_table(16) saved this when Z came from 4097-node composite
-        # Simpson; num_points records that rule's count, which a lookup never
-        # reads.  The nodes (lam = -1, 0, inf) keep the bits they had then;
-        # off node, Z is partition_function's
+        # Simpson; num_points records that rule's count.  A lookup reads no
+        # field of the table: at its nodes (lam = -1, 0, inf) as off them,
+        # Z is partition_function's
         table = ZTable.load(Path(__file__).parent / "data" / "ztable-simpson-4096.json")
         assert table.num_points == 4096
         frozen = {
-            -1.0: (4.442882938504486, 0.20007029246377056),
+            -1.0: (4.442882938158363, 0.200070292479357),
             -0.999: (4.435312311611763, 0.2004117390404881),
             -0.5: (3.272306972526515, 0.2715716633314335),
-            0.0: (2.506628274631009, 0.3520653267642983),
+            0.0: (2.5066282746310007, 0.35206532676429947),
             0.3: (2.1668013752787503, 0.4042693585872475),
             2.0: (1.9667616258254526, 0.44498189691678375),
             1e5: (1.8856200260078466, 0.4640383489370367),
-            math.inf: (1.8856180831641236, 0.46403882515367256),
+            math.inf: (1.8856180831641274, 0.4640388251536717),
         }
         got = {lam: (table.lookup(lam), pdf(0.5, lam, table=table)) for lam in frozen}
         assert got == frozen
@@ -670,7 +689,7 @@ class TestZTable:
     @pytest.mark.parametrize("lam", [-0.999, -0.5, 0.3, 1.0 + 2.0**-52, 2.0, 1e6, 5e15])
     def test_off_node_pdf_is_the_pdf_without_a_table(self, table, lam):
         # float and array, at two scales: the same bits, since Z is one rule
-        assert _compactify(lam) not in table.s_grid
+        assert compactify(lam) not in table.s_grid
         xs = np.linspace(-3.0, 3.0, 61)
         for c in (1.0, 2.5):
             assert pdf(0.7, lam, c, table=table).hex() == pdf(0.7, lam, c).hex()

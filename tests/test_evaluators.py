@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import rootpow as rp
 from rootpow import core, distribution, families
-from rootpow.accuracy import _oracle
 from rootpow.cli import main
 from rootpow.core import _require_number
 from rootpow.families import _require_boxcox_lambda
@@ -293,7 +292,6 @@ COUNTS = {
     "ZTable-num_points": (lambda n: rp.ZTable((-0.5, 1.0), (0.0, 0.0), n), "num_points", 16),
     "error_sweep-n": (lambda n: rp.error_sweep([0.5], n=n), "n", 2),
     "IrlsProblem-max_iters": (lambda n: _problem(max_iters=n), "max_iters", 1),
-    "_oracle-dps": (lambda n: _oracle(0.5, 0.5, n), "dps", 1),
     "cli-accuracy-n": (["accuracy", "--lambdas=0.5", "--n", "{n}"], "--n", 2),
     "cli-ztable-grid_size": (["ztable", "--grid-size", "{n}", "--output", "{out}"],
                              "--grid-size", 16),
