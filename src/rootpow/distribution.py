@@ -286,12 +286,20 @@ class ZTable(namedtuple("ZTable", "s_grid log_z num_points")):
         with precision "binary64", or a field ZTable rejects, raises ValueError."""
         import json
 
+        def number(text):
+            # an integer literal past int()'s digit limit reads as a float,
+            # inf, which the field rules then refuse by name
+            try:
+                return int(text)
+            except ValueError:
+                return float(text)
+
         try:
             fh = open(path, "r", encoding="ascii")
         except ValueError as exc:  # a path open rejects (a NUL byte)
             raise OSError(str(exc)) from None
         with fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_int=number)
         if not isinstance(payload, dict) or payload.get("precision") != "binary64":
             raise ValueError('table file must hold a JSON object with precision "binary64"')
         return cls(*map(payload.get, cls._fields))

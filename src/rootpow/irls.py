@@ -9,20 +9,25 @@ For lam <= 0 the transform f is concave in u = r**2 / 2, so the objective
 lies under the sweep's quadratic majorizer F(mu) - g*s + K*s**2/2 of the
 step s (K = sum k_i, g = sum k_i * r_i), and every s between 0 and twice
 the weighted-mean step g/K is a descent step (Heiser 1995; Lange, MM
-Optimization Algorithms, 2016).  A sweep takes s = omega * g/K with
-Newton's factor omega = K/h, h = K + sum r_i**2 * f''(u_i) <= K, capped
-at 2: descent by construction, with no loss pass to guard it.  omega is 1
-where h <= 0, as twice the step would leap to and fro across a narrow
-basin, and where the kernel is 1 (lam = 0).
+Optimization Algorithms, 2016).  A sweep takes s = omega * g/K: Newton's
+factor omega = K/h, h = K + sum r_i**2 * f''(u_i) <= K, where h/K > 1/2,
+and omega = 1 where h <= 0, as twice the step would leap to and fro
+across a narrow basin.  omega is 1 where the kernel is 1 (lam = 0).
 
-Past the cap, where 0 < h/K < 1/2, Newton's own point mu + g/h is taken
-when a cubic bound proves it a descent step (Nesterov & Polyak, Math.
-Program. 108, 2006), from numbers the sweep already has.  The objective F
-has F' = -g/c**2, F'' = h/c**2 and |F'''| <= n * L3/c**3, where L3 = 2
-lies above sup |rho'''| of the loss at c = 1 over every lam <= 0 (1.3801,
-at lam = -inf).  So F(mu + g/h) - F(mu) <= -g**2/(2 h c**2)
-+ n * L3 * |g|**3/(6 h**3 c**3), which is <= 0 where
-n * L3 * |g/K| <= 3 * K * (h/K)**2 * c.  Elsewhere the step stays capped.
+In between, 0 < kappa = h/K <= 1/2, omega is the longest factor up to
+K/h that a cubic bound proves a descent step (Nesterov & Polyak, Math.
+Program. 108, 2006), and at least the majorizer's 2, from numbers the
+sweep already has.  The objective F has F' = -g/c**2, F'' = h/c**2 and
+|F'''| <= n * L3/c**3, where L3 = 2 lies above sup |rho'''| of the loss
+at c = 1 over every lam <= 0 (1.3801, at lam = -inf).  So
+F(mu + s) - F(mu) <= omega * g**2/(K c**2) * (-1 + kappa*omega/2
++ A*omega**2), A = n * L3 * |g/K| / (6 c K), which is <= 0 up to the
+bracket's root w = 2/(kappa/2 + sqrt(kappa**2/4 + 4A)), and the step
+takes omega = min(K/h, max(2, w)).  w reaches K/h exactly where
+n * L3 * |g/K| <= 3 * K * kappa**2 * c.  Below K/h the root has
+A*w**2 = 1 - kappa*w/2 >= 1/2, so the slack of L3 over 1.3801 lowers the
+bound there by more than 0.15, far more than the rounding of w can raise
+it.  No step evaluates the loss.
 
 The sweeps sum with numpy's pairwise sums, accurate to O(eps * log n) of
 the summed magnitudes, far inside the stopping tolerance.  A fit ends with
@@ -325,44 +330,32 @@ def fit_location(problem: IrlsProblem) -> IrlsResult:
     is the caller's stationarity check.
 
     Each pass is one safeguarded Newton sweep (module docstring): Newton's
-    point where K/h <= 2 or where the cubic bound certifies it, twice the
-    plain step elsewhere for h > 0, and the plain step where h <= 0.  So
-    the objective never rises from one iterate to the next; the fit stops
-    at the first step of at most tol * (1 + |mu|).  The capped steps shrink
-    by about 1 - 2h/K a pass, slowly on a flat minimum: after two passes in
-    a row with K/h > 8/3, the second capped, Newton's point mu + g/h is
-    tried by two loss passes and taken where its summed loss is finite and
-    at most the capped point's.  ``iterations`` counts the sweeps and loss
-    passes and never exceeds ``max_iters``.  One exactly rounded plain sweep
-    then fixes the returned mu; it is itself a majorize-minimize step and is
-    not counted.
+    point where K/h < 2, the longest factor in [2, K/h] that the cubic
+    bound proves a descent step where K/h >= 2, and the plain step where
+    h <= 0.  So the objective never rises from one iterate to the next,
+    and no pass evaluates the loss; the fit stops at the first step of at
+    most tol * (1 + |mu|).  ``iterations`` counts the sweeps and never
+    exceeds ``max_iters``.  One exactly rounded plain sweep then fixes the
+    returned mu; it is itself a majorize-minimize step and is not counted.
     """
     tol, budget, c = problem.tol, problem.max_iters, problem.c
     mu = _median(problem._values)
     bound = problem._values.size * _L3
-    passes, converged, capped = 0, False, False
+    passes, converged = 0, False
     with np.errstate(over="ignore"):
         while passes < budget:
             shift, curvature, total = _newton_sweep(mu, problem)
             passes += 1
             if curvature > 0.5:
                 omega = 1.0 / curvature
-            elif curvature > 0.0:  # Newton's point where the cubic bound certifies it
-                certified = abs(shift) / c * bound <= 3.0 * total * curvature * curvature
-                omega = 1.0 / curvature if certified else 2.0
+            elif curvature > 0.0:  # the longest step the cubic bound proves
+                a = abs(shift) / c * bound / (6.0 * total)
+                w = 2.0 / (0.5 * curvature + math.sqrt(0.25 * curvature * curvature + 4.0 * a))
+                omega = min(1.0 / curvature, max(2.0, w))
             else:
                 omega = 1.0
             new = problem._clamp(mu + omega * shift)
             converged = abs(new - mu) <= tol * (1.0 + abs(new))
-            stretched = 0.0 < curvature < 0.375  # K/h > 8/3
-            if stretched and capped and omega == 2.0 and not converged and passes + 2 <= budget:
-                far = problem._clamp(mu + shift / curvature)
-                if far != new:
-                    passes += 2
-                    far_loss = loss_objective(far, problem)
-                    if far_loss < math.inf and far_loss <= loss_objective(new, problem):
-                        new = far
-            capped = stretched
             mu = new
             if converged:
                 break

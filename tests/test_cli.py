@@ -520,6 +520,25 @@ class TestZTableCommand:
         assert err.startswith("error: cannot load ztable")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("log_z", [1.0, "HUGE"], "log_z values must be finite"),
+        ("s_grid", [-0.5, "HUGE"], "s_grid must run from -0.5 to 1.0"),
+        ("num_points", "HUGE", "num_points must be an integer"),
+    ], ids=["log-z", "s-grid", "num-points"])
+    def test_an_integer_past_the_digit_limit_exits_2_naming_its_field(
+        self, run, tmp_path, field, value, message
+    ):
+        # valid JSON, so a refused payload: exit 2 with the field's rule,
+        # never Python's "Exceeds the limit (4300 digits)" text
+        payload = {"s_grid": [-0.5, 1.0], "log_z": [1.0, 1.0], "num_points": 64,
+                   "precision": "binary64", field: value}
+        path = tmp_path / "zt.json"
+        path.write_text(json.dumps(payload).replace('"HUGE"', "1" + "0" * 5000))
+        code, out, err = run(
+            ["eval", "--fn", "pdf", "--lambda", "0", "--ztable", str(path), "--x", "0"]
+        )
+        assert (code, out, err) == (2, "", f"error: cannot load ztable: {message}\n")
+
     def test_small_grid_rejected(self, run, tmp_path):
         code, _, err = run(["ztable", "--grid-size", "8", "--output", str(tmp_path / "x.json")])
         assert code == 2

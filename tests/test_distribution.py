@@ -572,6 +572,24 @@ class TestZTable:
             with pytest.raises(ValueError):
                 ZTable.load(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("log_z", [1.0, "HUGE", 0.25], "log_z values must be finite"),
+        ("log_z", [1.0, "-HUGE", 0.25], "log_z values must be finite"),
+        ("s_grid", [-0.5, "HUGE", 1.0], "s_grid must be uniformly spaced"),
+        ("num_points", "HUGE", "num_points must be an integer"),
+    ], ids=["log-z", "negative-log-z", "s-grid", "num-points"])
+    def test_an_integer_past_the_digit_limit_is_refused_by_its_field(
+        self, field, value, message, tmp_path
+    ):
+        # a 5001-digit literal is valid JSON that int() will not read (its
+        # 4300-digit limit): it loads as inf, which the field's rule refuses
+        huge = "1" + "0" * 5000
+        text = json.dumps({**SMALL_TABLE, field: value, "precision": "binary64"})
+        path = tmp_path / "zt.json"
+        path.write_text(text.replace('"-HUGE"', "-" + huge).replace('"HUGE"', huge))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ZTable.load(path)
+
     @settings(max_examples=100, deadline=None)
     @given(
         size=st.integers(2, 40),

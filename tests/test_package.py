@@ -346,7 +346,7 @@ def test_float_ab_gates_on_bits_only(tmp_path):
 def _irls_ab(tree_a, tree_b):
     return subprocess.run(
         [sys.executable, str(_ROOT / "tools" / "irls_ab.py"), str(tree_a), str(tree_b),
-         "--seeds", "101", "--rounds", "1", "--repeats", "1"],
+         "--seeds", "101", "--rounds", "1", "--repeats", "1", "--stress-size", "300"],
         capture_output=True,
         text=True,
         cwd=_ROOT,
@@ -363,6 +363,17 @@ def test_irls_ab_gates_on_bits_only(tmp_path):
     assert same.stdout.count(" iterations per lam, mean/max: -inf ") == 2
     assert "\np95 over the fits: A " in same.stdout
     assert " B/A " in same.stdout.splitlines()[-1]
+    # the stress pool is reported before the timing: 300 drawn fits, 100
+    # flat-prone ones and the 10 named cases, the same on both sides
+    stress = [line for line in same.stdout.splitlines() if line.startswith("stress ")]
+    assert stress[0].startswith("stress pool: 410 fits, data sha256 ")
+    assert stress[1:] == ["stress largest |mu_B - mu_A| / (1 + |mu_A|): 0, 0 fits past 1e-6",
+                          "stress fits whose final loss exceeds the other tree's by more than "
+                          "1e-12 relative: 0"]
+    sides = [line.split(": ", 1)[1] for line in same.stdout.splitlines()
+             if line.startswith(("A stress: ", "B stress: "))]
+    assert len(sides) == 2 and sides[0] == sides[1], sides
+    assert same.stdout.index("stress pool: ") < same.stdout.index("\np95 over the fits: ")
     package = tmp_path / "src" / "rootpow"
     shutil.copytree(_ROOT / "src" / "rootpow", package,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -378,7 +389,48 @@ def test_irls_ab_gates_on_bits_only(tmp_path):
     # the move a by-design change quotes: every even-n start moved one ulp
     assert "largest |mu_B - mu_A| / (1 + |mu_A|): " in differ.stdout
     assert differ.stdout.count(" iterations in all, worst grad_norm / (1 + sum |x|) ") == 2
+    # the pool is reported on the moved tree too, and never sets the exit
+    assert differ.stdout.count("\nA stress: ") == 1 and differ.stdout.count("\nB stress: ") == 1
+    assert "\nstress largest |mu_B - mu_A| / (1 + |mu_A|): " in differ.stdout
     assert " B/A " in differ.stdout.splitlines()[-1]
+
+
+def test_irls_ab_stress_pool_is_deterministic(monkeypatch):
+    # one seed gives one pool, in this process and in a fresh one with
+    # another hash seed; another seed gives another; every named hard case
+    # of tests/test_irls.py is in it, and the drawn fits keep their ranges
+    monkeypatch.syspath_prepend(str(_ROOT / "tools"))
+    import irls_ab
+
+    pool = irls_ab.stress_pool(16, 300)
+    digest = irls_ab.pool_hash(pool)
+    assert irls_ab.pool_hash(irls_ab.stress_pool(16, 300)) == digest
+    assert irls_ab.pool_hash(irls_ab.stress_pool(17, 300)) != digest
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import irls_ab; print(irls_ab.pool_hash(irls_ab.stress_pool(16, 300)))"],
+        capture_output=True, text=True, cwd=_ROOT / "tools",
+        env={**CHILD_ENV, "PYTHONHASHSEED": "12345"},
+    )
+    assert child.stdout.strip() == digest, child.stderr[-2000:]
+    assert len(pool) == 300 + 100 + len(irls_ab.NAMED)
+    named = {(obs, lam, c) for _, obs, lam, c in pool[400:]}
+    scale = 2.0 ** 1000
+    for case in [((-2.0, -1.6, 1.2, 5.4), -0.5, 1.0), ((-10.0, -9.0, 10.0, 12.0), -0.5, 1.0),
+                 ((4.8, 22.4, 10.4, -24.3, -14.6, -16.8, 10.0, -7.3, -9.3), -math.inf, 1.0),
+                 ((-34.0, -11.8, -11.8, 20.4, 15.4, 10.1), -5.0, 1.0),
+                 ((2.5, 2.5, -1.8, -0.2), -math.inf, 1.0),
+                 ((-0.5, 0.25, 0.0, 0.5, -0.25, 1e300), -1.0, 1.0),
+                 *(((-2.0 * scale, -1.6 * scale, 1.2 * scale, 5.4 * scale), lam, scale)
+                   for lam in (-0.5, -1.0, -2.0, -math.inf))]:
+        assert case in named, case
+    assert len({name for name, *_ in pool}) == len(pool)
+    for _, obs, lam, c in pool[:300]:
+        assert 2 <= len(obs) <= 300 and 0.3 <= c <= 3.0
+        assert lam in (-math.inf, -1e3, -10.0, -2.0, -1.0, -0.5, -0.2, -1e-3)
+    for _, obs, lam, c in pool[300:400]:
+        assert 3 <= len(obs) <= 8 and c == 1.0 and max(map(abs, obs)) <= 15.0
+        assert lam in (-math.inf, -10.0, -2.0, -1.0, -0.5, -0.2)
 
 
 def test_bench_record_writes_its_schema():
