@@ -17,6 +17,10 @@ derived from binary64 precision), its constants and clamp bound, and the
 pole; :func:`classify`, :func:`branch_plan`, :func:`max_domain` and every
 evaluator body read it.
 
+Every public reader of a shape checks a float inline, and anything else
+(another number kind, a NaN, a complex, what is no number) through
+``_require_number``, which reads it as a float or refuses it by name.
+
 :func:`transform`, :func:`inverse` and :func:`derivative` take a float or
 an ndarray, by one of two routes.  A scalar takes the float body its lam's
 table row holds: a closure of x over the row's constants, picked from the
@@ -112,8 +116,8 @@ def _to_float(value, name: str) -> float:
 
 def _require_number(value: float, name: str = "shape parameter lam") -> float:
     # value as a float; a complex number, an int past the largest double or a
-    # NaN is a ValueError naming it.  Every shape reader's one check is
-    # _require_number(lam).
+    # NaN is a ValueError naming it.  A public reader checks a float inline
+    # (type(lam) is float and lam == lam) and calls this for anything else.
     if type(value) is not float:
         value = _to_float(value, name)
     if value != value:  # NaN
@@ -326,12 +330,16 @@ _plan = _PlanCache()
 
 def classify(lam: float) -> Branch:
     """Assign lam to exactly one of the seven branches."""
-    return _plan[_require_number(lam)][8]
+    if type(lam) is not float or lam != lam:
+        lam = _require_number(lam)
+    return _plan[lam][8]
 
 
 def branch_plan(lam: float) -> BranchPlan:
     """Build the scale/skip table row and the clamp bound for lam."""
-    return BranchPlan._make(_plan[_require_number(lam)][:6])
+    if type(lam) is not float or lam != lam:
+        lam = _require_number(lam)
+    return BranchPlan._make(_plan[lam][:6])
 
 
 def max_domain(lam: float) -> float:
@@ -341,7 +349,9 @@ def max_domain(lam: float) -> float:
     below the transform's pole at lam/(lam - 1), which is 1 for every lam
     above 1/EPS, the window where :func:`classify` counts lam as +inf.
     """
-    return _plan[_require_number(lam)][5]
+    if type(lam) is not float or lam != lam:
+        lam = _require_number(lam)
+    return _plan[lam][5]
 
 
 def _elementwise(body, step, x, *params):
@@ -440,7 +450,8 @@ def transform(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     x is evaluated through the same branch formulas; inputs beyond the
     negative-side pole saturate the same way the clamped upper edge does.
     """
-    lam = _require_number(lam)
+    if type(lam) is not float or lam != lam:
+        lam = _require_number(lam)
     if type(x) is float and x == x:
         return _plan[lam][9](x)
     return _elementwise(_transform, _transform_step, x, lam)
@@ -448,7 +459,9 @@ def transform(x: float | np.ndarray, lam: float) -> float | np.ndarray:
 
 def inverse(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     """Inverse transform; identical to evaluating at -lam."""
-    lam = -_require_number(lam)
+    if type(lam) is not float or lam != lam:
+        lam = _require_number(lam)
+    lam = -lam
     if type(x) is float and x == x:
         return _plan[lam][9](x)
     return _elementwise(_transform, _transform_step, x, lam)
@@ -462,7 +475,8 @@ def derivative(x: float | np.ndarray, lam: float) -> float | np.ndarray:
     expm1 stage is active and exp(-log1p(pre_scale * x)) when it is
     skipped; the accumulated scale factors always cancel to 1.
     """
-    lam = _require_number(lam)
+    if type(lam) is not float or lam != lam:
+        lam = _require_number(lam)
     if type(x) is float and x == x:
         return _plan[lam][10](x)
     return _elementwise(_derivative, _derivative_step, x, lam)

@@ -164,7 +164,9 @@ def partition_function(lam: float) -> float:
     takes the lam = 0 branch and returns sqrt(2 pi).  Cached per lam: lam
     is checked before the cache sees it, and ``cache_clear`` empties it.
     """
-    return _cached_quadrature(_require_dist_lambda(lam))
+    if not (type(lam) is float and lam >= -1.0):
+        lam = _require_dist_lambda(lam)
+    return _cached_quadrature(lam)
 
 
 # lru_cache's handles on the function that checks before the cache hashes
@@ -189,14 +191,17 @@ def _float_pdf(x: float, lam: float, c: float, z: float, edge: float) -> float:
 
 
 def _pdf_params(lam: float, c: float, table: "ZTable | None") -> tuple:
-    # check c and table, then look Z up once, which also checks lam: _pdf's parameters
-    c = _require_scale(c)
+    # check c, lam's kind and table, then look Z up once, which checks the
+    # rest of lam: _pdf's parameters.  A float c and lam make no Python call
+    # past a table's lookup.  The edge is c * _halfwidth(lam), inline.
+    if not (type(c) is float and 0.0 < c < math.inf):
+        c = _require_scale(c)
     if type(lam) is not float:
         lam = _to_float(lam, "shape parameter lam")
     if table is not None and not isinstance(table, ZTable):
         raise ValueError(f"table must be a ZTable or None, got {type(table).__name__}")
     z = table.lookup(lam) if table is not None else _cached_quadrature(lam)
-    return lam, c, z, c * _halfwidth(lam)
+    return lam, c, z, c * (math.inf if lam <= 1.0 else math.sqrt(2.0 * _plan[lam][7]))
 
 
 def pdf(x, lam: float, c: float = 1.0, table: "ZTable | None" = None):

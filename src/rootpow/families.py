@@ -3,8 +3,9 @@ kernels, signed transforms and activations, bumps, and the Box-Cox bridge.
 
 Each family is a short composition of the core bodies ``_transform`` and
 ``_derivative``: its body, the one statement of its arithmetic, which runs
-on numpy alone.  Each public evaluator checks its parameters once, then
-takes one of two routes.  A scalar x takes the family's float step: a
+on numpy alone.  Each public evaluator checks its parameters once, a
+float inline and anything else through its reader function, then takes
+one of two routes.  A scalar x takes the family's float step: a
 plain function of (x, *params) that calls the float closures of the lam's
 plan row (Box-Cox: libm) and picks a side with an ``if``, making the
 body's passes in the body's order, so it gives the bits of the body run on
@@ -18,6 +19,7 @@ ufuncs.  The comment above each family says why it is computed as it is.
 from __future__ import annotations
 
 import math
+from math import inf
 
 from .core import (
     EPS, TINY, Branch, UnsupportedBranchError, _derivative, _elementwise, _plan, _require_number,
@@ -86,7 +88,10 @@ def loss(x, lam: float, c: float = 1.0):
     For lam > 1 the squared argument can pass the transform's pole; the
     core clamp makes the loss saturate at a large finite value there.
     """
-    lam, c = _require_number(lam), _require_scale(c)
+    if type(lam) is not float or lam != lam:
+        lam = _require_number(lam)
+    if not (type(c) is float and 0.0 < c < inf):
+        c = _require_scale(c)
     if type(x) is float and x == x:
         return _float_loss(x, lam, c)
     return _elementwise(_loss, _float_loss, x, lam, c)
@@ -114,7 +119,10 @@ def _kernel(x, np, lam: float, c: float):
 def kernel(x, lam: float, c: float = 1.0):
     """Kernel value at distance x (a float or an ndarray); 1 at the
     origin, strictly positive, even."""
-    lam, c = _require_number(lam), _require_scale(c)
+    if type(lam) is not float or lam != lam:
+        lam = _require_number(lam)
+    if not (type(c) is float and 0.0 < c < inf):
+        c = _require_scale(c)
     if type(x) is float and x == x:
         return _float_kernel(x, lam, c)
     return _elementwise(_kernel, _float_kernel, x, lam, c)
@@ -148,7 +156,10 @@ def _float_signed(x: float, lam_pos: float, lam_neg: float) -> float:
 
 def signed_transform(x, lam_pos: float, lam_neg: float):
     """Odd-style stitching: shape lam_pos for x >= 0, mirrored lam_neg below."""
-    lam_pos, lam_neg = _require_number(lam_pos), _require_number(lam_neg)
+    if type(lam_pos) is not float or lam_pos != lam_pos:
+        lam_pos = _require_number(lam_pos)
+    if type(lam_neg) is not float or lam_neg != lam_neg:
+        lam_neg = _require_number(lam_neg)
     if type(x) is float and x == x:
         return _float_signed(x, lam_pos, lam_neg)
     return _elementwise(_signed, _float_signed, x, lam_pos, lam_neg)
@@ -157,7 +168,9 @@ def signed_transform(x, lam_pos: float, lam_neg: float):
 # The activations are the paper's signed-transform compositions, bit for
 # bit, with the stitching resolved: the inner s(y, 1, -inf) is expm1(y) on
 # both sides, and each outer stage only ever takes its lam_pos half (tanh:
-# both halves agree), so every stage is a single _transform.
+# both halves agree), so every stage is a single _transform.  The float
+# steps call the float transforms of lam = 1, -1 and -2, bound once.
+_EXPM1, _LOG1P, _NEG_TWO = _plan[1.0][9], _plan[-1.0][9], _plan[-2.0][9]
 
 
 def _softplus(x, np):
@@ -167,7 +180,7 @@ def _softplus(x, np):
 
 def _float_softplus(x: float) -> float:
     # max(x, 0) as a conditional: the builtin costs ~150 ns a call
-    return (0.0 if 0.0 > x else x) + _plan[-1.0][9](_plan[1.0][9](-abs(x)) + 1.0)
+    return (0.0 if 0.0 > x else x) + _LOG1P(_EXPM1(-abs(x)) + 1.0)
 
 
 def softplus(x):
@@ -181,7 +194,7 @@ def _sigmoid(x, np):
 
 
 def _float_sigmoid(x: float) -> float:
-    return 0.5 * _plan[-2.0][9](_plan[1.0][9](x + _LN2) + 1.0)
+    return 0.5 * _NEG_TWO(_EXPM1(x + _LN2) + 1.0)
 
 
 def sigmoid(x):
@@ -195,7 +208,7 @@ def _tanh(x, np):
 
 
 def _float_tanh(x: float) -> float:
-    return 0.5 * _plan[-2.0][9](_plan[1.0][9](2.0 * x))
+    return 0.5 * _NEG_TWO(_EXPM1(2.0 * x))
 
 
 def tanh(x):
@@ -221,7 +234,8 @@ def relu(x, lam_neg: float = 0.0):
     2, the lam = 2 stage clamps just below its pole, 2, rather than
     saturate at inf, so the result is 2**-52, not 0.
     """
-    lam_neg = _require_number(lam_neg)
+    if type(lam_neg) is not float or lam_neg != lam_neg:
+        lam_neg = _require_number(lam_neg)
     if type(x) is float and x == x:
         return _float_relu(x, lam_neg)
     return _elementwise(_relu, _float_relu, x, lam_neg)
@@ -254,7 +268,8 @@ def _float_bump(x: float, lam: float) -> float:
 
 def bump(x, lam: float):
     """Bump value at x (a float or an ndarray); exactly 0 for |x| >= 1."""
-    lam = _require_bump_lambda(lam)
+    if not (type(lam) is float and 1.0 < lam < inf):
+        lam = _require_bump_lambda(lam)
     if type(x) is float and x == x:
         return _float_bump(x, lam)
     return _elementwise(_bump, _float_bump, x, lam)
@@ -299,7 +314,8 @@ def _float_boxcox(x: float, lam: float) -> float:
 def boxcox(x, lam: float):
     """Box-Cox value ((x+1)**lam - 1)/lam, log1p(x) at lam = 0, at x (a
     float or an ndarray); needs x > -1."""
-    lam = _require_boxcox_lambda(lam)
+    if not (type(lam) is float and -inf < lam < inf):
+        lam = _require_boxcox_lambda(lam)
     if type(x) is float and x == x:
         return _float_boxcox(x, lam)
     return _elementwise(_boxcox, _float_boxcox, x, lam)
@@ -329,7 +345,8 @@ def boxcox_normalized(x, lam: float):
     """Box-Cox rescaled so the slope at 0 is 1 and the curvature sign is
     sign(lam - 1): |1 - lam| * boxcox(x / |1 - lam|, lam), the identity at
     lam = 1; needs x > -|1 - lam|.  Takes a float or an ndarray."""
-    lam = _require_boxcox_lambda(lam)
+    if not (type(lam) is float and -inf < lam < inf):
+        lam = _require_boxcox_lambda(lam)
     if type(x) is float and x == x:
         return _float_boxcox_normalized(x, lam)
     return _elementwise(_boxcox_normalized, _float_boxcox_normalized, x, lam)
@@ -358,7 +375,8 @@ def transform_via_boxcox(x, lam: float):
     Box-Cox parameter), and extended lam has no Box-Cox image, so those
     raise UnsupportedBranchError.
     """
-    lam = _require_number(lam)
+    if type(lam) is not float or lam != lam:
+        lam = _require_number(lam)
     if math.isinf(lam):
         raise UnsupportedBranchError("no Box-Cox image for extended lam")
     if _plan[lam][8] is Branch.ONE:
@@ -390,7 +408,8 @@ def boxcox_via_transform(x, lam: float):
     below/above split at 1, not 0, is what makes the two mappings agree
     with the direct evaluator on (0, 1).)
     """
-    lam = _require_boxcox_lambda(lam)
+    if not (type(lam) is float and -inf < lam < inf):
+        lam = _require_boxcox_lambda(lam)
     if type(x) is float and x == x:
         return _float_boxcox_via_transform(x, lam)
     return _elementwise(_boxcox_via_transform, _float_boxcox_via_transform, x, lam)

@@ -9,6 +9,7 @@ import re
 import sys
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +19,6 @@ from hypothesis import strategies as st
 import rootpow as rp
 from rootpow import core, distribution, families
 from rootpow.cli import main
-from rootpow.core import _require_number
-from rootpow.families import _require_boxcox_lambda
 
 MAX = sys.float_info.max
 XS = np.linspace(-0.9, 3.0, 40).reshape(4, 10)
@@ -165,30 +164,115 @@ class TestEvaluatorContract:
         assert not any(map(math.isnan, floats))
 
 
-# The shape checks, one call per shape parameter; bump's and pdf's own
-# checks call _require_number.
-_SHAPE_CHECKS = {_require_number.__code__, _require_boxcox_lambda.__code__}
+# The shape and scale readers.  A public evaluator checks a float shape or
+# scale inline and calls none of them; it calls one per parameter of any
+# other kind, which may call another reader in turn.
+_READERS = {f.__code__ for f in (
+    core._require_number, core._to_float, families._require_scale, families._require_bump_lambda,
+    families._require_boxcox_lambda, distribution._require_dist_lambda,
+)}
+# the number of shape parameters, where it is not 1
 _SHAPES = {"signed_transform": 2, "softplus": 0, "sigmoid": 0, "tanh": 0}
 _TABLE = rp.ZTable(s_grid=(-0.5, 0.25, 1.0), log_z=(1.0, 0.5, 0.25), num_points=64)
 
 
+def _reader_calls(call):
+    # call()'s value, and the readers it calls itself, not those a reader calls
+    calls = []
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in _READERS and frame.f_back.f_code not in _READERS:
+            calls.append(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        value = call()
+    finally:
+        sys.setprofile(None)
+    return value, calls
+
+
 @pytest.mark.parametrize("name,fn,args,tol,outside", CASES, ids=[c[0] for c in CASES])
-def test_each_shape_parameter_is_checked_once(name, fn, args, tol, outside):
-    # pdf gets a table: without one its check runs in partition_function,
-    # whose cache skips it on a hit
-    kwargs = {"table": _TABLE} if fn is rp.pdf else {}
-    for x in (0.25, XS):
-        fn(x, *args, **kwargs)  # fills the caches: the profiled call is a steady-state one
-        checks = []
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code in _SHAPE_CHECKS:
-                checks.append(frame.f_code.co_name)
-        sys.setprofile(profile)
-        try:
-            fn(x, *args, **kwargs)
-        finally:
-            sys.setprofile(None)
-        assert len(checks) == _SHAPES.get(name, 1), (type(x).__name__, checks)
+def test_a_float_shape_calls_no_reader_and_any_other_kind_one(name, fn, args, tol, outside):
+    # steady-state calls, the caches filled; pdf with a table and without
+    shapes = _SHAPES.get(name, 1)
+    for kwargs in ({}, {"table": _TABLE}) if fn is rp.pdf else ({},):
+        for x in (0.25, XS):
+            want = fn(x, *args, **kwargs)
+            value, calls = _reader_calls(lambda: fn(x, *args, **kwargs))
+            assert calls == [], (type(x).__name__, kwargs, calls)
+            for kind in (np.float64, int, Fraction):
+                if not all(kind is np.float64 or math.isfinite(lam)
+                           and (kind is Fraction or lam.is_integer()) for lam in args[:shapes]):
+                    continue  # no int or Fraction has this shape's value
+                kinds = (*map(kind, args[:shapes]), *args[shapes:])
+                value, calls = _reader_calls(lambda: fn(x, *kinds, **kwargs))
+                assert len(calls) == shapes, (type(x).__name__, kind.__name__, kwargs, calls)
+                assert type(value) is type(want), (type(x).__name__, kind.__name__, kwargs)
+                assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+
+
+# Every shape and scale position of every public reader of one: its name,
+# call(v) with v there and 0.5 (bump: 2) in the others, and the reader whose
+# message a refusal carries.  signed_transform's lam_neg at x >= 0 and
+# relu's lam_neg at x = 0.5 are positions the float step never reads.
+_POSITIONS = [
+    *((f"{fn.__name__}-lam", lambda v, fn=fn: fn(0.25, v), "lam")
+      for fn in (rp.transform, rp.inverse, rp.derivative, rp.transform_naive,
+                 rp.oracle_transform)),
+    *((f"{fn.__name__}-lam", lambda v, fn=fn: fn(v), "lam")
+      for fn in (rp.classify, rp.branch_plan, rp.max_domain, rp.render_lambda,
+                 rp.support_halfwidth, rp.partition_function)),
+    ("ZTable.lookup-lam", lambda v: _TABLE.lookup(v), "lam"),
+    *((f"{fn.__name__}-{param}", lambda v, fn=fn, i=i: fn(0.25, *(0.5, 0.5)[:i], v,
+                                                          *(0.5, 0.5)[i + 1:]), param)
+      for fn in (rp.loss, rp.kernel, rp.irls_weight, rp.pdf)
+      for i, param in enumerate(("lam", "c"))),
+    *((f"pdf_table-{param}", lambda v, i=i: rp.pdf(0.25, *(0.5, 0.5)[:i], v,
+                                                   *(0.5, 0.5)[i + 1:], table=_TABLE), param)
+      for i, param in enumerate(("lam", "c"))),
+    ("bump-lam", lambda v: rp.bump(0.25, v), "lam"),
+    *((f"signed_transform-lam_pos-x={x}", lambda v, x=x: rp.signed_transform(x, v, 0.5), "lam")
+      for x in (0.25, -0.25)),
+    *((f"signed_transform-lam_neg-x={x}", lambda v, x=x: rp.signed_transform(x, 0.5, v), "lam")
+      for x in (0.25, 0.0, -0.25)),
+    *((f"relu-lam_neg-x={x}", lambda v, x=x: rp.relu(x, v), "lam") for x in (0.5, -0.5)),
+    *((f"{fn.__name__}-lam", lambda v, fn=fn: fn(0.25, v), "boxcox")
+      for fn in (rp.boxcox, rp.boxcox_normalized, rp.boxcox_via_transform)),
+    ("transform_via_boxcox-lam", lambda v: rp.transform_via_boxcox(0.25, v), "lam"),
+]
+# The reader's name for the value, and its NaN refusal.
+_REFUSED_AS = {
+    "lam": ("shape parameter lam", "shape parameter lam must not be NaN"),
+    "c": ("scale c", "scale c must be a positive finite real, got nan"),
+    "boxcox": ("Box-Cox parameter lam", "Box-Cox parameter must be finite, got nan"),
+}
+
+
+def _refusal(reader, v):
+    # the ValueError text a reader gives v
+    name, nan = _REFUSED_AS[reader]
+    if isinstance(v, str) or v is None:
+        return f"{name} must be a number, got {v!r}"
+    if isinstance(v, (complex, np.complexfloating)):
+        return f"{name} must be real, got {v!r}"
+    return nan
+
+
+@pytest.mark.parametrize("call, reader", [p[1:] for p in _POSITIONS], ids=[p[0] for p in _POSITIONS])
+def test_every_shape_and_scale_position_refuses_what_is_no_real_number(call, reader):
+    # on a cold plan and Z cache, then on one that holds 0.5: hash(0.5 + 0j)
+    # is hash(0.5), so a lookup before the check would take the complex 0.5
+    refused = [math.nan, np.float64(math.nan), 0.5 + 0j, np.complex128(0.5), "0.5", None]
+    core._plan.clear()
+    rp.partition_function.cache_clear()
+    for warm in (False, True):
+        if warm:
+            rp.transform(0.25, 0.5), rp.partition_function(0.5)
+            with contextlib.suppress(ValueError):  # bump's domain is lam > 1
+                call(0.5)
+        for v in refused:
+            with pytest.raises(ValueError, match=f"^{re.escape(_refusal(reader, v))}$"):
+                call(v)
+        assert all(type(lam) is float and lam == lam for lam in core._plan), warm
 
 
 @pytest.mark.parametrize("fn", [rp.partition_function, _TABLE.lookup],
