@@ -17,9 +17,11 @@ derived from binary64 precision), its constants and clamp bound, and the
 pole; :func:`classify`, :func:`branch_plan`, :func:`max_domain` and every
 evaluator body read it.
 
-Every public reader of a shape checks a float inline, and anything else
+Every scalar evaluator checks a float shape inline, and anything else
 (another number kind, a NaN, a complex, what is no number) through
-``_require_number``, which reads it as a float or refuses it by name.
+``_require_number``, which reads it as a float or refuses it by name;
+:func:`classify`, :func:`branch_plan` and :func:`max_domain` call it on
+every lam.
 
 :func:`transform`, :func:`inverse` and :func:`derivative` take a float or
 an ndarray, by one of two routes.  A scalar takes the float body its lam's
@@ -116,7 +118,7 @@ def _to_float(value, name: str) -> float:
 
 def _require_number(value: float, name: str = "shape parameter lam") -> float:
     # value as a float; a complex number, an int past the largest double or a
-    # NaN is a ValueError naming it.  A public reader checks a float inline
+    # NaN is a ValueError naming it.  An evaluator checks a float inline
     # (type(lam) is float and lam == lam) and calls this for anything else.
     if type(value) is not float:
         value = _to_float(value, name)
@@ -330,16 +332,12 @@ _plan = _PlanCache()
 
 def classify(lam: float) -> Branch:
     """Assign lam to exactly one of the seven branches."""
-    if type(lam) is not float or lam != lam:
-        lam = _require_number(lam)
-    return _plan[lam][8]
+    return _plan[_require_number(lam)][8]
 
 
 def branch_plan(lam: float) -> BranchPlan:
     """Build the scale/skip table row and the clamp bound for lam."""
-    if type(lam) is not float or lam != lam:
-        lam = _require_number(lam)
-    return BranchPlan._make(_plan[lam][:6])
+    return BranchPlan._make(_plan[_require_number(lam)][:6])
 
 
 def max_domain(lam: float) -> float:
@@ -349,9 +347,7 @@ def max_domain(lam: float) -> float:
     below the transform's pole at lam/(lam - 1), which is 1 for every lam
     above 1/EPS, the window where :func:`classify` counts lam as +inf.
     """
-    if type(lam) is not float or lam != lam:
-        lam = _require_number(lam)
-    return _plan[lam][5]
+    return _plan[_require_number(lam)][5]
 
 
 def _elementwise(body, step, x, *params):

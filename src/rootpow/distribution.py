@@ -64,16 +64,13 @@ def _require_dist_lambda(lam: float) -> float:
     return lam
 
 
-def _halfwidth(lam: float) -> float:
-    # the pole is inf for lam <= 1; the shortcut skips the table lookup there
-    return math.inf if lam <= 1.0 else math.sqrt(2.0 * _plan[lam][7])
-
-
 def support_halfwidth(lam: float) -> float:
     """Half-width of the support at unit scale: infinite for lam <= 1,
     sqrt(2 lam / (lam - 1)) above, sqrt(2) for lam past 1/EPS, where the
     transform's pole is 1."""
-    return _halfwidth(_require_dist_lambda(lam))
+    lam = _require_dist_lambda(lam)
+    # the pole is inf for lam <= 1; the shortcut skips the table lookup there
+    return math.inf if lam <= 1.0 else math.sqrt(2.0 * _plan[lam][7])
 
 
 # The tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974; Bailey, Jeyabalan
@@ -164,9 +161,7 @@ def partition_function(lam: float) -> float:
     takes the lam = 0 branch and returns sqrt(2 pi).  Cached per lam: lam
     is checked before the cache sees it, and ``cache_clear`` empties it.
     """
-    if not (type(lam) is float and lam >= -1.0):
-        lam = _require_dist_lambda(lam)
-    return _cached_quadrature(lam)
+    return _cached_quadrature(_require_dist_lambda(lam))
 
 
 # lru_cache's handles on the function that checks before the cache hashes
@@ -193,7 +188,7 @@ def _float_pdf(x: float, lam: float, c: float, z: float, edge: float) -> float:
 def _pdf_params(lam: float, c: float, table: "ZTable | None") -> tuple:
     # check c, lam's kind and table, then look Z up once, which checks the
     # rest of lam: _pdf's parameters.  A float c and lam make no Python call
-    # past a table's lookup.  The edge is c * _halfwidth(lam), inline.
+    # past a table's lookup.  The edge is c * support_halfwidth(lam), inline.
     if not (type(c) is float and 0.0 < c < math.inf):
         c = _require_scale(c)
     if type(lam) is not float:

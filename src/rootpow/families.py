@@ -4,12 +4,13 @@ kernels, signed transforms and activations, bumps, and the Box-Cox bridge.
 Each family is a short composition of the core bodies ``_transform`` and
 ``_derivative``: its body, the one statement of its arithmetic, which runs
 on numpy alone.  Each public evaluator checks its parameters once, a
-float inline and anything else through its reader function, then takes
-one of two routes.  A scalar x takes the family's float step: a
-plain function of (x, *params) that calls the float closures of the lam's
-plan row (Box-Cox: libm) and picks a side with an ``if``, making the
-body's passes in the body's order, so it gives the bits of the body run on
-libm; a test holds each step to its body.  A float goes to the step
+float inline and anything else through its reader function (the two
+bridges: always the reader), then takes one of two routes.  A scalar x
+takes the family's float step: a plain function of (x, *params) that
+calls the float closures of the lam's plan row (Box-Cox: libm) and picks
+a side with an ``if``, making the body's passes in the body's order, so
+it gives the bits of the body run on libm; a test holds each step to its
+body.  A float goes to the step
 directly, every other scalar kind (an int, a numpy scalar, a float
 subclass) through ``core._elementwise``, which reads it as a float.  An
 array takes ``core._elementwise``'s numpy route, the body on numpy's
@@ -375,8 +376,7 @@ def transform_via_boxcox(x, lam: float):
     Box-Cox parameter), and extended lam has no Box-Cox image, so those
     raise UnsupportedBranchError.
     """
-    if type(lam) is not float or lam != lam:
-        lam = _require_number(lam)
+    lam = _require_number(lam)
     if math.isinf(lam):
         raise UnsupportedBranchError("no Box-Cox image for extended lam")
     if _plan[lam][8] is Branch.ONE:
@@ -408,8 +408,7 @@ def boxcox_via_transform(x, lam: float):
     below/above split at 1, not 0, is what makes the two mappings agree
     with the direct evaluator on (0, 1).)
     """
-    if not (type(lam) is float and -inf < lam < inf):
-        lam = _require_boxcox_lambda(lam)
+    lam = _require_boxcox_lambda(lam)
     if type(x) is float and x == x:
         return _float_boxcox_via_transform(x, lam)
     return _elementwise(_boxcox_via_transform, _float_boxcox_via_transform, x, lam)

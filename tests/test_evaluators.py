@@ -60,10 +60,22 @@ CASES = [
 
 # The argument each shape or scale position names in its ValueError.
 PARAM_NAMES = {name: ("lam", "c") for name in ("loss", "kernel", "pdf", "pdf_fat_tail")}
-# A complex scalar of each kind: numpy's (one with a zero imaginary part),
-# Python's and a 0-d numpy array.
+# The reader function of each shape or scale position, where it is not
+# _require_number: the public evaluator refuses what its reader refuses,
+# with the reader's message.
+PARAM_READERS = {
+    **dict.fromkeys(("loss", "kernel"), (core._require_number, families._require_scale)),
+    **dict.fromkeys(("pdf", "pdf_fat_tail"),
+                    (distribution._require_dist_lambda, families._require_scale)),
+    "bump": (families._require_bump_lambda,),
+    **dict.fromkeys(("boxcox", "boxcox_log", "boxcox_normalized", "boxcox_normalized_log",
+                     "boxcox_normalized_identity", "boxcox_via_transform"),
+                    (families._require_boxcox_lambda,)),
+}
+# A complex scalar of each kind: numpy's and Python's (each also with a zero
+# imaginary part) and a 0-d numpy array.
 COMPLEX_SCALARS = [np.complex128(0.5 + 1j), np.complex64(0.5 + 1j), np.complex128(0.5), 0.5 + 1j,
-                   np.array(0.5 + 1j)]
+                   0.5 + 0j, np.array(0.5 + 1j)]
 # Values that are not numbers: float() parses the first two.
 NOT_NUMBERS = ["0.5", b"0.5", None, [0.5]]
 # Scalars at each sign, zero of both signs, the extremes and inf.
@@ -73,6 +85,27 @@ SCALAR_XS = [-math.inf, -1e300, -3.0, -1.0, -0.5, -0.0, 0.0, 5e-324, 0.25, 1.0, 
 
 class _Float(float):
     pass
+
+
+def _each_position(name, fn, args):
+    # (name, reader, call) for each shape or scale position: call(v) puts v
+    # there, at x = 0.5 and at -0.5 (signed_transform's and relu's float
+    # steps read one shape on each side), and pdf's also with a table.  On
+    # an empty plan and Z cache, then on one that holds args and 0.5:
+    # hash(0.5 + 0j) is hash(0.5), so a lookup before the check would take
+    # the complex 0.5.
+    params = PARAM_NAMES.get(name, ("lam",) * len(args))
+    readers = PARAM_READERS.get(name, (core._require_number,) * len(args))
+    tables = ({}, {"table": _TABLE}) if fn is rp.pdf else ({},)
+    core._plan.clear()
+    rp.partition_function.cache_clear()
+    for warm in (False, True):
+        if warm:
+            fn(0.5, *args), rp.transform(0.5, 0.5), rp.partition_function(0.5)
+        for i, (param, reader) in enumerate(zip(params, readers)):
+            for x in (0.5, -0.5):
+                for kw in tables:
+                    yield param, reader, lambda v: fn(x, *args[:i], v, *args[i + 1:], **kw)
 
 
 def _outcome(fn, x, args):
@@ -129,28 +162,43 @@ class TestEvaluatorContract:
                 fn(np.array(xs), *args)
         # so would float() a complex scalar, as x or as any shape or scale
         # parameter; the ValueError names the argument
-        params = PARAM_NAMES.get(name, ("lam",) * len(args))
         for z in COMPLEX_SCALARS:
             with pytest.raises(ValueError, match="^x must be real, got "):
                 fn(z, *args)
-            for i, param in enumerate(params):
+        for param, reader, call in _each_position(name, fn, args):
+            for z in COMPLEX_SCALARS:
                 with pytest.raises(ValueError, match=rf"^[\w -]*\b{param} must be real, got "):
-                    fn(0.25, *args[:i], z, *args[i + 1:])
+                    call(z)
 
     def test_a_value_that_is_not_a_number_raises(self, name, fn, args, tol, outside):
         # float() would parse a str or bytes, and raise TypeError for None or
         # a list; as x or as any shape or scale parameter each is a
         # ValueError that names the argument
-        params = PARAM_NAMES.get(name, ("lam",) * len(args))
         for v in NOT_NUMBERS:
             with pytest.raises(ValueError, match=rf"^x must be a number, got {re.escape(repr(v))}$"):
                 fn(v, *args)
         # an ndarray x is an array call; as a parameter, one of ndim >= 1 is
         # not a number either
-        for v in [*NOT_NUMBERS, np.array([0.5]), np.array([0.5, 1.0])]:
-            for i, param in enumerate(params):
+        for param, reader, call in _each_position(name, fn, args):
+            for v in [*NOT_NUMBERS, np.array([0.5]), np.array([0.5, 1.0])]:
                 with pytest.raises(ValueError, match=rf"^[\w -]*\b{param} must be a number, got "):
-                    fn(0.25, *args[:i], v, *args[i + 1:])
+                    call(v)
+
+    def test_a_float_its_reader_refuses_raises_the_readers_error(self, name, fn, args, tol,
+                                                                  outside):
+        # a float shape or scale is checked inline, anything else by its
+        # reader: NaN and the ends of each reader's range (c: 0, -0 and inf;
+        # bump: 1 and inf; Box-Cox: +-inf; the density: the float below -1)
+        # must give the reader's ValueError, message and all
+        floats = [math.nan, np.float64(math.nan), 0.0, -0.0, 1.0, math.inf, -math.inf,
+                  math.nextafter(-1.0, -math.inf)]
+        for param, reader, call in _each_position(name, fn, args):
+            for v in floats:
+                try:
+                    reader(v)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        call(v)
 
     def test_extremes_evaluate_silently(self, name, fn, args, tol, outside):
         xs = [0.0, -0.0, 5e-324, MAX, math.inf]
@@ -173,6 +221,9 @@ _READERS = {f.__code__ for f in (
 )}
 # the number of shape parameters, where it is not 1
 _SHAPES = {"signed_transform": 2, "softplus": 0, "sigmoid": 0, "tanh": 0}
+# the evaluators that check a float shape through their reader too: no
+# workload calls them per scalar
+_READ_BY_THE_READER = {"transform_via_boxcox", "boxcox_via_transform"}
 _TABLE = rp.ZTable(s_grid=(-0.5, 0.25, 1.0), log_z=(1.0, 0.5, 0.25), num_points=64)
 
 
@@ -192,87 +243,21 @@ def _reader_calls(call):
 
 @pytest.mark.parametrize("name,fn,args,tol,outside", CASES, ids=[c[0] for c in CASES])
 def test_a_float_shape_calls_no_reader_and_any_other_kind_one(name, fn, args, tol, outside):
-    # steady-state calls, the caches filled; pdf with a table and without
+    # steady-state calls, the caches filled
     shapes = _SHAPES.get(name, 1)
-    for kwargs in ({}, {"table": _TABLE}) if fn is rp.pdf else ({},):
-        for x in (0.25, XS):
-            want = fn(x, *args, **kwargs)
-            value, calls = _reader_calls(lambda: fn(x, *args, **kwargs))
-            assert calls == [], (type(x).__name__, kwargs, calls)
-            for kind in (np.float64, int, Fraction):
-                if not all(kind is np.float64 or math.isfinite(lam)
-                           and (kind is Fraction or lam.is_integer()) for lam in args[:shapes]):
-                    continue  # no int or Fraction has this shape's value
-                kinds = (*map(kind, args[:shapes]), *args[shapes:])
-                value, calls = _reader_calls(lambda: fn(x, *kinds, **kwargs))
-                assert len(calls) == shapes, (type(x).__name__, kind.__name__, kwargs, calls)
-                assert type(value) is type(want), (type(x).__name__, kind.__name__, kwargs)
-                assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
-
-
-# Every shape and scale position of every public reader of one: its name,
-# call(v) with v there and 0.5 (bump: 2) in the others, and the reader whose
-# message a refusal carries.  signed_transform's lam_neg at x >= 0 and
-# relu's lam_neg at x = 0.5 are positions the float step never reads.
-_POSITIONS = [
-    *((f"{fn.__name__}-lam", lambda v, fn=fn: fn(0.25, v), "lam")
-      for fn in (rp.transform, rp.inverse, rp.derivative, rp.transform_naive,
-                 rp.oracle_transform)),
-    *((f"{fn.__name__}-lam", lambda v, fn=fn: fn(v), "lam")
-      for fn in (rp.classify, rp.branch_plan, rp.max_domain, rp.render_lambda,
-                 rp.support_halfwidth, rp.partition_function)),
-    ("ZTable.lookup-lam", lambda v: _TABLE.lookup(v), "lam"),
-    *((f"{fn.__name__}-{param}", lambda v, fn=fn, i=i: fn(0.25, *(0.5, 0.5)[:i], v,
-                                                          *(0.5, 0.5)[i + 1:]), param)
-      for fn in (rp.loss, rp.kernel, rp.irls_weight, rp.pdf)
-      for i, param in enumerate(("lam", "c"))),
-    *((f"pdf_table-{param}", lambda v, i=i: rp.pdf(0.25, *(0.5, 0.5)[:i], v,
-                                                   *(0.5, 0.5)[i + 1:], table=_TABLE), param)
-      for i, param in enumerate(("lam", "c"))),
-    ("bump-lam", lambda v: rp.bump(0.25, v), "lam"),
-    *((f"signed_transform-lam_pos-x={x}", lambda v, x=x: rp.signed_transform(x, v, 0.5), "lam")
-      for x in (0.25, -0.25)),
-    *((f"signed_transform-lam_neg-x={x}", lambda v, x=x: rp.signed_transform(x, 0.5, v), "lam")
-      for x in (0.25, 0.0, -0.25)),
-    *((f"relu-lam_neg-x={x}", lambda v, x=x: rp.relu(x, v), "lam") for x in (0.5, -0.5)),
-    *((f"{fn.__name__}-lam", lambda v, fn=fn: fn(0.25, v), "boxcox")
-      for fn in (rp.boxcox, rp.boxcox_normalized, rp.boxcox_via_transform)),
-    ("transform_via_boxcox-lam", lambda v: rp.transform_via_boxcox(0.25, v), "lam"),
-]
-# The reader's name for the value, and its NaN refusal.
-_REFUSED_AS = {
-    "lam": ("shape parameter lam", "shape parameter lam must not be NaN"),
-    "c": ("scale c", "scale c must be a positive finite real, got nan"),
-    "boxcox": ("Box-Cox parameter lam", "Box-Cox parameter must be finite, got nan"),
-}
-
-
-def _refusal(reader, v):
-    # the ValueError text a reader gives v
-    name, nan = _REFUSED_AS[reader]
-    if isinstance(v, str) or v is None:
-        return f"{name} must be a number, got {v!r}"
-    if isinstance(v, (complex, np.complexfloating)):
-        return f"{name} must be real, got {v!r}"
-    return nan
-
-
-@pytest.mark.parametrize("call, reader", [p[1:] for p in _POSITIONS], ids=[p[0] for p in _POSITIONS])
-def test_every_shape_and_scale_position_refuses_what_is_no_real_number(call, reader):
-    # on a cold plan and Z cache, then on one that holds 0.5: hash(0.5 + 0j)
-    # is hash(0.5), so a lookup before the check would take the complex 0.5
-    refused = [math.nan, np.float64(math.nan), 0.5 + 0j, np.complex128(0.5), "0.5", None]
-    core._plan.clear()
-    rp.partition_function.cache_clear()
-    for warm in (False, True):
-        if warm:
-            rp.transform(0.25, 0.5), rp.partition_function(0.5)
-            with contextlib.suppress(ValueError):  # bump's domain is lam > 1
-                call(0.5)
-        for v in refused:
-            with pytest.raises(ValueError, match=f"^{re.escape(_refusal(reader, v))}$"):
-                call(v)
-        assert all(type(lam) is float and lam == lam for lam in core._plan), warm
+    for x in (0.25, XS):
+        want = fn(x, *args)
+        value, calls = _reader_calls(lambda: fn(x, *args))
+        assert len(calls) == (shapes if name in _READ_BY_THE_READER else 0), (type(x).__name__, calls)
+        for kind in (np.float64, int, Fraction):
+            if not all(kind is np.float64 or math.isfinite(lam)
+                       and (kind is Fraction or lam.is_integer()) for lam in args[:shapes]):
+                continue  # no int or Fraction has this shape's value
+            kinds = (*map(kind, args[:shapes]), *args[shapes:])
+            value, calls = _reader_calls(lambda: fn(x, *kinds))
+            assert len(calls) == shapes, (type(x).__name__, kind.__name__, calls)
+            assert type(value) is type(want), (type(x).__name__, kind.__name__)
+            assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("fn", [rp.partition_function, _TABLE.lookup],
@@ -662,7 +647,7 @@ _STEPS = {
     "bump": (families._float_bump, families._bump,
              lambda lam, lam2, c: (lam,) if 1.0 < lam < math.inf else None),
     "pdf": (distribution._float_pdf, distribution._pdf,
-            lambda lam, lam2, c: (lam, c, 0.75, c * distribution._halfwidth(lam))
+            lambda lam, lam2, c: (lam, c, 0.75, c * rp.support_halfwidth(lam))
             if lam >= -1.0 else None),
     "softplus": (families._float_softplus, families._softplus, lambda lam, lam2, c: ()),
     "sigmoid": (families._float_sigmoid, families._sigmoid, lambda lam, lam2, c: ()),
@@ -808,7 +793,7 @@ def test_the_skipped_floor_changes_no_bit(lam, c, monkeypatch):
     steps = {"loss": families._float_loss, "kernel": families._float_kernel}
     bodies = {"loss": families._loss, "kernel": families._kernel}
     if lam >= -1.0:  # pdf's route past _pdf_params, with any Z, as in _STEPS
-        params = (lam, c, 0.75, c * distribution._halfwidth(lam))
+        params = (lam, c, 0.75, c * rp.support_halfwidth(lam))
         got["pdf"] = core._elementwise(distribution._pdf, distribution._float_pdf, xs, *params)
         monkeypatch.setattr(distribution, "_loss",
                             lambda x, np, lam, c: families._loss(x, np, lam, c, floored_loss))
