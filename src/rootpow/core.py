@@ -309,25 +309,28 @@ def _plan_row(lam: float) -> tuple:
 _PLAN_ROWS = 4096
 
 
-class _PlanCache(dict):
-    # lam -> _plan_row(lam), read as _plan[lam]: a hit is one dict
-    # subscript, where a call through lru_cache builds an args tuple.  A miss
-    # at _PLAN_ROWS rows empties the cache first (dropping only the oldest
-    # row would scan past every row dropped before it, on each miss).  The
-    # lock keeps two threads' misses from both passing the test and then
-    # inserting past the bound.
+class _LamCache(dict):
+    # lam -> fill(lam) for a checked lam, read as cache[lam]: plan rows
+    # here, Z in distribution.  A hit is one dict subscript.  A miss at
+    # _PLAN_ROWS entries empties the cache first (dropping only the oldest
+    # would scan past every entry dropped before it, on each miss); a fill
+    # that raises inserts nothing.  The lock keeps two threads' misses from
+    # both passing the test and then inserting past the bound.
     _lock = _thread.allocate_lock()  # threading.Lock, without importing threading
 
-    def __missing__(self, lam: float) -> tuple:
-        row = _plan_row(lam)
+    def __init__(self, fill):
+        self._fill = fill
+
+    def __missing__(self, lam: float):
+        value = self._fill(lam)
         with self._lock:
             if len(self) >= _PLAN_ROWS:
                 self.clear()
-            self[lam] = row
-        return row
+            self[lam] = value
+        return value
 
 
-_plan = _PlanCache()
+_plan = _LamCache(_plan_row)
 
 
 def classify(lam: float) -> Branch:

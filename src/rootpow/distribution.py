@@ -13,26 +13,24 @@ x = sqrt(3) - 1 the integrand decreases for every lam >= -1, and the
 weights decrease in k, so once a term falls below total 2**-56 each later
 upper term would round away; the result is the full sum's, bit for bit,
 at about 133 of the 205 evaluations on the default table's grid.
-Z is one cached number per lam.  Where x_max, the point at which the
-density falls to eps**2, overflows (the smallest normal double
-<= |lam| <= 4.0099895460609535e-307), Z is refused with a ValueError; a
-subnormal lam takes the lam = 0 branch and its Z, sqrt(2 pi).  The module
-imports no numpy.  :func:`build_table` stores log Z on a uniform grid over
-the compactified coordinate s = lam / (1 + |lam|), which maps lam in
-[-1, +inf] onto [-1/2, 1], and :class:`ZTable` persists it as a checked
-file record; a lookup is partition_function's cached value at every lam,
-nodes included, so Z has one rule.
+Z is one cached number per lam, in core's per-lam cache.  Where x_max,
+the point at which the density falls to eps**2, overflows (the smallest
+normal double <= |lam| <= 4.0099895460609535e-307), Z is refused with a
+ValueError; a subnormal lam takes the lam = 0 branch and its Z, sqrt(2 pi).
+No numpy is imported.  :func:`build_table` stores log Z on a uniform grid
+over s = lam / (1 + |lam|), which maps lam in [-1, +inf] onto [-1/2, 1],
+and :class:`ZTable` persists it as a checked file record; a lookup, and
+pdf with a table or without, reads partition_function's cached value.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 from itertools import islice
 
 from .core import (
-    EPS, _elementwise, _plan, _require_count, _require_number, _sorted_linspace,
+    EPS, _elementwise, _LamCache, _plan, _require_count, _require_number, _sorted_linspace,
     _to_float,
 )
 from .families import _loss, _require_scale
@@ -106,7 +104,7 @@ _DEFAULT_RULE = tuple(_tanh_sinh(DEFAULT_NUM_POINTS // 2))
 
 
 def _quadrature(lam: float) -> float:
-    # partition_function's rule, uncached: it checks lam
+    # partition_function's rule, uncached: it checks lam, so none refused is cached
     lam = _require_dist_lambda(lam)
     u_max = math.log1p(math.sqrt(2.0 * _plan[-lam][9](_CUTOFF_LOSS)))
     if u_max == math.inf:
@@ -140,7 +138,7 @@ def _quadrature(lam: float) -> float:
     return 2.0 * u_max * total  # [0, 1] scaled to [0, u_max], doubled for x < 0
 
 
-_cached_quadrature = lru_cache(maxsize=4096)(_quadrature)
+_z = _LamCache(_quadrature)
 
 
 def partition_function(lam: float) -> float:
@@ -161,12 +159,10 @@ def partition_function(lam: float) -> float:
     takes the lam = 0 branch and returns sqrt(2 pi).  Cached per lam: lam
     is checked before the cache sees it, and ``cache_clear`` empties it.
     """
-    return _cached_quadrature(_require_dist_lambda(lam))
+    return _z[_require_dist_lambda(lam)]
 
 
-# lru_cache's handles on the function that checks before the cache hashes
-partition_function.cache_clear = _cached_quadrature.cache_clear
-partition_function.__wrapped__ = _quadrature
+partition_function.cache_clear = _z.clear
 
 
 def _pdf(x, np, lam: float, c: float, z: float, edge: float):
@@ -186,23 +182,22 @@ def _float_pdf(x: float, lam: float, c: float, z: float, edge: float) -> float:
 
 
 def _pdf_params(lam: float, c: float, table: "ZTable | None") -> tuple:
-    # check c, lam's kind and table, then look Z up once, which checks the
-    # rest of lam: _pdf's parameters.  A float c and lam make no Python call
-    # past a table's lookup.  The edge is c * support_halfwidth(lam), inline.
+    # check c, lam's kind and table, then read Z, whose cache miss checks
+    # the rest of lam: _pdf's parameters.  Z is the rule's, table or none.
+    # A float c and lam make no Python call.  The edge is inline.
     if not (type(c) is float and 0.0 < c < math.inf):
         c = _require_scale(c)
     if type(lam) is not float:
         lam = _to_float(lam, "shape parameter lam")
     if table is not None and not isinstance(table, ZTable):
         raise ValueError(f"table must be a ZTable or None, got {type(table).__name__}")
-    z = table.lookup(lam) if table is not None else _cached_quadrature(lam)
-    return lam, c, z, c * (math.inf if lam <= 1.0 else math.sqrt(2.0 * _plan[lam][7]))
+    return lam, c, _z[lam], c * (math.inf if lam <= 1.0 else math.sqrt(2.0 * _plan[lam][7]))
 
 
 def pdf(x, lam: float, c: float = 1.0, table: "ZTable | None" = None):
     """Density at x (a float or an ndarray); exactly 0 at and beyond the
-    support bound when lam > 1.  Z comes from ``table``, a ZTable, when
-    given, else from (cached) quadrature; either lookup also checks lam.
+    support bound when lam > 1.  Z is partition_function's cached value,
+    which also checks lam; ``table``, a ZTable or None, is only checked.
     """
     lam, c, z, edge = _pdf_params(lam, c, table)
     if type(x) is float and x == x:

@@ -170,8 +170,8 @@ def signed_transform(x, lam_pos: float, lam_neg: float):
 # bit, with the stitching resolved: the inner s(y, 1, -inf) is expm1(y) on
 # both sides, and each outer stage only ever takes its lam_pos half (tanh:
 # both halves agree), so every stage is a single _transform.  The float
-# steps call the float transforms of lam = 1, -1 and -2, bound once.
-_EXPM1, _LOG1P, _NEG_TWO = _plan[1.0][9], _plan[-1.0][9], _plan[-2.0][9]
+# steps call the float transforms of lam = 1, -1, -2 and 2, bound once.
+_EXPM1, _LOG1P, _NEG_TWO, _TWO = _plan[1.0][9], _plan[-1.0][9], _plan[-2.0][9], _plan[2.0][9]
 
 
 def _softplus(x, np):
@@ -223,7 +223,9 @@ def _relu(x, np, lam_neg: float):
 
 
 def _float_relu(x: float, lam_neg: float) -> float:
-    return 2.0 - _float_signed(_float_signed(2.0 - x, 2.0, lam_neg), -2.0, -lam_neg)
+    y = 2.0 - x
+    y = _TWO(y) if y >= 0.0 else -_plan[lam_neg][9](-y)
+    return 2.0 - (_NEG_TWO(y) if y >= 0.0 else -_plan[-lam_neg][9](-y))
 
 
 def relu(x, lam_neg: float = 0.0):

@@ -228,20 +228,30 @@ class TestEval:
         # a materialized grid alone would hold 200,000 floats (~6 MB)
         assert peak < 1_500_000
 
-    def test_pdf_ztable_looks_z_up_once(self, run, tmp_path, monkeypatch):
+    def test_pdf_ztable_reads_z_once(self, run, tmp_path, monkeypatch):
+        # every read of the Z cache counted, on a cold cache: one read, one
+        # quadrature, for 1000 x
+        from rootpow import distribution
+
         path = tmp_path / "zt.json"
         rootpow.build_table(64).save(path)
-        calls = []
-        lookup = rootpow.ZTable.lookup
+        reads, fills = [], []
+
+        class CountingZ(type(distribution._z)):
+            def __getitem__(self, lam):
+                reads.append(lam)
+                return super().__getitem__(lam)
+
         monkeypatch.setattr(
-            rootpow.ZTable, "lookup", lambda self, lam: calls.append(lam) or lookup(self, lam)
+            distribution, "_z",
+            CountingZ(lambda lam: fills.append(lam) or distribution._quadrature(lam)),
         )
         code, out, _ = run(
             ["eval", "--fn", "pdf", "--lambda", "0.3", "--ztable", str(path), "--x=-3:3:1000"]
         )
         assert code == 0
         assert out.count("\n") == 1001
-        assert calls == [0.3]
+        assert reads == [0.3] and fills == [0.3]
 
     @pytest.mark.parametrize("fn", ["h", "hhat"])
     def test_boxcox_reads_its_lambda_once(self, run, fn):

@@ -16,14 +16,15 @@ from scipy.integrate import quad
 
 from oracles import tanh_sinh_reference
 from rootpow.accuracy import default_lambda_grid
-from rootpow.core import Branch, _plan, classify, transform
+from rootpow.core import _PLAN_ROWS, Branch, _plan, classify, transform
 from rootpow.distribution import (
     DEFAULT_NUM_POINTS,
     ZTable,
     _decompactify,
     _DEFAULT_RULE,
-    _cached_quadrature,
+    _quadrature,
     _tanh_sinh,
+    _z,
     build_table,
     partition_function,
     pdf,
@@ -69,7 +70,7 @@ class TestPartitionFunction:
         with pytest.raises(ValueError):
             partition_function(-1.0 - 1e-9)
         with pytest.raises(ValueError):
-            partition_function.__wrapped__(-1.0 - 1e-9)
+            _quadrature(-1.0 - 1e-9)
 
     def test_default_rule_meets_the_closed_forms(self):
         # the 205-node tanh-sinh rule lands within a few ulps of each
@@ -89,17 +90,21 @@ class TestPartitionFunction:
 
     def test_pdf_reads_the_cache_past_the_argument_checks(self):
         # pdf's lam is a float by then, and a cache miss checks it: a hit
-        # is the cache's C call, with no Python frame of partition_function
-        pdf(0.25, 0.5)
-        calls = []
-        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
-                       if event == "call" else None)
-        try:
-            pdf(0.25, 0.5)
-        finally:
-            sys.setprofile(None)
-        assert "pdf" in calls
-        assert not {"partition_function", "_quadrature", "_require_dist_lambda"} & set(calls)
+        # is the cache's C call, with no Python frame of partition_function.
+        # A table is checked, not asked: no lookup, and the no-table bits.
+        want = pdf(0.25, 0.5)
+        for kw in ({}, {"table": ZTable(**SMALL_TABLE)}):
+            calls = []
+            sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)
+                           if event == "call" else None)
+            try:
+                got = pdf(0.25, 0.5, **kw)
+            finally:
+                sys.setprofile(None)
+            assert got.hex() == want.hex()
+            assert "pdf" in calls
+            assert not {"partition_function", "_quadrature", "_require_dist_lambda",
+                        "lookup"} & set(calls)
 
     # Next to |lam| = TINY the cutoff transform(72.09, -lam) overflows (its
     # pre-scale is ~1/|lam|), so x_max is inf and the rule has no interval,
@@ -125,10 +130,63 @@ class TestPartitionFunction:
         message = rf"^the quadrature cutoff, .* overflows at lam = {re.escape(repr(lam))}$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (partition_function, partition_function.__wrapped__,
+            for call in (partition_function, _quadrature,
                          lambda lam: pdf(0.5, lam), lambda lam: pdf(np.array([0.5]), lam)):
                 with pytest.raises(ValueError, match=message):
                     call(lam)
+
+
+class TestZCache:
+    """Z's per-lam cache, the plan rows' kind: bounded, a hit equal to a
+    fresh quadrature, and no refused lam as a key."""
+
+    def test_bounded_and_an_evicted_z_comes_back_fresh(self):
+        partition_function.cache_clear()
+        lams = [2.0 + k / 64.0 for k in range(5000)]
+        first = partition_function(lams[0])
+        for lam in lams:
+            partition_function(lam)
+        assert len(_z) <= _PLAN_ROWS == 4096
+        assert lams[0] not in _z and lams[-1] in _z
+        again = partition_function(lams[0])
+        assert again.hex() == first.hex() and again is not first
+        assert _z[lams[0]].hex() == _quadrature(lams[0]).hex()
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_a_refused_lam_never_enters(self, warm):
+        partition_function.cache_clear()
+        if warm:
+            partition_function(0.5)
+        table = ZTable(**SMALL_TABLE)
+        calls = (partition_function, table.lookup, lambda lam: pdf(0.5, lam),
+                 lambda lam: pdf(0.5, lam, table=table), lambda lam: pdf(np.array([0.5]), lam))
+        for lam in (math.nan, -1.5, -math.inf, math.nextafter(-1.0, -math.inf), 5e-308,
+                    0.5 + 0j):
+            for call in calls:
+                with pytest.raises(ValueError):
+                    call(lam)
+        assert all(type(lam) is float and lam >= -1.0 for lam in _z)
+        assert 5e-308 not in _z
+        assert list(_z) == ([0.5] if warm else [])
+
+    def test_concurrent_misses_keep_the_bound(self):
+        # as the plan rows' test: more threads than cores, switching as
+        # often as the interpreter allows, all missing past the bound
+        from concurrent.futures import ThreadPoolExecutor
+
+        partition_function.cache_clear()
+        chunks = [[-0.5 + (8 * k + i) / 4096.0 for k in range(600)] for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda lams: [partition_function(lam) for lam in lams],
+                                    chunks, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[_quadrature(lam) for lam in lams] for lams in chunks]
+        assert len(_z) <= _PLAN_ROWS
+        assert all(z == _quadrature(lam) for lam, z in _z.items())
 
 
 def _assert_the_full_sum(lam):
@@ -137,9 +195,9 @@ def _assert_the_full_sum(lam):
         want = tanh_sinh_reference(lam)
     except ValueError:
         with pytest.raises(ValueError):
-            partition_function.__wrapped__(lam)
+            _quadrature(lam)
         return
-    assert partition_function.__wrapped__(lam).hex() == want.hex(), lam
+    assert _quadrature(lam).hex() == want.hex(), lam
 
 
 _EDGE_SHAPES = [-1.0, 0.0, 1.0, math.inf, 1.0 + 2.0**-52, 1.0 - 2.0**-52, 1e-300, 1e308]
@@ -176,7 +234,7 @@ class TestTheUpperTailStop:
         sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code)
                        if event == "call" else None)
         try:
-            partition_function.__wrapped__(0.0)
+            _quadrature(0.0)
         finally:
             sys.setprofile(None)
         assert calls.count(closure) <= 140
@@ -415,28 +473,30 @@ class TestZTable:
         assert any(off_node[size:])
 
     @pytest.mark.parametrize("lam", [-1.0, 0.0, -0.0, math.inf])
-    def test_a_node_lookup_is_a_hit_on_partition_functions_cache(self, lam):
+    def test_a_node_lookup_reads_partition_functions_cached_z(self, lam, monkeypatch):
         # at a node whose log Z is far from the rule's, the lookup is
-        # partition_function's number, read from the same cache
+        # partition_function's number, read from the same cache: the same
+        # float object, with no quadrature run
         table = ZTable((-0.5, 0.0, 0.5, 1.0), (3.0, -2.0, 1.0, 0.5), 64)
         stored = math.exp(table.log_z[table.s_grid.index(compactify(lam))])
         want = partition_function(lam)
         assert stored != want
-        before = _cached_quadrature.cache_info()
-        assert table.lookup(lam).hex() == want.hex()
-        after = _cached_quadrature.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        fills = []
+        monkeypatch.setattr(_z, "_fill", lambda lam: fills.append(lam) or _quadrature(lam))
+        assert table.lookup(lam) is want
+        assert fills == []
 
-    def test_an_off_node_lookup_shares_partition_functions_cache(self, table):
+    def test_an_off_node_lookup_shares_partition_functions_cache(self, table, monkeypatch):
         # one cached number per lam: the lookup's quadrature is the one
-        # partition_function then reads, a cache hit
+        # partition_function then reads, the same float object
         lam = 0.123456789
         assert compactify(lam) not in table.s_grid
+        fills = []
+        monkeypatch.setattr(_z, "_fill", lambda lam: fills.append(lam) or _quadrature(lam))
+        _z.pop(lam, None)
         z = table.lookup(lam)
-        before = _cached_quadrature.cache_info()
-        assert partition_function(lam).hex() == z.hex()
-        after = _cached_quadrature.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert partition_function(lam) is z
+        assert fills == [lam]
 
     @pytest.mark.parametrize("lam", [*TestPartitionFunction._TINY_SHAPES, 5e-308, -5e-308, 4e-307])
     def test_an_off_node_tiny_shape_raises_the_quadrature_error(self, table, lam):

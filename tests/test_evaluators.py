@@ -263,7 +263,7 @@ def test_a_float_shape_calls_no_reader_and_any_other_kind_one(name, fn, args, to
 @pytest.mark.parametrize("fn", [rp.partition_function, _TABLE.lookup],
                          ids=["partition_function", "ZTable.lookup"])
 def test_a_shape_that_is_not_a_number_raises_before_the_z_cache(fn):
-    # partition_function checks lam before its lru_cache hashes it, so a
+    # partition_function checks lam before its Z cache hashes it, so a
     # list or an ndarray is the ValueError that ZTable.lookup gives, not
     # the cache's TypeError
     for v in [*NOT_NUMBERS, np.array([0.5]), np.array([0.5, 1.0])]:
